@@ -241,10 +241,7 @@ def _cmd_lp(args) -> int:
     doc = {"which": args.which, "status": sol.status,
            "n_vars": lp.n_vars, "n_rows": lp.n_rows}
     if sol.status == "optimal":
-        if sol.exact_objective is not None:
-            doc.update(_frac_fields(sol.exact_objective))
-        else:
-            doc.update({"value": sol.objective, "value_exact": None})
+        doc.update(_frac_fields(sol.exact_objective))
     _emit(doc, args.output)
     return 0
 
@@ -257,8 +254,7 @@ def _cmd_online(args) -> int:
     seed = args.seed if args.seed is not None else _default_seed()
     x = solve_model_lp(build_opton_lp(model))
     report = harness.run_online_trials(
-        model, x, alpha=args.alpha, beta=args.beta, seed=seed,
-        trials=args.trials, threads=args.threads,
+        model, x, alpha=args.alpha, beta=args.beta, seed=seed, trials=args.trials
     )
     if args.trace:
         stream = rounding.sample_stream(model, seed, 0)
@@ -279,7 +275,7 @@ def _cmd_online(args) -> int:
 def _cmd_bench(args) -> int:
     suite = harness.BENCH_SUITES[args.suite]
     seed = args.seed if args.seed is not None else _default_seed()
-    report = suite(trials=args.trials, seed=seed, threads=args.threads)
+    report = suite(trials=args.trials, seed=seed)
     if args.output:
         harness.write_report_json(report, args.output)
         csv_path = args.output
@@ -367,7 +363,6 @@ def build_parser() -> argparse.ArgumentParser:
     o.add_argument("--beta", type=float, default=0.0766)
     o.add_argument("--trials", type=int, default=1000)
     o.add_argument("--seed", type=int, default=None)
-    o.add_argument("--threads", type=int, default=1)
     o.add_argument("--trace", help="write the first trial's decision records (JSONL)")
     o.add_argument("-o", "--output")
     o.set_defaults(fn=_cmd_online)
@@ -376,7 +371,6 @@ def build_parser() -> argparse.ArgumentParser:
     b.add_argument("--suite", default="examples", choices=sorted(harness.BENCH_SUITES))
     b.add_argument("--trials", type=int, default=10_000)
     b.add_argument("--seed", type=int, default=None)
-    b.add_argument("--threads", type=int, default=1)
     b.add_argument("-o", "--output")
     b.set_defaults(fn=_cmd_bench)
 

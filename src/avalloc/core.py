@@ -20,6 +20,7 @@ from __future__ import annotations
 import enum
 import json
 import math
+import sys
 from dataclasses import dataclass, field
 from decimal import Decimal
 from fractions import Fraction
@@ -51,6 +52,25 @@ def to_fraction(x) -> Fraction:
     if isinstance(x, Decimal):
         return Fraction(x)
     raise TypeError(f"cannot convert {type(x).__name__} to Fraction")
+
+
+_FLOAT_MAX = Fraction(sys.float_info.max)
+
+
+def number_from_json(x) -> Fraction:
+    """``to_fraction`` for a number read from a JSON document.
+
+    A value that is not a number, or lies outside the float range, raises
+    InvalidInstance: the float simplex phase and the reports convert every
+    value to float.
+    """
+    try:
+        v = to_fraction(x)
+    except TypeError as exc:
+        raise InvalidInstance(f"expected a number, got {x!r}") from exc
+    if abs(v) > _FLOAT_MAX:
+        raise InvalidInstance(f"number outside the float range |x| <= {sys.float_info.max:g}")
+    return v
 
 
 class EdgeClass(enum.Enum):
@@ -372,9 +392,9 @@ def instance_from_dict(doc: dict) -> Instance:
         _reject_unknown(b, _BUYER_FIELDS, f"buyer {b.get('id')!r}")
         bid = b["id"]
         buyers.append(bid)
-        thresholds[bid] = to_fraction(b["rho"])
+        thresholds[bid] = number_from_json(b["rho"])
         for res, cap in (b.get("budgets") or {}).items():
-            budgets[(res, bid)] = to_fraction(cap)
+            budgets[(res, bid)] = number_from_json(cap)
     items, values, costs, rcosts = [], {}, {}, {}
     any_costs = False
     for it in doc.get("items", []):
@@ -382,14 +402,14 @@ def instance_from_dict(doc: dict) -> Instance:
         iid = it["id"]
         items.append(iid)
         for j, v in (it.get("values") or {}).items():
-            values[(iid, j)] = to_fraction(v)
+            values[(iid, j)] = number_from_json(v)
         if it.get("costs") is not None:
             any_costs = True
             for j, c in it["costs"].items():
-                costs[(iid, j)] = to_fraction(c)
+                costs[(iid, j)] = number_from_json(c)
         for res, per_buyer in (it.get("resource_costs") or {}).items():
             for j, c in per_buyer.items():
-                rcosts[(res, iid, j)] = to_fraction(c)
+                rcosts[(res, iid, j)] = number_from_json(c)
     return Instance(
         items=items,
         buyers=buyers,

@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import csv
 import json
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -96,16 +95,6 @@ def _lp_value_fields(x: BundleLpSolution):
     return float(x.objective), None
 
 
-def _map_chunks(fn, trials, threads):
-    if threads <= 1:
-        return [fn(t) for t in range(trials)]
-    results = [None] * trials
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        for t, res in zip(range(trials), pool.map(fn, range(trials))):
-            results[t] = res
-    return results
-
-
 def _check_offline_output(inst: Instance, plan: OfflinePlan, opened) -> None:
     """Independent exact feasibility check of one rounding output."""
     val = {}
@@ -128,52 +117,19 @@ def _check_offline_output(inst: Instance, plan: OfflinePlan, opened) -> None:
                 raise RuntimeError(f"budget {res!r} of {j!r} violated by a rounding output")
 
 
-def run_offline_trials(
-    inst: Instance,
-    x: BundleLpSolution,
-    alpha: float | None,
-    beta: float,
-    seed: int,
-    trials: int,
-    budgeted: bool = False,
-    threads: int = 1,
-) -> TrialReport:
-    """Monte-Carlo over the offline rounding; aborts on any infeasible
-    output."""
-    plan = OfflinePlan(inst, x, alpha, budgeted=budgeted)
-
-    def one(t):
-        opened, value = plan.run(derive_trial_seed(seed, t))
-        _check_offline_output(inst, plan, opened)
-        if t % 911 == 0:  # full structural validation on a sample of trials
-            try:
-                plan.to_bundled(opened).validate(inst)
-            except InvalidBundling as exc:
-                raise RuntimeError(f"trial {t} structurally invalid: {exc}") from exc
-        return value, tuple(opened)
-
-    results = _map_chunks(one, trials, threads)
-    values = [r[0] for r in results]
-    open_counts = {}
-    for _v, opened in results:
-        for b in opened:
-            j, p = plan.bundle_label(b)
-            key = f"{j}|{p}"
-            open_counts[key] = open_counts.get(key, 0) + 1
+def _trial_report(mode, x, alpha, beta, gamma, seed, values, open_counts, expected):
+    """The report of one Monte-Carlo run from its per-trial values and the
+    number of trials that opened each bundle."""
+    trials = len(values)
     mean, sd, lo, hi, mn = _stats(values, trials)
     lp_val, lp_exact = _lp_value_fields(x)
-    eff_alpha = plan.alpha
-    expected = {}
-    for (i, j, p), v in x.x.items():
-        if i == p and float(v) > 0:
-            expected[f"{j}|{p}"] = float(v)
     return TrialReport(
-        mode="offline-budgeted" if budgeted else "offline",
+        mode=mode,
         trials=trials,
         seed=seed,
-        alpha=eff_alpha,
+        alpha=alpha,
         beta=beta,
-        gamma=gamma_offline(eff_alpha, beta),
+        gamma=gamma,
         lp_value=lp_val,
         lp_value_exact=lp_exact,
         mean=mean,
@@ -188,44 +144,61 @@ def run_offline_trials(
     )
 
 
-def verify_prefix_feasibility(model: IidModel, trace) -> bool:
-    """Exact check that every decision kept every buyer's constraint."""
-    value = {j: Fraction(0) for j in model.buyers}
-    count = {j: 0 for j in model.buyers}
-    for rec in trace:
-        if rec.reason == "opened":
-            j = rec.bundle[0]
-            value[j] += model.values[(rec.type, j)]
-            count[j] += 1
-        elif rec.reason == "singleton+permissible":
-            j = rec.bundle[0]
-            value[j] += model.values[(rec.type, j)]
-            count[j] += 1
-        else:
-            continue
-        if value[j] < model.thresholds[j] * count[j]:
-            return False
-    return True
+def run_offline_trials(
+    inst: Instance,
+    x: BundleLpSolution,
+    alpha: float | None,
+    beta: float,
+    seed: int,
+    trials: int,
+    budgeted: bool = False,
+) -> TrialReport:
+    """Monte-Carlo over the offline rounding; aborts on any infeasible
+    output."""
+    plan = OfflinePlan(inst, x, alpha, budgeted=budgeted)
+    values, open_counts = [], {}
+    for t in range(trials):
+        opened, value = plan.run(derive_trial_seed(seed, t))
+        _check_offline_output(inst, plan, opened)
+        if t % 911 == 0:  # full structural validation on a sample of trials
+            try:
+                plan.to_bundled(opened).validate(inst)
+            except InvalidBundling as exc:
+                raise RuntimeError(f"trial {t} structurally invalid: {exc}") from exc
+        values.append(value)
+        for b in opened:
+            j, p = plan.bundle_label(b)
+            key = f"{j}|{p}"
+            open_counts[key] = open_counts.get(key, 0) + 1
+    expected = {
+        f"{j}|{p}": float(v) for (i, j, p), v in x.x.items() if i == p and float(v) > 0
+    }
+    return _trial_report(
+        "offline-budgeted" if budgeted else "offline", x, plan.alpha, beta,
+        gamma_offline(plan.alpha, beta), seed, values, open_counts, expected,
+    )
 
 
-def _verify_prefix_from_raw(model: IidModel, opened, members) -> bool:
-    """Exact prefix-feasibility check from a raw online run: replay the
-    opening/joining events in time order."""
-    events = []
-    for key in opened:
-        j, p, t_open = key
-        events.append((t_open, j, p))
-        for (t, typ) in members[key]:
-            events.append((t, j, typ))
-    events.sort()
+def _replay_prefix(model: IidModel, events) -> bool:
+    """Exact check that every prefix of the (buyer, type) allocations,
+    given in arrival order, keeps every buyer's constraint."""
     value = {}
     count = {}
-    for _t, j, typ in events:
+    for j, typ in events:
         value[j] = value.get(j, Fraction(0)) + model.values[(typ, j)]
         count[j] = count.get(j, 0) + 1
         if value[j] < model.thresholds[j] * count[j]:
             return False
     return True
+
+
+def verify_prefix_feasibility(model: IidModel, trace) -> bool:
+    """Exact check that every decision kept every buyer's constraint."""
+    return _replay_prefix(model, (
+        (rec.bundle[0], rec.type)
+        for rec in trace
+        if rec.reason in ("opened", "singleton+permissible")
+    ))
 
 
 def run_online_trials(
@@ -235,54 +208,36 @@ def run_online_trials(
     beta: float,
     seed: int,
     trials: int,
-    threads: int = 1,
     streams=None,
 ) -> TrialReport:
     """Monte-Carlo over the online rounding on sampled (or supplied)
     streams; aborts unless every prefix of every trial is feasible."""
     plan = OnlinePlan(model, x, alpha)
-
-    def one(t):
+    values, open_counts = [], {}
+    for t in range(trials):
         stream = streams[t] if streams is not None else sample_stream(model, seed, t)
         opened, members, value, _trace = plan.run(derive_trial_seed(seed, t), stream)
-        if not _verify_prefix_from_raw(model, opened, members):
+        # openers and members in time order; each arrival makes at most one
+        events = sorted(
+            [(t_open, j, p) for (j, p, t_open) in opened]
+            + [(t_join, key[0], typ) for key in opened for (t_join, typ) in members[key]]
+        )
+        if not _replay_prefix(model, ((j, typ) for _t, j, typ in events)):
             raise RuntimeError(f"trial {t} violated a prefix constraint")
-        return value, opened
-
-    results = _map_chunks(one, trials, threads)
-    values = [r[0] for r in results]
-    open_counts = {}
-    for _v, opened in results:
+        values.append(value)
         for (j, p, t_open) in opened:
             key = f"{j}|{p}|{t_open}"
             open_counts[key] = open_counts.get(key, 0) + 1
-    mean, sd, lo, hi, mn = _stats(values, trials)
-    lp_val, lp_exact = _lp_value_fields(x)
-    eff_alpha = plan.alpha
     T = model.horizon
-    expected = {}
-    for (i, j, p), v in x.x.items():
-        if i == p and float(v) > 0:
-            for t_open in range(1, T // 2 + 1):
-                expected[f"{j}|{p}|{t_open}"] = float(v) / T
-    return TrialReport(
-        mode="online",
-        trials=trials,
-        seed=seed,
-        alpha=eff_alpha,
-        beta=beta,
-        gamma=gamma_online(eff_alpha, beta),
-        lp_value=lp_val,
-        lp_value_exact=lp_exact,
-        mean=mean,
-        stddev=sd,
-        ci95_lo=lo,
-        ci95_hi=hi,
-        minimum=mn,
-        feasible_count=trials,
-        ratio_lp_over_mean=(lp_val / mean if mean else float("inf")),
-        open_rates={k: c / trials for k, c in open_counts.items()},
-        open_expected=expected,
+    expected = {
+        f"{j}|{p}|{t_open}": float(v) / T
+        for (i, j, p), v in x.x.items()
+        if i == p and float(v) > 0
+        for t_open in range(1, T // 2 + 1)
+    }
+    return _trial_report(
+        "online", x, plan.alpha, beta, gamma_online(plan.alpha, beta), seed, values,
+        open_counts, expected,
     )
 
 
@@ -330,7 +285,7 @@ def write_report_csv(doc: dict, path):
             w.writerow([k, v])
 
 
-def bench_examples(trials: int = 10_000, seed: int = 0, threads: int = 1) -> dict:
+def bench_examples(trials: int = 10_000, seed: int = 0) -> dict:
     """Assemble the headline numbers of the verification battery into one
     reproducible report (a compact mirror of the acceptance suite)."""
     from .generators import (
@@ -388,16 +343,14 @@ def bench_examples(trials: int = 10_000, seed: int = 0, threads: int = 1) -> dic
     report["supply"] = {"base_opt": float(base_opt), "dup3_opt": float(dup_opt)}
 
     off = run_offline_trials(
-        gap3, bundle_sol, alpha=0.3, beta=0.156, seed=seed, trials=trials,
-        threads=threads,
+        gap3, bundle_sol, alpha=0.3, beta=0.156, seed=seed, trials=trials
     )
     report["offline_rounding_gap_n3"] = off.to_json_dict()
 
     model = gen_iid_lower_bound(20)
     on_lp = solve_model_lp(build_opton_lp(model))
     on = run_online_trials(
-        model, on_lp, alpha=0.64, beta=0.0766, seed=seed, trials=trials,
-        threads=threads,
+        model, on_lp, alpha=0.64, beta=0.0766, seed=seed, trials=trials
     )
     report["online_rounding_iid_T20"] = on.to_json_dict()
 

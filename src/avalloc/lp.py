@@ -1,13 +1,14 @@
 """Generic linear programs and a self-contained dense simplex solver.
 
 Maximization LPs over nonnegative variables with optional upper bounds and
-rows of the form  a.x {<=,==,>=} b.  The solver runs a two-phase dense
-tableau simplex in floating point (largest-coefficient pivoting, switching
-to Bland's rule after 10*(rows+cols) iterations to break cycles) and, when
-every coefficient is rational, re-derives the final vertex with a revised
-simplex over Fractions.  The exact layer certifies optimality through exact
-reduced costs and repairs the rare case where the float run stopped one
-degenerate pivot short, so callers can assert objectives like 11/5 exactly.
+rows of the form  a.x {<=,==,>=} b, each row stored sparse as its nonzero
+coefficients.  The solver runs a two-phase dense tableau simplex in floating
+point (largest-coefficient pivoting, switching to Bland's rule after
+10*(rows+cols) iterations to break cycles) and re-derives the final vertex
+with a revised simplex over Fractions.  The exact layer certifies
+optimality through exact reduced costs and repairs the rare case where the
+float run stopped one degenerate pivot short, so callers can assert
+objectives like 11/5 exactly.
 
 Desk-scale only by design: a few hundred rows and columns.  ``solve_lp`` is
 the seam to swap in an external solver.
@@ -15,7 +16,6 @@ the seam to swap in an external solver.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -33,9 +33,15 @@ _RELS = ("<=", "==", ">=")
 
 @dataclass
 class LinearProgram:
-    """objective: coefficients to maximize; rows: (coeffs, rel, rhs);
-    upper_bounds: optional per-variable caps (None entries = unbounded);
-    var_keys: opaque builder metadata identifying each column."""
+    """objective: coefficients to maximize; rows: (coeffs, rel, rhs) with
+    coeffs a {column: coefficient} mapping; upper_bounds: optional
+    per-variable caps (None entries = unbounded); var_keys: opaque builder
+    metadata identifying each column.
+
+    Every number is converted with ``to_fraction``, so floats are read as
+    the decimals they print as.  Each stored row keeps only its nonzero
+    coefficients, in increasing column order.
+    """
 
     objective: list
     rows: list
@@ -45,16 +51,26 @@ class LinearProgram:
 
     def __post_init__(self):
         n = len(self.objective)
-        for coeffs, rel, _rhs in self.rows:
-            if len(coeffs) != n:
-                raise ValueError("row dimension does not match variable count")
+        self.objective = [to_fraction(c) for c in self.objective]
+        rows = []
+        for coeffs, rel, rhs in self.rows:
             if rel not in _RELS:
                 raise ValueError(f"unknown relation {rel!r}")
-        if self.upper_bounds is not None and len(self.upper_bounds) != n:
-            raise ValueError("upper bound vector has wrong length")
-        for c in self.objective:
-            if isinstance(c, float) and not math.isfinite(c):
-                raise ValueError("non-finite objective coefficient")
+            row = {}
+            for k, a in sorted(coeffs.items()):
+                if not isinstance(k, int) or not 0 <= k < n:
+                    raise ValueError(f"column {k} out of range for {n} variables")
+                a = to_fraction(a)
+                if a:
+                    row[k] = a
+            rows.append((row, rel, to_fraction(rhs)))
+        self.rows = rows
+        if self.upper_bounds is not None:
+            if len(self.upper_bounds) != n:
+                raise ValueError("upper bound vector has wrong length")
+            self.upper_bounds = [
+                None if u is None else to_fraction(u) for u in self.upper_bounds
+            ]
         if self.names is None:
             self.names = [f"x{k}" for k in range(n)]
 
@@ -65,21 +81,6 @@ class LinearProgram:
     @property
     def n_rows(self) -> int:
         return len(self.rows)
-
-    def is_rational(self) -> bool:
-        def ok(v):
-            return isinstance(v, (int, Fraction))
-
-        return (
-            all(ok(c) for c in self.objective)
-            and all(
-                ok(rhs) and all(ok(a) for a in coeffs) for coeffs, _r, rhs in self.rows
-            )
-            and (
-                self.upper_bounds is None
-                or all(u is None or ok(u) for u in self.upper_bounds)
-            )
-        )
 
 
 @dataclass
@@ -93,11 +94,10 @@ class LpSolution:
     iterations: int = 0
 
     def value_map(self, lp: LinearProgram) -> dict:
-        """Map var_keys to (exact when available) solution values."""
+        """Map var_keys to the exact solution values."""
         if lp.var_keys is None:
             raise ValueError("LP carries no variable keys")
-        vals = self.exact_values if self.exact_values is not None else self.values
-        return dict(zip(lp.var_keys, vals))
+        return dict(zip(lp.var_keys, self.exact_values))
 
 
 # ---------------------------------------------------------------------------
@@ -109,18 +109,15 @@ def _standard_form(lp: LinearProgram):
     columns appended.  Returns float arrays plus the exact sparse columns
     used by the rational layer."""
     n = lp.n_vars
-    rows = [(list(coeffs), rel, rhs) for coeffs, rel, rhs in lp.rows]
+    rows = list(lp.rows)
     if lp.upper_bounds is not None:
         for k, u in enumerate(lp.upper_bounds):
-            if u is None:
-                continue
-            coeffs = [0] * n
-            coeffs[k] = 1
-            rows.append((coeffs, "<=", u))
+            if u is not None:
+                rows.append(({k: Fraction(1)}, "<=", u))
     norm = []
     for coeffs, rel, rhs in rows:
         if rhs < 0:
-            coeffs = [-a for a in coeffs]
+            coeffs = {k: -a for k, a in coeffs.items()}
             rhs = -rhs
             rel = {"<=": ">=", ">=": "<=", "==": "=="}[rel]
         norm.append((coeffs, rel, rhs))
@@ -135,12 +132,11 @@ def _standard_form(lp: LinearProgram):
     art_rows = []
     slack_basic = {}
     for r, (coeffs, rel, rhs) in enumerate(norm):
-        for k, a in enumerate(coeffs):
-            if a:
-                A[r, k] = float(a)
-                cols_exact[k][r] = to_fraction(a)
+        for k, a in coeffs.items():
+            A[r, k] = float(a)
+            cols_exact[k][r] = a
         b[r] = float(rhs)
-        b_exact.append(to_fraction(rhs))
+        b_exact.append(rhs)
         if rel in ("<=", ">="):
             col = n + slack_at
             sign = 1 if rel == "<=" else -1
@@ -203,7 +199,7 @@ def _simplex_phase(T, basis, barred, tol, max_iter, bland_after, start_iter=0):
             raise NumericalFailure("pivot limit exceeded")
 
 
-def _float_solve(lp: LinearProgram, tol, warm_basis=None):
+def _float_solve(lp: LinearProgram, tol):
     A, b, cols_exact, b_exact, art_rows, slack_basic, m, ncols = _standard_form(lp)
     n = lp.n_vars
     n_art = len(art_rows)
@@ -224,34 +220,7 @@ def _float_solve(lp: LinearProgram, tol, warm_basis=None):
     max_iter = max(2000, 60 * (m + total))
     iters = 0
 
-    warm_ok = False
-    if warm_basis is not None and not art_cols:
-        cand = list(warm_basis)
-        if len(cand) == m and len(set(cand)) == m and all(
-            isinstance(c, int) and 0 <= c < ncols for c in cand
-        ):
-            Tw = np.zeros((m + 1, total + 1))
-            Tw[:m, :ncols] = A
-            Tw[:m, -1] = b
-            bw = [None] * m
-            ok = True
-            remaining = list(range(m))
-            for col in cand:
-                piv = None
-                for r in remaining:
-                    if abs(Tw[r, col]) > 1e-8:
-                        piv = r
-                        break
-                if piv is None:
-                    ok = False
-                    break
-                _pivot(Tw, bw, piv, col)
-                remaining.remove(piv)
-            if ok and all(Tw[i, -1] >= -1e-7 for i in range(m)):
-                T, basis = Tw, bw
-                warm_ok = True
-
-    if not warm_ok and art_cols:
+    if art_cols:
         c1 = np.zeros(total)
         for col in art_cols:
             c1[col] = -1.0
@@ -260,7 +229,7 @@ def _float_solve(lp: LinearProgram, tol, warm_basis=None):
         if status != OPTIMAL:
             raise NumericalFailure("phase 1 did not terminate at an optimum")
         if -T[-1, -1] > max(tol, 1e-7):
-            return INFEASIBLE, basis, None, None, iters, cols_exact, b_exact, ncols
+            return INFEASIBLE, basis, iters, cols_exact, b_exact, ncols
         for i in range(m):
             if basis[i] in art_cols and T[i, -1] <= 1e-9:
                 for j in range(ncols):
@@ -276,13 +245,8 @@ def _float_solve(lp: LinearProgram, tol, warm_basis=None):
         T, basis, art_cols, tol, max_iter, bland_after, start_iter=iters
     )
     if status == UNBOUNDED:
-        return UNBOUNDED, basis, None, None, iters, cols_exact, b_exact, ncols
-    x = [0.0] * ncols
-    for i, col in enumerate(basis):
-        if col is not None and col < ncols:
-            x[col] = T[i, -1]
-    z = T[-1, -1]
-    return OPTIMAL, basis, x, z, iters, cols_exact, b_exact, ncols
+        return UNBOUNDED, basis, iters, cols_exact, b_exact, ncols
+    return OPTIMAL, basis, iters, cols_exact, b_exact, ncols
 
 
 # ---------------------------------------------------------------------------
@@ -436,20 +400,19 @@ def _exact_from_scratch(cols, b, c, barred):
     return OPTIMAL, basis, xB
 
 
-def solve_lp(lp: LinearProgram, tolerance: float = 1e-9, warm_basis=None) -> LpSolution:
+def solve_lp(lp: LinearProgram, tolerance: float = 1e-9) -> LpSolution:
     """Solve a maximization LP.
 
-    The result is primal-feasible within ``tolerance``; for rational input
-    data the final vertex is re-derived and certified exactly, populating
-    ``exact_values`` and ``exact_objective``.
+    ``tolerance`` is the float phase's pivot tolerance.  The final vertex is
+    re-derived and certified exactly, populating ``exact_values`` and
+    ``exact_objective``.
     """
     if tolerance <= 0:
         raise ValueError("tolerance must be positive")
     n = lp.n_vars
     if n == 0:
         for _coeffs, rel, rhs in lp.rows:
-            r = float(rhs)
-            if (rel == "<=" and r < 0) or (rel == ">=" and r > 0) or (rel == "==" and r != 0):
+            if (rel == "<=" and rhs < 0) or (rel == ">=" and rhs > 0) or (rel == "==" and rhs):
                 return LpSolution(status=INFEASIBLE)
         return LpSolution(
             status=OPTIMAL, values=[], objective=0.0,
@@ -457,73 +420,40 @@ def solve_lp(lp: LinearProgram, tolerance: float = 1e-9, warm_basis=None) -> LpS
         )
 
     piv_tol = max(tolerance, 1e-11)
-    status, basis, x, z, iters, cols_exact, b_exact, ncols = _float_solve(
-        lp, piv_tol, warm_basis=warm_basis
-    )
+    status, basis, iters, cols_exact, b_exact, ncols = _float_solve(lp, piv_tol)
     if status in (INFEASIBLE, UNBOUNDED):
         return LpSolution(status=status, iterations=iters)
 
-    if lp.is_rational():
-        c_exact = [to_fraction(v) for v in lp.objective] + [Fraction(0)] * (ncols - n)
-        st = "restart"
-        eb = xB = None
-        if all(col is not None and col < ncols for col in basis):
-            st, eb, xB = _exact_revised_simplex(
-                [dict(c) for c in cols_exact], b_exact, c_exact, basis, barred=set()
-            )
-        if st in ("singular", "infeasible-basis", "restart"):
-            st, eb, xB = _exact_from_scratch(
-                [dict(c) for c in cols_exact], b_exact, c_exact, barred=set()
-            )
-        if st in (INFEASIBLE, UNBOUNDED):
-            return LpSolution(status=st, iterations=iters)
-        if st != OPTIMAL:
-            raise NumericalFailure(f"exact layer failed: {st}")
-        full = [Fraction(0)] * (max(eb) + 1 if eb else 0)
-        for i, col in enumerate(eb):
-            full[col] = xB[i]
-        exact_values = (full + [Fraction(0)] * n)[:n]
-        exact_obj = sum(
-            (to_fraction(lp.objective[k]) * exact_values[k] for k in range(n)),
-            Fraction(0),
+    c_exact = lp.objective + [Fraction(0)] * (ncols - n)
+    st = "restart"
+    eb = xB = None
+    if all(col is not None and col < ncols for col in basis):
+        st, eb, xB = _exact_revised_simplex(
+            [dict(c) for c in cols_exact], b_exact, c_exact, basis, barred=set()
         )
-        _verify_exact(lp, exact_values)
-        return LpSolution(
-            status=OPTIMAL,
-            values=[float(v) for v in exact_values],
-            objective=float(exact_obj),
-            exact_values=exact_values,
-            exact_objective=exact_obj,
-            basis=list(eb),
-            iterations=iters,
+    if st in ("singular", "infeasible-basis", "restart"):
+        st, eb, xB = _exact_from_scratch(
+            [dict(c) for c in cols_exact], b_exact, c_exact, barred=set()
         )
-
-    if not _check_residuals(lp, x[:n], tolerance):
-        status, basis, x, z, it2, *_ = _float_solve(lp, 1e-13)
-        iters += it2
-        if status != OPTIMAL or not _check_residuals(lp, x[:n], tolerance):
-            raise NumericalFailure("residual above tolerance after re-solve")
-    obj = float(sum(float(lp.objective[k]) * x[k] for k in range(n)))
+    if st in (INFEASIBLE, UNBOUNDED):
+        return LpSolution(status=st, iterations=iters)
+    if st != OPTIMAL:
+        raise NumericalFailure(f"exact layer failed: {st}")
+    full = [Fraction(0)] * (max(eb) + 1 if eb else 0)
+    for i, col in enumerate(eb):
+        full[col] = xB[i]
+    exact_values = (full + [Fraction(0)] * n)[:n]
+    exact_obj = sum((c * v for c, v in zip(lp.objective, exact_values)), Fraction(0))
+    _verify_exact(lp, exact_values)
     return LpSolution(
-        status=OPTIMAL, values=x[:n], objective=obj, basis=list(basis), iterations=iters
+        status=OPTIMAL,
+        values=[float(v) for v in exact_values],
+        objective=float(exact_obj),
+        exact_values=exact_values,
+        exact_objective=exact_obj,
+        basis=list(eb),
+        iterations=iters,
     )
-
-
-def _check_residuals(lp, x, tol):
-    for coeffs, rel, rhs in lp.rows:
-        lhs = sum(float(a) * x[k] for k, a in enumerate(coeffs))
-        scale = 1.0 + abs(float(rhs))
-        if rel == "<=" and lhs > float(rhs) + tol * scale:
-            return False
-        if rel == ">=" and lhs < float(rhs) - tol * scale:
-            return False
-        if rel == "==" and abs(lhs - float(rhs)) > tol * scale:
-            return False
-    if lp.upper_bounds is not None:
-        for k, u in enumerate(lp.upper_bounds):
-            if u is not None and x[k] > float(u) + tol * (1 + abs(float(u))):
-                return False
-    return not any(v < -tol for v in x)
 
 
 def _verify_exact(lp, xs):
@@ -531,13 +461,10 @@ def _verify_exact(lp, xs):
         if v < 0:
             raise NumericalFailure("exact vertex has a negative coordinate")
         if lp.upper_bounds is not None and lp.upper_bounds[k] is not None:
-            if v > to_fraction(lp.upper_bounds[k]):
+            if v > lp.upper_bounds[k]:
                 raise NumericalFailure("exact vertex violates an upper bound")
     for coeffs, rel, rhs in lp.rows:
-        lhs = sum(
-            (to_fraction(a) * xs[k] for k, a in enumerate(coeffs) if a), Fraction(0)
-        )
-        rhs = to_fraction(rhs)
+        lhs = sum((a * xs[k] for k, a in coeffs.items()), Fraction(0))
         if (
             (rel == "<=" and lhs > rhs)
             or (rel == ">=" and lhs < rhs)
@@ -561,7 +488,7 @@ def lp_to_text(lp: LinearProgram) -> str:
     relmap = {"<=": "<=", ">=": ">=", "==": "="}
     for r, (coeffs, rel, rhs) in enumerate(lp.rows):
         terms = " + ".join(
-            f"{num(a)} {lp.names[k]}" for k, a in enumerate(coeffs) if float(a) != 0
+            f"{num(a)} {lp.names[k]}" for k, a in coeffs.items() if float(a) != 0
         )
         out.append(f" c{r}: {terms if terms else '0'} {relmap[rel]} {num(rhs)}")
     out.append("Bounds")

@@ -22,10 +22,10 @@ instances by using the excess v - rho*c wherever the plain mode uses v - rho.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
 
-from .core import Instance, to_fraction
+from .core import Instance, number_from_json, to_fraction
 from .errors import (
     AmbiguousInstance,
     DomainError,
@@ -115,8 +115,7 @@ class BundleLpSolution:
 
     @classmethod
     def from_lp(cls, lp: LinearProgram, sol: LpSolution) -> "BundleLpSolution":
-        obj = sol.exact_objective if sol.exact_objective is not None else sol.objective
-        return cls(x=sol.value_map(lp), objective=obj)
+        return cls(x=sol.value_map(lp), objective=sol.exact_objective)
 
 
 # ---------------------------------------------------------------------------
@@ -132,23 +131,17 @@ def build_naive_lp(inst: Instance) -> LinearProgram:
     objective = [inst.values[e] for e in edges]
     rows = []
     for j in inst.buyers:
-        coeffs = [Fraction(0)] * n
-        touched = False
-        for i in inst.items:
-            if (i, j) in idx:
-                coeffs[idx[(i, j)]] = inst.thresholds[j] - inst.values[(i, j)]
-                touched = True
-        if touched:
-            rows.append((coeffs, "<=", Fraction(0)))
+        row = {
+            idx[(i, j)]: inst.thresholds[j] - inst.values[(i, j)]
+            for i in inst.items
+            if (i, j) in idx
+        }
+        if row:
+            rows.append((row, "<=", Fraction(0)))
     for i in inst.items:
-        coeffs = [Fraction(0)] * n
-        touched = False
-        for j in inst.buyers:
-            if (i, j) in idx:
-                coeffs[idx[(i, j)]] = Fraction(1)
-                touched = True
-        if touched:
-            rows.append((coeffs, "<=", Fraction(1)))
+        row = {idx[(i, j)]: Fraction(1) for j in inst.buyers if (i, j) in idx}
+        if row:
+            rows.append((row, "<=", Fraction(1)))
     return LinearProgram(
         objective=objective,
         rows=rows,
@@ -158,205 +151,119 @@ def build_naive_lp(inst: Instance) -> LinearProgram:
     )
 
 
-def _bundle_vars(inst: Instance):
-    """Canonical variable list for the bundle LP of an unambiguous instance.
+def _bundle_lp(src, units, item_cap, member_cap) -> LinearProgram:
+    """The bundle relaxation every bundle-shaped LP shares.
 
-    Keys (i, j, p): the bundle opener when i == p, an N-edge member
-    otherwise.  Bundles are the pairs (j, p) with (p, j) an edge of a
-    P-item p.
+    src is an instance or an arrival model and units are its items or types;
+    only src.buyers, src.values and src.excess are read.  Openers x_pjp
+    exist per P-edge (p, j), members x_ijp per N-edge (i, j) and bundle
+    (j, p) of the same buyer.  item_cap(i) is the rhs of the row of unit i;
+    member_cap(i) multiplies x_pjp in the membership row of x_ijp.
     """
-    if not inst.is_unambiguous():
-        raise AmbiguousInstance(
-            f"ambiguous items: {inst.ambiguous_items()}"
-        )
-    p_items = set(inst.p_items())
-    bundles = [
-        (j, p)
-        for p in inst.items
-        if p in p_items
-        for j in inst.buyers
-        if (p, j) in inst.values
+    buyers, values = src.buyers, src.values
+    p_edges = [
+        (p, j) for p in units for j in buyers if (p, j) in values and src.excess(p, j) >= 0
     ]
     keys = []
-    for i in inst.items:
-        for j in inst.buyers:
-            if (i, j) not in inst.values:
+    for i in units:
+        for j in buyers:
+            if (i, j) not in values:
                 continue
-            if i in p_items:
+            if src.excess(i, j) >= 0:
                 keys.append((i, j, i))
             else:
-                for (jj, p) in bundles:
-                    if jj == j:
-                        keys.append((i, j, p))
-    keys.sort(key=lambda k: (inst.item_index(k[0]), inst.buyer_index(k[1]), inst.item_index(k[2])))
-    return keys, bundles
-
-
-def _bundle_lp_core(inst: Instance):
-    keys, bundles = _bundle_vars(inst)
-    idx = {k: pos for pos, k in enumerate(keys)}
-    n = len(keys)
-    objective = [inst.values[(i, j)] for (i, j, _p) in keys]
-    rows = []
+                keys.extend((i, j, p) for (p, jj) in p_edges if jj == j)
+    col = {k: pos for pos, k in enumerate(keys)}
     # per-bundle average-value rows: sum_i (rho_j c_ij - v_ij) x_ijp <= 0
-    for (j, p) in sorted(bundles, key=lambda b: (inst.item_index(b[1]), inst.buyer_index(b[0]))):
-        coeffs = [Fraction(0)] * n
-        for (i, jj, pp), pos in idx.items():
-            if jj == j and pp == p:
-                coeffs[pos] = inst.thresholds[j] * inst.cost(i, j) - inst.values[(i, j)]
-        rows.append((coeffs, "<=", Fraction(0)))
-    # per-item rows: sum over all bundles <= 1
-    for i in inst.items:
-        coeffs = [Fraction(0)] * n
-        touched = False
-        for (ii, j, p), pos in idx.items():
-            if ii == i:
-                coeffs[pos] = Fraction(1)
-                touched = True
-        if touched:
-            rows.append((coeffs, "<=", Fraction(1)))
-    # membership rows: x_ijp <= x_pjp
-    for (i, j, p), pos in sorted(idx.items(), key=lambda kv: kv[1]):
-        if i == p:
-            continue
-        coeffs = [Fraction(0)] * n
-        coeffs[pos] = Fraction(1)
-        coeffs[idx[(p, j, p)]] = Fraction(-1)
-        rows.append((coeffs, "<=", Fraction(0)))
-    return keys, bundles, idx, objective, rows
-
-
-def build_bundle_lp(inst: Instance) -> LinearProgram:
-    """Bundle relaxation for an unambiguous instance."""
-    keys, _bundles, _idx, objective, rows = _bundle_lp_core(inst)
+    value_rows = {(j, p): {} for (p, j) in p_edges}
+    # per-unit rows: the mass of unit i over all bundles <= item_cap(i)
+    unit_rows = {}
+    for pos, (i, j, p) in enumerate(keys):
+        value_rows[(j, p)][pos] = -src.excess(i, j)
+        unit_rows.setdefault(i, {})[pos] = Fraction(1)
+    rows = [(row, "<=", Fraction(0)) for row in value_rows.values()]
+    rows += [(row, "<=", item_cap(i)) for i, row in unit_rows.items()]
+    # membership rows: x_ijp <= member_cap(i) * x_pjp
+    rows += [
+        ({pos: Fraction(1), col[(p, j, p)]: -member_cap(i)}, "<=", Fraction(0))
+        for pos, (i, j, p) in enumerate(keys)
+        if i != p
+    ]
     return LinearProgram(
-        objective=objective,
+        objective=[values[(i, j)] for (i, j, _p) in keys],
         rows=rows,
         names=[f"x[{i},{j},{p}]" for i, j, p in keys],
         var_keys=keys,
     )
+
+
+def _one(_unit) -> Fraction:
+    return Fraction(1)
+
+
+def bundle_lp_shape(inst: Instance):
+    """(units, item_cap, member_cap) of the offline bundle LP: each item
+    has one copy and each member joins at most its opener's mass.  Requires
+    an unambiguous instance."""
+    if not inst.is_unambiguous():
+        raise AmbiguousInstance(f"ambiguous items: {inst.ambiguous_items()}")
+    return inst.items, _one, _one
+
+
+def opton_lp_shape(model: IidModel):
+    """(units, item_cap, member_cap) of the online LP: type i arrives
+    q_i*T times in expectation, and so caps both its mass and its members
+    per opened bundle."""
+    T = model.horizon
+
+    def expected_arrivals(i):
+        return model.probs[i] * T
+
+    return model.types, expected_arrivals, expected_arrivals
+
+
+def build_bundle_lp(inst: Instance) -> LinearProgram:
+    """Bundle relaxation for an unambiguous instance."""
+    return _bundle_lp(inst, *bundle_lp_shape(inst))
 
 
 def build_bundle_lp_budgeted(inst: Instance) -> LinearProgram:
     """Bundle LP with per-buyer and per-bundle budget rows per resource."""
     if not inst.budgets:
         raise MissingBudgets("instance carries no budgets")
-    keys, bundles, idx, objective, rows = _bundle_lp_core(inst)
-    n = len(keys)
+    lp = _bundle_lp(inst, *bundle_lp_shape(inst))
+    keys = lp.var_keys
+    col = {k: pos for pos, k in enumerate(keys)}
+    rows = []
     for res in inst.resources():
         for j in inst.buyers:
             cap = inst.budget(res, j)
             if cap is None:
                 continue
-            coeffs = [Fraction(0)] * n
-            touched = False
-            for (i, jj, _p), pos in idx.items():
-                if jj == j:
-                    c = inst.rcost(res, i, j)
-                    if c:
-                        coeffs[pos] = c
-                        touched = True
-            if touched:
-                rows.append((coeffs, "<=", cap))
-            for (bj, p) in bundles:
-                if bj != j:
+            rcost = {
+                pos: inst.rcost(res, i, j) for pos, (i, jj, _p) in enumerate(keys) if jj == j
+            }
+            row = {pos: c for pos, c in rcost.items() if c}
+            if row:
+                rows.append((row, "<=", cap))
+            # one row per bundle (j, p), openers taken in bundle order
+            for (p, jj, pp) in keys:
+                if p != pp or jj != j:
                     continue
-                coeffs = [Fraction(0)] * n
-                for (i, jj, pp), pos in idx.items():
-                    if jj == j and pp == p:
-                        coeffs[pos] = inst.rcost(res, i, j)
-                coeffs[idx[(p, j, p)]] -= cap
-                rows.append((coeffs, "<=", Fraction(0)))
-    return LinearProgram(
-        objective=objective,
-        rows=rows,
-        names=[f"x[{i},{j},{p}]" for i, j, p in keys],
-        var_keys=keys,
-    )
+                row = {pos: c for pos, c in rcost.items() if keys[pos][2] == p}
+                row[col[(p, j, p)]] -= cap
+                rows.append((row, "<=", Fraction(0)))
+    return replace(lp, rows=lp.rows + rows)
 
 
 # ---------------------------------------------------------------------------
 # arrival-model LPs
 
 
-def _model_vars(model: IidModel):
-    """Variables over types: openers x_pjp per P-edge type, members x_ijp per
-    N-edge type (i, j) and bundle (j, p).  No unambiguification is applied;
-    a type may open bundles for one buyer and join bundles of another."""
-    p_edges = model.p_edge_types()
-    tidx = {t: k for k, t in enumerate(model.types)}
-    bidx = {b: k for k, b in enumerate(model.buyers)}
-    keys = []
-    for i in model.types:
-        for j in model.buyers:
-            if (i, j) not in model.values:
-                continue
-            if model.is_p_edge_type(i, j):
-                keys.append((i, j, i))
-            else:
-                for (p, jj) in p_edges:
-                    if jj == j:
-                        keys.append((i, j, p))
-    keys.sort(key=lambda k: (tidx[k[0]], bidx[k[1]], tidx[k[2]]))
-    bundles = [(j, p) for (p, j) in p_edges]
-    return keys, bundles
-
-
-def _model_lp(model: IidModel, item_cap, member_cap):
-    """Shared structure of the arrival-model LPs.
-
-    item_cap(i) is the rhs of the per-type row; member_cap(i) multiplies
-    x_pjp in the membership row for N-edge type (i, j).
-    """
-    keys, bundles = _model_vars(model)
-    idx = {k: pos for pos, k in enumerate(keys)}
-    n = len(keys)
-    objective = [model.values[(i, j)] for (i, j, _p) in keys]
-    rows = []
-    tidx = {t: k for k, t in enumerate(model.types)}
-    bidx = {b: k for k, b in enumerate(model.buyers)}
-    for (j, p) in sorted(bundles, key=lambda b: (tidx[b[1]], bidx[b[0]])):
-        coeffs = [Fraction(0)] * n
-        for (i, jj, pp), pos in idx.items():
-            if jj == j and pp == p:
-                coeffs[pos] = model.thresholds[j] * model.cost(i, j) - model.values[(i, j)]
-        rows.append((coeffs, "<=", Fraction(0)))
-    for i in model.types:
-        coeffs = [Fraction(0)] * n
-        touched = False
-        for (ii, _j, _p), pos in idx.items():
-            if ii == i:
-                coeffs[pos] = Fraction(1)
-                touched = True
-        if touched:
-            rows.append((coeffs, "<=", item_cap(i)))
-    for (i, j, p), pos in sorted(idx.items(), key=lambda kv: kv[1]):
-        if i == p:
-            continue
-        coeffs = [Fraction(0)] * n
-        coeffs[pos] = Fraction(1)
-        coeffs[idx[(p, j, p)]] = -member_cap(i)
-        rows.append((coeffs, "<=", Fraction(0)))
-    return LinearProgram(
-        objective=objective,
-        rows=rows,
-        names=[f"x[{i},{j},{p}]" for i, j, p in keys],
-        var_keys=keys,
-    )
-
-
 def build_opton_lp(model: IidModel) -> LinearProgram:
     """Relaxation of any feasible-with-probability-one online algorithm;
     its value is denoted V[ON]."""
-    T = model.horizon
-
-    def item_cap(i):
-        return model.probs[i] * T
-
-    def member_cap(i):
-        return model.probs[i] * T
-
-    return _model_lp(model, item_cap, member_cap)
+    return _bundle_lp(model, *opton_lp_shape(model))
 
 
 def compute_kappa(gamma, T: int) -> float:
@@ -387,7 +294,7 @@ def build_optoff_lp(model: IidModel, gamma_floor) -> LinearProgram:
     def member_cap(i):
         return Fraction(math.ceil(model.probs[i] * T * kappa))
 
-    return _model_lp(model, item_cap, member_cap)
+    return _bundle_lp(model, model.types, item_cap, member_cap)
 
 
 def solve_model_lp(lp: LinearProgram, tolerance: float = 1e-9) -> BundleLpSolution:
@@ -418,7 +325,7 @@ def model_from_dict(doc: dict) -> IidModel:
         if extra:
             raise ValueError(f"unknown field(s) {sorted(extra)} in buyer {b.get('id')!r}")
         buyers.append(b["id"])
-        thresholds[b["id"]] = to_fraction(b["rho"])
+        thresholds[b["id"]] = number_from_json(b["rho"])
     types, probs, values, costs = [], {}, {}, {}
     any_costs = False
     for t in doc.get("types", []):
@@ -427,13 +334,13 @@ def model_from_dict(doc: dict) -> IidModel:
             raise ValueError(f"unknown field(s) {sorted(extra)} in type {t.get('id')!r}")
         tid = t["id"]
         types.append(tid)
-        probs[tid] = to_fraction(t["prob"])
+        probs[tid] = number_from_json(t["prob"])
         for j, v in (t.get("values") or {}).items():
-            values[(tid, j)] = to_fraction(v)
+            values[(tid, j)] = number_from_json(v)
         if t.get("costs") is not None:
             any_costs = True
             for j, c in t["costs"].items():
-                costs[(tid, j)] = to_fraction(c)
+                costs[(tid, j)] = number_from_json(c)
     return IidModel(
         types=types,
         buyers=buyers,

@@ -28,7 +28,7 @@ from fractions import Fraction
 from .bundling import Bundle, BundledAllocation
 from .core import Allocation, Instance
 from .errors import InfeasibleFractional, PhaseViolation, StreamModelMismatch
-from .lp_models import BundleLpSolution, IidModel
+from .lp_models import BundleLpSolution, IidModel, bundle_lp_shape, opton_lp_shape
 
 _MASK = (1 << 64) - 1
 _TAG_OPEN_OFF = 1
@@ -159,61 +159,31 @@ def _check_stream(model: IidModel, stream: OnlineStream):
 # fractional-solution checks
 
 
-def check_bundle_solution(inst: Instance, x: BundleLpSolution, tol: float = 1e-9):
-    """Raise InfeasibleFractional unless x satisfies the bundle LP of inst
-    within tol."""
-    p_items = set(inst.p_items())
-    item_sum = {i: 0.0 for i in inst.items}
+def check_fractional(src, x: BundleLpSolution, units, item_cap, member_cap,
+                     tol: float = 1e-9):
+    """Raise InfeasibleFractional unless x satisfies, within tol, the
+    bundle LP that lp_models builds over src (an instance or an arrival
+    model) from the shape (units, item_cap, member_cap)."""
+    mass = {i: 0.0 for i in units}
     av = {}
     for (i, j, p), v in x.x.items():
         fv = float(v)
         if fv < -tol:
             raise InfeasibleFractional(f"negative value at {(i, j, p)}")
-        if (i, j) not in inst.values or p not in p_items or (p, j) not in inst.values:
+        if (i, j) not in src.values or (p, j) not in src.values or src.excess(p, j) < 0:
             raise InfeasibleFractional(f"variable {(i, j, p)} outside the bundle LP")
-        if i != p and inst.is_p_edge(i, j):
+        excess = src.excess(i, j)
+        if i != p and excess >= 0:
             raise InfeasibleFractional(f"P-edge ({i!r}, {j!r}) used as a member")
-        item_sum[i] += fv
-        av[(j, p)] = av.get((j, p), 0.0) + fv * float(
-            inst.thresholds[j] * inst.cost(i, j) - inst.values[(i, j)]
-        )
+        mass[i] += fv
+        av[(j, p)] = av.get((j, p), 0.0) - fv * float(excess)
         if i != p:
-            xp = float(x.x.get((p, j, p), 0))
-            if fv > xp + tol:
-                raise InfeasibleFractional(f"x[{i},{j},{p}] exceeds its opener")
-    for i, s in item_sum.items():
-        if s > 1 + tol:
-            raise InfeasibleFractional(f"item {i!r} mass {s} exceeds 1")
-    for bp, s in av.items():
-        if s > tol:
-            raise InfeasibleFractional(f"bundle {bp} violates its value row by {s}")
-
-
-def check_model_solution(model: IidModel, x: BundleLpSolution, tol: float = 1e-9):
-    """Raise InfeasibleFractional unless x satisfies the online LP of model
-    within tol."""
-    T = model.horizon
-    item_sum = {i: 0.0 for i in model.types}
-    av = {}
-    for (i, j, p), v in x.x.items():
-        fv = float(v)
-        if fv < -tol:
-            raise InfeasibleFractional(f"negative value at {(i, j, p)}")
-        if (i, j) not in model.values or not model.is_p_edge_type(p, j):
-            raise InfeasibleFractional(f"variable {(i, j, p)} outside the model LP")
-        if i != p and model.is_p_edge_type(i, j):
-            raise InfeasibleFractional(f"P-edge type ({i!r}, {j!r}) used as a member")
-        item_sum[i] += fv
-        av[(j, p)] = av.get((j, p), 0.0) + fv * float(
-            model.thresholds[j] * model.cost(i, j) - model.values[(i, j)]
-        )
-        if i != p:
-            cap = float(x.x.get((p, j, p), 0)) * float(model.probs[i] * T)
+            cap = float(x.x.get((p, j, p), 0)) * float(member_cap(i))
             if fv > cap + tol:
                 raise InfeasibleFractional(f"x[{i},{j},{p}] exceeds its opener cap")
-    for i, s in item_sum.items():
-        if s > float(model.probs[i] * T) + tol:
-            raise InfeasibleFractional(f"type {i!r} mass {s} exceeds its arrivals")
+    for i, s in mass.items():
+        if s > float(item_cap(i)) + tol:
+            raise InfeasibleFractional(f"unit {i!r} mass {s} exceeds its cap")
     for bp, s in av.items():
         if s > tol:
             raise InfeasibleFractional(f"bundle {bp} violates its value row by {s}")
@@ -232,7 +202,7 @@ class OfflinePlan:
 
     def __init__(self, inst: Instance, x: BundleLpSolution, alpha: float | None,
                  budgeted: bool = False):
-        check_bundle_solution(inst, x)
+        check_fractional(inst, x, *bundle_lp_shape(inst))
         self.inst = inst
         self.resources = inst.resources() if budgeted else []
         k = len(self.resources)
@@ -412,7 +382,7 @@ class OnlinePlan:
             raise ValueError("online rounding requires a plain (unit-cost) model")
         if model.horizon % 2 != 0:
             raise ValueError("online rounding needs an even horizon")
-        check_model_solution(model, x)
+        check_fractional(model, x, *opton_lp_shape(model))
         self.model = model
         self.alpha = 0.64 if alpha is None else alpha
         if not 0 < self.alpha < 1:

@@ -44,13 +44,6 @@ def test_single_trial_report_equals_single_run(gap_solution):
     assert rep.feasible_count == 1
 
 
-def test_threads_do_not_change_results(gap_solution):
-    inst, x = gap_solution
-    a = run_offline_trials(inst, x, alpha=0.3, beta=0.156, seed=5, trials=300, threads=1)
-    b = run_offline_trials(inst, x, alpha=0.3, beta=0.156, seed=5, trials=300, threads=3)
-    assert a.to_json_dict() == b.to_json_dict()
-
-
 def test_online_report_fields():
     model = gen_iid_lower_bound(10)
     x = solve_model_lp(build_opton_lp(model))
@@ -187,6 +180,12 @@ def test_cli_exit_codes(tmp_path, capsys):
     capsys.readouterr()
     assert main(["gen", "integrality-gap", "-n", "3", "--eps", "0.9"]) == 2
     capsys.readouterr()
+    # malformed numbers are rejected where the JSON is loaded
+    for rho, value in (("[1]", "2"), ("true", "2"), ("1", "1e400")):
+        bad.write_text('{"buyers": [{"id": "b", "rho": %s}], '
+                       '"items": [{"id": "i", "values": {"b": %s}}]}' % (rho, value))
+        assert main(["lp", str(bad), "--which", "naive"]) == 2
+        assert capsys.readouterr().err.startswith("error: ")
 
 
 def test_cli_export_gap_and_bench(tmp_path, capsys):

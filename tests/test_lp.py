@@ -10,7 +10,7 @@ def F(x):
 
 
 def test_single_variable_box():
-    lp = LinearProgram(objective=[F(1)], rows=[([F(1)], "<=", F(1))])
+    lp = LinearProgram(objective=[F(1)], rows=[({0: F(1)}, "<=", F(1))])
     sol = solve_lp(lp)
     assert sol.status == OPTIMAL
     assert sol.exact_objective == 1
@@ -18,7 +18,7 @@ def test_single_variable_box():
 
 
 def test_degenerate_optimum_allowed():
-    lp = LinearProgram(objective=[F(1), F(1)], rows=[([F(1), F(1)], "<=", F(1))])
+    lp = LinearProgram(objective=[F(1), F(1)], rows=[({0: F(1), 1: F(1)}, "<=", F(1))])
     sol = solve_lp(lp)
     assert sol.status == OPTIMAL
     assert sol.exact_objective == 1
@@ -36,13 +36,13 @@ def test_bundle_lp_of_gap_instance_solves_to_eleven_fifths():
 
 def test_infeasible():
     lp = LinearProgram(
-        objective=[F(1)], rows=[([F(1)], ">=", F(2)), ([F(1)], "<=", F(1))]
+        objective=[F(1)], rows=[({0: F(1)}, ">=", F(2)), ({0: F(1)}, "<=", F(1))]
     )
     assert solve_lp(lp).status == INFEASIBLE
 
 
 def test_unbounded():
-    lp = LinearProgram(objective=[F(1)], rows=[([F(-1)], "<=", F(1))])
+    lp = LinearProgram(objective=[F(1)], rows=[({0: F(-1)}, "<=", F(1))])
     assert solve_lp(lp).status == UNBOUNDED
 
 
@@ -50,7 +50,7 @@ def test_equality_and_negative_rhs():
     # x + y == 2, -x <= -1 (i.e. x >= 1), maximize y
     lp = LinearProgram(
         objective=[F(0), F(1)],
-        rows=[([F(1), F(1)], "==", F(2)), ([F(-1), F(0)], "<=", F(-1))],
+        rows=[({0: F(1), 1: F(1)}, "==", F(2)), ({0: F(-1)}, "<=", F(-1))],
     )
     sol = solve_lp(lp)
     assert sol.status == OPTIMAL
@@ -61,7 +61,7 @@ def test_equality_and_negative_rhs():
 def test_upper_bounds():
     lp = LinearProgram(
         objective=[F(1), F(1)],
-        rows=[([F(1), F(1)], "<=", F(10))],
+        rows=[({0: F(1), 1: F(1)}, "<=", F(10))],
         upper_bounds=[F(2), None],
     )
     sol = solve_lp(lp)
@@ -73,7 +73,7 @@ def test_weak_duality_certificates():
     # max x + y s.t. x + 2y <= 4, 3x + y <= 6
     lp = LinearProgram(
         objective=[F(1), F(1)],
-        rows=[([F(1), F(2)], "<=", F(4)), ([F(3), F(1)], "<=", F(6))],
+        rows=[({0: F(1), 1: F(2)}, "<=", F(4)), ({0: F(3), 1: F(1)}, "<=", F(6))],
     )
     sol = solve_lp(lp)
     assert sol.status == OPTIMAL
@@ -85,20 +85,10 @@ def test_weak_duality_certificates():
     assert sol.exact_objective == Fraction(14, 5)
 
 
-def test_warm_start_returns_identical_objective():
-    from avalloc.generators import gen_integrality_gap
-    from avalloc.lp_models import build_bundle_lp
-
-    lp = build_bundle_lp(gen_integrality_gap(3, Fraction(1, 10)))
-    sol = solve_lp(lp)
-    warm = solve_lp(lp, warm_basis=sol.basis)
-    assert warm.exact_objective == sol.exact_objective
-
-
 def test_objective_scaling_preserves_argmax_face():
     lp = LinearProgram(
         objective=[F(1), F(2)],
-        rows=[([F(1), F(1)], "<=", F(3)), ([F(0), F(1)], "<=", F(2))],
+        rows=[({0: F(1), 1: F(1)}, "<=", F(3)), ({1: F(1)}, "<=", F(2))],
     )
     base = solve_lp(lp)
     scaled = LinearProgram(
@@ -117,52 +107,72 @@ def test_zero_variable_lp():
     sol = solve_lp(lp)
     assert sol.status == OPTIMAL
     assert sol.exact_objective == 0
-    bad = LinearProgram(objective=[], rows=[([], "<=", F(-1))])
+    bad = LinearProgram(objective=[], rows=[({}, "<=", F(-1))])
     assert solve_lp(bad).status == INFEASIBLE
 
 
 def test_solution_objective_matches_dot_product():
     lp = LinearProgram(
         objective=[F(3), F(5)],
-        rows=[([F(1), F(0)], "<=", F(4)), ([F(0), F(2)], "<=", F(12)),
-              ([F(3), F(2)], "<=", F(18))],
+        rows=[({0: F(1)}, "<=", F(4)), ({1: F(2)}, "<=", F(12)),
+              ({0: F(3), 1: F(2)}, "<=", F(18))],
     )
     sol = solve_lp(lp)
     dot = sum(c * v for c, v in zip(lp.objective, sol.exact_values))
     assert dot == sol.exact_objective == 36
     # rows hold exactly at the reported vertex
     for coeffs, rel, rhs in lp.rows:
-        lhs = sum(a * v for a, v in zip(coeffs, sol.exact_values))
+        lhs = sum(a * sol.exact_values[k] for k, a in coeffs.items())
         assert lhs <= rhs
 
 
 def test_float_data_path_residuals():
-    lp = LinearProgram(objective=[1.0, 1.0], rows=[([1.0, 2.0], "<=", 2.0)])
+    # floats are read as the decimals they print as, then solved exactly
+    lp = LinearProgram(objective=[1.0, 0.1], rows=[({0: 1.0, 1: 2.0}, "<=", 2.0)])
+    assert lp.objective == [1, Fraction(1, 10)]
+    assert lp.rows == [({0: 1, 1: 2}, "<=", 2)]
     sol = solve_lp(lp, tolerance=1e-9)
     assert sol.status == OPTIMAL
-    assert sol.exact_objective is None
-    assert sol.objective == pytest.approx(2.0, abs=1e-9)
+    assert sol.exact_objective == 2
+    assert sol.exact_values == [2, 0]
+    assert sol.objective == 2.0
 
 
 def test_tolerance_must_be_positive():
-    lp = LinearProgram(objective=[F(1)], rows=[([F(1)], "<=", F(1))])
+    lp = LinearProgram(objective=[F(1)], rows=[({0: F(1)}, "<=", F(1))])
     with pytest.raises(ValueError):
         solve_lp(lp, tolerance=0)
 
 
 def test_validation_of_dimensions():
     with pytest.raises(ValueError):
-        LinearProgram(objective=[F(1)], rows=[([F(1), F(2)], "<=", F(1))])
+        LinearProgram(objective=[F(1)], rows=[({0: F(1), 1: F(2)}, "<=", F(1))])
     with pytest.raises(ValueError):
-        LinearProgram(objective=[F(1)], rows=[([F(1)], "<<", F(1))])
+        LinearProgram(objective=[F(1)], rows=[({-1: F(1)}, "<=", F(1))])
+    with pytest.raises(ValueError):
+        LinearProgram(objective=[F(1)], rows=[({0: F(1)}, "<<", F(1))])
     with pytest.raises(ValueError):
         LinearProgram(objective=[F(1)], rows=[], upper_bounds=[F(1), F(2)])
+    with pytest.raises(ValueError):
+        LinearProgram(objective=[float("inf")], rows=[])
+    with pytest.raises(ValueError):
+        LinearProgram(objective=[F(1)], rows=[({0: float("nan")}, "<=", F(1))])
+
+
+def test_rows_are_stored_sparse():
+    lp = LinearProgram(
+        objective=[F(1), F(1), F(1)],
+        rows=[({2: F(1), 0: F(-1), 1: F(0)}, "<=", 0)],
+    )
+    row, rel, rhs = lp.rows[0]
+    assert list(row.items()) == [(0, -1), (2, 1)]  # zeros dropped, columns in order
+    assert rel == "<=" and rhs == 0
 
 
 def test_lp_text_export():
     lp = LinearProgram(
         objective=[F(1), F(2)],
-        rows=[([F(1), F(1)], "<=", F(3)), ([F(1), F(-1)], ">=", F(0))],
+        rows=[({0: F(1), 1: F(1)}, "<=", F(3)), ({0: F(1), 1: F(-1)}, ">=", F(0))],
         upper_bounds=[F(1), None],
         names=["a", "b"],
     )
@@ -192,8 +202,9 @@ def test_against_external_solver_on_random_lps():
         for _ in range(m):
             coeffs = [Fraction(rng.randint(-3, 5), rng.randint(1, 3)) for _ in range(n)]
             rows.append((coeffs, "<=", Fraction(rng.randint(0, 12), rng.randint(1, 2))))
+        sparse = [(dict(enumerate(coeffs)), rel, b) for coeffs, rel, b in rows]
         ubs = [Fraction(rng.randint(1, 6)) if rng.random() < 0.5 else None for _ in range(n)]
-        lp = LinearProgram(objective=obj, rows=rows, upper_bounds=ubs)
+        lp = LinearProgram(objective=obj, rows=sparse, upper_bounds=ubs)
         sol = solve_lp(lp)
         ref = linprog(
             c=np.array([-float(c) for c in obj]),
@@ -214,7 +225,7 @@ def test_against_external_solver_on_random_lps():
 def test_redundant_equality_rows():
     lp = LinearProgram(
         objective=[F(1), F(0)],
-        rows=[([F(1), F(1)], "==", F(1)), ([F(2), F(2)], "==", F(2))],
+        rows=[({0: F(1), 1: F(1)}, "==", F(1)), ({0: F(2), 1: F(2)}, "==", F(2))],
     )
     sol = solve_lp(lp)
     assert sol.status == OPTIMAL
@@ -227,8 +238,7 @@ def test_exact_polish_handles_degenerate_float_stop():
     n = 6
     rows = []
     for k in range(n):
-        coeffs = [F(0)] * n
-        coeffs[k] = F(1)
+        coeffs = {k: F(1)}
         if k:
             coeffs[k - 1] = F(-1)
         rows.append((coeffs, "<=", F(0) if k else F(1)))

@@ -1,3 +1,4 @@
+import hashlib
 import io
 import math
 from fractions import Fraction
@@ -13,7 +14,7 @@ from avalloc.generators import (
     gen_random_iid_model,
 )
 from avalloc.harness import run_greedy_online_trials
-from avalloc.lp import solve_lp
+from avalloc.lp import lp_to_text, solve_lp
 from avalloc.lp_models import (
     build_bundle_lp,
     build_bundle_lp_budgeted,
@@ -29,6 +30,39 @@ from avalloc.lp_models import (
 )
 from avalloc.oracles import exact_bundling_opt, exact_opt
 from util import unit_instance
+
+
+# -- pinned LP texts -----------------------------------------------------------
+
+# sha256 of lp_to_text for every builder on fixed seeded inputs: a change
+# to any variable, row, coefficient or their order changes the digest
+PINNED_LP_TEXT = [
+    ("bundle-12", build_bundle_lp, lambda: gen_random(12, 8, 1, unambiguous=True),
+     "45ee5c9bbd738499db121d9643ba86f3f283d608099ddf70da52c57f934d5199"),
+    ("bundle-20", build_bundle_lp, lambda: gen_random(20, 8, 1, unambiguous=True),
+     "dcd69ce3bfbf08c1d8658ae3d18a225a999391058c899c23c5993e55f84a9b57"),
+    ("bundle-32", build_bundle_lp, lambda: gen_random(32, 8, 1, unambiguous=True),
+     "953f55807acecd63424d9367a5f98dc6d134f0d3da61158480c39bab891e4ac9"),
+    ("budgeted-20", build_bundle_lp_budgeted,
+     lambda: gen_random(20, 6, 1, unambiguous=True, budget_resources=2),
+     "ae2847f3d983de94491f587ce742068fe8685bb4578591d07be8fa662db665e6"),
+    ("naive-20", build_naive_lp, lambda: gen_random(20, 8, 1),
+     "7732f074ff3967bb12af7dd905b217d3c00df616e53ccd95cf4c6203fc3c6c95"),
+    ("bundle-gap3", build_bundle_lp, lambda: gen_integrality_gap(3, Fraction(1, 10)),
+     "719be6a5a859def9d38c5c35c2ea7fe55649ca74b4303e215fe597037ecd1cbc"),
+    ("opton-iid20", build_opton_lp, lambda: gen_iid_lower_bound(20),
+     "29cd31227d7dcb75b1450cd43a91e7c2dc8af061e3f0625abdd78d0fbc7b1c50"),
+    ("optoff-iid20", lambda m: build_optoff_lp(m, 1), lambda: gen_iid_lower_bound(20),
+     "b61d599a49554091604ea76ebec07558e9dbd233bc7c9ffa80e3d57a495900f2"),
+]
+
+
+@pytest.mark.parametrize("builder, make, digest",
+                         [case[1:] for case in PINNED_LP_TEXT],
+                         ids=[case[0] for case in PINNED_LP_TEXT])
+def test_lp_text_is_pinned(builder, make, digest):
+    text = lp_to_text(builder(make()))
+    assert hashlib.sha256(text.encode()).hexdigest() == digest
 
 
 # -- naive LP ----------------------------------------------------------------

@@ -8,7 +8,7 @@ from avalloc import (
     allocation_value,
     is_feasible,
 )
-from avalloc.errors import InfeasibleFractional, StreamModelMismatch
+from avalloc.errors import AmbiguousInstance, InfeasibleFractional, StreamModelMismatch
 from avalloc.generators import (
     gen_adversarial_T,
     gen_integrality_gap,
@@ -148,6 +148,39 @@ def test_offline_rejects_infeasible_fractional():
     stray = BundleLpSolution(x={("n1", "b2", "p"): 0.5}, objective=0)
     with pytest.raises(InfeasibleFractional):
         round_offline(inst, stray, RoundingParams(alpha=0.3, seed=0))
+    # the bundle LP, and so its check, is defined on unambiguous instances only
+    amb = unit_instance({("i", "b1"): "1.3", ("i", "b2"): "0.9"}, buyers=["b1", "b2"])
+    with pytest.raises(AmbiguousInstance):
+        round_offline(amb, BundleLpSolution(x={}, objective=0), RoundingParams(alpha=0.3))
+
+
+def test_online_rejects_infeasible_fractional():
+    # caps q_i*T: 1 for p and q, 2 for n; p opens with excess 1, n joins
+    # with deficit 4/5
+    model = IidModel(
+        types=["p", "q", "n"],
+        buyers=["b"],
+        values={("p", "b"): 2, ("q", "b"): 3, ("n", "b"): "0.2"},
+        thresholds={"b": 1},
+        probs={"p": Fraction(1, 4), "q": Fraction(1, 4), "n": Fraction(1, 2)},
+        horizon=4,
+    )
+    stream = OnlineStream(["p", "q", "n", "n"])
+    cases = [
+        ({("p", "b", "p"): -0.5}, "negative"),
+        ({("n", "b", "n"): 0.5}, "outside"),
+        ({("p", "b", "p"): 1, ("q", "b", "p"): 0.5}, "used as a member"),
+        ({("p", "b", "p"): 0.5, ("n", "b", "p"): 1.5}, "opener cap"),
+        ({("p", "b", "p"): 1.5}, "mass"),
+        ({("p", "b", "p"): 1, ("n", "b", "p"): 2}, "value row"),
+    ]
+    for x, reason in cases:
+        with pytest.raises(InfeasibleFractional, match=reason):
+            round_online(model, BundleLpSolution(x=x, objective=0),
+                         RoundingParams(alpha=0.64, seed=0), stream)
+    ok = {("p", "b", "p"): 1, ("n", "b", "p"): Fraction(5, 4)}
+    round_online(model, BundleLpSolution(x=ok, objective=0),
+                 RoundingParams(alpha=0.64, seed=0), stream)
 
 
 def test_offline_small_deficit_allocation_rate():
