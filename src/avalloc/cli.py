@@ -239,7 +239,7 @@ def _cmd_lp(args) -> int:
             f.write(lp_to_text(lp))
     sol = solve_lp(lp, tolerance=args.tolerance)
     doc = {"which": args.which, "status": sol.status,
-           "n_vars": lp.n_vars, "n_rows": lp.n_rows}
+           "n_vars": lp.n_vars, "n_rows": lp.n_rows, "iterations": sol.iterations}
     if sol.status == "optimal":
         doc.update(_frac_fields(sol.exact_objective))
     _emit(doc, args.output)

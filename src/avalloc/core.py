@@ -379,36 +379,66 @@ _BUYER_FIELDS = {"id", "rho", "budgets"}
 _ITEM_FIELDS = {"id", "values", "costs", "resource_costs"}
 
 
-def _reject_unknown(d, allowed, where):
+def object_from_json(x, where) -> dict:
+    """A JSON object read from a document; anything else raises
+    InvalidInstance."""
+    if not isinstance(x, dict):
+        raise InvalidInstance(f"{where} must be a JSON object, got {x!r}")
+    return x
+
+
+def list_from_json(x, where) -> list:
+    """A JSON list read from a document; anything else raises
+    InvalidInstance."""
+    if not isinstance(x, list):
+        raise InvalidInstance(f"{where} must be a JSON list, got {x!r}")
+    return x
+
+
+def id_from_json(x, where):
+    """An id read from a document: a string or an integer."""
+    if isinstance(x, bool) or not isinstance(x, (str, int)):
+        raise InvalidInstance(f"{where} id must be a string or an integer, got {x!r}")
+    return x
+
+
+def reject_unknown_fields(d: dict, allowed, where):
+    """Raise InvalidInstance when ``d`` has a key outside ``allowed``."""
     extra = set(d) - allowed
     if extra:
         raise InvalidInstance(f"unknown field(s) {sorted(extra)} in {where}")
 
 
 def instance_from_dict(doc: dict) -> Instance:
-    _reject_unknown(doc, {"buyers", "items"}, "instance document")
+    doc = object_from_json(doc, "instance document")
+    reject_unknown_fields(doc, {"buyers", "items"}, "instance document")
     buyers, thresholds, budgets = [], {}, {}
-    for b in doc.get("buyers", []):
-        _reject_unknown(b, _BUYER_FIELDS, f"buyer {b.get('id')!r}")
-        bid = b["id"]
+    for b in list_from_json(doc.get("buyers", []), "buyers"):
+        b = object_from_json(b, "buyer")
+        reject_unknown_fields(b, _BUYER_FIELDS, f"buyer {b.get('id')!r}")
+        bid = id_from_json(b["id"], "buyer")
         buyers.append(bid)
         thresholds[bid] = number_from_json(b["rho"])
-        for res, cap in (b.get("budgets") or {}).items():
+        caps = object_from_json(b.get("budgets") or {}, f"budgets of buyer {bid!r}")
+        for res, cap in caps.items():
             budgets[(res, bid)] = number_from_json(cap)
     items, values, costs, rcosts = [], {}, {}, {}
     any_costs = False
-    for it in doc.get("items", []):
-        _reject_unknown(it, _ITEM_FIELDS, f"item {it.get('id')!r}")
-        iid = it["id"]
+    for it in list_from_json(doc.get("items", []), "items"):
+        it = object_from_json(it, "item")
+        reject_unknown_fields(it, _ITEM_FIELDS, f"item {it.get('id')!r}")
+        iid = id_from_json(it["id"], "item")
         items.append(iid)
-        for j, v in (it.get("values") or {}).items():
+        vals = object_from_json(it.get("values") or {}, f"values of item {iid!r}")
+        for j, v in vals.items():
             values[(iid, j)] = number_from_json(v)
         if it.get("costs") is not None:
             any_costs = True
-            for j, c in it["costs"].items():
+            for j, c in object_from_json(it["costs"], f"costs of item {iid!r}").items():
                 costs[(iid, j)] = number_from_json(c)
-        for res, per_buyer in (it.get("resource_costs") or {}).items():
-            for j, c in per_buyer.items():
+        rc = object_from_json(it.get("resource_costs") or {}, f"resource costs of item {iid!r}")
+        for res, per_buyer in rc.items():
+            for j, c in object_from_json(per_buyer, f"{res!r} costs of item {iid!r}").items():
                 rcosts[(res, iid, j)] = number_from_json(c)
     return Instance(
         items=items,

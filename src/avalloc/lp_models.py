@@ -25,11 +25,20 @@ import math
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
 
-from .core import Instance, number_from_json, to_fraction
+from .core import (
+    Instance,
+    id_from_json,
+    list_from_json,
+    number_from_json,
+    object_from_json,
+    reject_unknown_fields,
+    to_fraction,
+)
 from .errors import (
     AmbiguousInstance,
     DomainError,
     GammaViolated,
+    InvalidInstance,
     MissingBudgets,
 )
 from .lp import LinearProgram, LpSolution, solve_lp
@@ -316,38 +325,40 @@ _MODEL_TYPE_FIELDS = {"id", "prob", "values", "costs"}
 
 
 def model_from_dict(doc: dict) -> IidModel:
-    extra = set(doc) - {"horizon", "buyers", "types"}
-    if extra:
-        raise ValueError(f"unknown field(s) {sorted(extra)} in model document")
+    doc = object_from_json(doc, "model document")
+    reject_unknown_fields(doc, {"horizon", "buyers", "types"}, "model document")
     buyers, thresholds = [], {}
-    for b in doc.get("buyers", []):
-        extra = set(b) - _MODEL_BUYER_FIELDS
-        if extra:
-            raise ValueError(f"unknown field(s) {sorted(extra)} in buyer {b.get('id')!r}")
-        buyers.append(b["id"])
-        thresholds[b["id"]] = number_from_json(b["rho"])
+    for b in list_from_json(doc.get("buyers", []), "buyers"):
+        b = object_from_json(b, "buyer")
+        reject_unknown_fields(b, _MODEL_BUYER_FIELDS, f"buyer {b.get('id')!r}")
+        bid = id_from_json(b["id"], "buyer")
+        buyers.append(bid)
+        thresholds[bid] = number_from_json(b["rho"])
     types, probs, values, costs = [], {}, {}, {}
     any_costs = False
-    for t in doc.get("types", []):
-        extra = set(t) - _MODEL_TYPE_FIELDS
-        if extra:
-            raise ValueError(f"unknown field(s) {sorted(extra)} in type {t.get('id')!r}")
-        tid = t["id"]
+    for t in list_from_json(doc.get("types", []), "types"):
+        t = object_from_json(t, "type")
+        reject_unknown_fields(t, _MODEL_TYPE_FIELDS, f"type {t.get('id')!r}")
+        tid = id_from_json(t["id"], "type")
         types.append(tid)
         probs[tid] = number_from_json(t["prob"])
-        for j, v in (t.get("values") or {}).items():
+        vals = object_from_json(t.get("values") or {}, f"values of type {tid!r}")
+        for j, v in vals.items():
             values[(tid, j)] = number_from_json(v)
         if t.get("costs") is not None:
             any_costs = True
-            for j, c in t["costs"].items():
+            for j, c in object_from_json(t["costs"], f"costs of type {tid!r}").items():
                 costs[(tid, j)] = number_from_json(c)
+    horizon = number_from_json(doc["horizon"])
+    if horizon.denominator != 1:
+        raise InvalidInstance(f"horizon must be an integer, got {horizon}")
     return IidModel(
         types=types,
         buyers=buyers,
         values=values,
         thresholds=thresholds,
         probs=probs,
-        horizon=int(doc["horizon"]),
+        horizon=int(horizon),
         costs=costs if any_costs else None,
     )
 

@@ -220,3 +220,36 @@ def test_loader_rejects_unknown_fields():
     bad_item["items"][0]["weight"] = 2
     with pytest.raises(InvalidInstance):
         instance_from_dict(bad_item)
+
+
+@pytest.mark.parametrize("path, value", [
+    ((), [1]),
+    (("buyers",), "xx"),
+    (("buyers", 0), "b"),
+    (("buyers", 0, "id"), ["b"]),
+    (("buyers", 0, "id"), True),
+    (("buyers", 0, "budgets"), [1]),
+    (("items",), {"i": 1}),
+    (("items", 0), None),
+    (("items", 0, "id"), {"i": 1}),
+    (("items", 0, "values"), [1]),
+    (("items", 0, "costs"), [1]),
+    (("items", 0, "resource_costs"), {"cpu": [1]}),
+])
+def test_loader_rejects_malformed_shapes(path, value):
+    good = instance_to_dict(unit_instance({("i", "b"): "1.5"}))
+    good["buyers"][0]["budgets"] = {"cpu": 1}
+    good["items"][0]["costs"] = {"b": 1}
+    good["items"][0]["resource_costs"] = {"cpu": {"b": 1}}
+    instance_from_dict(good)
+    doc = json.loads(json.dumps(good))
+    if path:
+        *parents, last = path
+        target = doc
+        for key in parents:
+            target = target[key]
+        target[last] = value
+    else:
+        doc = value
+    with pytest.raises(InvalidInstance):
+        instance_from_dict(doc)

@@ -156,7 +156,9 @@ def test_cli_lp_which_variants(tmp_path, capsys):
     model = tmp_path / "m.json"
     main(["gen", "iid-lower-bound", "-T", "10", "-o", str(model)])
     assert main(["lp", str(model), "--which", "opton"]) == 0
-    assert json.loads(capsys.readouterr().out)["value_exact"] == "29/10"
+    doc = json.loads(capsys.readouterr().out)
+    assert doc["value_exact"] == "29/10"
+    assert doc["iterations"] == 19  # the solver's pivot count, deterministic
     assert main(["lp", str(model), "--which", "optoff", "--gamma-floor", "1"]) == 0
     assert json.loads(capsys.readouterr().out)["status"] == "optimal"
     export = tmp_path / "lp.txt"
@@ -186,6 +188,17 @@ def test_cli_exit_codes(tmp_path, capsys):
                        '"items": [{"id": "i", "values": {"b": %s}}]}' % (rho, value))
         assert main(["lp", str(bad), "--which", "naive"]) == 2
         assert capsys.readouterr().err.startswith("error: ")
+    # malformed shapes: an unhashable id, a list for a map, a string for a list
+    for doc in ('{"buyers": [{"id": ["b"], "rho": 1}], "items": []}',
+                '{"buyers": [{"id": "b", "rho": 1}], "items": [{"id": "i", "values": [1]}]}',
+                '{"buyers": "xx", "items": []}'):
+        bad.write_text(doc)
+        assert main(["lp", str(bad), "--which", "naive"]) == 2
+        assert capsys.readouterr().err.startswith("error: ")
+    bad.write_text('{"horizon": [4], "buyers": [{"id": "b", "rho": 1}], '
+                   '"types": [{"id": "t", "prob": 1, "values": {"b": 2}}]}')
+    assert main(["lp", str(bad), "--which", "opton"]) == 2
+    assert capsys.readouterr().err.startswith("error: ")
 
 
 def test_cli_export_gap_and_bench(tmp_path, capsys):

@@ -1,8 +1,26 @@
+import hashlib
 from fractions import Fraction
+from unittest import mock
 
+import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
+from avalloc import lp as lp_module
+from avalloc.generators import gen_iid_lower_bound, gen_random
 from avalloc.lp import INFEASIBLE, OPTIMAL, UNBOUNDED, LinearProgram, lp_to_text, solve_lp
+from avalloc.lp_models import (
+    build_bundle_lp,
+    build_bundle_lp_budgeted,
+    build_naive_lp,
+    build_opton_lp,
+    build_optoff_lp,
+)
+
+# the property tests replay the same examples on every run
+PROPERTY_SETTINGS = settings(max_examples=200, derandomize=True, database=None, deadline=None)
 
 
 def F(x):
@@ -246,3 +264,193 @@ def test_exact_polish_handles_degenerate_float_stop():
     sol = solve_lp(lp)
     assert sol.status == OPTIMAL
     assert sol.exact_objective == n
+
+
+# -- pinned pivot path ---------------------------------------------------------
+
+# Simplex iterations and the sha256 of repr((basis, exact_values)) of each
+# seeded LP.  A change to the float pivot sequence or to the exact layer's
+# repair changes the iterations or the digest.  Basis entries are hashed as
+# Python ints, so the digest does not depend on the integer type stored.
+PINNED_PIVOT_PATH = [
+    ("bundle-12", lambda: build_bundle_lp(gen_random(12, 8, 1, unambiguous=True)),
+     77, "7aa0e52f0d5108f2791a3992c90ba020de3421a54ec70d8a9cf86a9f1053b832"),
+    ("bundle-20", lambda: build_bundle_lp(gen_random(20, 8, 1, unambiguous=True)),
+     164, "ee46a84476e2ca56344ac9461236e58cb7aeffac389a354c4f6fde67353ae9fb"),
+    ("bundle-32", lambda: build_bundle_lp(gen_random(32, 8, 1, unambiguous=True)),
+     247, "61306a9caaa4e57961499f22dcdec8a397384003034729e0c75e5d9c6d2adebe"),
+    ("budgeted-20",
+     lambda: build_bundle_lp_budgeted(
+         gen_random(20, 6, 1, unambiguous=True, budget_resources=2)),
+     75, "2c8606d8457ef28d4448cbae0c3fa16de39f1b45e2090a1a477af786312802c6"),
+    ("naive-20", lambda: build_naive_lp(gen_random(20, 8, 1)),
+     20, "ed13fa98b38995c0b528b167ab23801f0a4da1002b1236a7e6bde26b3416ca3a"),
+    ("opton-40", lambda: build_opton_lp(gen_iid_lower_bound(40)),
+     79, "c7a427c409a7a8a9dba63c5175b0778629c80b07695161322352c1bc8d5fb252"),
+    ("optoff-40", lambda: build_optoff_lp(gen_iid_lower_bound(40), 1),
+     94, "d08cd712b2e9771027c3738d9613c0371dcf72e5c3ff9bf93583998d7d363e89"),
+]
+
+
+@pytest.mark.parametrize("make, iterations, digest",
+                         [case[1:] for case in PINNED_PIVOT_PATH],
+                         ids=[case[0] for case in PINNED_PIVOT_PATH])
+def test_pivot_path_is_pinned(make, iterations, digest):
+    sol = solve_lp(make())
+    assert sol.status == OPTIMAL
+    assert sol.iterations == iterations
+    path = repr(([int(j) for j in sol.basis], sol.exact_values))
+    assert hashlib.sha256(path.encode()).hexdigest() == digest
+
+
+# -- kernel properties -----------------------------------------------------------
+
+
+def _gauss_jordan(cols, rhs):
+    """Dense Fraction reference for B x = rhs, B given column-wise; None
+    when B is singular."""
+    m = len(rhs)
+    a = [[cols[k].get(r, Fraction(0)) for k in range(m)] + [Fraction(rhs[r])]
+         for r in range(m)]
+    for k in range(m):
+        piv = next((r for r in range(k, m) if a[r][k]), None)
+        if piv is None:
+            return None
+        a[k], a[piv] = a[piv], a[k]
+        a[k] = [v / a[k][k] for v in a[k]]
+        for r in range(m):
+            if r != k and a[r][k]:
+                f = a[r][k]
+                a[r] = [v - f * w for v, w in zip(a[r], a[k])]
+    return [a[r][m] for r in range(m)]
+
+
+_ENTRIES = st.sampled_from([0, 0, 0, 0, 1, -1, 2, Fraction(1, 2), Fraction(-3, 4)])
+
+
+@st.composite
+def _square_systems(draw):
+    m = draw(st.integers(1, 7))
+    dense = [[Fraction(draw(_ENTRIES)) for _ in range(m)] for _ in range(m)]
+    shape = draw(st.sampled_from(["plain", "duplicate", "zero"]))
+    if shape == "duplicate" and m > 1:
+        i, j = draw(st.lists(st.integers(0, m - 1), min_size=2, max_size=2, unique=True))
+        dense[j] = list(dense[i])
+    elif shape == "zero":
+        dense[draw(st.integers(0, m - 1))] = [Fraction(0)] * m
+    keep_zeros = draw(st.booleans())
+    cols = [{r: v for r, v in enumerate(col) if v or keep_zeros} for col in dense]
+    rhs = [Fraction(draw(st.integers(-5, 5))) for _ in range(m)]
+    return cols, rhs
+
+
+@PROPERTY_SETTINGS
+@given(_square_systems())
+def test_solve_sparse_matches_dense_gauss_jordan(system):
+    cols, rhs = system
+    assert lp_module._solve_sparse(cols, rhs) == _gauss_jordan(cols, rhs)
+
+
+def _dense_pivot(T, basis, row, col):
+    """Reference pivot: the full rank-one update of the whole tableau."""
+    T[row] /= T[row, col]
+    factors = T[:, col].copy()
+    factors[row] = 0.0
+    T -= np.outer(factors, T[row])
+    T[:, col] = 0.0
+    T[row, col] = 1.0
+    basis[row] = col
+
+
+_TABLEAU_ENTRIES = st.one_of(
+    st.just(0.0), st.just(0.0), st.just(0.0),
+    st.floats(-100, 100, allow_nan=False, allow_subnormal=False),
+)
+
+
+@st.composite
+def _tableau_pivots(draw):
+    m = draw(st.integers(1, 8))
+    width = draw(st.integers(1, 10))
+    T = draw(arrays(np.float64, (m + 1, width + 1), elements=_TABLEAU_ENTRIES))
+    row = draw(st.integers(0, m - 1))
+    col = draw(st.integers(0, width - 1))
+    assume(abs(T[row, col]) >= 1e-6)
+    return T, row, col
+
+
+@PROPERTY_SETTINGS
+@given(_tableau_pivots())
+def test_sparse_pivot_matches_dense_update(case):
+    T, row, col = case
+    basis = list(range(T.shape[0] - 1))
+    ref, ref_basis = T.copy(), list(basis)
+    _dense_pivot(ref, ref_basis, row, col)
+    lp_module._pivot(T, basis, row, col)
+    assert np.array_equal(T, ref)
+    assert basis == ref_basis
+
+
+def _loop_simplex_phase(T, basis, barred, tol, max_iter, bland_after, start_iter=0):
+    """Reference simplex phase: per-entry scans and the dense pivot."""
+    m = T.shape[0] - 1
+    it = start_iter
+    while True:
+        obj = T[-1, :-1]
+        candidates = [j for j in np.where(obj < -tol)[0] if j not in barred]
+        if not candidates:
+            return OPTIMAL, it
+        if it - start_iter >= bland_after:
+            col = min(candidates)
+        else:
+            col = min(candidates, key=lambda j: (obj[j], j))
+        ratios = []
+        for i in range(m):
+            a = T[i, col]
+            if a > tol:
+                ratios.append((T[i, -1] / a, basis[i], i))
+        if not ratios:
+            return lp_module.UNBOUNDED, it
+        _, _, row = min(ratios, key=lambda t: (t[0], t[1]))
+        _dense_pivot(T, basis, row, col)
+        it += 1
+        if it - start_iter > max_iter:
+            raise lp_module.NumericalFailure("pivot limit exceeded")
+
+
+@st.composite
+def _small_lps(draw):
+    n = draw(st.integers(1, 6))
+    coeff = st.sampled_from([0, 0, 1, 2, -1, Fraction(1, 3), Fraction(5, 2)])
+    obj = [draw(st.sampled_from([0, 1, 2, -1, Fraction(3, 2)])) for _ in range(n)]
+    rows = []
+    for _ in range(draw(st.integers(1, 6))):
+        coeffs = {k: draw(coeff) for k in range(n)}
+        rel = draw(st.sampled_from(["<=", "<=", ">=", "=="]))
+        rows.append((coeffs, rel, draw(st.integers(-2, 6))))
+    ubs = [draw(st.sampled_from([None, 1, 3])) for _ in range(n)]
+    return LinearProgram(objective=obj, rows=rows, upper_bounds=ubs)
+
+
+def _bland_after(phase, bland_after):
+    """``phase`` with Bland's rule from pivot ``bland_after`` on (None keeps
+    the solver's own switch point)."""
+    def run(T, basis, barred, tol, max_iter, default, start_iter=0):
+        switch = default if bland_after is None else bland_after
+        return phase(T, basis, barred, tol, max_iter, switch, start_iter)
+    return run
+
+
+@PROPERTY_SETTINGS
+@given(_small_lps(), st.sampled_from([None, 0, 2]))
+def test_float_phase_matches_loop_reference(lp, bland_after):
+    # same status, basis and pivot count as per-entry scans with dense pivots,
+    # under Dantzig's rule, Bland's rule and a switch between them
+    with mock.patch.object(lp_module, "_simplex_phase",
+                           _bland_after(lp_module._simplex_phase, bland_after)):
+        got = lp_module._float_solve(lp, 1e-9)
+    with mock.patch.object(lp_module, "_simplex_phase",
+                           _bland_after(_loop_simplex_phase, bland_after)), \
+            mock.patch.object(lp_module, "_pivot", _dense_pivot):
+        ref = lp_module._float_solve(lp, 1e-9)
+    assert got[:3] == ref[:3]

@@ -6,7 +6,13 @@ from fractions import Fraction
 import pytest
 
 from avalloc import IidModel
-from avalloc.errors import AmbiguousInstance, DomainError, GammaViolated, MissingBudgets
+from avalloc.errors import (
+    AmbiguousInstance,
+    DomainError,
+    GammaViolated,
+    InvalidInstance,
+    MissingBudgets,
+)
 from avalloc.generators import (
     gen_integrality_gap,
     gen_iid_lower_bound,
@@ -354,3 +360,7 @@ def test_model_json_round_trip():
     doc["extra"] = 1
     with pytest.raises(ValueError):
         model_from_dict(doc)
+    for horizon in ([8], "8.5", 8.5, True):
+        with pytest.raises(InvalidInstance):
+            model_from_dict(dict(model_to_dict(model), horizon=horizon))
+    assert model_from_dict(dict(model_to_dict(model), horizon="8")).horizon == 8
