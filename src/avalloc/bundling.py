@@ -15,7 +15,7 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .core import Allocation, Instance, is_feasible, restrict_edges
+from .core import Allocation, Instance, restrict_edges
 from .errors import InfeasiblePrefix, InvalidBundling, UnknownEdge
 
 
@@ -37,18 +37,24 @@ class Bundle:
         return [self.p_item] + sorted(self.n_items)
 
     def validate(self, inst: Instance):
+        """Raise InvalidBundling unless the bundle is permissible for inst:
+        a known buyer, the opener a P-edge, every other member an N-edge,
+        and a nonnegative residual excess (total value minus rho_j times
+        the bundle's cost sum)."""
         j = self.buyer
         if j not in inst.thresholds:
             raise InvalidBundling(f"unknown buyer {j!r}")
+        residual = Fraction(0)
         for i in self.members():
             if (i, j) not in inst.values:
                 raise InvalidBundling(f"bundle uses non-edge ({i!r}, {j!r})")
-        if not inst.is_p_edge(self.p_item, j):
-            raise InvalidBundling(f"({self.p_item!r}, {j!r}) is not a P-edge")
-        for i in self.n_items:
-            if inst.is_p_edge(i, j):
+            excess = inst.excess(i, j)
+            if i == self.p_item and excess < 0:
+                raise InvalidBundling(f"({i!r}, {j!r}) is not a P-edge")
+            if i != self.p_item and excess >= 0:
                 raise InvalidBundling(f"({i!r}, {j!r}) is not an N-edge")
-        if self.residual_excess(inst) < 0:
+            residual += excess
+        if residual < 0:
             raise InvalidBundling(
                 f"bundle for {j!r} rooted at {self.p_item!r} is not permissible"
             )
@@ -56,16 +62,6 @@ class Bundle:
     def value(self, inst: Instance) -> Fraction:
         j = self.buyer
         return sum((inst.values[(i, j)] for i in self.members()), Fraction(0))
-
-    def residual_excess(self, inst: Instance) -> Fraction:
-        """Total value minus rho_j times the bundle's cost sum; >= 0 iff
-        permissible."""
-        j = self.buyer
-        rho = inst.thresholds[j]
-        return sum(
-            (inst.values[(i, j)] - rho * inst.cost(i, j) for i in self.members()),
-            Fraction(0),
-        )
 
 
 @dataclass(frozen=True)
@@ -76,16 +72,26 @@ class BundledAllocation:
         object.__setattr__(self, "bundles", tuple(self.bundles))
 
     def validate(self, inst: Instance):
+        """Raise InvalidBundling unless every bundle is permissible, no item
+        is used twice and every configured budget holds.  A buyer's slack is
+        the sum of its bundles' residual excesses, so permissible bundles
+        keep every average-value constraint."""
+        resources = inst.resources()
         seen = set()
+        spent = {}
         for b in self.bundles:
             b.validate(inst)
+            j = b.buyer
             for i in b.members():
                 if i in seen:
                     raise InvalidBundling(f"item {i!r} used by two bundles")
                 seen.add(i)
-        report = is_feasible(inst, self.to_allocation())
-        if not report:
-            raise InvalidBundling(f"flattened allocation infeasible: {report.violations}")
+                for res in resources:
+                    spent[(res, j)] = spent.get((res, j), Fraction(0)) + inst.rcost(res, i, j)
+        for (res, j), total in spent.items():
+            cap = inst.budget(res, j)
+            if cap is not None and total > cap:
+                raise InvalidBundling(f"budget {res!r} of buyer {j!r} exceeded: {total} > {cap}")
 
     def to_allocation(self) -> Allocation:
         assignment = {}

@@ -149,21 +149,18 @@ def _cmd_solve(args) -> int:
         lp = build_bundle_lp_budgeted(work) if budgeted else build_bundle_lp(work)
         x = solve_model_lp(lp)
         params = rounding.RoundingParams(alpha=args.alpha, beta=args.beta, seed=seed)
-        rounder = rounding.round_offline_budgeted if budgeted else rounding.round_offline
-        out = rounder(work, x, params)
-        alloc = out.to_allocation()
-        eff_alpha = params.alpha if params.alpha is not None else 1.0 / (
-            3 * max(len(work.resources()), 1)
-        )
+        plan = rounding.OfflinePlan(work, x, params.alpha, budgeted=budgeted)
+        opened, _value = plan.run(params.seed)
+        out = plan.to_bundled(opened)
         doc = _allocation_doc(
             work,
-            alloc,
+            out.to_allocation(),
             {
                 "algo": args.algo,
                 "seed": seed,
-                "alpha": eff_alpha,
+                "alpha": plan.alpha,
                 "beta": args.beta,
-                "gamma": rounding.gamma_offline(eff_alpha, args.beta),
+                "gamma": rounding.gamma_offline(plan.alpha, args.beta),
                 "lp_value": float(x.objective),
                 "bundles": [
                     {"buyer": b.buyer, "p_item": b.p_item, "n_items": sorted(b.n_items)}
@@ -237,7 +234,7 @@ def _cmd_lp(args) -> int:
     if args.export:
         with open(args.export, "w") as f:
             f.write(lp_to_text(lp))
-    sol = solve_lp(lp, tolerance=args.tolerance)
+    sol = solve_lp(lp)
     doc = {"which": args.which, "status": sol.status,
            "n_vars": lp.n_vars, "n_rows": lp.n_rows, "iterations": sol.iterations}
     if sol.status == "optimal":
@@ -352,7 +349,6 @@ def build_parser() -> argparse.ArgumentParser:
     l.add_argument("--which", required=True,
                    choices=["naive", "bundle", "budgeted", "opton", "optoff"])
     l.add_argument("--gamma-floor", default="1")
-    l.add_argument("--tolerance", type=float, default=1e-9)
     l.add_argument("--export", help="also write the LP in text form to this path")
     l.add_argument("-o", "--output")
     l.set_defaults(fn=_cmd_lp)

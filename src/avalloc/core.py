@@ -27,8 +27,6 @@ from fractions import Fraction
 
 from .errors import InvalidInstance, UnknownEdge
 
-Number = Fraction  # canonical internal numeric type
-
 
 def to_fraction(x) -> Fraction:
     """Convert a boundary value to an exact rational.
@@ -139,6 +137,10 @@ class Instance:
         self._validate()
         object.__setattr__(self, "_item_index", {i: k for k, i in enumerate(self.items)})
         object.__setattr__(self, "_buyer_index", {j: k for k, j in enumerate(self.buyers)})
+        object.__setattr__(self, "_excess", {
+            (i, j): v - self.thresholds[j] * self.cost(i, j)
+            for (i, j), v in self.values.items()
+        })
 
     def _validate(self):
         if len(set(self.items)) != len(self.items):
@@ -203,9 +205,6 @@ class Instance:
             if (i, j) in self.values
         ]
 
-    def value(self, i, j) -> Fraction:
-        return self.values[(i, j)]
-
     def cost(self, i, j) -> Fraction:
         if self.costs is None:
             return Fraction(1)
@@ -213,7 +212,7 @@ class Instance:
 
     def excess(self, i, j) -> Fraction:
         """v_ij - rho_j * c_ij; nonnegative exactly on P-edges."""
-        return self.values[(i, j)] - self.thresholds[j] * self.cost(i, j)
+        return self._excess[(i, j)]
 
     def edge_class(self, i, j) -> EdgeClass:
         return EdgeClass.P if self.excess(i, j) >= 0 else EdgeClass.N
@@ -409,6 +408,20 @@ def reject_unknown_fields(d: dict, allowed, where):
         raise InvalidInstance(f"unknown field(s) {sorted(extra)} in {where}")
 
 
+def buyers_by_json_key(buyers) -> dict:
+    """Map each declared buyer id's JSON object key (its str) to the id.
+    JSON object keys are strings, so an integer buyer id 1 is written "1";
+    two ids that share a key raise InvalidInstance."""
+    by_key = {}
+    for bid in buyers:
+        if str(bid) in by_key:
+            raise InvalidInstance(
+                f"buyer ids {by_key[str(bid)]!r} and {bid!r} share the JSON key {str(bid)!r}"
+            )
+        by_key[str(bid)] = bid
+    return by_key
+
+
 def instance_from_dict(doc: dict) -> Instance:
     doc = object_from_json(doc, "instance document")
     reject_unknown_fields(doc, {"buyers", "items"}, "instance document")
@@ -422,6 +435,7 @@ def instance_from_dict(doc: dict) -> Instance:
         caps = object_from_json(b.get("budgets") or {}, f"budgets of buyer {bid!r}")
         for res, cap in caps.items():
             budgets[(res, bid)] = number_from_json(cap)
+    buyer_of = buyers_by_json_key(buyers)
     items, values, costs, rcosts = [], {}, {}, {}
     any_costs = False
     for it in list_from_json(doc.get("items", []), "items"):
@@ -431,15 +445,15 @@ def instance_from_dict(doc: dict) -> Instance:
         items.append(iid)
         vals = object_from_json(it.get("values") or {}, f"values of item {iid!r}")
         for j, v in vals.items():
-            values[(iid, j)] = number_from_json(v)
+            values[(iid, buyer_of.get(j, j))] = number_from_json(v)
         if it.get("costs") is not None:
             any_costs = True
             for j, c in object_from_json(it["costs"], f"costs of item {iid!r}").items():
-                costs[(iid, j)] = number_from_json(c)
+                costs[(iid, buyer_of.get(j, j))] = number_from_json(c)
         rc = object_from_json(it.get("resource_costs") or {}, f"resource costs of item {iid!r}")
         for res, per_buyer in rc.items():
             for j, c in object_from_json(per_buyer, f"{res!r} costs of item {iid!r}").items():
-                rcosts[(res, iid, j)] = number_from_json(c)
+                rcosts[(res, iid, buyer_of.get(j, j))] = number_from_json(c)
     return Instance(
         items=items,
         buyers=buyers,

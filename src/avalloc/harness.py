@@ -2,11 +2,13 @@
 
 Every report is a pure function of (inputs, seed): trial t runs on the
 substream seed derive_trial_seed(seed, t), so results do not depend on
-scheduling, and feasibility of every single trial output is re-verified in
-exact arithmetic (one infeasible trial aborts the run; this is a hard
-invariant, not a statistic).  Reports carry mean, sample stddev, the normal
-95% CI mean +/- 1.96 s/sqrt(N), the minimum, the LP benchmark and the
-per-bundle opening rates used by the marginal checks.
+scheduling, and every single trial output is re-verified in exact
+arithmetic: each offline trial by BundledAllocation.validate (permissible
+bundles, each item used once, every configured budget held), each online
+trial by replaying every prefix of its decisions.  One invalid trial aborts
+the run; this is a hard invariant, not a statistic.  Reports carry mean,
+sample stddev, the normal 95% CI mean +/- 1.96 s/sqrt(N), the minimum, the
+LP benchmark and the per-bundle opening rates used by the marginal checks.
 """
 
 from __future__ import annotations
@@ -95,28 +97,6 @@ def _lp_value_fields(x: BundleLpSolution):
     return float(x.objective), None
 
 
-def _check_offline_output(inst: Instance, plan: OfflinePlan, opened) -> None:
-    """Independent exact feasibility check of one rounding output."""
-    val = {}
-    cost = {}
-    rsum = {}
-    for b, member_items in opened.items():
-        j, p = plan.bundle_label(b)
-        for i in (p, *member_items):
-            val[j] = val.get(j, Fraction(0)) + inst.values[(i, j)]
-            cost[j] = cost.get(j, Fraction(0)) + inst.cost(i, j)
-            for res in inst.resources():
-                rsum[(res, j)] = rsum.get((res, j), Fraction(0)) + inst.rcost(res, i, j)
-    for j, v in val.items():
-        if v < inst.thresholds[j] * cost[j]:
-            raise RuntimeError(f"buyer {j!r} constraint violated by a rounding output")
-    if plan.budgeted:
-        for (res, j), total in rsum.items():
-            cap = inst.budget(res, j)
-            if cap is not None and total > cap:
-                raise RuntimeError(f"budget {res!r} of {j!r} violated by a rounding output")
-
-
 def _trial_report(mode, x, alpha, beta, gamma, seed, values, open_counts, expected):
     """The report of one Monte-Carlo run from its per-trial values and the
     number of trials that opened each bundle."""
@@ -159,16 +139,14 @@ def run_offline_trials(
     values, open_counts = [], {}
     for t in range(trials):
         opened, value = plan.run(derive_trial_seed(seed, t))
-        _check_offline_output(inst, plan, opened)
-        if t % 911 == 0:  # full structural validation on a sample of trials
-            try:
-                plan.to_bundled(opened).validate(inst)
-            except InvalidBundling as exc:
-                raise RuntimeError(f"trial {t} structurally invalid: {exc}") from exc
+        bundled = plan.to_bundled(opened)
+        try:
+            bundled.validate(inst)
+        except InvalidBundling as exc:
+            raise RuntimeError(f"trial {t} gave an invalid bundling: {exc}") from exc
         values.append(value)
-        for b in opened:
-            j, p = plan.bundle_label(b)
-            key = f"{j}|{p}"
+        for b in bundled.bundles:
+            key = f"{b.buyer}|{b.p_item}"
             open_counts[key] = open_counts.get(key, 0) + 1
     expected = {
         f"{j}|{p}": float(v) for (i, j, p), v in x.x.items() if i == p and float(v) > 0

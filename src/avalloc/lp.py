@@ -37,6 +37,10 @@ UNBOUNDED = "unbounded"
 
 _RELS = ("<=", "==", ">=")
 
+# the float phase's pivot tolerance: reduced costs above -PIVOT_TOL count as
+# optimal and ratio-test entries below PIVOT_TOL as zero
+PIVOT_TOL = 1e-9
+
 
 @dataclass
 class LinearProgram:
@@ -113,8 +117,10 @@ class LpSolution:
 
 def _standard_form(lp: LinearProgram):
     """Rows (incl. upper-bound rows) normalized to b >= 0, slack/surplus
-    columns appended.  Returns float arrays plus the exact sparse columns
-    used by the rational layer."""
+    columns appended, then one artificial column per >=/== row.  Returns
+    the float tableau (its last row left for the objective, its last column
+    holding b) with its starting basis, the artificial columns, and the
+    exact sparse columns and rhs used by the rational layer."""
     n = lp.n_vars
     rows = list(lp.rows)
     if lp.upper_bounds is not None:
@@ -129,34 +135,33 @@ def _standard_form(lp: LinearProgram):
             rel = {"<=": ">=", ">=": "<=", "==": "=="}[rel]
         norm.append((coeffs, rel, rhs))
     m = len(norm)
-    n_slack = sum(1 for _c, rel, _b in norm if rel in ("<=", ">="))
-    ncols = n + n_slack
-    A = np.zeros((m, ncols))
-    b = np.zeros(m)
+    ncols = n + sum(1 for _c, rel, _b in norm if rel != "==")
+    n_art = sum(1 for _c, rel, _b in norm if rel != "<=")
+    T = np.zeros((m + 1, ncols + n_art + 1))
     cols_exact = [dict() for _ in range(ncols)]
     b_exact = []
-    slack_at = 0
-    art_rows = []
-    slack_basic = {}
+    basis = [None] * m
+    art_cols = set()
+    slack_col = n
     for r, (coeffs, rel, rhs) in enumerate(norm):
         for k, a in coeffs.items():
-            A[r, k] = float(a)
+            T[r, k] = float(a)
             cols_exact[k][r] = a
-        b[r] = float(rhs)
+        T[r, -1] = float(rhs)
         b_exact.append(rhs)
-        if rel in ("<=", ">="):
-            col = n + slack_at
+        if rel != "==":
             sign = 1 if rel == "<=" else -1
-            A[r, col] = sign
-            cols_exact[col][r] = Fraction(sign)
-            slack_at += 1
+            T[r, slack_col] = sign
+            cols_exact[slack_col][r] = Fraction(sign)
             if rel == "<=":
-                slack_basic[r] = col
-            else:
-                art_rows.append(r)
-        else:
-            art_rows.append(r)
-    return A, b, cols_exact, b_exact, art_rows, slack_basic, m, ncols
+                basis[r] = slack_col
+            slack_col += 1
+        if rel != "<=":
+            col = ncols + len(art_cols)
+            T[r, col] = 1.0
+            basis[r] = col
+            art_cols.add(col)
+    return T, basis, art_cols, cols_exact, b_exact, ncols
 
 
 def _pivot(T, basis, row, col):
@@ -215,23 +220,11 @@ def _simplex_phase(T, basis, barred, tol, max_iter, bland_after, start_iter=0):
             raise NumericalFailure("pivot limit exceeded")
 
 
-def _float_solve(lp: LinearProgram, tol):
-    A, b, cols_exact, b_exact, art_rows, slack_basic, m, ncols = _standard_form(lp)
+def _float_solve(lp: LinearProgram):
+    T, basis, art_cols, cols_exact, b_exact, ncols = _standard_form(lp)
     n = lp.n_vars
-    n_art = len(art_rows)
-    total = ncols + n_art
-    T = np.zeros((m + 1, total + 1))
-    T[:m, :ncols] = A
-    T[:m, -1] = b
-    basis = [None] * m
-    art_cols = set()
-    for k, r in enumerate(art_rows):
-        col = ncols + k
-        T[r, col] = 1.0
-        basis[r] = col
-        art_cols.add(col)
-    for r, col in slack_basic.items():
-        basis[r] = col
+    m = T.shape[0] - 1
+    total = T.shape[1] - 1
     bland_after = 10 * (m + total)
     max_iter = max(2000, 60 * (m + total))
     iters = 0
@@ -241,10 +234,10 @@ def _float_solve(lp: LinearProgram, tol):
         for col in art_cols:
             c1[col] = -1.0
         T[-1] = _obj_row(T, basis, c1)
-        status, iters = _simplex_phase(T, basis, set(), tol, max_iter, bland_after)
+        status, iters = _simplex_phase(T, basis, set(), PIVOT_TOL, max_iter, bland_after)
         if status != OPTIMAL:
             raise NumericalFailure("phase 1 did not terminate at an optimum")
-        if -T[-1, -1] > max(tol, 1e-7):
+        if -T[-1, -1] > 1e-7:
             return INFEASIBLE, basis, iters, cols_exact, b_exact, ncols
         for i in range(m):
             if basis[i] in art_cols and T[i, -1] <= 1e-9:
@@ -258,7 +251,7 @@ def _float_solve(lp: LinearProgram, tol):
         c2[k] = float(lp.objective[k])
     T[-1] = _obj_row(T, basis, c2)
     status, iters = _simplex_phase(
-        T, basis, art_cols, tol, max_iter, bland_after, start_iter=iters
+        T, basis, art_cols, PIVOT_TOL, max_iter, bland_after, start_iter=iters
     )
     if status == UNBOUNDED:
         return UNBOUNDED, basis, iters, cols_exact, b_exact, ncols
@@ -426,27 +419,15 @@ def _exact_from_scratch(cols, b, c, barred):
     return OPTIMAL, basis, xB
 
 
-def solve_lp(lp: LinearProgram, tolerance: float = 1e-9) -> LpSolution:
+def solve_lp(lp: LinearProgram) -> LpSolution:
     """Solve a maximization LP.
 
-    ``tolerance`` is the float phase's pivot tolerance.  The final vertex is
+    The float phase pivots with tolerance ``PIVOT_TOL``; its final vertex is
     re-derived and certified exactly, populating ``exact_values`` and
     ``exact_objective``.
     """
-    if tolerance <= 0:
-        raise ValueError("tolerance must be positive")
     n = lp.n_vars
-    if n == 0:
-        for _coeffs, rel, rhs in lp.rows:
-            if (rel == "<=" and rhs < 0) or (rel == ">=" and rhs > 0) or (rel == "==" and rhs):
-                return LpSolution(status=INFEASIBLE)
-        return LpSolution(
-            status=OPTIMAL, values=[], objective=0.0,
-            exact_values=[], exact_objective=Fraction(0), basis=[],
-        )
-
-    piv_tol = max(tolerance, 1e-11)
-    status, basis, iters, cols_exact, b_exact, ncols = _float_solve(lp, piv_tol)
+    status, basis, iters, cols_exact, b_exact, ncols = _float_solve(lp)
     if status in (INFEASIBLE, UNBOUNDED):
         return LpSolution(status=status, iterations=iters)
 

@@ -27,6 +27,7 @@ from fractions import Fraction
 
 from .core import (
     Instance,
+    buyers_by_json_key,
     id_from_json,
     list_from_json,
     number_from_json,
@@ -104,14 +105,6 @@ class IidModel:
             for p in self.types
             for j in self.buyers
             if self.is_p_edge_type(p, j)
-        ]
-
-    def n_edge_types(self):
-        return [
-            (i, j)
-            for i in self.types
-            for j in self.buyers
-            if (i, j) in self.values and not self.is_p_edge_type(i, j)
         ]
 
 
@@ -306,9 +299,9 @@ def build_optoff_lp(model: IidModel, gamma_floor) -> LinearProgram:
     return _bundle_lp(model, model.types, item_cap, member_cap)
 
 
-def solve_model_lp(lp: LinearProgram, tolerance: float = 1e-9) -> BundleLpSolution:
+def solve_model_lp(lp: LinearProgram) -> BundleLpSolution:
     """Solve any of the bundle-shaped LPs and wrap the keyed solution."""
-    sol = solve_lp(lp, tolerance=tolerance)
+    sol = solve_lp(lp)
     if sol.status != "optimal":
         raise ValueError(f"LP not optimal: {sol.status}")
     return BundleLpSolution.from_lp(lp, sol)
@@ -334,6 +327,7 @@ def model_from_dict(doc: dict) -> IidModel:
         bid = id_from_json(b["id"], "buyer")
         buyers.append(bid)
         thresholds[bid] = number_from_json(b["rho"])
+    buyer_of = buyers_by_json_key(buyers)
     types, probs, values, costs = [], {}, {}, {}
     any_costs = False
     for t in list_from_json(doc.get("types", []), "types"):
@@ -344,11 +338,11 @@ def model_from_dict(doc: dict) -> IidModel:
         probs[tid] = number_from_json(t["prob"])
         vals = object_from_json(t.get("values") or {}, f"values of type {tid!r}")
         for j, v in vals.items():
-            values[(tid, j)] = number_from_json(v)
+            values[(tid, buyer_of.get(j, j))] = number_from_json(v)
         if t.get("costs") is not None:
             any_costs = True
             for j, c in object_from_json(t["costs"], f"costs of type {tid!r}").items():
-                costs[(tid, j)] = number_from_json(c)
+                costs[(tid, buyer_of.get(j, j))] = number_from_json(c)
     horizon = number_from_json(doc["horizon"])
     if horizon.denominator != 1:
         raise InvalidInstance(f"horizon must be an integer, got {horizon}")

@@ -38,6 +38,9 @@ _TAG_COIN_ON = 4
 _TAG_STREAM = 5
 _TAG_TRIAL = 6
 
+# slack allowed on each row and bound of a fractional solution, read as floats
+FRACTIONAL_TOL = 1e-9
+
 
 def _splitmix(x: int) -> int:
     x = (x + 0x9E3779B97F4A7C15) & _MASK
@@ -159,16 +162,15 @@ def _check_stream(model: IidModel, stream: OnlineStream):
 # fractional-solution checks
 
 
-def check_fractional(src, x: BundleLpSolution, units, item_cap, member_cap,
-                     tol: float = 1e-9):
-    """Raise InfeasibleFractional unless x satisfies, within tol, the
-    bundle LP that lp_models builds over src (an instance or an arrival
+def check_fractional(src, x: BundleLpSolution, units, item_cap, member_cap):
+    """Raise InfeasibleFractional unless x satisfies, within FRACTIONAL_TOL,
+    the bundle LP that lp_models builds over src (an instance or an arrival
     model) from the shape (units, item_cap, member_cap)."""
     mass = {i: 0.0 for i in units}
     av = {}
     for (i, j, p), v in x.x.items():
         fv = float(v)
-        if fv < -tol:
+        if fv < -FRACTIONAL_TOL:
             raise InfeasibleFractional(f"negative value at {(i, j, p)}")
         if (i, j) not in src.values or (p, j) not in src.values or src.excess(p, j) < 0:
             raise InfeasibleFractional(f"variable {(i, j, p)} outside the bundle LP")
@@ -179,13 +181,13 @@ def check_fractional(src, x: BundleLpSolution, units, item_cap, member_cap,
         av[(j, p)] = av.get((j, p), 0.0) - fv * float(excess)
         if i != p:
             cap = float(x.x.get((p, j, p), 0)) * float(member_cap(i))
-            if fv > cap + tol:
+            if fv > cap + FRACTIONAL_TOL:
                 raise InfeasibleFractional(f"x[{i},{j},{p}] exceeds its opener cap")
     for i, s in mass.items():
-        if s > float(item_cap(i)) + tol:
+        if s > float(item_cap(i)) + FRACTIONAL_TOL:
             raise InfeasibleFractional(f"unit {i!r} mass {s} exceeds its cap")
     for bp, s in av.items():
-        if s > tol:
+        if s > FRACTIONAL_TOL:
             raise InfeasibleFractional(f"bundle {bp} violates its value row by {s}")
 
 
@@ -324,10 +326,6 @@ class OfflinePlan:
             for b, members in sorted(opened.items())
         ]
         return BundledAllocation(bundles)
-
-    def bundle_label(self, b: int):
-        j, p = self.bundles[b][0], self.bundles[b][1]
-        return j, p
 
 
 def round_offline(inst: Instance, x: BundleLpSolution, params: RoundingParams) -> BundledAllocation:

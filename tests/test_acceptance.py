@@ -81,7 +81,7 @@ def test_criterion_01_naive_lp_gap_grows_linearly():
     ratios = []
     for n in (2, 3, 4, 5):
         inst = gen_integrality_gap(n, eps)
-        lp = solve_lp(build_naive_lp(inst), tolerance=1e-9)
+        lp = solve_lp(build_naive_lp(inst))
         opt, _ = exact_opt(inst)
         assert lp.exact_objective == n + 1
         assert opt == 2 + (n - 1) * eps
@@ -96,7 +96,7 @@ def test_criterion_01_naive_lp_gap_grows_linearly():
 def test_criterion_02_bundle_lp_tight_on_gap_family():
     t0 = time.time()
     inst = gen_integrality_gap(3, Fraction(1, 10))
-    sol = solve_lp(build_bundle_lp(inst), tolerance=1e-9)
+    sol = solve_lp(build_bundle_lp(inst))
     opt, _ = exact_opt(inst)
     assert sol.exact_objective == Fraction(11, 5) == opt
     _passline(

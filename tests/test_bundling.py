@@ -45,6 +45,34 @@ def test_bundle_permissibility_is_checked():
         Bundle(buyer="b", p_item="p", n_items=frozenset(["n1", "n2"])).validate(inst)
 
 
+def test_bundled_allocation_rejects_shared_item():
+    inst = unit_instance({("p", "b"): 2, ("q", "c"): 2, ("n", "b"): "0.5", ("n", "c"): "0.5"})
+    one = BundledAllocation([Bundle("b", "p", ["n"]), Bundle("c", "q", [])])
+    one.validate(inst)
+    shared = BundledAllocation([Bundle("b", "p", ["n"]), Bundle("c", "q", ["n"])])
+    with pytest.raises(InvalidBundling, match="two bundles"):
+        shared.validate(inst)
+
+
+def test_bundled_allocation_checks_every_budget():
+    values = {("p", "b"): 2, ("n", "b"): "0.5", ("q", "c"): 2}
+    rcosts = {("cpu", "p", "b"): "0.25", ("cpu", "n", "b"): "0.25", ("mem", "q", "c"): 3}
+    bundles = BundledAllocation([Bundle("b", "p", ["n"]), Bundle("c", "q", [])])
+    # met exactly: cpu of b spends 1/2 of 1/2, mem of c 3 of 3
+    exact = unit_instance(values, budgets={("cpu", "b"): "0.5", ("mem", "c"): 3},
+                          rcosts=rcosts)
+    bundles.validate(exact)
+    over = unit_instance(values, budgets={("cpu", "b"): "0.5", ("mem", "c"): "2.99"},
+                         rcosts=rcosts)
+    with pytest.raises(InvalidBundling, match="budget 'mem' of buyer 'c'"):
+        bundles.validate(over)
+    # a single bundle can overrun a budget on its own
+    with pytest.raises(InvalidBundling, match="budget 'cpu' of buyer 'b'"):
+        BundledAllocation([Bundle("b", "p", ["n"])]).validate(
+            unit_instance(values, budgets={("cpu", "b"): "0.49"}, rcosts=rcosts)
+        )
+
+
 def test_extract_bundling_tightness_value():
     inst = gen_tightness_example(Fraction(1, 2))
     alloc = Allocation({i: "b" for i in inst.items})

@@ -197,6 +197,31 @@ def test_json_round_trip_exact():
     assert back.resource_costs == inst.resource_costs
 
 
+def test_json_round_trip_integer_buyer_ids():
+    inst = Instance(
+        items=["i", 7],
+        buyers=[1, "b"],
+        values={("i", 1): 2, (7, 1): "0.5", (7, "b"): 3},
+        thresholds={1: 1, "b": 2},
+        costs={("i", 1): 1, (7, 1): 1, (7, "b"): "0.5"},
+        budgets={("cpu", 1): 1},
+        resource_costs={("cpu", "i", 1): "0.25"},
+    )
+    buf = io.StringIO()
+    dump_instance(inst, buf)
+    assert json.loads(buf.getvalue())["items"][0]["values"] == {"1": 2}
+    buf.seek(0)
+    back = load_instance(buf)
+    assert back == inst
+    assert back.resource_costs == inst.resource_costs
+
+
+def test_loader_rejects_buyer_ids_sharing_a_json_key():
+    doc = {"buyers": [{"id": 1, "rho": 1}, {"id": "1", "rho": 1}], "items": []}
+    with pytest.raises(InvalidInstance, match="JSON key"):
+        instance_from_dict(doc)
+
+
 def test_json_decimals_parse_exactly():
     doc = json.loads(
         '{"buyers": [{"id": "b", "rho": 1}],'

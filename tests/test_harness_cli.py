@@ -2,9 +2,11 @@ import json
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from avalloc.cli import main
-from avalloc.generators import gen_integrality_gap, gen_iid_lower_bound
+from avalloc.generators import gen_integrality_gap, gen_iid_lower_bound, gen_random
 from avalloc.harness import (
     bench_examples,
     run_offline_trials,
@@ -12,7 +14,14 @@ from avalloc.harness import (
     write_report_csv,
     write_report_json,
 )
-from avalloc.lp_models import build_bundle_lp, build_opton_lp, solve_model_lp
+from avalloc.lp_models import (
+    build_bundle_lp,
+    build_bundle_lp_budgeted,
+    build_opton_lp,
+    solve_model_lp,
+)
+from avalloc.rounding import OfflinePlan
+from util import unit_instance
 
 
 @pytest.fixture(scope="module")
@@ -42,6 +51,48 @@ def test_single_trial_report_equals_single_run(gap_solution):
     assert rep.stddev == 0.0
     assert rep.minimum == rep.mean
     assert rep.feasible_count == 1
+
+
+@pytest.mark.parametrize("bad_trial, tamper", [
+    # item n sits in the bundles of both buyers; each buyer's total balances
+    (1, lambda bid: {bid[("b1", "p1")]: ["n"], bid[("b2", "p2")]: ["n"]}),
+    # the P-edge (q, b1) joins p1's bundle as a member; b1's total balances
+    (2, lambda bid: {bid[("b1", "p1")]: ["q"], bid[("b2", "p2")]: []}),
+], ids=["shared-item", "p-edge-member"])
+def test_offline_trials_validate_every_trial(monkeypatch, bad_trial, tamper):
+    inst = unit_instance({
+        ("p1", "b1"): 2, ("q", "b1"): "1.5", ("p2", "b2"): 2,
+        ("n", "b1"): "0.5", ("n", "b2"): "0.5",
+    })
+    x = solve_model_lp(build_bundle_lp(inst))
+    run = OfflinePlan.run
+    calls = []
+
+    def tampered(self, seed):
+        opened, value = run(self, seed)
+        calls.append(seed)
+        if len(calls) - 1 == bad_trial:
+            bid = {(j, p): b for b, (j, p, *_rest) in enumerate(self.bundles)}
+            opened = tamper(bid)
+        return opened, value
+
+    monkeypatch.setattr(OfflinePlan, "run", tampered)
+    with pytest.raises(RuntimeError, match=f"trial {bad_trial} "):
+        run_offline_trials(inst, x, alpha=0.3, beta=0.156, seed=0, trials=5)
+    assert len(calls) == bad_trial + 1
+
+
+@settings(max_examples=30, derandomize=True, database=None, deadline=None)
+@given(st.integers(3, 12), st.integers(1, 4), st.integers(0, 10 ** 6), st.booleans())
+def test_offline_trials_on_random_instances_are_all_feasible(n, m, seed, budgeted):
+    inst = gen_random(n, m, seed, unambiguous=True, budget_resources=2 if budgeted else 0)
+    build = build_bundle_lp_budgeted if budgeted else build_bundle_lp
+    x = solve_model_lp(build(inst))
+    rep = run_offline_trials(
+        inst, x, alpha=None, beta=0.156, seed=seed, trials=20, budgeted=budgeted
+    )
+    assert rep.feasible_count == rep.trials == 20
+    assert rep.mean <= rep.lp_value + 1e-9
 
 
 def test_online_report_fields():

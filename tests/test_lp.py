@@ -47,7 +47,7 @@ def test_bundle_lp_of_gap_instance_solves_to_eleven_fifths():
     from avalloc.lp_models import build_bundle_lp
 
     lp = build_bundle_lp(gen_integrality_gap(3, Fraction(1, 10)))
-    sol = solve_lp(lp, tolerance=1e-9)
+    sol = solve_lp(lp)
     assert sol.status == OPTIMAL
     assert sol.exact_objective == Fraction(11, 5)
 
@@ -125,8 +125,15 @@ def test_zero_variable_lp():
     sol = solve_lp(lp)
     assert sol.status == OPTIMAL
     assert sol.exact_objective == 0
-    bad = LinearProgram(objective=[], rows=[({}, "<=", F(-1))])
-    assert solve_lp(bad).status == INFEASIBLE
+    for rel, rhs, status in [
+        ("<=", 1, OPTIMAL), ("<=", -1, INFEASIBLE),
+        (">=", 1, INFEASIBLE), (">=", 0, OPTIMAL),
+        ("==", 0, OPTIMAL), ("==", 2, INFEASIBLE),
+    ]:
+        sol = solve_lp(LinearProgram(objective=[], rows=[({}, rel, F(rhs))]))
+        assert sol.status == status
+        if status == OPTIMAL:
+            assert sol.exact_values == [] and sol.exact_objective == 0
 
 
 def test_solution_objective_matches_dot_product():
@@ -149,17 +156,11 @@ def test_float_data_path_residuals():
     lp = LinearProgram(objective=[1.0, 0.1], rows=[({0: 1.0, 1: 2.0}, "<=", 2.0)])
     assert lp.objective == [1, Fraction(1, 10)]
     assert lp.rows == [({0: 1, 1: 2}, "<=", 2)]
-    sol = solve_lp(lp, tolerance=1e-9)
+    sol = solve_lp(lp)
     assert sol.status == OPTIMAL
     assert sol.exact_objective == 2
     assert sol.exact_values == [2, 0]
     assert sol.objective == 2.0
-
-
-def test_tolerance_must_be_positive():
-    lp = LinearProgram(objective=[F(1)], rows=[({0: F(1)}, "<=", F(1))])
-    with pytest.raises(ValueError):
-        solve_lp(lp, tolerance=0)
 
 
 def test_validation_of_dimensions():
@@ -448,9 +449,9 @@ def test_float_phase_matches_loop_reference(lp, bland_after):
     # under Dantzig's rule, Bland's rule and a switch between them
     with mock.patch.object(lp_module, "_simplex_phase",
                            _bland_after(lp_module._simplex_phase, bland_after)):
-        got = lp_module._float_solve(lp, 1e-9)
+        got = lp_module._float_solve(lp)
     with mock.patch.object(lp_module, "_simplex_phase",
                            _bland_after(_loop_simplex_phase, bland_after)), \
             mock.patch.object(lp_module, "_pivot", _dense_pivot):
-        ref = lp_module._float_solve(lp, 1e-9)
+        ref = lp_module._float_solve(lp)
     assert got[:3] == ref[:3]

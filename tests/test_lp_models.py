@@ -347,6 +347,20 @@ def test_iid_lower_bound_structure():
     assert not model.is_p_edge_type("n1", "j1")
 
 
+def test_model_json_round_trip_integer_buyer_ids():
+    model = IidModel(
+        types=["t", 2], buyers=[1, "b"],
+        values={("t", 1): 2, (2, 1): "0.5", (2, "b"): 3},
+        thresholds={1: 1, "b": 2}, probs={"t": "0.25", 2: "0.75"}, horizon=4,
+        costs={("t", 1): 1, (2, "b"): "0.5"},
+    )
+    buf = io.StringIO()
+    dump_model(model, buf)
+    buf.seek(0)
+    back = load_model(buf)
+    assert back == model
+
+
 def test_model_json_round_trip():
     model = gen_random_iid_model(3, 2, 8, seed=4)
     buf = io.StringIO()
