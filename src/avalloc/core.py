@@ -53,6 +53,8 @@ def to_fraction(x) -> Fraction:
 
 
 _FLOAT_MAX = Fraction(sys.float_info.max)
+# shared default of rcost; Fractions are immutable, so one zero serves every call
+_ZERO = Fraction(0)
 
 
 def number_from_json(x) -> Fraction:
@@ -261,8 +263,8 @@ class Instance:
 
     def rcost(self, res, i, j) -> Fraction:
         if not self.resource_costs:
-            return Fraction(0)
-        return self.resource_costs.get((res, i, j), Fraction(0))
+            return _ZERO
+        return self.resource_costs.get((res, i, j), _ZERO)
 
 
 @dataclass(frozen=True)

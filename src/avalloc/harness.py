@@ -159,13 +159,15 @@ def run_offline_trials(
 
 def _replay_prefix(model: IidModel, events) -> bool:
     """Exact check that every prefix of the (buyer, type) allocations,
-    given in arrival order, keeps every buyer's constraint."""
+    given in arrival order, keeps every buyer's constraint; values and
+    thresholds are compared as the model's scaled integers."""
+    values, thresholds = model.scaled
     value = {}
     count = {}
     for j, typ in events:
-        value[j] = value.get(j, Fraction(0)) + model.values[(typ, j)]
+        value[j] = value.get(j, 0) + values[(typ, j)]
         count[j] = count.get(j, 0) + 1
-        if value[j] < model.thresholds[j] * count[j]:
+        if value[j] < thresholds[j] * count[j]:
             return False
     return True
 

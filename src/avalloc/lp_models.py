@@ -24,6 +24,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
+from functools import cached_property
 
 from .core import (
     Instance,
@@ -94,6 +95,30 @@ class IidModel:
 
     def excess(self, i, j) -> Fraction:
         return self.values[(i, j)] - self.thresholds[j] * self.cost(i, j)
+
+    @cached_property
+    def stream_cdf(self) -> list:
+        """The float of each exact cumulative arrival probability, in
+        declared type order.  An arrival drawn as u in [0, 1) is the first
+        type whose entry exceeds u, else the last type."""
+        cdf = []
+        acc = Fraction(0)
+        for i in self.types:
+            acc += self.probs[i]
+            cdf.append(float(acc))
+        return cdf
+
+    @cached_property
+    def scaled(self) -> tuple:
+        """(values, thresholds) times the least common denominator of all of
+        them, as ints.  A positive common factor keeps every comparison of a
+        sum of values with a multiple of a threshold exact."""
+        numbers = [*self.values.values(), *self.thresholds.values()]
+        scale = math.lcm(*(q.denominator for q in numbers))
+        return (
+            {k: int(v * scale) for k, v in self.values.items()},
+            {j: int(r * scale) for j, r in self.thresholds.items()},
+        )
 
     def is_p_edge_type(self, i, j) -> bool:
         return (i, j) in self.values and self.excess(i, j) >= 0

@@ -15,13 +15,16 @@ every prefix of the run satisfies the buyers' constraints.
 
 All randomness comes from a counter-based generator keyed by
 (seed, stream tag, indices), so coin flips are independent across items and
-bundles and a run is reproducible regardless of evaluation order.  The
-fractional input is validated once per plan; the Monte-Carlo harness reuses
-compiled plans across trials.
+bundles and a run is reproducible regardless of evaluation order.  The key
+is hashed as a left fold, so a run hashes each shared prefix once (the
+(seed, tag) of a trial, then the item or timestep) and continues the fold
+for each coin.  The fractional input is validated once per plan; the
+Monte-Carlo harness reuses compiled plans across trials.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -31,6 +34,8 @@ from .errors import InfeasibleFractional, PhaseViolation, StreamModelMismatch
 from .lp_models import BundleLpSolution, IidModel, bundle_lp_shape, opton_lp_shape
 
 _MASK = (1 << 64) - 1
+_H0 = 0x9E3779B97F4A7C15  # the fold's start, and splitmix64's increment
+_UNIT = 2.0 ** -53
 _TAG_OPEN_OFF = 1
 _TAG_COIN_OFF = 2
 _TAG_OPEN_ON = 3
@@ -42,24 +47,26 @@ _TAG_TRIAL = 6
 FRACTIONAL_TOL = 1e-9
 
 
-def _splitmix(x: int) -> int:
-    x = (x + 0x9E3779B97F4A7C15) & _MASK
-    z = x
-    z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _MASK
-    z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK
-    return z ^ (z >> 31)
+def _mix_from(h: int, *parts: int) -> int:
+    """Continue the fold of _mix from h, the hash of a prefix of the key:
+    _mix_from(_mix(*a), *b) == _mix(*a, *b).  Each part, read modulo 2**64,
+    costs one splitmix64 round."""
+    for p in parts:
+        # h < 2**64, so masking the sum equals xoring h with p & _MASK
+        z = ((h ^ p) + _H0) & _MASK
+        z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _MASK
+        z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK
+        h = z ^ (z >> 31)
+    return h
 
 
 def _mix(*parts: int) -> int:
-    h = 0x9E3779B97F4A7C15
-    for p in parts:
-        h = _splitmix((h ^ (p & _MASK)) & _MASK)
-    return h
+    return _mix_from(_H0, *parts)
 
 
 def counter_uniform(*parts: int) -> float:
     """Deterministic uniform in [0, 1) from an integer key."""
-    return (_mix(*parts) >> 11) * (2.0 ** -53)
+    return (_mix(*parts) >> 11) * _UNIT
 
 
 def derive_trial_seed(seed: int, trial: int) -> int:
@@ -108,20 +115,15 @@ class OnlineStream:
 
 
 def sample_stream(model: IidModel, seed: int, trial: int = 0) -> OnlineStream:
-    cum = []
-    acc = Fraction(0)
-    for i in model.types:
-        acc += model.probs[i]
-        cum.append((float(acc), i))
+    """Stream of one trial: the type at time t is drawn by
+    counter_uniform(seed, stream tag, trial, t) from model.stream_cdf."""
+    cdf, types = model.stream_cdf, model.types
+    last = len(types) - 1
+    h = _mix(seed, _TAG_STREAM, trial)
     arrivals = []
     for t in range(1, model.horizon + 1):
-        u = counter_uniform(seed, _TAG_STREAM, trial, t)
-        chosen = cum[-1][1]
-        for threshold, i in cum:
-            if u < threshold:
-                chosen = i
-                break
-        arrivals.append(chosen)
+        k = bisect_right(cdf, (_mix_from(h, t) >> 11) * _UNIT)
+        arrivals.append(types[min(k, last)])
     return OnlineStream(arrivals)
 
 
@@ -276,8 +278,10 @@ class OfflinePlan:
         residual = {}
         used = {}
         value = Fraction(0)
+        h_open = _mix(seed, _TAG_OPEN_OFF)
+        h_coin = _mix(seed, _TAG_COIN_OFF)
         for p_index, cum in self.p_draws:
-            u = counter_uniform(seed, _TAG_OPEN_OFF, p_index)
+            u = (_mix_from(h_open, p_index) >> 11) * _UNIT
             for acc, b in cum:
                 if u < acc:
                     j, _p, excess, p_value, p_rc = self.bundles[b]
@@ -290,10 +294,11 @@ class OfflinePlan:
         for item, item_index, cands in self.n_entries:
             hit = None
             multi = False
+            h_item = _mix_from(h_coin, item_index)
             for b, jdx, pdx, prob, deficit, v, rc in cands:
                 if b not in opened:
                     continue
-                if counter_uniform(seed, _TAG_COIN_OFF, item_index, jdx, pdx) < prob:
+                if (_mix_from(h_item, jdx, pdx) >> 11) * _UNIT < prob:
                     if hit is not None:
                         multi = True
                         break
@@ -404,8 +409,9 @@ class OnlinePlan:
                     cum.append((acc, j))
             if cum:
                 self.open_cum[p] = cum
-        # phase II coin ratios per (type, buyer, p-type)
-        self.coin_prob = {}
+        # phase II: per bundle (p-type, buyer), the member types with a coin
+        # against it and their coin probabilities
+        self.joiners = {}
         self.member_deficit = {}
         for i in model.types:
             qT = float(model.probs[i] * T)
@@ -422,7 +428,7 @@ class OnlinePlan:
                         continue
                     xp = x.x[(p, j, p)]
                     ratio = float(Fraction(v) / Fraction(xp)) if isinstance(v, Fraction) else v / xp
-                    self.coin_prob[(i, j, p)] = self.alpha * ratio / qT
+                    self.joiners.setdefault((p, j), []).append((i, self.alpha * ratio / qT))
                 self.member_deficit[(i, j)] = -model.excess(i, j)
         self.p_excess = {
             (p, j): model.excess(p, j) for (p, j) in model.p_edge_types()
@@ -436,15 +442,20 @@ class OnlinePlan:
         opened = []
         members = {}
         residual = {}
+        # per arrival type, its coins against the open bundles in opening
+        # order: (key, prob, buyer index, p-type index, opening time)
+        candidates = {}
         value = Fraction(0)
         trace = [] if want_trace else None
+        h_open = _mix(seed, _TAG_OPEN_ON)
+        h_coin = _mix(seed, _TAG_COIN_ON)
         for t, typ in enumerate(stream.arrivals, start=1):
             item_id = f"t{t}"
             if t <= self.half:
                 chosen = None
                 cum = self.open_cum.get(typ)
                 if cum:
-                    u = counter_uniform(seed, _TAG_OPEN_ON, t)
+                    u = (_mix_from(h_open, t) >> 11) * _UNIT
                     for acc, j in cum:
                         if u < acc:
                             chosen = j
@@ -458,22 +469,23 @@ class OnlinePlan:
                 members[key] = []
                 residual[key] = self.p_excess[(typ, chosen)]
                 value += model.values[(typ, chosen)]
+                jdx, pdx = self.bidx[chosen], self.tidx[typ]
+                for i, prob in self.joiners.get((typ, chosen), ()):
+                    candidates.setdefault(i, []).append((key, prob, jdx, pdx, t))
                 if want_trace:
                     trace.append(TraceRecord(t, item_id, typ, key, "opened"))
             else:
                 hit = None
                 multi = False
-                for key in opened:
-                    j, p, t_open = key
-                    prob = self.coin_prob.get((typ, j, p))
-                    if prob is None:
-                        continue
-                    u = counter_uniform(seed, _TAG_COIN_ON, t, self.bidx[j], self.tidx[p], t_open)
-                    if u < prob:
-                        if hit is not None:
-                            multi = True
-                            break
-                        hit = key
+                cands = candidates.get(typ)
+                if cands:
+                    h_t = _mix_from(h_coin, t)
+                    for key, prob, jdx, pdx, t_open in cands:
+                        if (_mix_from(h_t, jdx, pdx, t_open) >> 11) * _UNIT < prob:
+                            if hit is not None:
+                                multi = True
+                                break
+                            hit = key
                 if multi or hit is None:
                     if want_trace:
                         trace.append(TraceRecord(t, item_id, typ, None, "multi-hit"))

@@ -5,12 +5,20 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from avalloc import IidModel
 from avalloc.cli import main
-from avalloc.generators import gen_integrality_gap, gen_iid_lower_bound, gen_random
+from avalloc.generators import (
+    gen_integrality_gap,
+    gen_iid_lower_bound,
+    gen_random,
+    gen_random_iid_model,
+)
 from avalloc.harness import (
+    _replay_prefix,
     bench_examples,
     run_offline_trials,
     run_online_trials,
+    verify_prefix_feasibility,
     write_report_csv,
     write_report_json,
 )
@@ -20,7 +28,14 @@ from avalloc.lp_models import (
     build_opton_lp,
     solve_model_lp,
 )
-from avalloc.rounding import OfflinePlan
+from avalloc.rounding import (
+    OfflinePlan,
+    RoundingParams,
+    derive_trial_seed,
+    round_online,
+    sample_stream,
+    stream_instance,
+)
 from util import unit_instance
 
 
@@ -93,6 +108,89 @@ def test_offline_trials_on_random_instances_are_all_feasible(n, m, seed, budgete
     )
     assert rep.feasible_count == rep.trials == 20
     assert rep.mean <= rep.lp_value + 1e-9
+
+
+def _fraction_replay(model, events):
+    """Prefix check in Fractions, the reference for the scaled integers."""
+    value, count = {}, {}
+    for j, typ in events:
+        value[j] = value.get(j, Fraction(0)) + model.values[(typ, j)]
+        count[j] = count.get(j, 0) + 1
+        if value[j] < model.thresholds[j] * count[j]:
+            return False
+    return True
+
+
+@settings(max_examples=200, derandomize=True, database=None, deadline=None)
+@given(st.data(), st.integers(1, 3), st.integers(1, 3))
+def test_integer_replay_matches_fraction_replay(data, n_types, n_buyers):
+    # a value is its buyer's threshold times a multiple of 1/4, so prefixes
+    # often meet their constraint with equality, or a fraction whose
+    # denominator need not divide the threshold's
+    types = [f"y{k}" for k in range(n_types)]
+    buyers = [f"b{k}" for k in range(n_buyers)]
+    fraction = st.builds(Fraction, st.integers(1, 30), st.integers(1, 12))
+    thresholds = {j: data.draw(fraction) for j in buyers}
+
+    def value(j):
+        return data.draw(st.one_of(
+            st.builds(Fraction, st.integers(1, 8), st.just(4)).map(lambda r: r * thresholds[j]),
+            fraction,
+        ))
+
+    model = IidModel(
+        types=types, buyers=buyers,
+        values={(i, j): value(j) for i in types for j in buyers},
+        thresholds=thresholds,
+        probs={i: Fraction(1, n_types) for i in types},
+        horizon=2,
+    )
+    values, scaled_thresholds = model.scaled
+    for (i, j), v in values.items():  # one common factor scales both sides
+        assert Fraction(v, scaled_thresholds[j]) == model.values[(i, j)] / model.thresholds[j]
+    events = data.draw(st.lists(st.tuples(st.sampled_from(buyers), st.sampled_from(types)),
+                                max_size=12))
+    assert _replay_prefix(model, events) == _fraction_replay(model, events)
+
+
+def _check_online_runs(model, seed):
+    """run_online_trials finishes (it replays every prefix of every trial),
+    and each round_online output is a valid bundling of its stream with
+    feasible prefixes."""
+    x = solve_model_lp(build_opton_lp(model))
+    rep = run_online_trials(model, x, alpha=0.64, beta=0.0766, seed=seed, trials=20)
+    assert rep.feasible_count == rep.trials == 20
+    for t in range(5):
+        stream = sample_stream(model, seed, t)
+        out, trace = round_online(
+            model, x, RoundingParams(alpha=0.64, seed=derive_trial_seed(seed, t)), stream
+        )
+        out.validate(stream_instance(model, stream))
+        assert verify_prefix_feasibility(model, trace)
+
+
+@settings(max_examples=25, derandomize=True, database=None, deadline=None)
+@given(st.integers(1, 6), st.integers(1, 4), st.integers(1, 15), st.integers(0, 10 ** 6))
+def test_online_trials_on_random_models_are_all_feasible(n_types, n_buyers, half, seed):
+    _check_online_runs(gen_random_iid_model(n_types, n_buyers, 2 * half, seed), seed)
+
+
+def test_online_trials_with_a_zero_excess_opener():
+    # (z, b1) has value equal to the threshold: it opens bundles with no
+    # room for members, and each such opening meets the constraint exactly
+    model = IidModel(
+        types=["z", "p", "n"],
+        buyers=["b1", "b2"],
+        values={("z", "b1"): 1, ("z", "b2"): 1, ("p", "b2"): 2,
+                ("n", "b1"): "0.6", ("n", "b2"): "0.8"},
+        thresholds={"b1": 1, "b2": 1},
+        probs={"z": Fraction(1, 3), "p": Fraction(1, 3), "n": Fraction(1, 3)},
+        horizon=6,
+    )
+    assert model.excess("z", "b1") == 0
+    assert solve_model_lp(build_opton_lp(model)).x[("z", "b1", "z")] > 0
+    for seed in range(4):
+        _check_online_runs(model, seed)
 
 
 def test_online_report_fields():

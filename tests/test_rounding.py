@@ -1,6 +1,10 @@
+import hashlib
+import json
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from avalloc import (
     BundleLpSolution,
@@ -14,12 +18,20 @@ from avalloc.generators import (
     gen_integrality_gap,
     gen_iid_lower_bound,
     gen_random,
+    gen_random_iid_model,
 )
-from avalloc.harness import verify_prefix_feasibility
-from avalloc.lp_models import build_bundle_lp, build_opton_lp, solve_model_lp
+from avalloc.harness import run_offline_trials, run_online_trials, verify_prefix_feasibility
+from avalloc.lp_models import (
+    build_bundle_lp,
+    build_bundle_lp_budgeted,
+    build_opton_lp,
+    solve_model_lp,
+)
 from avalloc.rounding import (
     OnlineStream,
     RoundingParams,
+    _mix,
+    _mix_from,
     counter_uniform,
     derive_trial_seed,
     gamma_offline,
@@ -45,6 +57,91 @@ def test_counter_uniform_range_and_determinism():
     assert vals == [counter_uniform(7, 1, k) for k in range(1000)]
     assert derive_trial_seed(3, 4) == derive_trial_seed(3, 4)
     assert derive_trial_seed(3, 4) != derive_trial_seed(3, 5)
+
+
+def _reference_mix(*parts):
+    """The key hash as one splitmix64 round per part, written out apart
+    from the package's fold."""
+    mask = (1 << 64) - 1
+    h = 0x9E3779B97F4A7C15
+    for p in parts:
+        x = ((h ^ (p & mask)) + 0x9E3779B97F4A7C15) & mask
+        x = ((x ^ (x >> 30)) * 0xBF58476D1CE4E5B9) & mask
+        x = ((x ^ (x >> 27)) * 0x94D049BB133111EB) & mask
+        h = x ^ (x >> 31)
+    return h
+
+
+_key_parts = st.lists(st.integers(-(2 ** 80), 2 ** 80), max_size=4)
+
+
+@settings(max_examples=300, derandomize=True, database=None, deadline=None)
+@given(_key_parts, _key_parts)
+@example([-1, 2 ** 64], [2 ** 64 + 5, -(2 ** 70)])
+@example([], [])
+def test_prefix_fold_continues_the_key_hash(a, b):
+    h = _mix_from(_mix(*a), *b)
+    assert h == _mix(*a, *b) == _reference_mix(*a, *b)
+    assert counter_uniform(*a, *b) == (h >> 11) * 2.0 ** -53
+
+
+def _sha(doc) -> str:
+    return hashlib.sha256(json.dumps(doc, sort_keys=True).encode()).hexdigest()
+
+
+# Reports, streams and traces recorded before the online loop used prefix
+# hashes, a candidate index, a cached stream CDF and an integer replay.
+ONLINE_REPORT_DIGESTS = {
+    0: "974b5e5b984f46dcc9f3dd6d15193b9fbd9f4cca4593a6b0fca8a97210852196",
+    5: "61554467f43b869ece262ae78505b72dda27ddc69b6fa6219b6873febd4a3d55",
+}
+OFFLINE_REPORT_DIGESTS = {
+    False: "0bfa5c3e908029bef20042fee905872b002eda70e07da8abcf8fdc49ce391403",
+    True: "32b67142d571297de5217a607944d89e593f980c1d8b24d99b0436a598e05253",
+}
+STREAM_DIGEST = "7aabbe0c40e5bba33996ba64f065ba24054da0c613d6146ef9a113ccd717ba2c"
+TRACE_DIGEST = "62a2a2e3bd11e40c4e29d02481f65143bb852bb612df7fdb6ffc0fc1a34ae695"
+
+
+@pytest.fixture(scope="module")
+def random_iid_solution():
+    model = gen_random_iid_model(8, 5, 100, 1)
+    return model, solve_model_lp(build_opton_lp(model))
+
+
+@pytest.mark.parametrize("seed", sorted(ONLINE_REPORT_DIGESTS))
+def test_online_report_is_pinned(random_iid_solution, seed):
+    model, x = random_iid_solution
+    report = run_online_trials(model, x, alpha=0.64, beta=0.0766, seed=seed, trials=200)
+    assert _sha(report.to_json_dict()) == ONLINE_REPORT_DIGESTS[seed]
+
+
+@pytest.mark.parametrize("budgeted", [False, True])
+def test_offline_report_is_pinned(budgeted):
+    if budgeted:
+        inst = gen_random(20, 6, 1, unambiguous=True, budget_resources=2)
+        x = solve_model_lp(build_bundle_lp_budgeted(inst))
+    else:
+        inst = gen_random(20, 8, 1, unambiguous=True)
+        x = solve_model_lp(build_bundle_lp(inst))
+    report = run_offline_trials(inst, x, alpha=None, beta=0.156, seed=0, trials=200,
+                                budgeted=budgeted)
+    assert _sha(report.to_json_dict()) == OFFLINE_REPORT_DIGESTS[budgeted]
+
+
+def test_online_streams_and_traces_are_pinned():
+    model = gen_iid_lower_bound(20)
+    x = solve_model_lp(build_opton_lp(model))
+    arrivals, traces = [], []
+    for t in range(50):
+        stream = sample_stream(model, 3, t)
+        _out, trace = round_online(
+            model, x, RoundingParams(alpha=0.64, seed=derive_trial_seed(3, t)), stream
+        )
+        arrivals.append(stream.arrivals)
+        traces.append([rec.to_json() for rec in trace])
+    assert _sha(arrivals) == STREAM_DIGEST
+    assert _sha(traces) == TRACE_DIGEST
 
 
 def test_params_validation():
