@@ -40,15 +40,16 @@ class Bundle:
         """Raise InvalidBundling unless the bundle is permissible for inst:
         a known buyer, the opener a P-edge, every other member an N-edge,
         and a nonnegative residual excess (total value minus rho_j times
-        the bundle's cost sum)."""
+        the bundle's cost sum), summed in the instance's scaled integers."""
         j = self.buyer
         if j not in inst.thresholds:
             raise InvalidBundling(f"unknown buyer {j!r}")
-        residual = Fraction(0)
+        scaled_excess = inst.scaled[1]
+        residual = 0
         for i in self.members():
-            if (i, j) not in inst.values:
+            excess = scaled_excess.get((i, j))
+            if excess is None:
                 raise InvalidBundling(f"bundle uses non-edge ({i!r}, {j!r})")
-            excess = inst.excess(i, j)
             if i == self.p_item and excess < 0:
                 raise InvalidBundling(f"({i!r}, {j!r}) is not a P-edge")
             if i != self.p_item and excess >= 0:
@@ -75,8 +76,10 @@ class BundledAllocation:
         """Raise InvalidBundling unless every bundle is permissible, no item
         is used twice and every configured budget holds.  A buyer's slack is
         the sum of its bundles' residual excesses, so permissible bundles
-        keep every average-value constraint."""
+        keep every average-value constraint.  Sums run in the instance's
+        scaled integers."""
         resources = inst.resources()
+        _values, _excess, rcosts, budgets = inst.scaled
         seen = set()
         spent = {}
         for b in self.bundles:
@@ -87,11 +90,14 @@ class BundledAllocation:
                     raise InvalidBundling(f"item {i!r} used by two bundles")
                 seen.add(i)
                 for res in resources:
-                    spent[(res, j)] = spent.get((res, j), Fraction(0)) + inst.rcost(res, i, j)
+                    spent[(res, j)] = spent.get((res, j), 0) + rcosts.get((res, i, j), 0)
         for (res, j), total in spent.items():
-            cap = inst.budget(res, j)
+            cap = budgets.get((res, j))
             if cap is not None and total > cap:
-                raise InvalidBundling(f"budget {res!r} of buyer {j!r} exceeded: {total} > {cap}")
+                raise InvalidBundling(
+                    f"budget {res!r} of buyer {j!r} exceeded: "
+                    f"{Fraction(total, inst.scale)} > {inst.budget(res, j)}"
+                )
 
     def to_allocation(self) -> Allocation:
         assignment = {}

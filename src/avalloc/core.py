@@ -24,6 +24,7 @@ import sys
 from dataclasses import dataclass, field
 from decimal import Decimal
 from fractions import Fraction
+from functools import cached_property
 
 from .errors import InvalidInstance, UnknownEdge
 
@@ -185,6 +186,27 @@ class Instance:
                     raise InvalidInstance(f"resource cost on non-edge ({i!r}, {j!r})")
                 if c < 0:
                     raise InvalidInstance("negative resource cost")
+
+    @cached_property
+    def scale(self) -> int:
+        """Least common denominator of every value, excess, resource cost
+        and budget."""
+        numbers = [*self.values.values(), *self._excess.values(),
+                   *(self.resource_costs or {}).values(), *(self.budgets or {}).values()]
+        return math.lcm(*(q.denominator for q in numbers))
+
+    @cached_property
+    def scaled(self) -> tuple:
+        """(values, excesses, resource costs, budgets) times self.scale, as
+        ints keyed like the Fraction maps.  A positive common factor keeps
+        every comparison of sums exact: a set of edges meets its buyer's
+        threshold exactly when its scaled excess sum is >= 0."""
+        scale = self.scale
+
+        def ints(d):
+            return {k: int(q * scale) for k, q in (d or {}).items()}
+
+        return ints(self.values), ints(self._excess), ints(self.resource_costs), ints(self.budgets)
 
     # -- basic accessors -------------------------------------------------
 

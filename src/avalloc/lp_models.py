@@ -109,12 +109,17 @@ class IidModel:
         return cdf
 
     @cached_property
-    def scaled(self) -> tuple:
-        """(values, thresholds) times the least common denominator of all of
-        them, as ints.  A positive common factor keeps every comparison of a
-        sum of values with a multiple of a threshold exact."""
+    def scale(self) -> int:
+        """Least common denominator of every value and threshold."""
         numbers = [*self.values.values(), *self.thresholds.values()]
-        scale = math.lcm(*(q.denominator for q in numbers))
+        return math.lcm(*(q.denominator for q in numbers))
+
+    @cached_property
+    def scaled(self) -> tuple:
+        """(values, thresholds) times self.scale, as ints.  A positive
+        common factor keeps every comparison of a sum of values with a
+        multiple of a threshold exact."""
+        scale = self.scale
         return (
             {k: int(v * scale) for k, v in self.values.items()},
             {j: int(r * scale) for j, r in self.thresholds.items()},

@@ -5,11 +5,16 @@ neighborhood and combines them by dynamic programming over the remaining
 item set, so correctness never relies on any structural shortcut.  The state
 budget is quoted as (buyers+1)^items, the size of the raw assignment space;
 the DP itself visits at most 3^items * buyers (subset, subset-of-subset)
-pairs.  exact_bundling_opt replaces per-buyer feasibility by "partitionable
-into permissible bundles" (memoized over bitmask subsets), and
-exact_gap_opt searches bin-opening choices (one per partition group) times
-element packings with a value-bound prune.  Everything runs in exact
-rational arithmetic.
+pairs.  Whether a buyer may receive a subset is decided once per subset,
+into a table the DP reads.  exact_bundling_opt replaces per-buyer
+feasibility by "partitionable into permissible bundles" (tabulated over
+bitmask subsets), and exact_gap_opt searches bin-opening choices (one per
+partition group) times element packings with a value-bound prune.
+
+exact_opt and exact_bundling_opt run on the instance's scaled integers
+(Instance.scaled: every number times one common denominator), which keeps
+every sum and comparison exact, and return exact Fraction values.
+exact_gap_opt runs in Fractions.
 """
 
 from __future__ import annotations
@@ -28,71 +33,80 @@ def _state_count(inst: Instance) -> int:
     return (len(inst.buyers) + 1) ** len(inst.items)
 
 
+def _submasks(mask):
+    """The nonempty submasks of mask, in increasing order."""
+    T = -mask & mask
+    while T:
+        yield T
+        T = (T - mask) & mask
+
+
 def _buyer_tables(inst: Instance, j):
-    """Bitmask tables over buyer j's edge neighborhood: value sum, cost sum,
-    resource cost sums."""
-    n = len(inst.items)
+    """Tables over the submasks T of buyer j's edge neighborhood, each a
+    list indexed by T: the scaled value sum, the scaled excess sum, and
+    whether every budget of j holds.  Returns (edge_mask, val, exc,
+    in_budget); entries outside the neighborhood stay 0."""
+    values, excess, rcosts, budgets = inst.scaled
     edge_mask = 0
     for k, i in enumerate(inst.items):
-        if (i, j) in inst.values:
+        if (i, j) in values:
             edge_mask |= 1 << k
-    val = {0: Fraction(0)}
-    cost = {0: Fraction(0)}
-    rsums = {res: {0: Fraction(0)} for res in inst.resources()}
-    sub = edge_mask
-    masks = []
-    while True:
-        if sub:
-            masks.append(sub)
-        if sub == 0:
-            break
-        sub = (sub - 1) & edge_mask
-    for mask in sorted(masks):
-        low = mask & -mask
-        rest = mask ^ low
-        i = inst.items[low.bit_length() - 1]
-        val[mask] = val[rest] + inst.values[(i, j)]
-        cost[mask] = cost[rest] + inst.cost(i, j)
-        for res in rsums:
-            rsums[res][mask] = rsums[res][rest] + inst.rcost(res, i, j)
-    return edge_mask, val, cost, rsums
-
-
-def _budget_ok(inst: Instance, j, rsums, mask) -> bool:
-    for res in rsums:
-        cap = inst.budget(res, j)
-        if cap is not None and rsums[res][mask] > cap:
-            return False
-    return True
+    size = 1 << len(inst.items)
+    val = [0] * size
+    exc = [0] * size
+    in_budget = bytearray(size)
+    in_budget[0] = 1
+    # (cap, resource cost per item position, resource sum per mask)
+    caps = [
+        (budgets[(res, j)], [rcosts.get((res, i, j), 0) for i in inst.items], [0] * size)
+        for res in inst.resources()
+        if (res, j) in budgets
+    ]
+    for T in _submasks(edge_mask):
+        low = T & -T
+        rest = T ^ low
+        k = low.bit_length() - 1
+        i = inst.items[k]
+        val[T] = val[rest] + values[(i, j)]
+        exc[T] = exc[rest] + excess[(i, j)]
+        ok = True
+        for cap, rc, rsum in caps:
+            rsum[T] = rsum[rest] + rc[k]
+            if rsum[T] > cap:
+                ok = False
+        in_budget[T] = ok
+    return edge_mask, val, exc, in_budget
 
 
 def _allocation_dp(inst: Instance, admissible, max_states: int):
-    """Maximize total value over item partitions, buyer j receiving a set
-    admitted by admissible(j, mask, tables).  Returns (value, chosen masks)."""
+    """Maximize total value over item partitions, buyer j receiving a set T
+    for which admissible(j, tables) -- a table over the submasks T of j's
+    neighborhood, built once per buyer from _buyer_tables -- is truthy.
+    Returns (value, chosen masks)."""
     states = _state_count(inst)
     if states > max_states:
         raise TooLarge(states, max_states)
     n = len(inst.items)
     if (1 << n) > _DP_MASK_LIMIT:
         raise TooLarge(states, max_states)
-    tables = {j: _buyer_tables(inst, j) for j in inst.buyers}
     full = (1 << n) - 1
     m = len(inst.buyers)
-    g = [[Fraction(0)] * (full + 1) for _ in range(m + 1)]
-    choice = [[0] * (full + 1) for _ in range(m)]
+    g_next = [0] * (full + 1)
+    choice = [None] * m
     for jpos in range(m - 1, -1, -1):
         j = inst.buyers[jpos]
-        edge_mask, val, cost, rsums = tables[j]
-        g_next = g[jpos + 1]
-        g_cur = g[jpos]
-        ch = choice[jpos]
+        tables = _buyer_tables(inst, j)
+        edge_mask, val, _exc, _in_budget = tables
+        adm = admissible(j, tables)
+        g_cur = [0] * (full + 1)
+        ch = choice[jpos] = [0] * (full + 1)
         for S in range(full + 1):
             avail = S & edge_mask
             best = g_next[S]
             best_T = 0
             T = avail
             while T:
-                if admissible(j, T, tables[j]):
+                if adm[T]:
                     cand = val[T] + g_next[S ^ T]
                     if cand > best:
                         best = cand
@@ -100,13 +114,14 @@ def _allocation_dp(inst: Instance, admissible, max_states: int):
                 T = (T - 1) & avail
             g_cur[S] = best
             ch[S] = best_T
+        g_next = g_cur
     masks = []
     S = full
     for jpos in range(m):
         T = choice[jpos][S]
         masks.append(T)
         S ^= T
-    return g[0][full], masks
+    return Fraction(g_next[full], inst.scale), masks
 
 
 def _single_buyer_dfs(inst: Instance, max_states: int):
@@ -115,41 +130,38 @@ def _single_buyer_dfs(inst: Instance, max_states: int):
     states = _state_count(inst)
     if states > max_states:
         raise TooLarge(states, max_states)
+    values, excess, rcosts, budgets = inst.scaled
     j = inst.buyers[0]
-    rho = inst.thresholds[j]
-    edges = [i for i in inst.items if (i, j) in inst.values]
-    rest_value = [Fraction(0)] * (len(edges) + 1)
+    edges = [i for i in inst.items if (i, j) in values]
+    rest_value = [0] * (len(edges) + 1)
     for k in range(len(edges) - 1, -1, -1):
-        rest_value[k] = rest_value[k + 1] + inst.values[(edges[k], j)]
-    resources = inst.resources()
-    best = [Fraction(0), []]
+        rest_value[k] = rest_value[k + 1] + values[(edges[k], j)]
+    # (cap, resource cost per edge position)
+    caps = [
+        (budgets[(res, j)], [rcosts.get((res, i, j), 0) for i in edges])
+        for res in inst.resources()
+        if (res, j) in budgets
+    ]
+    best = [0, []]
 
-    def dfs(k, val, cost, ruse, taken):
+    def dfs(k, val, exc, ruse, taken):
         if val + rest_value[k] <= best[0]:
             return
-        if val >= rho * cost and val > best[0]:
+        if exc >= 0 and val > best[0]:
             best[0] = val
             best[1] = list(taken)
         if k == len(edges):
             return
         i = edges[k]
-        ok = all(
-            inst.budget(res, j) is None
-            or ruse[res] + inst.rcost(res, i, j) <= inst.budget(res, j)
-            for res in resources
-        )
-        if ok:
-            for res in resources:
-                ruse[res] += inst.rcost(res, i, j)
+        if all(ruse[r] + rc[k] <= cap for r, (cap, rc) in enumerate(caps)):
             taken.append(i)
-            dfs(k + 1, val + inst.values[(i, j)], cost + inst.cost(i, j), ruse, taken)
+            dfs(k + 1, val + values[(i, j)], exc + excess[(i, j)],
+                [u + rc[k] for u, (_cap, rc) in zip(ruse, caps)], taken)
             taken.pop()
-            for res in resources:
-                ruse[res] -= inst.rcost(res, i, j)
-        dfs(k + 1, val, cost, ruse, taken)
+        dfs(k + 1, val, exc, ruse, taken)
 
-    dfs(0, Fraction(0), Fraction(0), {res: Fraction(0) for res in resources}, [])
-    return best[0], Allocation({i: j for i in best[1]})
+    dfs(0, 0, 0, [0] * len(caps), [])
+    return Fraction(best[0], inst.scale), Allocation({i: j for i in best[1]})
 
 
 def exact_opt(inst: Instance, max_states: int = DEFAULT_STATE_LIMIT):
@@ -161,11 +173,9 @@ def exact_opt(inst: Instance, max_states: int = DEFAULT_STATE_LIMIT):
     if len(inst.buyers) == 1 and (1 << len(inst.items)) > _DP_MASK_LIMIT:
         return _single_buyer_dfs(inst, max_states)
 
-    def admissible(j, mask, tables):
-        _edge, val, cost, rsums = tables
-        if val[mask] < inst.thresholds[j] * cost[mask]:
-            return False
-        return _budget_ok(inst, j, rsums, mask)
+    def admissible(j, tables):
+        _edge, _val, exc, in_budget = tables
+        return bytearray(ok and e >= 0 for ok, e in zip(in_budget, exc))
 
     value, masks = _allocation_dp(inst, admissible, max_states)
     assignment = {}
@@ -181,37 +191,38 @@ def exact_opt(inst: Instance, max_states: int = DEFAULT_STATE_LIMIT):
 
 
 def _partition_tables(inst: Instance, j, tables):
-    """Memoized check: can mask be partitioned into permissible bundles for
-    buyer j?  Records one chosen bundle per decomposable mask."""
-    edge_mask, val, cost, _rsums = tables
+    """Which submasks of buyer j's neighborhood partition into permissible
+    bundles: one P-edge and a nonnegative excess sum each.  Returns (part,
+    pick, p_mask): part is a table over the submasks, and pick maps each
+    partitionable nonempty mask to its first bundle, the largest one that
+    holds the mask's lowest item and leaves a partitionable rest."""
+    edge_mask, _val, exc, _in_budget = tables
+    _values, excess, _rcosts, _budgets = inst.scaled
     p_mask = 0
     for k, i in enumerate(inst.items):
-        if (i, j) in inst.values and inst.is_p_edge(i, j):
+        if (i, j) in excess and excess[(i, j)] >= 0:
             p_mask |= 1 << k
-    rho = inst.thresholds[j]
-    memo = {0: True}
+    size = len(exc)
+    permissible = bytearray(size)
+    part = bytearray(size)
+    part[0] = 1
     pick = {}
-
-    def permissible(B):
-        if bin(B & p_mask).count("1") != 1:
-            return False
-        return val[B] >= rho * cost[B]
-
-    def part(mask):
-        if mask in memo:
-            return memo[mask]
-        low = mask & -mask
-        ok = False
-        B = mask
-        while B:
-            if B & low and permissible(B) and part(mask ^ B):
-                pick[mask] = B
-                ok = True
+    for T in _submasks(edge_mask):
+        roots = T & p_mask
+        permissible[T] = roots != 0 and roots & (roots - 1) == 0 and exc[T] >= 0
+        # bundles B holding T's lowest item, in decreasing order; T ^ B < T
+        low = T & -T
+        rest = T ^ low
+        sub = rest
+        while True:
+            B = sub | low
+            if permissible[B] and part[T ^ B]:
+                pick[T] = B
+                part[T] = 1
                 break
-            B = (B - 1) & mask
-        memo[mask] = ok
-        return ok
-
+            if not sub:
+                break
+            sub = (sub - 1) & rest
     return part, pick, p_mask
 
 
@@ -220,14 +231,10 @@ def exact_bundling_opt(inst: Instance, max_states: int = DEFAULT_STATE_LIMIT):
     bundles.  Returns (value, BundledAllocation)."""
     parters = {}
 
-    def admissible(j, mask, tables):
-        if j not in parters:
-            parters[j] = _partition_tables(inst, j, tables)
-        part, _pick, _pm = parters[j]
-        _edge, _val, _cost, rsums = tables
-        if not _budget_ok(inst, j, rsums, mask):
-            return False
-        return part(mask)
+    def admissible(j, tables):
+        parters[j] = _partition_tables(inst, j, tables)
+        part = parters[j][0]
+        return bytearray(ok and p for ok, p in zip(tables[3], part))
 
     value, masks = _allocation_dp(inst, admissible, max_states)
     bundles = []
@@ -235,7 +242,7 @@ def exact_bundling_opt(inst: Instance, max_states: int = DEFAULT_STATE_LIMIT):
         j = inst.buyers[jpos]
         if not T:
             continue
-        part, pick, p_mask = parters[j]
+        _part, pick, p_mask = parters[j]
         mask = T
         while mask:
             B = pick[mask]

@@ -201,13 +201,15 @@ class OfflinePlan:
     """Instance + fractional solution compiled for repeated rounding runs.
 
     Validation and all Fraction divisions happen once; a run touches only
-    floats, small ints and exact residual updates.
+    floats and the instance's scaled integers (Instance.scaled), and turns
+    its value into a Fraction once at the end.
     """
 
     def __init__(self, inst: Instance, x: BundleLpSolution, alpha: float | None,
                  budgeted: bool = False):
         check_fractional(inst, x, *bundle_lp_shape(inst))
         self.inst = inst
+        values, excess, rcosts, budgets = inst.scaled
         self.resources = inst.resources() if budgeted else []
         k = len(self.resources)
         self.alpha = alpha if alpha is not None else 1.0 / (3 * max(k, 1))
@@ -215,7 +217,7 @@ class OfflinePlan:
             raise ValueError("alpha must lie in (0, 1)")
         self.budgeted = budgeted
         # bundles in canonical (p, j) order
-        self.bundles = []  # (buyer, p_item, excess Fraction, p_value, p_rcosts)
+        self.bundles = []  # (buyer, p_item, excess, p_value, p_rcosts), all scaled
         bundle_idx = {}
         for p in inst.items:
             if inst.item_class(p) != "P":
@@ -225,8 +227,8 @@ class OfflinePlan:
                 if v:
                     bundle_idx[(j, p)] = len(self.bundles)
                     self.bundles.append((
-                        j, p, inst.excess(p, j), inst.values[(p, j)],
-                        [inst.rcost(res, p, j) for res in self.resources],
+                        j, p, excess[(p, j)], values[(p, j)],
+                        [rcosts.get((res, p, j), 0) for res in self.resources],
                     ))
         # phase I: per P-item cumulative distribution over buyers
         self.p_draws = []  # (p_index, [(acc_float, bundle_id)])
@@ -258,17 +260,17 @@ class OfflinePlan:
                     inst.buyer_index(j),
                     inst.item_index(p),
                     self.alpha * ratio,
-                    -inst.excess(i, j),
-                    inst.values[(i, j)],
-                    [inst.rcost(res, i, j) for res in self.resources],
+                    -excess[(i, j)],
+                    values[(i, j)],
+                    [rcosts.get((res, i, j), 0) for res in self.resources],
                 ))
             if cands:
                 self.n_entries.append((i, inst.item_index(i), cands))
         self.budget_caps = {
-            (res, j): inst.budget(res, j)
+            (res, j): budgets[(res, j)]
             for res in self.resources
             for j in inst.buyers
-            if inst.budget(res, j) is not None
+            if (res, j) in budgets
         }
 
     def run(self, seed: int):
@@ -277,7 +279,7 @@ class OfflinePlan:
         opened = {}
         residual = {}
         used = {}
-        value = Fraction(0)
+        value = 0
         h_open = _mix(seed, _TAG_OPEN_OFF)
         h_coin = _mix(seed, _TAG_COIN_OFF)
         for p_index, cum in self.p_draws:
@@ -289,7 +291,7 @@ class OfflinePlan:
                     residual[b] = excess
                     value += p_value
                     for res_pos, res in enumerate(self.resources):
-                        used[(res, j)] = used.get((res, j), Fraction(0)) + p_rc[res_pos]
+                        used[(res, j)] = used.get((res, j), 0) + p_rc[res_pos]
                     break
         for item, item_index, cands in self.n_entries:
             hit = None
@@ -312,7 +314,7 @@ class OfflinePlan:
             ok = True
             for res_pos, res in enumerate(self.resources):
                 cap = self.budget_caps.get((res, j))
-                if cap is not None and used.get((res, j), Fraction(0)) + rc[res_pos] > cap:
+                if cap is not None and used.get((res, j), 0) + rc[res_pos] > cap:
                     ok = False
                     break
             if not ok:
@@ -321,8 +323,8 @@ class OfflinePlan:
             opened[b].append(item)
             value += v
             for res_pos, res in enumerate(self.resources):
-                used[(res, j)] = used.get((res, j), Fraction(0)) + rc[res_pos]
-        return opened, value
+                used[(res, j)] = used.get((res, j), 0) + rc[res_pos]
+        return opened, Fraction(value, self.inst.scale)
 
     def to_bundled(self, opened) -> BundledAllocation:
         bundles = [
@@ -378,7 +380,10 @@ class TraceRecord:
 
 
 class OnlinePlan:
-    """Model + online-LP solution compiled for repeated stream runs."""
+    """Model + online-LP solution compiled for repeated stream runs.  A
+    run sums values and residuals in the model's scaled integers
+    (IidModel.scaled) and turns its value into a Fraction once at the
+    end."""
 
     def __init__(self, model: IidModel, x: BundleLpSolution, alpha: float | None):
         if model.costs is not None:
@@ -411,6 +416,8 @@ class OnlinePlan:
                 self.open_cum[p] = cum
         # phase II: per bundle (p-type, buyer), the member types with a coin
         # against it and their coin probabilities
+        values, thresholds = model.scaled
+        self.scaled_values = values
         self.joiners = {}
         self.member_deficit = {}
         for i in model.types:
@@ -429,9 +436,9 @@ class OnlinePlan:
                     xp = x.x[(p, j, p)]
                     ratio = float(Fraction(v) / Fraction(xp)) if isinstance(v, Fraction) else v / xp
                     self.joiners.setdefault((p, j), []).append((i, self.alpha * ratio / qT))
-                self.member_deficit[(i, j)] = -model.excess(i, j)
+                self.member_deficit[(i, j)] = thresholds[j] - values[(i, j)]
         self.p_excess = {
-            (p, j): model.excess(p, j) for (p, j) in model.p_edge_types()
+            (p, j): values[(p, j)] - thresholds[j] for (p, j) in model.p_edge_types()
         }
 
     def run(self, seed: int, stream: OnlineStream, want_trace: bool = False):
@@ -445,7 +452,7 @@ class OnlinePlan:
         # per arrival type, its coins against the open bundles in opening
         # order: (key, prob, buyer index, p-type index, opening time)
         candidates = {}
-        value = Fraction(0)
+        value = 0
         trace = [] if want_trace else None
         h_open = _mix(seed, _TAG_OPEN_ON)
         h_coin = _mix(seed, _TAG_COIN_ON)
@@ -468,7 +475,7 @@ class OnlinePlan:
                 opened.append(key)
                 members[key] = []
                 residual[key] = self.p_excess[(typ, chosen)]
-                value += model.values[(typ, chosen)]
+                value += self.scaled_values[(typ, chosen)]
                 jdx, pdx = self.bidx[chosen], self.tidx[typ]
                 for i, prob in self.joiners.get((typ, chosen), ()):
                     candidates.setdefault(i, []).append((key, prob, jdx, pdx, t))
@@ -499,10 +506,10 @@ class OnlinePlan:
                     continue
                 residual[hit] -= deficit
                 members[hit].append((t, typ))
-                value += model.values[(typ, hit[0])]
+                value += self.scaled_values[(typ, hit[0])]
                 if want_trace:
                     trace.append(TraceRecord(t, item_id, typ, hit, "singleton+permissible"))
-        return opened, members, value, trace
+        return opened, members, Fraction(value, model.scale), trace
 
 
 def round_online(model: IidModel, x: BundleLpSolution, params: RoundingParams,

@@ -1,17 +1,41 @@
+import hashlib
+import itertools
+import json
+import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from avalloc import GapInstance, allocation_value, duplicate_supply, is_feasible
+from avalloc import (
+    Allocation,
+    GapInstance,
+    Instance,
+    allocation_value,
+    duplicate_supply,
+    is_feasible,
+    oracles,
+)
 from avalloc.errors import TooLarge
 from avalloc.gap import export_gap
 from avalloc.generators import (
+    gen_adversarial_T,
+    gen_genava_clique,
     gen_integrality_gap,
+    gen_max_coverage,
     gen_random,
     gen_supply_example,
     gen_tightness_example,
 )
-from avalloc.oracles import exact_bundling_opt, exact_gap_opt, exact_opt
+from avalloc.oracles import (
+    _DP_MASK_LIMIT,
+    DEFAULT_STATE_LIMIT,
+    _single_buyer_dfs,
+    exact_bundling_opt,
+    exact_gap_opt,
+    exact_opt,
+)
 from util import unit_instance
 
 
@@ -127,3 +151,204 @@ def test_exact_gap_opt_guards():
     )
     with pytest.raises(TooLarge):
         exact_gap_opt(big)
+
+
+def _with_costs(inst, seed):
+    """inst in return-on-spend mode: seeded edge costs on a 1/8 grid in
+    [0, 3/2], zero included."""
+    rng = random.Random(seed)
+    costs = {e: Fraction(rng.randint(0, 12), 8) for e in inst.edges()}
+    return Instance(items=inst.items, buyers=inst.buyers, values=inst.values,
+                    thresholds=inst.thresholds, costs=costs)
+
+
+def _oracle_cases():
+    """Every oracle input of harness.bench_examples, then small random
+    instances: plain, budgeted and in cost mode."""
+    eps = Fraction(1, 10)
+    supply = gen_supply_example(3, Fraction(1, 100))
+    cases = {f"gap{n}": gen_integrality_gap(n, eps) for n in (2, 3, 4, 5)}
+    cases.update({
+        "tight1/2": gen_tightness_example(Fraction(1, 2)),
+        "tight1/5": gen_tightness_example(Fraction(1, 5)),
+        "supply3": supply,
+        "supply3x3": duplicate_supply(supply, 3),
+        "adversarial5": gen_adversarial_T(5, Fraction(1, 20))[0],
+        "coverage-yes": gen_max_coverage([["e1", "e2"], ["e3", "e4"]], k=2, eps=eps),
+        "coverage-no": gen_max_coverage([["e1", "e2"], ["e1", "e3"], ["e1", "e4"]], k=2,
+                                        eps=eps),
+        "triangle": gen_genava_clique(["a", "b", "c"], [("a", "b"), ("b", "c"), ("a", "c")]),
+        "path3": gen_genava_clique(["a", "b", "c"], [("a", "b"), ("b", "c")]),
+    })
+    for n, m in ((5, 1), (6, 2), (7, 3), (8, 2), (8, 3)):
+        for seed in (0, 1, 2):
+            cases[f"random{n}x{m}s{seed}"] = gen_random(n, m, seed)
+    for n, m, k in ((6, 2, 1), (7, 3, 2), (8, 2, 2)):
+        for seed in (0, 1):
+            cases[f"budgeted{n}x{m}r{k}s{seed}"] = gen_random(
+                n, m, seed, budget_resources=k, bid_frac="0.4")
+    for n, m in ((6, 1), (7, 2), (8, 3)):
+        for seed in (0, 1):
+            cases[f"costs{n}x{m}s{seed}"] = _with_costs(gen_random(n, m, seed), seed)
+    return cases
+
+
+def _oracle_digest(inst) -> str:
+    """sha256 of exact_opt's (value, sorted assignment) and
+    exact_bundling_opt's (value, sorted bundles)."""
+    opt, alloc = exact_opt(inst, max_states=2 * 10 ** 7)
+    bopt, out = exact_bundling_opt(inst, max_states=2 * 10 ** 7)
+    doc = [
+        str(opt),
+        sorted([str(i), str(j)] for i, j in alloc.assignment.items()),
+        str(bopt),
+        sorted([str(b.buyer), str(b.p_item), sorted(map(str, b.n_items))]
+               for b in out.bundles),
+    ]
+    return hashlib.sha256(json.dumps(doc).encode()).hexdigest()
+
+
+# recorded before the oracles ran on scaled integers
+ORACLE_DIGESTS = {
+    "adversarial5": "83518cd045b6cf18e30a410cf3e09bbb2e38e506349d51f2034dfa925658008f",
+    "budgeted6x2r1s0": "0e4fced6ff40588852e95f638d980d61dfb34c793640a688ba898b43c66afc50",
+    "budgeted6x2r1s1": "af9458d76097e1840aea64a11e1276c0a1eb9e9b9975775096582cdafbb4cf76",
+    "budgeted7x3r2s0": "c2fce399bf6283d7f28460252e65d41e3b698e24f2a458234b3a5a24b7eaa692",
+    "budgeted7x3r2s1": "b9ce75e3ee93800fbbc27fc9fe23dd44b7ebb7607014d3615b779ab7e81b0014",
+    "budgeted8x2r2s0": "ced8cd8270d3102d361a995da5d03c7dd0a88ea2bbe43f430b46de726596fd17",
+    "budgeted8x2r2s1": "af3deea611a538e7979ad038807e321a2e2d85a52e34df0574d50a2bb505eb5c",
+    "costs6x1s0": "7986e2b8c90a468dd184adcc81cbbb0e8a848b4d1e546ed1ecf62361428109fe",
+    "costs6x1s1": "d39685c3e0bcb940fd1336290736bfcb353adc1178a90dfc1d1e9386739ceac3",
+    "costs7x2s0": "c9edde926b6e3fb7dcfe71bd0187a26537eb54c7db208bf26cb8d820e94f14bd",
+    "costs7x2s1": "cb8560f002b4c8b1f1fb9a6c49bc2297f9a2b6dddac55e339564ec7351b3082e",
+    "costs8x3s0": "82ec12f7aff541c335cb8be5bda895c0163de1ffd916de2a4d7d051502d26106",
+    "costs8x3s1": "b49fc5db228df277880722b25105f9fa37ea75f6a84ff0b44f6375f8d9a3f293",
+    "coverage-no": "2931a436bfd17a6d03616fea33c60aad27f7314d3536fc7844ea06fc9ce16990",
+    "coverage-yes": "2fe48aaf6d2e89479e034c07f2ac1cd5cf9f681ff9c15a0b9afc49f3e93aeff0",
+    "gap2": "831a9f91507df147d1b0859f78d8ca245eda6c2fbc8b16510b6388fc98a36f74",
+    "gap3": "92b5669e91dccb8296b8757c1ee20b10669fad2f9f5a199b8ad8c2651d8d331e",
+    "gap4": "a0eb295ebf13b23ef4a1a3627252e18c209ed0905f9e7c11a5888b5774b53296",
+    "gap5": "43bcd2d426990b36e936658516df34ed86e649204a02adf933d6103cc3617ad6",
+    "path3": "8904b40a477a5378d0d86756ba2704aef8f3dbca5c78f430a62722429ba3ddb9",
+    "random5x1s0": "af202a0c8c2ce351149f5d4a7f0f63ffae8dbc291810b46eaa2a74683625c562",
+    "random5x1s1": "bbad8aeffa14fe04b06b3949bc54061dc10faf6c19cc1a99bc07c35138730760",
+    "random5x1s2": "e01b50d325545d155c511fdc9e33e18b46edffb857a7479f980ab441ea9ad6ed",
+    "random6x2s0": "0e4fced6ff40588852e95f638d980d61dfb34c793640a688ba898b43c66afc50",
+    "random6x2s1": "af9458d76097e1840aea64a11e1276c0a1eb9e9b9975775096582cdafbb4cf76",
+    "random6x2s2": "86f5d1baaa581518000dbba6809ef86c478078cb11116f5efe3104831eab0c9b",
+    "random7x3s0": "c2fce399bf6283d7f28460252e65d41e3b698e24f2a458234b3a5a24b7eaa692",
+    "random7x3s1": "7df50c4adc0382f59e55a28b583f005472f7699bad7a1966b907604ed8a488bf",
+    "random7x3s2": "7d525cc16bda4aaa47fda1e2671ec37100fcfe2ce8f8876feeebbf8eb83b0ee1",
+    "random8x2s0": "5b5502b4924517f062d6730ad1b5013f16da25ea9265fc138137758bd46691d2",
+    "random8x2s1": "fdd4505308b973a126f5b92f75f10aac3ea946b7c5660c312370159bb4cbb734",
+    "random8x2s2": "5e9280095cc33a3aadc5ed30ebe3fa62eef97a02a9bfc1b6c4bea77be35c0bda",
+    "random8x3s0": "3cce3c7e3037e11a994c9f95571451c9ac0756cd23cd775c8616af059cb2b993",
+    "random8x3s1": "dbe0607d3abd1c67d9a20604008b125553f878e33143b461ce40434252486574",
+    "random8x3s2": "206fecfd3e21b2535e9fb0c61042645464052a7fc2b121c4aeed59caa50a5908",
+    "supply3": "55e3b5f84994e816a543781ff7272c803975a77b103e20422f3c03bc57c94a21",
+    "supply3x3": "a0a43cc52ead6ce4368de67308ae89365e93f60493dc8c1b261329f68ba8dbb7",
+    "tight1/2": "d72044f50fd5fbae08d62e4ebd833e1f5e373fd7fb546bacc456f1049fa3f601",
+    "tight1/5": "292cff91b7299290021b62f6767c0014557d8d88de3304f527b8a0eccc1fd5d7",
+    "triangle": "54ab327813acaba0d2aca361a6cf707e9dd95f41c52b30aace8d8e74fec5039f",
+}
+
+
+@pytest.mark.parametrize("name", sorted(ORACLE_DIGESTS))
+def test_oracle_outputs_are_pinned(name):
+    assert _oracle_digest(_oracle_cases()[name]) == ORACLE_DIGESTS[name]
+
+
+@st.composite
+def small_instances(draw, max_items, max_buyers):
+    """Random instances on up to max_items items and max_buyers buyers:
+    edges with density 3/4, values on a 1/4 grid in [0, 2] with zeros,
+    thresholds in (0, 2] with denominators up to 10**12 + 39, and in cost
+    mode edge costs on the same grid, or else one budgeted resource."""
+    n = draw(st.integers(1, max_items))
+    m = draw(st.integers(1, max_buyers))
+    mode = draw(st.sampled_from(["plain", "costs", "budgets"]))
+    rng = random.Random(draw(st.integers(0, 2 ** 32)))
+    items = [f"i{k}" for k in range(n)]
+    buyers = [f"b{k}" for k in range(m)]
+    values = {(i, j): Fraction(rng.randint(0, 8), 4)
+              for i in items for j in buyers if rng.random() < 0.75}
+    thresholds = {}
+    for j in buyers:
+        den = rng.choice([1, 2, 3, 999_983, 10 ** 12 + 39])
+        thresholds[j] = Fraction(rng.randint(1, 2 * den), den)
+    costs = budgets = rcosts = None
+    if mode == "costs":
+        costs = {e: Fraction(rng.randint(0, 8), 4) for e in values}
+    elif mode == "budgets":
+        budgets = {("r", j): Fraction(rng.randint(1, 6), 4)
+                   for j in buyers if rng.random() < 0.75}
+        rcosts = {("r", i, j): Fraction(rng.randint(0, 4), 4) for (i, j) in values}
+    return Instance(items=items, buyers=buyers, values=values, thresholds=thresholds,
+                    costs=costs, budgets=budgets or None, resource_costs=rcosts)
+
+
+def _best_by_enumeration(inst):
+    """The best value over all (buyers+1)^items assignments that pass
+    is_feasible, without any dynamic programming."""
+    choices = [[None] + inst.edges_of_item(i) for i in inst.items]
+    best = Fraction(0)
+    for pick in itertools.product(*choices):
+        alloc = Allocation({i: j for i, j in zip(inst.items, pick) if j is not None})
+        if is_feasible(inst, alloc):
+            best = max(best, allocation_value(inst, alloc))
+    return best
+
+
+@settings(max_examples=150, derandomize=True, database=None, deadline=None)
+@given(small_instances(6, 3))
+def test_oracles_match_enumeration(inst):
+    opt, alloc = exact_opt(inst)
+    assert opt == _best_by_enumeration(inst)
+    assert is_feasible(inst, alloc) and allocation_value(inst, alloc) == opt
+    bopt, out = exact_bundling_opt(inst)
+    out.validate(inst)
+    assert bopt == out.value(inst)
+    assert bopt <= opt
+    if not inst.has_costs:
+        # in cost mode an N-edge's value is not bounded by its deficit, so
+        # bundling can lose more than half: see test_cost_mode_bundling_can_lose_more_than_half
+        assert opt <= 2 * bopt
+
+
+def test_cost_mode_bundling_can_lose_more_than_half():
+    # two free P-items (excess 1 each) jointly pay the N-item's deficit 3/2,
+    # which no single bundle can
+    inst = unit_instance(
+        {("p1", "b"): 1, ("p2", "b"): 1, ("n", "b"): 100},
+        costs={("p1", "b"): 0, ("p2", "b"): 0, ("n", "b"): Fraction(203, 2)},
+    )
+    assert exact_opt(inst)[0] == 102
+    assert exact_bundling_opt(inst)[0] == 2
+
+
+@settings(max_examples=60, derandomize=True, database=None, deadline=None)
+@given(small_instances(12, 1))
+def test_single_buyer_search_matches_dp(inst):
+    opt, alloc = _allocation_dp_opt(inst)
+    dfs_opt, dfs_alloc = _single_buyer_dfs(inst, DEFAULT_STATE_LIMIT)
+    assert dfs_opt == opt
+    assert is_feasible(inst, dfs_alloc) and allocation_value(inst, dfs_alloc) == opt
+
+
+def _allocation_dp_opt(inst):
+    assert (1 << len(inst.items)) <= _DP_MASK_LIMIT  # exact_opt takes the DP path
+    return exact_opt(inst)
+
+
+@pytest.mark.parametrize("oracle", [exact_opt, exact_bundling_opt])
+def test_mask_limit_refuses_before_building_tables(oracle, monkeypatch):
+    inst = gen_random(18, 2, seed=0)
+    assert (1 << 18) > _DP_MASK_LIMIT
+
+    def no_tables(*_args):
+        raise AssertionError("a subset table was built")
+
+    monkeypatch.setattr(oracles, "_buyer_tables", no_tables)
+    with pytest.raises(TooLarge) as err:
+        oracle(inst, max_states=10 ** 12)
+    assert (err.value.state_count, err.value.limit) == (3 ** 18, 10 ** 12)
