@@ -1,3 +1,4 @@
+import functools
 import hashlib
 import itertools
 import json
@@ -162,6 +163,7 @@ def _with_costs(inst, seed):
                     thresholds=inst.thresholds, costs=costs)
 
 
+@functools.cache
 def _oracle_cases():
     """Every oracle input of harness.bench_examples, then small random
     instances: plain, budgeted and in cost mode."""
@@ -329,15 +331,11 @@ def test_cost_mode_bundling_can_lose_more_than_half():
 @settings(max_examples=60, derandomize=True, database=None, deadline=None)
 @given(small_instances(12, 1))
 def test_single_buyer_search_matches_dp(inst):
-    opt, alloc = _allocation_dp_opt(inst)
+    assert (1 << len(inst.items)) <= _DP_MASK_LIMIT  # so exact_opt runs the DP
+    opt, _alloc = exact_opt(inst)
     dfs_opt, dfs_alloc = _single_buyer_dfs(inst, DEFAULT_STATE_LIMIT)
     assert dfs_opt == opt
     assert is_feasible(inst, dfs_alloc) and allocation_value(inst, dfs_alloc) == opt
-
-
-def _allocation_dp_opt(inst):
-    assert (1 << len(inst.items)) <= _DP_MASK_LIMIT  # exact_opt takes the DP path
-    return exact_opt(inst)
 
 
 @pytest.mark.parametrize("oracle", [exact_opt, exact_bundling_opt])
