@@ -2,11 +2,15 @@
 
 A permissible bundle for buyer j is a single P-edge plus zero or more N-edges
 to the same buyer whose combined value still meets the buyer's threshold on
-the whole group.  Any feasible allocation can be thinned online into such
-bundles keeping at least half its value (extract_bundling); any instance can
-be made unambiguous, randomly with an expected quarter of the optimum
-surviving, or deterministically from a bundling of the split instance with
-half the value surviving.
+the whole group.  In plain mode (unit costs) any feasible allocation can be
+thinned online into such bundles keeping at least half its value
+(extract_bundling).  In cost mode the factor two does not hold: two free
+P-items can jointly pay an N-item's deficit that no single bundle can, and
+test_cost_mode_bundling_can_lose_more_than_half pins an instance whose
+optimum is 102 and whose bundling optimum is 2.  Any instance can be made
+unambiguous, randomly with an expected quarter of the optimum surviving, or
+deterministically from a bundling of the split instance with half the value
+surviving.
 """
 
 from __future__ import annotations
@@ -120,8 +124,9 @@ def extract_bundling(inst: Instance, alloc: Allocation, arrival_order) -> Bundle
     bundle.  An N-edge joins the open bundle of its buyer with the largest
     residual excess among those it fits into; if it fits nowhere, the open
     bundle with the smallest residual excess is closed and the item dropped.
-    Every P-edge of the input is kept, so the result retains at least half
-    the input value.  Decisions depend only on the processed prefix, so the
+    Every P-edge of the input is kept, so in plain mode (unit costs) the
+    result retains at least half the input value.  In cost mode it can
+    retain less (test_cost_mode_bundling_can_lose_more_than_half).  Decisions depend only on the processed prefix, so the
     assignment of an early item never changes when the order is extended.
     """
     for i, j in alloc.assignment.items():

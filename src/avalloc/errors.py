@@ -65,10 +65,6 @@ class StreamModelMismatch(AvallocError, ValueError):
     """An online stream is inconsistent with the arrival model."""
 
 
-class PhaseViolation(AvallocError, RuntimeError):
-    """An online decision would use a bundle outside its opening phase."""
-
-
 class NotMaximal(AvallocError, ValueError):
     """A GAP solution leaves some zero-size element unpacked."""
 

@@ -24,7 +24,6 @@ from .lp_models import BundleLpSolution, IidModel
 from .rounding import (
     OfflinePlan,
     OnlinePlan,
-    derive_trial_seed,
     gamma_offline,
     gamma_online,
     greedy_p_only,
@@ -80,15 +79,14 @@ class TrialReport:
 
 
 def _stats(values, trials):
-    floats = [float(v) for v in values]
-    mean = sum(floats) / trials
+    mean = sum(values) / trials
     if trials > 1:
-        var = sum((v - mean) ** 2 for v in floats) / (trials - 1)
+        var = sum((v - mean) ** 2 for v in values) / (trials - 1)
     else:
         var = 0.0
     sd = var ** 0.5
     half = 1.96 * sd / (trials ** 0.5)
-    return mean, sd, mean - half, mean + half, min(floats)
+    return mean, sd, mean - half, mean + half, min(values)
 
 
 def _lp_value_fields(x: BundleLpSolution):
@@ -98,8 +96,8 @@ def _lp_value_fields(x: BundleLpSolution):
 
 
 def _trial_report(mode, x, alpha, beta, gamma, seed, values, open_counts, expected):
-    """The report of one Monte-Carlo run from its per-trial values and the
-    number of trials that opened each bundle."""
+    """The report of one Monte-Carlo run from its per-trial values (floats,
+    in trial order) and the number of trials that opened each bundle."""
     trials = len(values)
     mean, sd, lo, hi, mn = _stats(values, trials)
     lp_val, lp_exact = _lp_value_fields(x)
@@ -137,14 +135,13 @@ def run_offline_trials(
     output."""
     plan = OfflinePlan(inst, x, alpha, budgeted=budgeted)
     values, open_counts = [], {}
-    for t in range(trials):
-        opened, value = plan.run(derive_trial_seed(seed, t))
+    for t, (opened, value) in plan.run_trials(seed, trials):
         bundled = plan.to_bundled(opened)
         try:
             bundled.validate(inst)
         except InvalidBundling as exc:
             raise RuntimeError(f"trial {t} gave an invalid bundling: {exc}") from exc
-        values.append(value)
+        values.append(value / inst.scale)
         for b in bundled.bundles:
             key = f"{b.buyer}|{b.p_item}"
             open_counts[key] = open_counts.get(key, 0) + 1
@@ -194,9 +191,7 @@ def run_online_trials(
     streams; aborts unless every prefix of every trial is feasible."""
     plan = OnlinePlan(model, x, alpha)
     values, open_counts = [], {}
-    for t in range(trials):
-        stream = streams[t] if streams is not None else sample_stream(model, seed, t)
-        opened, members, value, _trace = plan.run(derive_trial_seed(seed, t), stream)
+    for t, (opened, members, value, _trace) in plan.run_trials(seed, trials, streams):
         # openers and members in time order; each arrival makes at most one
         events = sorted(
             [(t_open, j, p) for (j, p, t_open) in opened]
@@ -204,7 +199,7 @@ def run_online_trials(
         )
         if not _replay_prefix(model, ((j, typ) for _t, j, typ in events)):
             raise RuntimeError(f"trial {t} violated a prefix constraint")
-        values.append(value)
+        values.append(value / model.scale)
         for (j, p, t_open) in opened:
             key = f"{j}|{p}|{t_open}"
             open_counts[key] = open_counts.get(key, 0) + 1

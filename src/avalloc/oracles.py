@@ -88,7 +88,7 @@ def _allocation_dp(inst: Instance, admissible, max_states: int):
         raise TooLarge(states, max_states)
     n = len(inst.items)
     if (1 << n) > _DP_MASK_LIMIT:
-        raise TooLarge(states, max_states)
+        raise TooLarge(1 << n, _DP_MASK_LIMIT)
     full = (1 << n) - 1
     m = len(inst.buyers)
     g_next = [0] * (full + 1)
@@ -168,7 +168,9 @@ def exact_opt(inst: Instance, max_states: int = DEFAULT_STATE_LIMIT):
     """Globally optimal feasible allocation by exhaustive search.
 
     Supports plain, cost-mode and budgeted instances.  Returns
-    (value, Allocation); raises TooLarge beyond the state budget.
+    (value, Allocation); raises TooLarge beyond the state budget, and
+    TooLarge(2**items, _DP_MASK_LIMIT) when the subset tables of an
+    instance with several buyers would pass that limit.
     """
     if len(inst.buyers) == 1 and (1 << len(inst.items)) > _DP_MASK_LIMIT:
         return _single_buyer_dfs(inst, max_states)

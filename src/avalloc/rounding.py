@@ -5,7 +5,8 @@ probability x_pjp (leftover mass opens nothing).  Phase II visits each
 N-item i, tosses an independent coin per open bundle jp with probability
 alpha * x_ijp / x_pjp, and allocates i only when exactly one coin came up
 heads and the hit bundle stays permissible.  The budget-aware variant also
-requires every configured per-buyer budget to survive the addition.
+requires every configured per-buyer budget to survive each addition, the
+P-item that opens a bundle included.
 
 Online: arrivals in the first half of the horizon may only open bundles
 (buyer drawn with probability x_pjp / (q_p T)); arrivals in the second half
@@ -18,23 +19,37 @@ All randomness comes from a counter-based generator keyed by
 bundles and a run is reproducible regardless of evaluation order.  The key
 is hashed as a left fold, so a run hashes each shared prefix once (the
 (seed, tag) of a trial, then the item or timestep) and continues the fold
-for each coin.  The fractional input is validated once per plan; the
-Monte-Carlo harness reuses compiled plans across trials.
+for each coin.  The fold runs on a Python int or, elementwise, on a numpy
+uint64 array with the same result.
+
+A compiled plan runs a block of trials at once: it loops over the items
+(offline) or the arrivals (online) and does each step for every trial of
+the block with numpy, keeping residuals, budgets and values in scaled
+integers.  Those are int64 arrays when a bound computed from the plan shows
+that no sum can reach 2**63, and object arrays of Python ints otherwise;
+the code is the same.  A block holds about _BLOCK array elements, so its
+memory does not depend on the number of trials or the horizon.  run() is a
+block of one trial.  The fractional input is validated once per plan; the
+Monte-Carlo harness reuses compiled plans across blocks.
 """
 
 from __future__ import annotations
 
-from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 
+import numpy as np
+
 from .bundling import Bundle, BundledAllocation
 from .core import Allocation, Instance
-from .errors import InfeasibleFractional, PhaseViolation, StreamModelMismatch
+from .errors import InfeasibleFractional, StreamModelMismatch
 from .lp_models import BundleLpSolution, IidModel, bundle_lp_shape, opton_lp_shape
 
 _MASK = (1 << 64) - 1
 _H0 = 0x9E3779B97F4A7C15  # the fold's start, and splitmix64's increment
+_M1 = 0xBF58476D1CE4E5B9
+_M2 = 0x94D049BB133111EB
+_U64 = (np.uint64(_H0), np.uint64(_M1), np.uint64(_M2))
 _UNIT = 2.0 ** -53
 _TAG_OPEN_OFF = 1
 _TAG_COIN_OFF = 2
@@ -43,19 +58,32 @@ _TAG_COIN_ON = 4
 _TAG_STREAM = 5
 _TAG_TRIAL = 6
 
+# array elements per block of trials; a block runs max(1, _BLOCK // width)
+# trials, where width is the largest per-trial row of the plan
+_BLOCK = 1 << 16
+
 # slack allowed on each row and bound of a fractional solution, read as floats
 FRACTIONAL_TOL = 1e-9
 
 
-def _mix_from(h: int, *parts: int) -> int:
+def _mix_from(h, *parts):
     """Continue the fold of _mix from h, the hash of a prefix of the key:
     _mix_from(_mix(*a), *b) == _mix(*a, *b).  Each part, read modulo 2**64,
-    costs one splitmix64 round."""
+    costs one splitmix64 round.  h is an int below 2**64, or a numpy uint64
+    array of such hashes folded elementwise; with an array, a part is an
+    int or a uint64 array that broadcasts against h."""
+    h0, m1, m2 = _U64 if isinstance(h, np.ndarray) else (_H0, _M1, _M2)
     for p in parts:
-        # h < 2**64, so masking the sum equals xoring h with p & _MASK
-        z = ((h ^ p) + _H0) & _MASK
-        z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _MASK
-        z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK
+        # h < 2**64, so masking the sum equals xoring h with p & _MASK; the
+        # masks are no-ops on uint64 arrays, which wrap by themselves
+        z = (h ^ (p & _MASK)) + h0
+        z &= _MASK
+        z ^= z >> 30
+        z *= m1
+        z &= _MASK
+        z ^= z >> 27
+        z *= m2
+        z &= _MASK
         h = z ^ (z >> 31)
     return h
 
@@ -64,14 +92,39 @@ def _mix(*parts: int) -> int:
     return _mix_from(_H0, *parts)
 
 
+def _mix_rows(prefix: int, rows: np.ndarray) -> np.ndarray:
+    """_mix_from(prefix, r) for each r of a uint64 array."""
+    return _mix_from(np.full(rows.shape, prefix, dtype=np.uint64), rows)
+
+
+def _unit(h):
+    """The uniform in [0, 1) read off a hash, or an array of hashes."""
+    return (h >> 11) * _UNIT
+
+
 def counter_uniform(*parts: int) -> float:
     """Deterministic uniform in [0, 1) from an integer key."""
-    return (_mix(*parts) >> 11) * _UNIT
+    return _unit(_mix(*parts))
 
 
 def derive_trial_seed(seed: int, trial: int) -> int:
     """Substream seed for one trial; independent of scheduling order."""
     return _mix(seed, _TAG_TRIAL, trial)
+
+
+def trial_seeds(seed: int, trials: np.ndarray) -> np.ndarray:
+    """derive_trial_seed(seed, t) for each t of a uint64 array."""
+    return _mix_rows(_mix(seed, _TAG_TRIAL), trials)
+
+
+def _block_trials(width: int) -> int:
+    return max(1, _BLOCK // max(width, 1))
+
+
+def _state_dtype(bound: int):
+    """int64 when no sum a run forms can exceed bound < 2**63, else object
+    (Python ints)."""
+    return np.int64 if bound < 1 << 63 else object
 
 
 @dataclass(frozen=True)
@@ -114,17 +167,20 @@ class OnlineStream:
         return len(self.arrivals)
 
 
+def stream_arrivals(model: IidModel, seed: int, trials: np.ndarray) -> np.ndarray:
+    """Type indices of the streams of the trials in a uint64 array, one row
+    per trial: the type at time t is the first whose model.stream_cdf entry
+    exceeds counter_uniform(seed, stream tag, trial, t), else the last."""
+    h = _mix_rows(_mix(seed, _TAG_STREAM), trials)
+    u = _unit(_mix_from(h[:, None], np.arange(1, model.horizon + 1, dtype=np.uint64)))
+    k = np.searchsorted(model.stream_cdf, u, side="right")
+    return np.minimum(k, len(model.types) - 1, out=k)
+
+
 def sample_stream(model: IidModel, seed: int, trial: int = 0) -> OnlineStream:
-    """Stream of one trial: the type at time t is drawn by
-    counter_uniform(seed, stream tag, trial, t) from model.stream_cdf."""
-    cdf, types = model.stream_cdf, model.types
-    last = len(types) - 1
-    h = _mix(seed, _TAG_STREAM, trial)
-    arrivals = []
-    for t in range(1, model.horizon + 1):
-        k = bisect_right(cdf, (_mix_from(h, t) >> 11) * _UNIT)
-        arrivals.append(types[min(k, last)])
-    return OnlineStream(arrivals)
+    """Stream of one trial, as drawn by stream_arrivals."""
+    row = stream_arrivals(model, seed, np.array([trial & _MASK], dtype=np.uint64))[0]
+    return OnlineStream(model.types[k] for k in row.tolist())
 
 
 def stream_instance(model: IidModel, stream: OnlineStream) -> Instance:
@@ -200,9 +256,11 @@ def check_fractional(src, x: BundleLpSolution, units, item_cap, member_cap):
 class OfflinePlan:
     """Instance + fractional solution compiled for repeated rounding runs.
 
-    Validation and all Fraction divisions happen once; a run touches only
-    floats and the instance's scaled integers (Instance.scaled), and turns
-    its value into a Fraction once at the end.
+    Validation and all Fraction divisions happen once.  A run touches only
+    floats and the instance's scaled integers (Instance.scaled), held in
+    arrays of self.dtype, and turns its value into a Fraction once at the
+    end.  Bundle b is self.bundles[b] = (buyer, P-item), in canonical
+    (P-item, buyer) order.
     """
 
     def __init__(self, inst: Instance, x: BundleLpSolution, alpha: float | None,
@@ -216,114 +274,159 @@ class OfflinePlan:
         if not 0 < self.alpha < 1:
             raise ValueError("alpha must lie in (0, 1)")
         self.budgeted = budgeted
-        # bundles in canonical (p, j) order
-        self.bundles = []  # (buyer, p_item, excess, p_value, p_rcosts), all scaled
+
+        def rc(i, j):
+            return [rcosts.get((res, i, j), 0) for res in self.resources]
+
+        self.bundles = []
         bundle_idx = {}
+        opener = []  # per bundle (buyer index, excess, value, resource costs)
+        draws = []  # per P-item (item index, [(cumulative float, bundle id)])
         for p in inst.items:
             if inst.item_class(p) != "P":
                 continue
-            for j in inst.buyers:
-                v = x.x.get((p, j, p))
-                if v:
-                    bundle_idx[(j, p)] = len(self.bundles)
-                    self.bundles.append((
-                        j, p, excess[(p, j)], values[(p, j)],
-                        [rcosts.get((res, p, j), 0) for res in self.resources],
-                    ))
-        # phase I: per P-item cumulative distribution over buyers
-        self.p_draws = []  # (p_index, [(acc_float, bundle_id)])
-        for p in inst.items:
-            if inst.item_class(p) != "P":
-                continue
-            acc = 0.0
-            cum = []
+            acc, cum = 0.0, []
             for j in inst.buyers:
                 v = x.x.get((p, j, p))
                 if v:
                     acc += float(v)
-                    cum.append((acc, bundle_idx[(j, p)]))
-            self.p_draws.append((inst.item_index(p), cum))
-        # phase II: per N-item candidate coins against every bundle
-        self.n_entries = []  # (item, item_index, [(bundle_id, jdx, pdx, prob, deficit, value, rcosts)])
+                    cum.append((acc, len(self.bundles)))
+                    bundle_idx[(j, p)] = len(self.bundles)
+                    self.bundles.append((j, p))
+                    opener.append((inst.buyer_index(j), excess[(p, j)], values[(p, j)], rc(p, j)))
+            if cum:
+                draws.append((inst.item_index(p), cum))
+        # coins, grouped by N-item: (bundle, item index, buyer index,
+        # P-item index, prob, deficit, value, resource costs)
+        self.coin_items = []  # the N-items with at least one coin
+        coins, starts = [], []
         for i in inst.items:
             if inst.item_class(i) != "N":
                 continue
-            cands = []
+            group = []
             for (j, p), b in bundle_idx.items():
                 v = x.x.get((i, j, p))
                 if not v:
                     continue
                 xp = x.x[(p, j, p)]
                 ratio = float(Fraction(v) / Fraction(xp)) if isinstance(v, Fraction) else v / xp
-                cands.append((
-                    b,
-                    inst.buyer_index(j),
-                    inst.item_index(p),
-                    self.alpha * ratio,
-                    -excess[(i, j)],
-                    values[(i, j)],
-                    [rcosts.get((res, i, j), 0) for res in self.resources],
-                ))
-            if cands:
-                self.n_entries.append((i, inst.item_index(i), cands))
-        self.budget_caps = {
-            (res, j): budgets[(res, j)]
-            for res in self.resources
-            for j in inst.buyers
-            if (res, j) in budgets
-        }
+                group.append((b, inst.item_index(i), inst.buyer_index(j), inst.item_index(p),
+                              self.alpha * ratio, -excess[(i, j)], values[(i, j)], rc(i, j)))
+            if group:
+                self.coin_items.append(i)
+                starts.append(len(coins))
+                coins += group
+        caps = [[budgets.get((res, j)) for res in self.resources] for j in inst.buyers]
+
+        # every sum a run forms is bounded by the sum of these magnitudes,
+        # which also stands in for an absent budget cap
+        bound = sum(abs(e) + abs(v) + sum(r) for _j, e, v, r in opener)
+        bound += sum(abs(d) + abs(v) + sum(r) for *_c, d, v, r in coins)
+        bound += sum(c for row in caps for c in row if c is not None)
+        self.dtype = dt = _state_dtype(bound)
+
+        def column(rows, pos, dtype=dt):
+            return np.array([r[pos] for r in rows], dtype=dtype)
+
+        def costs(lists):
+            return np.array(lists, dtype=dt).reshape(len(lists), k)
+
+        self.b_buyer = column(opener, 0, np.int64)
+        self.b_excess, self.b_value = column(opener, 1), column(opener, 2)
+        self.b_rc = costs([r[-1] for r in opener])
+        self.caps = costs([[bound if c is None else c for c in row] for row in caps])
+        # phase I: per P-item its cumulative probabilities and bundles,
+        # padded with 0.0, which no draw falls below
+        width = max((len(cum) for _i, cum in draws), default=1)
+        self.p_index = np.array([p for p, _cum in draws], dtype=np.uint64)
+        self.p_acc = np.zeros((len(draws), width))
+        self.p_bundle = np.zeros((len(draws), width), dtype=np.int64)
+        for q, (_p, cum) in enumerate(draws):
+            for pos, (acc, b) in enumerate(cum):
+                self.p_acc[q, pos], self.p_bundle[q, pos] = acc, b
+        # phase II: one column per coin, the coins of an N-item contiguous
+        self.c_bundle = column(coins, 0, np.int64)
+        self.c_key = [column(coins, pos, np.uint64) for pos in (1, 2, 3)]
+        self.c_prob = column(coins, 4, np.float64)
+        self.c_deficit, self.c_value = column(coins, 5), column(coins, 6)
+        self.c_rc = costs([r[-1] for r in coins])
+        self.c_start = np.array(starts, dtype=np.int64)
+        self.block_trials = _block_trials(
+            max(len(coins), len(draws) * width, len(self.bundles), len(caps) * k))
+
+    def _within_caps(self, used, rows, b, cost):
+        """Which (trial row, bundle b) pairs may add resource costs cost
+        without passing a budget cap of the bundle's buyer."""
+        j = self.b_buyer[b]
+        return (used[rows, j] + cost <= self.caps[j]).all(1)
+
+    def run_block(self, seeds: np.ndarray):
+        """One rounding pass per seed of a uint64 array.  Yields, per seed,
+        (opened bundle ids mapped to their member N-items, total value in
+        the instance's scaled integers)."""
+        n, dt, k = len(seeds), self.dtype, len(self.resources)
+        keys = _mix_rows(_H0, seeds)
+        # every coin is known up front; only the budgets and residuals
+        # need the items in order
+        u_open = _unit(_mix_from(_mix_from(keys, _TAG_OPEN_OFF)[:, None], self.p_index))
+        below = u_open[:, :, None] < self.p_acc
+        pick = np.where(below.any(2), self.p_bundle[np.arange(len(self.p_acc)), below.argmax(2)], -1)
+        u_coin = _unit(_mix_from(_mix_from(keys, _TAG_COIN_OFF)[:, None], *self.c_key))
+        opened = np.zeros((n, len(self.bundles)), dtype=bool)
+        residual = np.zeros((n, len(self.bundles)), dtype=dt)
+        value = np.zeros(n, dtype=dt)
+        used = np.zeros((n, *self.caps.shape), dtype=dt)
+        for q in range(pick.shape[1]):
+            rows = np.flatnonzero(pick[:, q] >= 0)
+            b = pick[rows, q]
+            if k:
+                keep = self._within_caps(used, rows, b, self.b_rc[b])
+                rows, b = rows[keep], b[keep]
+                used[rows, self.b_buyer[b]] += self.b_rc[b]
+            opened[rows, b] = True
+            residual[rows, b] = self.b_excess[b]
+            value[rows] += self.b_value[b]
+        # per N-item the coin column of its single hit, or -1
+        hits = opened[:, self.c_bundle] & (u_coin < self.c_prob)
+        hit_col = np.add.reduceat(np.where(hits, np.arange(1, hits.shape[1] + 1), 0),
+                                  self.c_start, axis=1) - 1
+        single = np.add.reduceat(hits, self.c_start, axis=1, dtype=np.int64) == 1
+        hit = np.where(single, hit_col, -1)
+        joined = np.full(hit.shape, -1)
+        for e in range(hit.shape[1]):
+            rows = np.flatnonzero(hit[:, e] >= 0)
+            c = hit[rows, e]
+            b = self.c_bundle[c]
+            keep = residual[rows, b] >= self.c_deficit[c]
+            if k:
+                keep &= self._within_caps(used, rows, b, self.c_rc[c])
+            rows, c, b = rows[keep], c[keep], b[keep]
+            residual[rows, b] -= self.c_deficit[c]
+            value[rows] += self.c_value[c]
+            if k:
+                used[rows, self.b_buyer[b]] += self.c_rc[c]
+            joined[rows, e] = b
+        # one trial's outcome at a time, so a block holds no Python objects
+        # per trial
+        for r, v in enumerate(value.tolist()):
+            trial = {b: [] for b, is_open in enumerate(opened[r].tolist()) if is_open}
+            for item, b in zip(self.coin_items, joined[r].tolist()):
+                if b >= 0:
+                    trial[b].append(item)
+            yield trial, v
+
+    def run_trials(self, seed: int, trials: int):
+        """Yield (t, (opened, value)) of run_block for trials t = 0 ..
+        trials-1, each seeded by derive_trial_seed(seed, t), one block of
+        self.block_trials trials at a time."""
+        for start in range(0, trials, self.block_trials):
+            block = np.arange(start, min(trials, start + self.block_trials), dtype=np.uint64)
+            yield from enumerate(self.run_block(trial_seeds(seed, block)), start)
 
     def run(self, seed: int):
-        """One rounding pass.  Returns (opened bundle ids, members per
-        bundle id, total value as a Fraction)."""
-        opened = {}
-        residual = {}
-        used = {}
-        value = 0
-        h_open = _mix(seed, _TAG_OPEN_OFF)
-        h_coin = _mix(seed, _TAG_COIN_OFF)
-        for p_index, cum in self.p_draws:
-            u = (_mix_from(h_open, p_index) >> 11) * _UNIT
-            for acc, b in cum:
-                if u < acc:
-                    j, _p, excess, p_value, p_rc = self.bundles[b]
-                    opened[b] = []
-                    residual[b] = excess
-                    value += p_value
-                    for res_pos, res in enumerate(self.resources):
-                        used[(res, j)] = used.get((res, j), 0) + p_rc[res_pos]
-                    break
-        for item, item_index, cands in self.n_entries:
-            hit = None
-            multi = False
-            h_item = _mix_from(h_coin, item_index)
-            for b, jdx, pdx, prob, deficit, v, rc in cands:
-                if b not in opened:
-                    continue
-                if (_mix_from(h_item, jdx, pdx) >> 11) * _UNIT < prob:
-                    if hit is not None:
-                        multi = True
-                        break
-                    hit = (b, deficit, v, rc)
-            if multi or hit is None:
-                continue
-            b, deficit, v, rc = hit
-            if residual[b] < deficit:
-                continue
-            j = self.bundles[b][0]
-            ok = True
-            for res_pos, res in enumerate(self.resources):
-                cap = self.budget_caps.get((res, j))
-                if cap is not None and used.get((res, j), 0) + rc[res_pos] > cap:
-                    ok = False
-                    break
-            if not ok:
-                continue
-            residual[b] -= deficit
-            opened[b].append(item)
-            value += v
-            for res_pos, res in enumerate(self.resources):
-                used[(res, j)] = used.get((res, j), 0) + rc[res_pos]
+        """One rounding pass.  Returns (opened bundle ids mapped to their
+        member N-items, total value as a Fraction)."""
+        opened, value = next(self.run_block(np.array([seed & _MASK], dtype=np.uint64)))
         return opened, Fraction(value, self.inst.scale)
 
     def to_bundled(self, opened) -> BundledAllocation:
@@ -345,9 +448,9 @@ def round_offline(inst: Instance, x: BundleLpSolution, params: RoundingParams) -
 
 def round_offline_budgeted(inst: Instance, x: BundleLpSolution,
                            params: RoundingParams) -> BundledAllocation:
-    """Budget-aware offline rounding; N-items are added only when every
-    configured budget of the receiving buyer survives.  With alpha=None the
-    default is 1/(3K) for K budget resources."""
+    """Budget-aware offline rounding; a bundle opens, and an N-item joins
+    it, only when every configured budget of the receiving buyer survives.
+    With alpha=None the default is 1/(3K) for K budget resources."""
     plan = OfflinePlan(inst, x, params.alpha, budgeted=True)
     opened, _value = plan.run(params.seed)
     return plan.to_bundled(opened)
@@ -382,8 +485,10 @@ class TraceRecord:
 class OnlinePlan:
     """Model + online-LP solution compiled for repeated stream runs.  A
     run sums values and residuals in the model's scaled integers
-    (IidModel.scaled) and turns its value into a Fraction once at the
-    end."""
+    (IidModel.scaled), held in arrays of self.dtype, and turns its value
+    into a Fraction once at the end.  Types and buyers are numbered in
+    model order, and a bundle is named by its opening time: at most one
+    bundle opens per first-half arrival."""
 
     def __init__(self, model: IidModel, x: BundleLpSolution, alpha: float | None):
         if model.costs is not None:
@@ -398,28 +503,29 @@ class OnlinePlan:
         T = model.horizon
         self.half = T // 2
         self.tidx = {i: k for k, i in enumerate(model.types)}
-        self.bidx = {j: k for k, j in enumerate(model.buyers)}
-        # phase I cumulative distribution per type
-        self.open_cum = {}
+        nt, nb = len(model.types), len(model.buyers)
+        values, thresholds = model.scaled
+        # phase I: per type, cumulative opening probabilities over buyers,
+        # padded with 0.0, which no draw falls below
+        open_cum = []
         for p in model.types:
             qT = float(model.probs[p] * T)
-            if qT <= 0:
-                continue
-            acc = 0.0
-            cum = []
-            for j in model.buyers:
-                v = x.x.get((p, j, p))
+            acc, cum = 0.0, []
+            for jdx, j in enumerate(model.buyers):
+                v = x.x.get((p, j, p)) if qT > 0 else None
                 if v:
                     acc += float(v) / qT
-                    cum.append((acc, j))
-            if cum:
-                self.open_cum[p] = cum
-        # phase II: per bundle (p-type, buyer), the member types with a coin
-        # against it and their coin probabilities
-        values, thresholds = model.scaled
-        self.scaled_values = values
-        self.joiners = {}
-        self.member_deficit = {}
+                    cum.append((acc, jdx))
+            open_cum.append(cum)
+        width = max(1, max(map(len, open_cum)))
+        self.open_acc = np.zeros((nt, width))
+        self.open_buyer = np.zeros((nt, width), dtype=np.int64)
+        for p, cum in enumerate(open_cum):
+            for k, (acc, jdx) in enumerate(cum):
+                self.open_acc[p, k], self.open_buyer[p, k] = acc, jdx
+        # phase II: join_prob[i, p, j] is the coin probability of a type-i
+        # arrival against an open bundle (p, j); 0.0 where it has no coin
+        self.join_prob = np.zeros((nt, nt, nb))
         for i in model.types:
             qT = float(model.probs[i] * T)
             if qT <= 0:
@@ -428,88 +534,123 @@ class OnlinePlan:
                 if (i, j) not in model.values or model.is_p_edge_type(i, j):
                     continue
                 for (p, jj) in model.p_edge_types():
-                    if jj != j:
-                        continue
-                    v = x.x.get((i, j, p))
+                    v = x.x.get((i, j, p)) if jj == j else None
                     if not v:
                         continue
                     xp = x.x[(p, j, p)]
                     ratio = float(Fraction(v) / Fraction(xp)) if isinstance(v, Fraction) else v / xp
-                    self.joiners.setdefault((p, j), []).append((i, self.alpha * ratio / qT))
-                self.member_deficit[(i, j)] = thresholds[j] - values[(i, j)]
-        self.p_excess = {
-            (p, j): values[(p, j)] - thresholds[j] for (p, j) in model.p_edge_types()
-        }
+                    self.join_prob[self.tidx[i], self.tidx[p], model.buyers.index(j)] = (
+                        self.alpha * ratio / qT)
+        self.may_join = self.join_prob > 0
+        # scaled value, opener excess and member deficit of each (type, buyer);
+        # a run's value is at most T times the largest value
+        grid = [[(values.get((i, j), 0), thresholds[j]) for j in model.buyers]
+                for i in model.types]
+        bound = T * sum(abs(v) + r for row in grid for v, r in row)
+        self.dtype = dt = _state_dtype(bound)
+        self.values = np.array([[v for v, _r in row] for row in grid], dtype=dt).reshape(nt, nb)
+        self.p_excess = np.array([[v - r for v, r in row] for row in grid], dtype=dt).reshape(nt, nb)
+        self.deficit = -self.p_excess
+        self.block_trials = _block_trials(max(T, self.half * width, (T - self.half) * self.half))
+
+    def arrivals(self, streams) -> np.ndarray:
+        """Type indices of the given streams, one row each."""
+        for stream in streams:
+            _check_stream(self.model, stream)
+        return np.array([[self.tidx[typ] for typ in s.arrivals] for s in streams],
+                        dtype=np.int64).reshape(len(streams), self.model.horizon)
+
+    def run_block(self, seeds: np.ndarray, arrivals: np.ndarray, want_trace: bool = False):
+        """One online pass per seed of a uint64 array, against the stream
+        in the same row of arrivals (type indices).  Yields, per seed,
+        (opened keys, members per key, value in the model's scaled
+        integers, trace or None); opened keys are (buyer, type, time)."""
+        n, T, half, dt = len(seeds), self.model.horizon, self.half, self.dtype
+        keys = _mix_rows(_H0, seeds)[:, None]
+        first, second = arrivals[:, :half], arrivals[:, half:]
+        # phase I: no state, so every arrival's opening at once; opener is
+        # the buyer of the bundle opened at each first-half time, or -1
+        u = _unit(_mix_from(keys, _TAG_OPEN_ON, np.arange(1, half + 1, dtype=np.uint64)))
+        below = u[:, :, None] < self.open_acc[first]
+        opener = np.where(below.any(2), self.open_buyer[first, below.argmax(2)], -1)
+        is_open = opener >= 0
+        buyer = np.maximum(opener, 0)
+        residual = np.where(is_open, self.p_excess[first, buyer], 0).astype(dt)
+        value = np.where(is_open, self.values[first, buyer], 0).astype(dt).sum(1)
+        # phase II coins, hashed at the open bundles each arrival may join;
+        # hit is the opening slot of a second-half arrival's single hit, or -1
+        may_join = self.may_join[second[:, :, None], first[:, None, :], buyer[:, None, :]]
+        rows, cols, slots = np.nonzero(may_join & is_open[:, None, :])
+        i, p, j = second[rows, cols], first[rows, slots], buyer[rows, slots]
+        h_t = _mix_from(keys, _TAG_COIN_ON, np.arange(half + 1, T + 1, dtype=np.uint64))
+        u = _unit(_mix_from(h_t[rows, cols], j.astype(np.uint64), p.astype(np.uint64),
+                            (slots + 1).astype(np.uint64)))
+        won = u < self.join_prob[i, p, j]
+        cells, slots = (rows * (T - half) + cols)[won], slots[won]
+        one = np.bincount(cells, minlength=n * (T - half))[cells] == 1
+        hit = np.full(n * (T - half), -1)
+        hit[cells[one]] = slots[one]
+        hit = hit.reshape(n, T - half)
+        # joins in arrival order, each while its bundle's residual covers it
+        joined = np.zeros(hit.shape, dtype=bool)
+        for c in range(T - half):
+            rows = np.flatnonzero(hit[:, c] >= 0)
+            slots = hit[rows, c]
+            i, j = second[rows, c], buyer[rows, slots]
+            keep = residual[rows, slots] >= self.deficit[i, j]
+            rows, slots, i, j = rows[keep], slots[keep], i[keep], j[keep]
+            residual[rows, slots] -= self.deficit[i, j]
+            value[rows] += self.values[i, j]
+            joined[rows, c] = True
+        # one trial's outcome at a time, so a block holds no Python objects
+        # per trial
+        for r, v in enumerate(value.tolist()):
+            yield self._outcome(opener[r].tolist(), arrivals[r].tolist(), hit[r].tolist(),
+                                joined[r].tolist(), v, want_trace)
+
+    def _outcome(self, opener, arrivals, hit, joined, value, want_trace):
+        """One trial's (opened keys, members, value, trace) from its rows."""
+        types, buyers, half = self.model.types, self.model.buyers, self.half
+        keys = [None if j < 0 else (buyers[j], types[arrivals[s]], s + 1)
+                for s, j in enumerate(opener)]
+        opened = [key for key in keys if key is not None]
+        members = {key: [] for key in opened}
+        for c, s in enumerate(hit):
+            if joined[c]:
+                members[keys[s]].append((half + c + 1, types[arrivals[half + c]]))
+        trace = None
+        if want_trace:
+            trace = [TraceRecord(t, f"t{t}", types[arrivals[t - 1]], key,
+                                 "no-phase" if key is None else "opened")
+                     for t, key in enumerate(keys, start=1)]
+            for c, s in enumerate(hit):
+                t = half + c + 1
+                key = None if s < 0 else keys[s]
+                reason = ("multi-hit" if key is None
+                          else "singleton+permissible" if joined[c] else "impermissible")
+                trace.append(TraceRecord(t, f"t{t}", types[arrivals[t - 1]], key, reason))
+        return opened, members, value, trace
+
+    def run_trials(self, seed: int, trials: int, streams=None):
+        """Yield (t, outcome of run_block) for trials t = 0 .. trials-1,
+        each seeded by derive_trial_seed(seed, t) on streams[t], or on the
+        stream sample_stream(model, seed, t) when streams is None, one
+        block of self.block_trials trials at a time."""
+        for start in range(0, trials, self.block_trials):
+            block = np.arange(start, min(trials, start + self.block_trials), dtype=np.uint64)
+            if streams is None:
+                arrivals = stream_arrivals(self.model, seed, block)
+            else:
+                arrivals = self.arrivals(streams[start:start + len(block)])
+            yield from enumerate(self.run_block(trial_seeds(seed, block), arrivals), start)
 
     def run(self, seed: int, stream: OnlineStream, want_trace: bool = False):
         """One online pass.  Returns (opened keys, members per key, value,
         trace or None).  opened keys are (buyer, type, time)."""
-        _check_stream(self.model, stream)
-        model = self.model
-        opened = []
-        members = {}
-        residual = {}
-        # per arrival type, its coins against the open bundles in opening
-        # order: (key, prob, buyer index, p-type index, opening time)
-        candidates = {}
-        value = 0
-        trace = [] if want_trace else None
-        h_open = _mix(seed, _TAG_OPEN_ON)
-        h_coin = _mix(seed, _TAG_COIN_ON)
-        for t, typ in enumerate(stream.arrivals, start=1):
-            item_id = f"t{t}"
-            if t <= self.half:
-                chosen = None
-                cum = self.open_cum.get(typ)
-                if cum:
-                    u = (_mix_from(h_open, t) >> 11) * _UNIT
-                    for acc, j in cum:
-                        if u < acc:
-                            chosen = j
-                            break
-                if chosen is None:
-                    if want_trace:
-                        trace.append(TraceRecord(t, item_id, typ, None, "no-phase"))
-                    continue
-                key = (chosen, typ, t)
-                opened.append(key)
-                members[key] = []
-                residual[key] = self.p_excess[(typ, chosen)]
-                value += self.scaled_values[(typ, chosen)]
-                jdx, pdx = self.bidx[chosen], self.tidx[typ]
-                for i, prob in self.joiners.get((typ, chosen), ()):
-                    candidates.setdefault(i, []).append((key, prob, jdx, pdx, t))
-                if want_trace:
-                    trace.append(TraceRecord(t, item_id, typ, key, "opened"))
-            else:
-                hit = None
-                multi = False
-                cands = candidates.get(typ)
-                if cands:
-                    h_t = _mix_from(h_coin, t)
-                    for key, prob, jdx, pdx, t_open in cands:
-                        if (_mix_from(h_t, jdx, pdx, t_open) >> 11) * _UNIT < prob:
-                            if hit is not None:
-                                multi = True
-                                break
-                            hit = key
-                if multi or hit is None:
-                    if want_trace:
-                        trace.append(TraceRecord(t, item_id, typ, None, "multi-hit"))
-                    continue
-                if hit[2] > self.half:
-                    raise PhaseViolation(f"bundle {hit} opened after the first half")
-                deficit = self.member_deficit[(typ, hit[0])]
-                if residual[hit] < deficit:
-                    if want_trace:
-                        trace.append(TraceRecord(t, item_id, typ, hit, "impermissible"))
-                    continue
-                residual[hit] -= deficit
-                members[hit].append((t, typ))
-                value += self.scaled_values[(typ, hit[0])]
-                if want_trace:
-                    trace.append(TraceRecord(t, item_id, typ, hit, "singleton+permissible"))
-        return opened, members, Fraction(value, model.scale), trace
+        arrivals = self.arrivals([stream])
+        opened, members, value, trace = next(self.run_block(
+            np.array([seed & _MASK], dtype=np.uint64), arrivals, want_trace))
+        return opened, members, Fraction(value, self.model.scale), trace
 
 
 def round_online(model: IidModel, x: BundleLpSolution, params: RoundingParams,

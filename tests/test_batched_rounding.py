@@ -1,0 +1,175 @@
+"""The batched rounding runs against the one-trial-at-a-time reference in
+scalar_rounding.py, trial by trial, and reports against the block size."""
+
+from fractions import Fraction
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from avalloc import IidModel, Instance, rounding
+from avalloc.generators import gen_random, gen_random_iid_model
+from avalloc.harness import run_offline_trials, run_online_trials
+from avalloc.lp_models import (
+    build_bundle_lp,
+    build_bundle_lp_budgeted,
+    build_opton_lp,
+    solve_model_lp,
+)
+from avalloc.rounding import OfflinePlan, OnlinePlan, derive_trial_seed, sample_stream
+from scalar_rounding import ScalarOfflinePlan, ScalarOnlinePlan
+
+
+def _check_offline(inst, x, alpha, budgeted, seed, trials):
+    plan = OfflinePlan(inst, x, alpha, budgeted=budgeted)
+    ref = ScalarOfflinePlan(inst, x, alpha, budgeted=budgeted)
+    assert [b[:2] for b in ref.bundles] == plan.bundles
+    runs = list(plan.run_trials(seed, trials))
+    assert [t for t, _out in runs] == list(range(trials))
+    for t, (opened, value) in runs:
+        want = ref.run(derive_trial_seed(seed, t))
+        assert (opened, value) == want
+        assert list(opened) == sorted(opened)
+        plan.to_bundled(opened).validate(inst)
+    one, value = plan.run(derive_trial_seed(seed, 0))
+    assert (one, value) == (runs[0][1][0], Fraction(runs[0][1][1], inst.scale))
+    return plan
+
+
+def _check_online(model, x, alpha, seed, trials):
+    plan = OnlinePlan(model, x, alpha)
+    ref = ScalarOnlinePlan(model, x, alpha)
+    streams = [sample_stream(model, seed, t) for t in range(trials)]
+    seeds = [derive_trial_seed(seed, t) for t in range(trials)]
+    traced = list(plan.run_block(np.array(seeds, dtype=np.uint64), plan.arrivals(streams),
+                                 want_trace=True))
+    for t, (opened, members, value, _trace) in plan.run_trials(seed, trials):
+        want = ref.run(seeds[t], streams[t])
+        assert traced[t] == want
+        assert (opened, members, value, None) == (*want[:3], None)
+    opened, members, value, trace = plan.run(seeds[0], streams[0], want_trace=True)
+    assert (opened, members, value, trace) == (*traced[0][:2], Fraction(traced[0][2], model.scale),
+                                              traced[0][3])
+    return plan
+
+
+_bids = st.sampled_from([None, "0.05", "0.6"])
+
+
+@settings(max_examples=40, derandomize=True, database=None, deadline=None)
+@given(st.integers(3, 12), st.integers(1, 4), st.integers(0, 10 ** 6), _bids,
+       st.sampled_from([None, 0.3, 0.9]))
+def test_offline_runs_match_scalar_reference(n, m, seed, bids, alpha):
+    # bids None is plain mode; otherwise one or two budgets per buyer, which
+    # P-items alone can exhaust when bids reach 0.6 of a unit budget
+    if bids is None:
+        inst = gen_random(n, m, seed, unambiguous=True)
+        x = solve_model_lp(build_bundle_lp(inst))
+    else:
+        inst = gen_random(n, m, seed, unambiguous=True, budget_resources=1 + seed % 2,
+                          bid_frac=bids)
+        x = solve_model_lp(build_bundle_lp_budgeted(inst))
+    plan = _check_offline(inst, x, alpha, bids is not None, seed, 30)
+    assert plan.dtype is np.int64
+
+
+@settings(max_examples=30, derandomize=True, database=None, deadline=None)
+@given(st.integers(1, 6), st.integers(1, 4), st.integers(1, 15), st.integers(0, 10 ** 6),
+       st.sampled_from([None, 0.9]))
+def test_online_runs_and_traces_match_scalar_reference(n_types, n_buyers, half, seed, alpha):
+    model = gen_random_iid_model(n_types, n_buyers, 2 * half, seed)
+    plan = _check_online(model, solve_model_lp(build_opton_lp(model)), alpha, seed, 20)
+    assert plan.dtype is np.int64
+
+
+# two coprime denominators near 2**40: the common scale passes 2**63
+_P, _Q = 1099511627791, 1099511627689
+
+
+def _huge_scale_instance(budgeted):
+    values = {
+        ("p1", "b1"): 2 + Fraction(1, _P), ("p2", "b2"): Fraction(3, 2),
+        ("p3", "b1"): Fraction(5, 4),
+        ("n1", "b1"): 1 - Fraction(1, _Q), ("n1", "b2"): Fraction(1, 2),
+        ("n2", "b1"): Fraction(3, 5), ("n2", "b2"): Fraction(4, 5),
+        ("n3", "b1"): Fraction(9, 10), ("n3", "b2"): Fraction(7, 10) + Fraction(1, _P),
+    }
+    buyers = ["b1", "b2"]
+    budgets = rcosts = None
+    if budgeted:  # any three items overspend a buyer's budget
+        budgets = {("r", j): Fraction(1) for j in buyers}
+        rcosts = {("r", i, j): Fraction(1, 3) + Fraction(k, _Q)
+                  for k, (i, j) in enumerate(values)}
+    return Instance(
+        items=list(dict.fromkeys(i for i, _j in values)), buyers=buyers, values=values,
+        thresholds={j: Fraction(1) for j in buyers}, budgets=budgets, resource_costs=rcosts,
+    )
+
+
+@pytest.mark.parametrize("budgeted", [False, True])
+def test_object_dtype_offline_matches_scalar_reference(budgeted):
+    inst = _huge_scale_instance(budgeted)
+    assert inst.scale > 2 ** 63
+    build = build_bundle_lp_budgeted if budgeted else build_bundle_lp
+    plan = _check_offline(inst, solve_model_lp(build(inst)), 0.6, budgeted, 4, 300)
+    assert plan.dtype is object
+
+
+def test_object_dtype_online_matches_scalar_reference():
+    model = IidModel(
+        types=["p", "q", "n", "m"], buyers=["b1", "b2"],
+        values={("p", "b1"): 2 + Fraction(1, _P), ("q", "b2"): Fraction(5, 2),
+                ("n", "b1"): 1 - Fraction(1, _Q), ("n", "b2"): Fraction(1, 2),
+                ("m", "b2"): Fraction(3, 4) + Fraction(1, _P), ("q", "b1"): Fraction(1, 3)},
+        thresholds={"b1": 1, "b2": 1},
+        probs={"p": Fraction(1, 4), "q": Fraction(1, 4), "n": Fraction(1, 4),
+               "m": Fraction(1, 4)},
+        horizon=12,
+    )
+    assert model.scale > 2 ** 63
+    plan = _check_online(model, solve_model_lp(build_opton_lp(model)), 0.9, 2, 300)
+    assert plan.dtype is object
+
+
+def test_online_exact_fits_match_scalar_reference():
+    # an opener of excess 1 takes exactly two members of deficit 1/2: the
+    # second join meets the threshold with equality
+    model = IidModel(
+        types=["p", "n"], buyers=["b"], values={("p", "b"): 2, ("n", "b"): Fraction(1, 2)},
+        thresholds={"b": 1}, probs={"p": Fraction(1, 4), "n": Fraction(3, 4)}, horizon=12,
+    )
+    plan = _check_online(model, solve_model_lp(build_opton_lp(model)), 0.9, 6, 300)
+    joins = [len(m) for _t, (_o, members, _v, _tr) in plan.run_trials(6, 300)
+             for m in members.values()]
+    assert max(joins) == 2
+
+
+def _reports():
+    plain = gen_random(14, 4, 5, unambiguous=True)
+    budgeted = gen_random(12, 3, 4, unambiguous=True, budget_resources=1, bid_frac="0.6")
+    model = gen_random_iid_model(5, 3, 16, 2)
+    return [
+        run_offline_trials(plain, solve_model_lp(build_bundle_lp(plain)), None, 0.156, 3, 50),
+        run_offline_trials(budgeted, solve_model_lp(build_bundle_lp_budgeted(budgeted)), 0.9,
+                           0.156, 3, 50, budgeted=True),
+        run_online_trials(model, solve_model_lp(build_opton_lp(model)), 0.64, 0.0766, 3, 50),
+    ]
+
+
+def test_reports_do_not_depend_on_the_block_size(monkeypatch):
+    default = [r.to_json_dict() for r in _reports()]
+    for block in (1, 7, 60):
+        monkeypatch.setattr(rounding, "_BLOCK", block)
+        assert [r.to_json_dict() for r in _reports()] == default
+
+
+def test_blocks_hold_a_bounded_number_of_elements():
+    model = gen_random_iid_model(5, 3, 100, 2)
+    plan = OnlinePlan(model, solve_model_lp(build_opton_lp(model)), None)
+    assert plan.block_trials == rounding._BLOCK // (50 * 50)
+    inst = gen_random(14, 4, 5, unambiguous=True, budget_resources=2)
+    plan = OfflinePlan(inst, solve_model_lp(build_bundle_lp_budgeted(inst)), None, True)
+    # per trial: one column per coin, per P-item draw, per bundle, per budget
+    widths = [len(plan.c_bundle), plan.p_acc.size, len(plan.bundles), plan.caps.size]
+    assert plan.block_trials == rounding._BLOCK // max(widths) > 1

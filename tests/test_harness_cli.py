@@ -80,21 +80,20 @@ def test_offline_trials_validate_every_trial(monkeypatch, bad_trial, tamper):
         ("n", "b1"): "0.5", ("n", "b2"): "0.5",
     })
     x = solve_model_lp(build_bundle_lp(inst))
-    run = OfflinePlan.run
-    calls = []
+    run_block = OfflinePlan.run_block
+    blocks = []
 
-    def tampered(self, seed):
-        opened, value = run(self, seed)
-        calls.append(seed)
-        if len(calls) - 1 == bad_trial:
-            bid = {(j, p): b for b, (j, p, *_rest) in enumerate(self.bundles)}
-            opened = tamper(bid)
-        return opened, value
+    def tampered(self, seeds):
+        out = list(run_block(self, seeds))
+        blocks.append(len(seeds))
+        bid = {(j, p): b for b, (j, p) in enumerate(self.bundles)}
+        out[bad_trial] = (tamper(bid), out[bad_trial][1])
+        return out
 
-    monkeypatch.setattr(OfflinePlan, "run", tampered)
+    monkeypatch.setattr(OfflinePlan, "run_block", tampered)
     with pytest.raises(RuntimeError, match=f"trial {bad_trial} "):
         run_offline_trials(inst, x, alpha=0.3, beta=0.156, seed=0, trials=5)
-    assert len(calls) == bad_trial + 1
+    assert blocks == [5]  # all five trials ran in one block
 
 
 @settings(max_examples=30, derandomize=True, database=None, deadline=None)

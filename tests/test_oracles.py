@@ -349,4 +349,6 @@ def test_mask_limit_refuses_before_building_tables(oracle, monkeypatch):
     monkeypatch.setattr(oracles, "_buyer_tables", no_tables)
     with pytest.raises(TooLarge) as err:
         oracle(inst, max_states=10 ** 12)
-    assert (err.value.state_count, err.value.limit) == (3 ** 18, 10 ** 12)
+    # the refusal names the subset-table size and its limit, not the state
+    # count, which is within max_states
+    assert (err.value.state_count, err.value.limit) == (1 << 18, _DP_MASK_LIMIT)

@@ -2,6 +2,7 @@ import hashlib
 import json
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -28,6 +29,8 @@ from avalloc.lp_models import (
     solve_model_lp,
 )
 from avalloc.rounding import (
+    OfflinePlan,
+    OnlinePlan,
     OnlineStream,
     RoundingParams,
     _mix,
@@ -83,6 +86,12 @@ def test_prefix_fold_continues_the_key_hash(a, b):
     h = _mix_from(_mix(*a), *b)
     assert h == _mix(*a, *b) == _reference_mix(*a, *b)
     assert counter_uniform(*a, *b) == (h >> 11) * 2.0 ** -53
+    # the fold over a uint64 array, with the parts as ints or as arrays
+    start = np.full(3, _mix(*a), dtype=np.uint64)
+    by_ints = _mix_from(start, *b)
+    by_arrays = _mix_from(start, *(np.full(3, p % 2 ** 64, dtype=np.uint64) for p in b))
+    assert by_ints.dtype == by_arrays.dtype == np.uint64
+    assert by_ints.tolist() == by_arrays.tolist() == [h] * 3
 
 
 def _sha(doc) -> str:
@@ -186,11 +195,8 @@ def test_offline_residual_mass_opens_nothing():
     inst = unit_instance({("p", "b"): 2})
     x = BundleLpSolution(x={("p", "b", "p"): Fraction(1, 2)}, objective=Fraction(1))
     trials = 10_000
-    opens = sum(
-        1
-        for t in range(trials)
-        if len(round_offline(inst, x, RoundingParams(alpha=0.3, seed=derive_trial_seed(3, t)))) == 1
-    )
+    plan = OfflinePlan(inst, x, alpha=0.3)
+    opens = sum(1 for _t, (opened, _value) in plan.run_trials(3, trials) if len(opened) == 1)
     sigma = (trials * 0.25) ** 0.5
     assert abs(opens - trials / 2) <= 3 * sigma
 
@@ -203,10 +209,10 @@ def test_offline_pure_p_instance_matches_lp_marginals():
     x = solve_model_lp(build_bundle_lp(inst))
     expect = sum(float(v) * float(inst.values[(i, j)]) for (i, j, _p), v in x.x.items())
     trials = 10_000
+    plan = OfflinePlan(inst, x, alpha=0.3)
     total = 0.0
-    for t in range(trials):
-        out = round_offline(inst, x, RoundingParams(alpha=0.3, seed=derive_trial_seed(5, t)))
-        total += float(out.value(inst))
+    for _t, (opened, _value) in plan.run_trials(5, trials):
+        total += float(plan.to_bundled(opened).value(inst))
     mean = total / trials
     # each value is bounded by 2.7, so 3 sigma of the mean is comfortably 0.05
     assert abs(mean - expect) <= 0.05
@@ -217,12 +223,10 @@ def test_offline_gap_instance_mean_beats_one():
     # whole opened bundle most of the time
     inst, x = _gap_solution()
     trials = 2000
+    plan = OfflinePlan(inst, x, alpha=0.3)
     total = 0.0
-    for t in range(trials):
-        out = round_offline(
-            inst, x, RoundingParams(alpha=0.3, seed=derive_trial_seed(17, t))
-        )
-        total += float(out.value(inst))
+    for _t, (opened, _value) in plan.run_trials(17, trials):
+        total += float(plan.to_bundled(opened).value(inst))
     mean = total / trials
     assert mean >= float(x.objective) / 32
     assert mean >= 1.0
@@ -292,10 +296,9 @@ def test_offline_small_deficit_allocation_rate():
     alpha, beta = 0.3, 0.156
     trials = 10_000
     hits = {k: 0 for k in (1, 2, 3)}
-    for t in range(trials):
-        out = round_offline(inst, x, RoundingParams(alpha=alpha, beta=beta,
-                                                    seed=derive_trial_seed(9, t)))
-        for b in out.bundles:
+    plan = OfflinePlan(inst, x, alpha=alpha)
+    for _t, (opened, _value) in plan.run_trials(9, trials):
+        for b in plan.to_bundled(opened).bundles:
             for k in (1, 2, 3):
                 if f"n{k}" in b.n_items:
                     hits[k] += 1
@@ -327,11 +330,19 @@ def test_budgeted_matches_plain_when_no_budgets_bind():
 
 def test_budgeted_default_alpha_is_one_third_per_resource():
     inst = gen_random(6, 3, seed=12, unambiguous=True, budget_resources=1)
-    from avalloc.rounding import OfflinePlan
-
     x = solve_model_lp(build_bundle_lp_budgeted_safe(inst))
     plan = OfflinePlan(inst, x, alpha=None, budgeted=True)
     assert plan.alpha == pytest.approx(1 / 3)
+
+
+def test_budgeted_phase_one_keeps_every_budget():
+    # bids up to 0.6 of a unit budget, so P-items alone can overspend it:
+    # P-only bundles of b3 rooted at i1, i3 and i7 would cost it 53/50
+    inst = gen_random(12, 3, 4, unambiguous=True, budget_resources=1, bid_frac="0.6")
+    x = solve_model_lp(build_bundle_lp_budgeted(inst))
+    rep = run_offline_trials(inst, x, alpha=0.9, beta=0.156, seed=0, trials=200,
+                             budgeted=True)
+    assert rep.feasible_count == rep.trials == 200
 
 
 def build_bundle_lp_budgeted_safe(inst):
@@ -344,11 +355,9 @@ def test_budgeted_small_bids_feasibility():
     for seed in (41, 42):
         inst = gen_random(7, 3, seed=seed, unambiguous=True, budget_resources=1)
         x = solve_model_lp(build_bundle_lp_budgeted_safe(inst))
-        for t in range(500):
-            out = round_offline_budgeted(
-                inst, x, RoundingParams(alpha=1 / 3, seed=derive_trial_seed(seed, t))
-            )
-            assert is_feasible(inst, out.to_allocation())
+        plan = OfflinePlan(inst, x, alpha=1 / 3, budgeted=True)
+        for _t, (opened, _value) in plan.run_trials(seed, 500):
+            assert is_feasible(inst, plan.to_bundled(opened).to_allocation())
 
 
 # -- online --------------------------------------------------------------------
@@ -436,13 +445,10 @@ def test_online_open_count_marginal():
     p, j = pj
     expect = float(x.x[(p, j, p)]) / 2
     trials = 4000
+    plan = OnlinePlan(model, x, alpha=0.64)
     total = 0
-    for t in range(trials):
-        stream = sample_stream(model, 21, t)
-        out, trace = round_online(
-            model, x, RoundingParams(alpha=0.64, seed=derive_trial_seed(21, t)), stream
-        )
-        total += sum(1 for r in trace if r.reason == "opened")
+    for _t, (opened, _members, _value, _trace) in plan.run_trials(21, trials):
+        total += len(opened)
     mean = total / trials
     T = model.horizon
     q = float(x.x[(p, j, p)]) / T
