@@ -19,7 +19,7 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .core import Allocation, Instance, restrict_edges
+from .core import Allocation, Instance, copy_items, restrict_edges
 from .errors import InfeasiblePrefix, InvalidBundling, UnknownEdge
 
 
@@ -204,48 +204,18 @@ def split_ambiguous(inst: Instance):
     """Split each ambiguous item i into a positive copy (P-edges only) and a
     negative copy (N-edges only).  Returns (split instance, copy -> original
     id map)."""
-    items, values, orig_of = [], {}, {}
-    costs = {} if inst.costs is not None else None
-    rcosts = {} if inst.resource_costs is not None else None
-
-    def add_copy(copy_id, source_id, buyers):
-        if copy_id in inst._item_index or copy_id in orig_of:
-            raise InvalidBundling(f"split id {copy_id!r} collides with an existing item")
-        items.append(copy_id)
-        orig_of[copy_id] = source_id
-        for j in buyers:
-            values[(copy_id, j)] = inst.values[(source_id, j)]
-            if costs is not None:
-                costs[(copy_id, j)] = inst.costs[(source_id, j)]
-            if rcosts is not None:
-                for res in {r for (r, ii, jj) in inst.resource_costs if (ii, jj) == (source_id, j)}:
-                    rcosts[(res, copy_id, j)] = inst.resource_costs[(res, source_id, j)]
-
+    copies, orig_of = [], {}
     for i in inst.items:
         if inst.item_class(i) != "ambiguous":
-            items.append(i)
-            for j in inst.edges_of_item(i):
-                values[(i, j)] = inst.values[(i, j)]
-                if costs is not None:
-                    costs[(i, j)] = inst.costs[(i, j)]
-                if rcosts is not None:
-                    for res in {r for (r, ii, jj) in inst.resource_costs if (ii, jj) == (i, j)}:
-                        rcosts[(res, i, j)] = inst.resource_costs[(res, i, j)]
+            copies.append((i, i, inst.edges_of_item(i)))
             continue
-        p_buyers = [j for j in inst.edges_of_item(i) if inst.is_p_edge(i, j)]
-        n_buyers = [j for j in inst.edges_of_item(i) if not inst.is_p_edge(i, j)]
-        add_copy(f"{i}+", i, p_buyers)
-        add_copy(f"{i}-", i, n_buyers)
-    split = Instance(
-        items=items,
-        buyers=inst.buyers,
-        values=values,
-        thresholds=dict(inst.thresholds),
-        costs=costs,
-        budgets=dict(inst.budgets) if inst.budgets is not None else None,
-        resource_costs=rcosts,
-    )
-    return split, orig_of
+        for copy_id, p_side in ((f"{i}+", True), (f"{i}-", False)):
+            if copy_id in inst._item_index or copy_id in orig_of:
+                raise InvalidBundling(f"split id {copy_id!r} collides with an existing item")
+            orig_of[copy_id] = i
+            copies.append((copy_id, i, [j for j in inst.edges_of_item(i)
+                                        if inst.is_p_edge(i, j) == p_side]))
+    return copy_items(inst, copies), orig_of
 
 
 def make_unambiguous_deterministic(inst: Instance, bundling: BundledAllocation):
@@ -380,26 +350,5 @@ def duplicate_supply(inst: Instance, k: int) -> Instance:
     """Replace each item by k identical copies (ids suffixed @1..@k)."""
     if k < 1:
         raise ValueError("k must be a positive integer")
-    items, values = [], {}
-    costs = {} if inst.costs is not None else None
-    rcosts = {} if inst.resource_costs is not None else None
-    for i in inst.items:
-        for t in range(1, k + 1):
-            copy = f"{i}@{t}"
-            items.append(copy)
-            for j in inst.edges_of_item(i):
-                values[(copy, j)] = inst.values[(i, j)]
-                if costs is not None:
-                    costs[(copy, j)] = inst.costs[(i, j)]
-                if rcosts is not None:
-                    for res in {r for (r, ii, jj) in inst.resource_costs if (ii, jj) == (i, j)}:
-                        rcosts[(res, copy, j)] = inst.resource_costs[(res, i, j)]
-    return Instance(
-        items=items,
-        buyers=inst.buyers,
-        values=values,
-        thresholds=dict(inst.thresholds),
-        costs=costs,
-        budgets=dict(inst.budgets) if inst.budgets is not None else None,
-        resource_costs=rcosts,
-    )
+    return copy_items(inst, [(f"{i}@{t}", i, inst.edges_of_item(i))
+                             for i in inst.items for t in range(1, k + 1)])

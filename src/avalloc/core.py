@@ -360,29 +360,42 @@ def is_feasible(inst: Instance, alloc: Allocation) -> FeasibilityReport:
     return FeasibilityReport(ok=not violations, violations=tuple(violations))
 
 
+def copy_items(inst: Instance, copies, metadata=None) -> Instance:
+    """Instance over the buyers, thresholds and budgets of inst whose items
+    are copies of its items.  copies lists (new id, source item, buyers) in
+    the new item order; each edge (new id, j) for j in buyers takes the
+    value, cost and resource costs of the edge (source item, j)."""
+    rcosts_of = {}
+    for (res, i, j), c in (inst.resource_costs or {}).items():
+        rcosts_of.setdefault((i, j), []).append((res, c))
+    items, values, costs, rcosts = [], {}, {}, {}
+    for new, source, buyers in copies:
+        items.append(new)
+        for j in buyers:
+            values[(new, j)] = inst.values[(source, j)]
+            if inst.costs is not None:
+                costs[(new, j)] = inst.costs[(source, j)]
+            for res, c in rcosts_of.get((source, j), ()):
+                rcosts[(res, new, j)] = c
+    return Instance(
+        items=items,
+        buyers=inst.buyers,
+        values=values,
+        thresholds=inst.thresholds,
+        costs=costs if inst.costs is not None else None,
+        budgets=inst.budgets,
+        resource_costs=rcosts if inst.resource_costs is not None else None,
+        metadata=dict(metadata or {}),
+    )
+
+
 def restrict_edges(inst: Instance, keep) -> Instance:
     """Sub-instance keeping only the edges in ``keep`` (same items/buyers)."""
     keep = set(keep)
-    values = {e: v for e, v in inst.values.items() if e in keep}
-    costs = None
-    if inst.costs is not None:
-        costs = {e: c for e, c in inst.costs.items() if e in keep}
-    rcosts = None
-    if inst.resource_costs is not None:
-        rcosts = {
-            (res, i, j): c
-            for (res, i, j), c in inst.resource_costs.items()
-            if (i, j) in keep
-        }
-    return Instance(
-        items=inst.items,
-        buyers=inst.buyers,
-        values=values,
-        thresholds=dict(inst.thresholds),
-        costs=costs,
-        budgets=dict(inst.budgets) if inst.budgets is not None else None,
-        resource_costs=rcosts,
-        metadata=dict(inst.metadata),
+    return copy_items(
+        inst,
+        [(i, i, [j for j in inst.edges_of_item(i) if (i, j) in keep]) for i in inst.items],
+        inst.metadata,
     )
 
 

@@ -3,10 +3,11 @@
 Bins are the pairs (p, j) over P-items p and their edges (p, j); at most
 one bin per P-item may be opened.  The P-item occupies zero space in its
 own bins and an inadmissible 1 + eps_gap in every other bin; an N-item i
-fits bin (p, j) with size (rho_j - v_ij) / (v_pj - rho_j) when the P-edge
-has positive excess.  Zero-excess bins admit no N-items, and non-edges are
-likewise blocked with oversize entries, so maximal feasible GAP solutions
-correspond one-to-one, value for value, with bundle partitions.
+fits bin (p, j) with size -e_ij / e_pj, where e = v - rho*c is the excess,
+when the P-edge has positive excess.  Zero-excess bins admit no N-items,
+and non-edges are likewise blocked with oversize entries, so maximal
+feasible GAP solutions correspond one-to-one, value for value, with bundle
+partitions.
 """
 
 from __future__ import annotations
@@ -68,14 +69,13 @@ def export_gap(inst: Instance, eps_gap=1) -> GapInstance:
     for i in n_items:
         for b in bins:
             bp, bj = b
-            excess = inst.values[(bp, bj)] - inst.thresholds[bj]
+            excess = inst.excess(bp, bj)
             if (i, bj) not in inst.values or excess == 0:
                 values[(i, b)] = Fraction(0)
                 sizes[(i, b)] = blocked
                 continue
-            deficit = inst.thresholds[bj] - inst.values[(i, bj)]
             values[(i, b)] = inst.values[(i, bj)]
-            sizes[(i, b)] = deficit / excess
+            sizes[(i, b)] = -inst.excess(i, bj) / excess
     groups = {}
     for b in bins:
         groups.setdefault(b[0], []).append(b)

@@ -156,15 +156,13 @@ def run_offline_trials(
 
 def _replay_prefix(model: IidModel, events) -> bool:
     """Exact check that every prefix of the (buyer, type) allocations,
-    given in arrival order, keeps every buyer's constraint; values and
-    thresholds are compared as the model's scaled integers."""
-    values, thresholds = model.scaled
-    value = {}
-    count = {}
+    given in arrival order, keeps every buyer's constraint: each buyer's
+    sum of scaled excesses (Instance.scaled of model.inst) stays >= 0."""
+    excess = model.inst.scaled[1]
+    slack = {}
     for j, typ in events:
-        value[j] = value.get(j, 0) + values[(typ, j)]
-        count[j] = count.get(j, 0) + 1
-        if value[j] < thresholds[j] * count[j]:
+        slack[j] = slack.get(j, 0) + excess[(typ, j)]
+        if slack[j] < 0:
             return False
     return True
 
@@ -185,13 +183,12 @@ def run_online_trials(
     beta: float,
     seed: int,
     trials: int,
-    streams=None,
 ) -> TrialReport:
-    """Monte-Carlo over the online rounding on sampled (or supplied)
-    streams; aborts unless every prefix of every trial is feasible."""
+    """Monte-Carlo over the online rounding on sampled streams; aborts
+    unless every prefix of every trial is feasible."""
     plan = OnlinePlan(model, x, alpha)
     values, open_counts = [], {}
-    for t, (opened, members, value, _trace) in plan.run_trials(seed, trials, streams):
+    for t, (opened, members, value, _trace) in plan.run_trials(seed, trials):
         # openers and members in time order; each arrival makes at most one
         events = sorted(
             [(t_open, j, p) for (j, p, t_open) in opened]
@@ -199,7 +196,7 @@ def run_online_trials(
         )
         if not _replay_prefix(model, ((j, typ) for _t, j, typ in events)):
             raise RuntimeError(f"trial {t} violated a prefix constraint")
-        values.append(value / model.scale)
+        values.append(value / model.inst.scale)
         for (j, p, t_open) in opened:
             key = f"{j}|{p}|{t_open}"
             open_counts[key] = open_counts.get(key, 0) + 1

@@ -1,6 +1,7 @@
 """Builders for every LP the toolkit solves.
 
-Four relaxations over an instance or an arrival model:
+Four relaxations over an instance, or over the instance of an arrival
+model's item types:
 
 * naive LP: drop integrality from the assignment ILP (variables x_ij).
 * bundle LP: variables x_ijp tied to opened bundles; requires every item to
@@ -50,8 +51,11 @@ from .lp import LinearProgram, LpSolution, solve_lp
 class IidModel:
     """Known distribution over item types with T i.i.d. arrivals.
 
-    probs must sum to 1 exactly.  costs is only populated by the structural
-    hardness generator; the online rounding algorithms require plain mode.
+    The valuation over the types is self.inst, an Instance whose items are
+    the types, built once and checked like any instance; a type's missing
+    cost is read as 1.  probs must sum to 1 exactly.  costs is only
+    populated by the structural hardness generator; the online rounding
+    algorithms require plain mode.
     """
 
     types: tuple
@@ -62,17 +66,22 @@ class IidModel:
     horizon: int
     costs: dict | None = None
     metadata: dict = field(default_factory=dict, compare=False)
+    inst: Instance = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        object.__setattr__(self, "types", tuple(self.types))
-        object.__setattr__(self, "buyers", tuple(self.buyers))
-        object.__setattr__(self, "values", {k: to_fraction(v) for k, v in self.values.items()})
-        object.__setattr__(
-            self, "thresholds", {k: to_fraction(v) for k, v in self.thresholds.items()}
-        )
+        costs = self.costs
+        if costs is not None:
+            costs = {k: to_fraction(v) for k, v in costs.items()}
+            object.__setattr__(self, "costs", costs)
+            costs = {**{e: Fraction(1) for e in self.values}, **costs}
+        inst = Instance(items=self.types, buyers=self.buyers, values=self.values,
+                        thresholds=self.thresholds, costs=costs)
+        object.__setattr__(self, "inst", inst)
+        object.__setattr__(self, "types", inst.items)
+        object.__setattr__(self, "buyers", inst.buyers)
+        object.__setattr__(self, "values", inst.values)
+        object.__setattr__(self, "thresholds", inst.thresholds)
         object.__setattr__(self, "probs", {k: to_fraction(v) for k, v in self.probs.items()})
-        if self.costs is not None:
-            object.__setattr__(self, "costs", {k: to_fraction(v) for k, v in self.costs.items()})
         if self.horizon < 2:
             raise ValueError("horizon must be at least 2")
         if set(self.probs) != set(self.types):
@@ -81,20 +90,6 @@ class IidModel:
             raise ValueError("negative arrival probability")
         if sum(self.probs.values()) != 1:
             raise ValueError("arrival probabilities must sum to 1 exactly")
-        for (i, j) in self.values:
-            if i not in set(self.types) or j not in set(self.buyers):
-                raise ValueError(f"value for unknown pair ({i!r}, {j!r})")
-        for j in self.buyers:
-            if self.thresholds.get(j, Fraction(0)) <= 0:
-                raise ValueError(f"buyer {j!r} needs a positive threshold")
-
-    def cost(self, i, j) -> Fraction:
-        if self.costs is None:
-            return Fraction(1)
-        return self.costs.get((i, j), Fraction(1))
-
-    def excess(self, i, j) -> Fraction:
-        return self.values[(i, j)] - self.thresholds[j] * self.cost(i, j)
 
     @cached_property
     def stream_cdf(self) -> list:
@@ -107,35 +102,6 @@ class IidModel:
             acc += self.probs[i]
             cdf.append(float(acc))
         return cdf
-
-    @cached_property
-    def scale(self) -> int:
-        """Least common denominator of every value and threshold."""
-        numbers = [*self.values.values(), *self.thresholds.values()]
-        return math.lcm(*(q.denominator for q in numbers))
-
-    @cached_property
-    def scaled(self) -> tuple:
-        """(values, thresholds) times self.scale, as ints.  A positive
-        common factor keeps every comparison of a sum of values with a
-        multiple of a threshold exact."""
-        scale = self.scale
-        return (
-            {k: int(v * scale) for k, v in self.values.items()},
-            {j: int(r * scale) for j, r in self.thresholds.items()},
-        )
-
-    def is_p_edge_type(self, i, j) -> bool:
-        return (i, j) in self.values and self.excess(i, j) >= 0
-
-    def p_edge_types(self):
-        """P-edge types in canonical (type order, buyer order)."""
-        return [
-            (p, j)
-            for p in self.types
-            for j in self.buyers
-            if self.is_p_edge_type(p, j)
-        ]
 
 
 @dataclass
@@ -183,38 +149,36 @@ def build_naive_lp(inst: Instance) -> LinearProgram:
     )
 
 
-def _bundle_lp(src, units, item_cap, member_cap) -> LinearProgram:
+def _bundle_lp(inst: Instance, item_cap, member_cap) -> LinearProgram:
     """The bundle relaxation every bundle-shaped LP shares.
 
-    src is an instance or an arrival model and units are its items or types;
-    only src.buyers, src.values and src.excess are read.  Openers x_pjp
-    exist per P-edge (p, j), members x_ijp per N-edge (i, j) and bundle
-    (j, p) of the same buyer.  item_cap(i) is the rhs of the row of unit i;
-    member_cap(i) multiplies x_pjp in the membership row of x_ijp.
+    Openers x_pjp exist per P-edge (p, j), members x_ijp per N-edge (i, j)
+    and bundle (j, p) of the same buyer.  item_cap(i) is the rhs of the row
+    of item i; member_cap(i) multiplies x_pjp in the membership row of x_ijp.
     """
-    buyers, values = src.buyers, src.values
+    buyers, values = inst.buyers, inst.values
     p_edges = [
-        (p, j) for p in units for j in buyers if (p, j) in values and src.excess(p, j) >= 0
+        (p, j) for p in inst.items for j in buyers if (p, j) in values and inst.is_p_edge(p, j)
     ]
     keys = []
-    for i in units:
+    for i in inst.items:
         for j in buyers:
             if (i, j) not in values:
                 continue
-            if src.excess(i, j) >= 0:
+            if inst.is_p_edge(i, j):
                 keys.append((i, j, i))
             else:
                 keys.extend((i, j, p) for (p, jj) in p_edges if jj == j)
     col = {k: pos for pos, k in enumerate(keys)}
     # per-bundle average-value rows: sum_i (rho_j c_ij - v_ij) x_ijp <= 0
     value_rows = {(j, p): {} for (p, j) in p_edges}
-    # per-unit rows: the mass of unit i over all bundles <= item_cap(i)
-    unit_rows = {}
+    # per-item rows: the mass of item i over all bundles <= item_cap(i)
+    item_rows = {}
     for pos, (i, j, p) in enumerate(keys):
-        value_rows[(j, p)][pos] = -src.excess(i, j)
-        unit_rows.setdefault(i, {})[pos] = Fraction(1)
+        value_rows[(j, p)][pos] = -inst.excess(i, j)
+        item_rows.setdefault(i, {})[pos] = Fraction(1)
     rows = [(row, "<=", Fraction(0)) for row in value_rows.values()]
-    rows += [(row, "<=", item_cap(i)) for i, row in unit_rows.items()]
+    rows += [(row, "<=", item_cap(i)) for i, row in item_rows.items()]
     # membership rows: x_ijp <= member_cap(i) * x_pjp
     rows += [
         ({pos: Fraction(1), col[(p, j, p)]: -member_cap(i)}, "<=", Fraction(0))
@@ -229,29 +193,29 @@ def _bundle_lp(src, units, item_cap, member_cap) -> LinearProgram:
     )
 
 
-def _one(_unit) -> Fraction:
+def _one(_item) -> Fraction:
     return Fraction(1)
 
 
 def bundle_lp_shape(inst: Instance):
-    """(units, item_cap, member_cap) of the offline bundle LP: each item
-    has one copy and each member joins at most its opener's mass.  Requires
-    an unambiguous instance."""
+    """(item_cap, member_cap) of the offline bundle LP: each item has one
+    copy and each member joins at most its opener's mass.  Requires an
+    unambiguous instance."""
     if not inst.is_unambiguous():
         raise AmbiguousInstance(f"ambiguous items: {inst.ambiguous_items()}")
-    return inst.items, _one, _one
+    return _one, _one
 
 
 def opton_lp_shape(model: IidModel):
-    """(units, item_cap, member_cap) of the online LP: type i arrives
-    q_i*T times in expectation, and so caps both its mass and its members
-    per opened bundle."""
+    """(item_cap, member_cap) of the online LP over model.inst: type i
+    arrives q_i*T times in expectation, and so caps both its mass and its
+    members per opened bundle."""
     T = model.horizon
 
     def expected_arrivals(i):
         return model.probs[i] * T
 
-    return model.types, expected_arrivals, expected_arrivals
+    return expected_arrivals, expected_arrivals
 
 
 def build_bundle_lp(inst: Instance) -> LinearProgram:
@@ -295,7 +259,7 @@ def build_bundle_lp_budgeted(inst: Instance) -> LinearProgram:
 def build_opton_lp(model: IidModel) -> LinearProgram:
     """Relaxation of any feasible-with-probability-one online algorithm;
     its value is denoted V[ON]."""
-    return _bundle_lp(model, *opton_lp_shape(model))
+    return _bundle_lp(model.inst, *opton_lp_shape(model))
 
 
 def compute_kappa(gamma, T: int) -> float:
@@ -326,7 +290,7 @@ def build_optoff_lp(model: IidModel, gamma_floor) -> LinearProgram:
     def member_cap(i):
         return Fraction(math.ceil(model.probs[i] * T * kappa))
 
-    return _bundle_lp(model, model.types, item_cap, member_cap)
+    return _bundle_lp(model.inst, item_cap, member_cap)
 
 
 def solve_model_lp(lp: LinearProgram) -> BundleLpSolution:

@@ -41,7 +41,7 @@ from fractions import Fraction
 import numpy as np
 
 from .bundling import Bundle, BundledAllocation
-from .core import Allocation, Instance
+from .core import Allocation, Instance, copy_items
 from .errors import InfeasibleFractional, StreamModelMismatch
 from .lp_models import BundleLpSolution, IidModel, bundle_lp_shape, opton_lp_shape
 
@@ -184,25 +184,12 @@ def sample_stream(model: IidModel, seed: int, trial: int = 0) -> OnlineStream:
 
 
 def stream_instance(model: IidModel, stream: OnlineStream) -> Instance:
-    """Instance realized by a stream: one item per timestep (id "t<k>")."""
+    """Instance realized by a stream: one item per timestep (id "t<k>"),
+    a copy of its type in model.inst."""
     _check_stream(model, stream)
-    items, values = [], {}
-    costs = {} if model.costs is not None else None
-    for t, typ in enumerate(stream.arrivals, start=1):
-        iid = f"t{t}"
-        items.append(iid)
-        for j in model.buyers:
-            if (typ, j) in model.values:
-                values[(iid, j)] = model.values[(typ, j)]
-                if costs is not None:
-                    costs[(iid, j)] = model.cost(typ, j)
-    return Instance(
-        items=items,
-        buyers=model.buyers,
-        values=values,
-        thresholds=dict(model.thresholds),
-        costs=costs,
-    )
+    inst = model.inst
+    return copy_items(inst, [(f"t{t}", typ, inst.edges_of_item(typ))
+                             for t, typ in enumerate(stream.arrivals, start=1)])
 
 
 def _check_stream(model: IidModel, stream: OnlineStream):
@@ -220,19 +207,19 @@ def _check_stream(model: IidModel, stream: OnlineStream):
 # fractional-solution checks
 
 
-def check_fractional(src, x: BundleLpSolution, units, item_cap, member_cap):
+def check_fractional(inst: Instance, x: BundleLpSolution, item_cap, member_cap):
     """Raise InfeasibleFractional unless x satisfies, within FRACTIONAL_TOL,
-    the bundle LP that lp_models builds over src (an instance or an arrival
-    model) from the shape (units, item_cap, member_cap)."""
-    mass = {i: 0.0 for i in units}
+    the bundle LP that lp_models builds over inst from the shape
+    (item_cap, member_cap)."""
+    mass = {i: 0.0 for i in inst.items}
     av = {}
     for (i, j, p), v in x.x.items():
         fv = float(v)
         if fv < -FRACTIONAL_TOL:
             raise InfeasibleFractional(f"negative value at {(i, j, p)}")
-        if (i, j) not in src.values or (p, j) not in src.values or src.excess(p, j) < 0:
+        if (i, j) not in inst.values or (p, j) not in inst.values or not inst.is_p_edge(p, j):
             raise InfeasibleFractional(f"variable {(i, j, p)} outside the bundle LP")
-        excess = src.excess(i, j)
+        excess = inst.excess(i, j)
         if i != p and excess >= 0:
             raise InfeasibleFractional(f"P-edge ({i!r}, {j!r}) used as a member")
         mass[i] += fv
@@ -243,7 +230,7 @@ def check_fractional(src, x: BundleLpSolution, units, item_cap, member_cap):
                 raise InfeasibleFractional(f"x[{i},{j},{p}] exceeds its opener cap")
     for i, s in mass.items():
         if s > float(item_cap(i)) + FRACTIONAL_TOL:
-            raise InfeasibleFractional(f"unit {i!r} mass {s} exceeds its cap")
+            raise InfeasibleFractional(f"item {i!r} mass {s} exceeds its cap")
     for bp, s in av.items():
         if s > FRACTIONAL_TOL:
             raise InfeasibleFractional(f"bundle {bp} violates its value row by {s}")
@@ -484,8 +471,8 @@ class TraceRecord:
 
 class OnlinePlan:
     """Model + online-LP solution compiled for repeated stream runs.  A
-    run sums values and residuals in the model's scaled integers
-    (IidModel.scaled), held in arrays of self.dtype, and turns its value
+    run sums values and residuals in the scaled integers of the model's
+    instance (Instance.scaled), held in arrays of self.dtype, and turns its value
     into a Fraction once at the end.  Types and buyers are numbered in
     model order, and a bundle is named by its opening time: at most one
     bundle opens per first-half arrival."""
@@ -495,7 +482,7 @@ class OnlinePlan:
             raise ValueError("online rounding requires a plain (unit-cost) model")
         if model.horizon % 2 != 0:
             raise ValueError("online rounding needs an even horizon")
-        check_fractional(model, x, *opton_lp_shape(model))
+        check_fractional(model.inst, x, *opton_lp_shape(model))
         self.model = model
         self.alpha = 0.64 if alpha is None else alpha
         if not 0 < self.alpha < 1:
@@ -504,7 +491,7 @@ class OnlinePlan:
         self.half = T // 2
         self.tidx = {i: k for k, i in enumerate(model.types)}
         nt, nb = len(model.types), len(model.buyers)
-        values, thresholds = model.scaled
+        values, excess = model.inst.scaled[:2]
         # phase I: per type, cumulative opening probabilities over buyers,
         # padded with 0.0, which no draw falls below
         open_cum = []
@@ -524,32 +511,28 @@ class OnlinePlan:
             for k, (acc, jdx) in enumerate(cum):
                 self.open_acc[p, k], self.open_buyer[p, k] = acc, jdx
         # phase II: join_prob[i, p, j] is the coin probability of a type-i
-        # arrival against an open bundle (p, j); 0.0 where it has no coin
+        # arrival against an open bundle (p, j); 0.0 where it has no coin.
+        # check_fractional has checked that each member entry x_ijp, i != p,
+        # pairs an N-edge (i, j) with a P-edge (p, j)
+        bidx = {j: k for k, j in enumerate(model.buyers)}
         self.join_prob = np.zeros((nt, nt, nb))
-        for i in model.types:
+        for (i, j, p), v in x.x.items():
             qT = float(model.probs[i] * T)
-            if qT <= 0:
+            if i == p or not v or qT <= 0:
                 continue
-            for j in model.buyers:
-                if (i, j) not in model.values or model.is_p_edge_type(i, j):
-                    continue
-                for (p, jj) in model.p_edge_types():
-                    v = x.x.get((i, j, p)) if jj == j else None
-                    if not v:
-                        continue
-                    xp = x.x[(p, j, p)]
-                    ratio = float(Fraction(v) / Fraction(xp)) if isinstance(v, Fraction) else v / xp
-                    self.join_prob[self.tidx[i], self.tidx[p], model.buyers.index(j)] = (
-                        self.alpha * ratio / qT)
+            xp = x.x[(p, j, p)]
+            ratio = float(Fraction(v) / Fraction(xp)) if isinstance(v, Fraction) else v / xp
+            self.join_prob[self.tidx[i], self.tidx[p], bidx[j]] = self.alpha * ratio / qT
         self.may_join = self.join_prob > 0
-        # scaled value, opener excess and member deficit of each (type, buyer);
-        # a run's value is at most T times the largest value
-        grid = [[(values.get((i, j), 0), thresholds[j]) for j in model.buyers]
+        # scaled value and excess of each (type, buyer), 0 on non-edges; a
+        # run's value is at most T times the largest value, and a bundle's
+        # residual lies between 0 and its opener's excess
+        grid = [[(values.get((i, j), 0), excess.get((i, j), 0)) for j in model.buyers]
                 for i in model.types]
-        bound = T * sum(abs(v) + r for row in grid for v, r in row)
+        bound = T * sum(abs(v) + abs(e) for row in grid for v, e in row)
         self.dtype = dt = _state_dtype(bound)
-        self.values = np.array([[v for v, _r in row] for row in grid], dtype=dt).reshape(nt, nb)
-        self.p_excess = np.array([[v - r for v, r in row] for row in grid], dtype=dt).reshape(nt, nb)
+        self.values = np.array([[v for v, _e in row] for row in grid], dtype=dt).reshape(nt, nb)
+        self.p_excess = np.array([[e for _v, e in row] for row in grid], dtype=dt).reshape(nt, nb)
         self.deficit = -self.p_excess
         self.block_trials = _block_trials(max(T, self.half * width, (T - self.half) * self.half))
 
@@ -631,17 +614,14 @@ class OnlinePlan:
                 trace.append(TraceRecord(t, f"t{t}", types[arrivals[t - 1]], key, reason))
         return opened, members, value, trace
 
-    def run_trials(self, seed: int, trials: int, streams=None):
+    def run_trials(self, seed: int, trials: int):
         """Yield (t, outcome of run_block) for trials t = 0 .. trials-1,
-        each seeded by derive_trial_seed(seed, t) on streams[t], or on the
-        stream sample_stream(model, seed, t) when streams is None, one
-        block of self.block_trials trials at a time."""
+        each seeded by derive_trial_seed(seed, t) on the stream
+        sample_stream(model, seed, t), one block of self.block_trials
+        trials at a time."""
         for start in range(0, trials, self.block_trials):
             block = np.arange(start, min(trials, start + self.block_trials), dtype=np.uint64)
-            if streams is None:
-                arrivals = stream_arrivals(self.model, seed, block)
-            else:
-                arrivals = self.arrivals(streams[start:start + len(block)])
+            arrivals = stream_arrivals(self.model, seed, block)
             yield from enumerate(self.run_block(trial_seeds(seed, block), arrivals), start)
 
     def run(self, seed: int, stream: OnlineStream, want_trace: bool = False):
@@ -650,7 +630,7 @@ class OnlinePlan:
         arrivals = self.arrivals([stream])
         opened, members, value, trace = next(self.run_block(
             np.array([seed & _MASK], dtype=np.uint64), arrivals, want_trace))
-        return opened, members, Fraction(value, self.model.scale), trace
+        return opened, members, Fraction(value, self.model.inst.scale), trace
 
 
 def round_online(model: IidModel, x: BundleLpSolution, params: RoundingParams,

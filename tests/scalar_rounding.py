@@ -157,7 +157,9 @@ class ScalarOnlinePlan:
                     cum.append((acc, j))
             if cum:
                 self.open_cum[p] = cum
-        values, thresholds = model.scaled
+        values, excess = model.inst.scaled[:2]
+        p_edges = [(p, j) for p in model.types for j in model.buyers
+                   if (p, j) in model.values and model.inst.is_p_edge(p, j)]
         self.scaled_values = values
         self.joiners = {}
         self.member_deficit = {}
@@ -166,9 +168,9 @@ class ScalarOnlinePlan:
             if qT <= 0:
                 continue
             for j in model.buyers:
-                if (i, j) not in model.values or model.is_p_edge_type(i, j):
+                if (i, j) not in model.values or model.inst.is_p_edge(i, j):
                     continue
-                for (p, jj) in model.p_edge_types():
+                for (p, jj) in p_edges:
                     if jj != j:
                         continue
                     v = x.x.get((i, j, p))
@@ -177,10 +179,8 @@ class ScalarOnlinePlan:
                     xp = x.x[(p, j, p)]
                     ratio = float(Fraction(v) / Fraction(xp)) if isinstance(v, Fraction) else v / xp
                     self.joiners.setdefault((p, j), []).append((i, self.alpha * ratio / qT))
-                self.member_deficit[(i, j)] = thresholds[j] - values[(i, j)]
-        self.p_excess = {
-            (p, j): values[(p, j)] - thresholds[j] for (p, j) in model.p_edge_types()
-        }
+                self.member_deficit[(i, j)] = -excess[(i, j)]
+        self.p_excess = {(p, j): excess[(p, j)] for (p, j) in p_edges}
 
     def run(self, seed, stream):
         """(opened keys, members per key, scaled value, trace)."""

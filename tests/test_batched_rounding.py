@@ -49,7 +49,7 @@ def _check_online(model, x, alpha, seed, trials):
         assert traced[t] == want
         assert (opened, members, value, None) == (*want[:3], None)
     opened, members, value, trace = plan.run(seeds[0], streams[0], want_trace=True)
-    assert (opened, members, value, trace) == (*traced[0][:2], Fraction(traced[0][2], model.scale),
+    assert (opened, members, value, trace) == (*traced[0][:2], Fraction(traced[0][2], model.inst.scale),
                                               traced[0][3])
     return plan
 
@@ -127,7 +127,7 @@ def test_object_dtype_online_matches_scalar_reference():
                "m": Fraction(1, 4)},
         horizon=12,
     )
-    assert model.scale > 2 ** 63
+    assert model.inst.scale > 2 ** 63
     plan = _check_online(model, solve_model_lp(build_opton_lp(model)), 0.9, 2, 300)
     assert plan.dtype is object
 

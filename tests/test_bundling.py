@@ -15,6 +15,7 @@ from avalloc import (
     make_unambiguous_random,
     split_ambiguous,
 )
+from avalloc.core import restrict_edges
 from avalloc.errors import InfeasiblePrefix, InvalidBundling
 from avalloc.generators import gen_integrality_gap, gen_random, gen_supply_example, gen_tightness_example
 from avalloc.oracles import exact_bundling_opt, exact_opt
@@ -253,6 +254,36 @@ def test_deterministic_unambiguous_random_sweep():
         used = [i for b in out.bundles for i in b.members()]
         assert len(used) == len(set(used))
         assert is_feasible(out_inst, out.to_allocation())
+
+
+def test_copies_carry_costs_resource_costs_and_metadata():
+    # i is ambiguous in cost mode: excess 3/10 for b1 and -1/10 for b2
+    values = {("i", "b1"): "1.3", ("i", "b2"): "0.9", ("k", "b1"): "0.5"}
+    inst = unit_instance(
+        values, buyers=["b1", "b2"], costs={e: 1 for e in values},
+        budgets={("cpu", "b1"): 1},
+        rcosts={("cpu", "i", "b1"): "0.25", ("cpu", "i", "b2"): "0.5",
+                ("cpu", "k", "b1"): "0.1"},
+    )
+    inst.metadata["family"] = "copies"
+    split, orig = split_ambiguous(inst)
+    assert split.items == ("i+", "i-", "k") and orig == {"i+": "i", "i-": "i"}
+    assert split.costs == {("i+", "b1"): 1, ("i-", "b2"): 1, ("k", "b1"): 1}
+    assert split.resource_costs == {("cpu", "i+", "b1"): Fraction(1, 4),
+                                    ("cpu", "i-", "b2"): Fraction(1, 2),
+                                    ("cpu", "k", "b1"): Fraction(1, 10)}
+    assert split.budgets == inst.budgets
+    dup = duplicate_supply(inst, 2)
+    assert dup.items == ("i@1", "i@2", "k@1", "k@2")
+    assert dup.resource_costs[("cpu", "k@2", "b1")] == Fraction(1, 10)
+    assert len(dup.resource_costs) == 6 and len(dup.costs) == 6
+    kept = restrict_edges(inst, [("i", "b1")])
+    assert kept.items == inst.items and kept.metadata == {"family": "copies"}
+    assert kept.costs == {("i", "b1"): 1}
+    assert kept.resource_costs == {("cpu", "i", "b1"): Fraction(1, 4)}
+    with pytest.raises(InvalidBundling, match="collides"):
+        split_ambiguous(unit_instance({("i", "b1"): "1.3", ("i", "b2"): "0.9",
+                                       ("i-", "b1"): "1.5"}, buyers=["b1", "b2"]))
 
 
 def test_duplicate_supply_counts_and_values():

@@ -1,5 +1,6 @@
 import io
 import json
+import random
 from fractions import Fraction
 
 import pytest
@@ -81,6 +82,51 @@ def test_round_trip_on_random_unambiguous_instances():
         sol = bundles_to_gap(bopt, inst)
         back = gap_solution_to_bundles(sol, g, inst)
         assert back.value(inst) == bval == gap_value(sol, g)
+
+
+def test_export_sizes_use_the_cost_mode_excess():
+    # p has excess 1/2 - 1/4 = 1/4 and n excess 1/2 - 1 = -1/2, so n needs
+    # twice the bin's room
+    inst = unit_instance(
+        {("p", "b"): Fraction(1, 2), ("n", "b"): Fraction(1, 2)},
+        costs={("p", "b"): Fraction(1, 4), ("n", "b"): 1},
+    )
+    g = export_gap(inst)
+    assert g.sizes[("n", ("p", "b"))] == 2
+    bval, _bopt = exact_bundling_opt(inst)
+    assert exact_gap_opt(g) == bval == Fraction(1, 2)
+
+
+def _random_cost_instance(rng, n_items, n_buyers):
+    """Unambiguous cost-mode instance on unit thresholds: each item is a
+    P-item (every cost at most its value) or an N-item (every cost above
+    its value)."""
+    values, costs = {}, {}
+    buyers = [f"b{k}" for k in range(n_buyers)]
+    for k in range(n_items):
+        p_side = rng.random() < 0.4
+        for j in rng.sample(buyers, rng.randint(1, n_buyers)):
+            v = Fraction(rng.randint(1, 20), 10)
+            c = Fraction(rng.randint(0, 10), 10) * v if p_side else v + Fraction(rng.randint(1, 20), 10)
+            values[(f"i{k}", j)], costs[(f"i{k}", j)] = v, c
+    return unit_instance(values, buyers=buyers, costs=costs)
+
+
+def test_round_trip_on_random_cost_mode_instances():
+    rng = random.Random(7)
+    checked = 0
+    for _ in range(30):
+        inst = _random_cost_instance(rng, 6, 3)
+        if not inst.p_items():
+            continue
+        checked += 1
+        bval, bopt = exact_bundling_opt(inst)
+        g = export_gap(inst)
+        assert exact_gap_opt(g) == bval
+        sol = bundles_to_gap(bopt, inst)
+        back = gap_solution_to_bundles(sol, g, inst)
+        assert back.value(inst) == bval == gap_value(sol, g)
+    assert checked >= 20
 
 
 def test_empty_solution_not_maximal():

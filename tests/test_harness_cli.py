@@ -144,9 +144,9 @@ def test_integer_replay_matches_fraction_replay(data, n_types, n_buyers):
         probs={i: Fraction(1, n_types) for i in types},
         horizon=2,
     )
-    values, scaled_thresholds = model.scaled
+    values, excess = model.inst.scaled[:2]
     for (i, j), v in values.items():  # one common factor scales both sides
-        assert Fraction(v, scaled_thresholds[j]) == model.values[(i, j)] / model.thresholds[j]
+        assert Fraction(excess[(i, j)], v) == model.inst.excess(i, j) / model.values[(i, j)]
     events = data.draw(st.lists(st.tuples(st.sampled_from(buyers), st.sampled_from(types)),
                                 max_size=12))
     assert _replay_prefix(model, events) == _fraction_replay(model, events)
@@ -186,7 +186,7 @@ def test_online_trials_with_a_zero_excess_opener():
         probs={"z": Fraction(1, 3), "p": Fraction(1, 3), "n": Fraction(1, 3)},
         horizon=6,
     )
-    assert model.excess("z", "b1") == 0
+    assert model.inst.excess("z", "b1") == 0
     assert solve_model_lp(build_opton_lp(model)).x[("z", "b1", "z")] > 0
     for seed in range(4):
         _check_online_runs(model, seed)
@@ -347,6 +347,16 @@ def test_cli_exit_codes(tmp_path, capsys):
                    '"types": [{"id": "t", "prob": 1, "values": {"b": 2}}]}')
     assert main(["lp", str(bad), "--which", "opton"]) == 2
     assert capsys.readouterr().err.startswith("error: ")
+    # a model's types are checked like an instance's items: a duplicate id,
+    # a negative value, a negative cost
+    for types in ('{"id": "t", "prob": 1, "values": {"b": 2}}, '
+                  '{"id": "t", "prob": 1, "values": {"b": 2}}',
+                  '{"id": "t", "prob": 1, "values": {"b": -2}}',
+                  '{"id": "t", "prob": 1, "values": {"b": 2}, "costs": {"b": -1}}'):
+        bad.write_text('{"horizon": 4, "buyers": [{"id": "b", "rho": 1}], '
+                       '"types": [%s]}' % types)
+        assert main(["lp", str(bad), "--which", "opton"]) == 2
+        assert capsys.readouterr().err.startswith("error: ")
 
 
 def test_cli_export_gap_and_bench(tmp_path, capsys):

@@ -1,5 +1,6 @@
 import hashlib
 import io
+import json
 import math
 from fractions import Fraction
 
@@ -343,8 +344,8 @@ def test_iid_lower_bound_structure():
     assert sum(model.probs.values()) == 1
     assert model.values[("p", "j1")] == 2
     assert model.values[("n1", "j1")] == Fraction(9, 10)
-    assert model.is_p_edge_type("p", "j3")
-    assert not model.is_p_edge_type("n1", "j1")
+    assert model.inst.is_p_edge("p", "j3")
+    assert not model.inst.is_p_edge("n1", "j1")
 
 
 def test_model_json_round_trip_integer_buyer_ids():
@@ -378,3 +379,22 @@ def test_model_json_round_trip():
         with pytest.raises(InvalidInstance):
             model_from_dict(dict(model_to_dict(model), horizon=horizon))
     assert model_from_dict(dict(model_to_dict(model), horizon="8")).horizon == 8
+    # the type instance carries an instance's checks: unique ids,
+    # nonnegative values and costs
+    for bad in _bad_model_docs(model_to_dict(model)):
+        with pytest.raises(InvalidInstance):
+            model_from_dict(bad)
+
+
+def _bad_model_docs(doc):
+    """Copies of a model document with a duplicate type id, a negative
+    value and a negative cost."""
+    dup = json.loads(json.dumps(doc))
+    dup["types"].append(dup["types"][0])
+    negative_value = json.loads(json.dumps(doc))
+    values = negative_value["types"][0]["values"]
+    values[next(iter(values))] = -1
+    negative_cost = json.loads(json.dumps(doc))
+    rec = negative_cost["types"][0]
+    rec["costs"] = {next(iter(rec["values"])): -1}
+    return dup, negative_value, negative_cost

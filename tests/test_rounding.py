@@ -394,6 +394,18 @@ def test_online_single_p_type_value_four():
         assert [r.reason for r in trace] == ["opened", "opened", "multi-hit", "multi-hit"]
 
 
+def test_stream_instance_reads_a_missing_model_cost_as_one():
+    model = IidModel(
+        types=["t", "u"], buyers=["b"], values={("t", "b"): 2, ("u", "b"): "0.5"},
+        thresholds={"b": 1}, probs={"t": "0.5", "u": "0.5"}, horizon=2,
+        costs={("t", "b"): "1.5"},
+    )
+    assert model.inst.excess("u", "b") == Fraction(-1, 2)
+    inst = stream_instance(model, OnlineStream(["u", "t"]))
+    assert inst.items == ("t1", "t2")
+    assert inst.costs == {("t1", "b"): 1, ("t2", "b"): Fraction(3, 2)}
+
+
 def test_online_requires_even_horizon_and_known_types():
     model = gen_iid_lower_bound(9)
     x_lp = build_opton_lp(model)
