@@ -74,8 +74,9 @@ def export_gap(inst: Instance, eps_gap=1) -> GapInstance:
                 values[(i, b)] = Fraction(0)
                 sizes[(i, b)] = blocked
                 continue
+            deficit = -inst.excess(i, bj)
             values[(i, b)] = inst.values[(i, bj)]
-            sizes[(i, b)] = -inst.excess(i, bj) / excess
+            sizes[(i, b)] = deficit / excess
     groups = {}
     for b in bins:
         groups.setdefault(b[0], []).append(b)
