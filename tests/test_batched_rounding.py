@@ -49,8 +49,8 @@ def _check_online(model, x, alpha, seed, trials):
         assert traced[t] == want
         assert (opened, members, value, None) == (*want[:3], None)
     opened, members, value, trace = plan.run(seeds[0], streams[0], want_trace=True)
-    assert (opened, members, value, trace) == (*traced[0][:2], Fraction(traced[0][2], model.inst.scale),
-                                              traced[0][3])
+    assert (opened, members, value, trace) == (
+        *traced[0][:2], Fraction(traced[0][2], model.inst.scale), traced[0][3])
     return plan
 
 

@@ -107,7 +107,9 @@ def _random_cost_instance(rng, n_items, n_buyers):
         p_side = rng.random() < 0.4
         for j in rng.sample(buyers, rng.randint(1, n_buyers)):
             v = Fraction(rng.randint(1, 20), 10)
-            c = Fraction(rng.randint(0, 10), 10) * v if p_side else v + Fraction(rng.randint(1, 20), 10)
+            c = Fraction(rng.randint(0, 10), 10) * v
+            if not p_side:
+                c = v + Fraction(rng.randint(1, 20), 10)
             values[(f"i{k}", j)], costs[(f"i{k}", j)] = v, c
     return unit_instance(values, buyers=buyers, costs=costs)
 
