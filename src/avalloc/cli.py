@@ -15,19 +15,21 @@ import json
 import os
 import random
 import sys
-from fractions import Fraction
 
 from . import bundling, gap, generators, genava, harness, oracles, rounding
 from .core import (
     allocation_value,
+    exact_text,
     instance_to_dict,
     is_feasible,
     load_instance,
     to_fraction,
+    write_json,
 )
 from .errors import AvallocError, TooLarge
 from .lp import lp_to_text, solve_lp
 from .lp_models import (
+    IidModel,
     build_bundle_lp,
     build_bundle_lp_budgeted,
     build_naive_lp,
@@ -39,23 +41,24 @@ from .lp_models import (
 )
 
 
-def _default_seed() -> int:
+def _seed(args) -> int:
+    """--seed when given, else the default seed."""
+    if args.seed is not None:
+        return args.seed
     return int(os.environ.get(harness.SEED_ENV_VAR, "0"))
 
 
+def _to_stdout(path) -> bool:
+    return path is None or path == "-"
+
+
 def _emit(doc, path):
-    text = json.dumps(doc, indent=2) + "\n"
-    if path is None or path == "-":
-        sys.stdout.write(text)
-    else:
-        with open(path, "w") as f:
-            f.write(text)
+    """Write doc to the file at path, or to stdout when path is None or "-"."""
+    write_json(doc, sys.stdout if _to_stdout(path) else path)
 
 
 def _frac_fields(x) -> dict:
-    if isinstance(x, Fraction):
-        return {"value": float(x), "value_exact": f"{x.numerator}/{x.denominator}"}
-    return {"value": float(x), "value_exact": None}
+    return {"value": float(x), "value_exact": exact_text(x)}
 
 
 # -- gen ---------------------------------------------------------------------
@@ -78,48 +81,38 @@ def _parse_edges(spec: str):
 def _cmd_gen(args) -> int:
     fam = args.family
     if fam == "integrality-gap":
-        doc = instance_to_dict(generators.gen_integrality_gap(args.n, args.eps))
+        out = generators.gen_integrality_gap(args.n, args.eps)
     elif fam == "supply":
-        doc = instance_to_dict(generators.gen_supply_example(args.k, args.eps))
+        out = generators.gen_supply_example(args.k, args.eps)
     elif fam == "tightness":
-        doc = instance_to_dict(generators.gen_tightness_example(args.eps))
+        out = generators.gen_tightness_example(args.eps)
     elif fam == "max-coverage":
-        doc = instance_to_dict(
-            generators.gen_max_coverage(_parse_sets(args.sets), args.k, args.eps)
-        )
+        out = generators.gen_max_coverage(_parse_sets(args.sets), args.k, args.eps)
     elif fam == "genava-clique":
-        doc = instance_to_dict(
-            generators.gen_genava_clique(
-                args.vertices.split(","), _parse_edges(args.edges), args.eps
-            )
+        out = generators.gen_genava_clique(
+            args.vertices.split(","), _parse_edges(args.edges), args.eps
         )
     elif fam == "iid-lower-bound":
-        doc = model_to_dict(generators.gen_iid_lower_bound(args.T))
+        out = generators.gen_iid_lower_bound(args.T)
     elif fam == "adversarial":
-        inst, _order = generators.gen_adversarial_T(args.T, args.eps)
-        doc = instance_to_dict(inst)  # declaration order is the arrival order
+        # declaration order is the arrival order
+        out, _order = generators.gen_adversarial_T(args.T, args.eps)
     elif fam == "random":
-        doc = instance_to_dict(
-            generators.gen_random(
-                args.items,
-                args.buyers,
-                seed=args.seed,
-                edge_density=args.edge_density,
-                p_density=args.p_density,
-                unambiguous=args.unambiguous,
-                budget_resources=args.budget_resources,
-                bid_frac=args.bid_frac,
-            )
+        out = generators.gen_random(
+            args.items,
+            args.buyers,
+            seed=_seed(args),
+            edge_density=args.edge_density,
+            p_density=args.p_density,
+            unambiguous=args.unambiguous,
+            budget_resources=args.budget_resources,
+            bid_frac=args.bid_frac,
         )
     elif fam == "random-iid":
-        doc = model_to_dict(
-            generators.gen_random_iid_model(
-                args.types, args.buyers, args.T, seed=args.seed
-            )
-        )
+        out = generators.gen_random_iid_model(args.types, args.buyers, args.T, seed=_seed(args))
     else:  # pragma: no cover - argparse restricts choices
         raise ValueError(f"unknown family {fam!r}")
-    _emit(doc, args.output)
+    _emit(model_to_dict(out) if isinstance(out, IidModel) else instance_to_dict(out), args.output)
     return 0
 
 
@@ -140,7 +133,7 @@ def _allocation_doc(inst, alloc, extra=None) -> dict:
 
 def _cmd_solve(args) -> int:
     inst = load_instance(args.instance)
-    seed = args.seed if args.seed is not None else _default_seed()
+    seed = _seed(args)
     if args.algo in ("bundle-round", "bundle-round-budgeted"):
         budgeted = args.algo == "bundle-round-budgeted"
         work = inst
@@ -248,7 +241,7 @@ def _cmd_lp(args) -> int:
 
 def _cmd_online(args) -> int:
     model = load_model(args.model)
-    seed = args.seed if args.seed is not None else _default_seed()
+    seed = _seed(args)
     x = solve_model_lp(build_opton_lp(model))
     report = harness.run_online_trials(
         model, x, alpha=args.alpha, beta=args.beta, seed=seed, trials=args.trials
@@ -271,15 +264,13 @@ def _cmd_online(args) -> int:
 
 def _cmd_bench(args) -> int:
     suite = harness.BENCH_SUITES[args.suite]
-    seed = args.seed if args.seed is not None else _default_seed()
+    seed = _seed(args)
     report = suite(trials=args.trials, seed=seed)
-    if args.output:
-        harness.write_report_json(report, args.output)
+    _emit(report, args.output)
+    if not _to_stdout(args.output):
         csv_path = args.output
         csv_path = csv_path[:-5] + ".csv" if csv_path.endswith(".json") else csv_path + ".csv"
         harness.write_report_csv(report, csv_path)
-    else:
-        _emit(report, None)
     return 0
 
 
@@ -387,7 +378,7 @@ def main(argv=None) -> int:
     except TooLarge as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
-    except (AvallocError, ValueError, KeyError, OSError, json.JSONDecodeError) as exc:
+    except (AvallocError, ValueError, KeyError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -17,6 +17,7 @@ decisions at zero excess are exact.
 
 from __future__ import annotations
 
+import contextlib
 import enum
 import json
 import math
@@ -399,20 +400,42 @@ def restrict_edges(inst: Instance, keep) -> Instance:
     )
 
 
-# -- JSON interchange ----------------------------------------------------
+# -- JSON documents --------------------------------------------------------
 #
-# Schema (unknown fields are rejected):
+# Every document is read by read_json and written by write_json.  Instance
+# schema (unknown fields are rejected):
 #   {"buyers": [{"id": str, "rho": num, "budgets": {res: num}?}],
 #    "items": [{"id": str, "values": {buyerId: num},
 #               "costs": {buyerId: num}?,
 #               "resource_costs": {res: {buyerId: num}}?}]}
+# An arrival model's document (lp_models) has the same buyers without
+# budgets and lists its types as items with a "prob" and no resource costs.
 #
 # Numbers may also be strings holding exact rationals ("4/3"); the writer
 # emits a plain decimal whenever it round-trips exactly and a "p/q" string
 # otherwise.
 
-_BUYER_FIELDS = {"id", "rho", "budgets"}
-_ITEM_FIELDS = {"id", "values", "costs", "resource_costs"}
+
+def _opened(fp, mode):
+    """The file a path names, opened, or the file object fp itself."""
+    if isinstance(fp, (str, bytes)) or hasattr(fp, "__fspath__"):
+        return open(fp, mode)
+    return contextlib.nullcontext(fp)
+
+
+def read_json(fp):
+    """The JSON document in a path or a file object; floats are read
+    exactly, as Fractions."""
+    with _opened(fp, "r") as f:
+        return json.load(f, parse_float=Fraction)
+
+
+def write_json(doc, fp):
+    """Write doc to a path or a file object, indented by 2, with a final
+    newline."""
+    with _opened(fp, "w") as f:
+        json.dump(doc, f, indent=2)
+        f.write("\n")
 
 
 def object_from_json(x, where) -> dict:
@@ -459,47 +482,67 @@ def buyers_by_json_key(buyers) -> dict:
     return by_key
 
 
-def instance_from_dict(doc: dict) -> Instance:
-    doc = object_from_json(doc, "instance document")
-    reject_unknown_fields(doc, {"buyers", "items"}, "instance document")
+def buyers_from_json(doc: dict, fields) -> tuple:
+    """(ids, thresholds, budgets) of the "buyers" list of doc, whose entries
+    may hold the given fields."""
     buyers, thresholds, budgets = [], {}, {}
     for b in list_from_json(doc.get("buyers", []), "buyers"):
         b = object_from_json(b, "buyer")
-        reject_unknown_fields(b, _BUYER_FIELDS, f"buyer {b.get('id')!r}")
+        reject_unknown_fields(b, fields, f"buyer {b.get('id')!r}")
         bid = id_from_json(b["id"], "buyer")
         buyers.append(bid)
         thresholds[bid] = number_from_json(b["rho"])
         caps = object_from_json(b.get("budgets") or {}, f"budgets of buyer {bid!r}")
         for res, cap in caps.items():
             budgets[(res, bid)] = number_from_json(cap)
+    return buyers, thresholds, budgets
+
+
+def items_from_json(doc: dict, entry: str, fields, buyers) -> tuple:
+    """(ids, values, costs or None, resource costs, entry objects) of the
+    list of ``entry`` objects ("item" or "type") under the key entry + "s"
+    of doc.  Entries may hold the given fields; their maps are keyed by the
+    JSON keys of the declared buyers."""
     buyer_of = buyers_by_json_key(buyers)
-    items, values, costs, rcosts = [], {}, {}, {}
+    items, values, costs, rcosts, entries = [], {}, {}, {}, []
     any_costs = False
-    for it in list_from_json(doc.get("items", []), "items"):
-        it = object_from_json(it, "item")
-        reject_unknown_fields(it, _ITEM_FIELDS, f"item {it.get('id')!r}")
-        iid = id_from_json(it["id"], "item")
+    for it in list_from_json(doc.get(entry + "s", []), entry + "s"):
+        it = object_from_json(it, entry)
+        reject_unknown_fields(it, fields, f"{entry} {it.get('id')!r}")
+        iid = id_from_json(it["id"], entry)
         items.append(iid)
-        vals = object_from_json(it.get("values") or {}, f"values of item {iid!r}")
+        entries.append(it)
+        vals = object_from_json(it.get("values") or {}, f"values of {entry} {iid!r}")
         for j, v in vals.items():
             values[(iid, buyer_of.get(j, j))] = number_from_json(v)
         if it.get("costs") is not None:
             any_costs = True
-            for j, c in object_from_json(it["costs"], f"costs of item {iid!r}").items():
+            for j, c in object_from_json(it["costs"], f"costs of {entry} {iid!r}").items():
                 costs[(iid, buyer_of.get(j, j))] = number_from_json(c)
-        rc = object_from_json(it.get("resource_costs") or {}, f"resource costs of item {iid!r}")
+        rc = object_from_json(it.get("resource_costs") or {}, f"resource costs of {entry} {iid!r}")
         for res, per_buyer in rc.items():
-            for j, c in object_from_json(per_buyer, f"{res!r} costs of item {iid!r}").items():
+            for j, c in object_from_json(per_buyer, f"{res!r} costs of {entry} {iid!r}").items():
                 rcosts[(res, iid, buyer_of.get(j, j))] = number_from_json(c)
-    return Instance(
-        items=items,
-        buyers=buyers,
-        values=values,
-        thresholds=thresholds,
-        costs=costs if any_costs else None,
-        budgets=budgets or None,
-        resource_costs=rcosts or None,
+    return items, values, costs if any_costs else None, rcosts, entries
+
+
+def instance_from_dict(doc: dict) -> Instance:
+    doc = object_from_json(doc, "instance document")
+    reject_unknown_fields(doc, {"buyers", "items"}, "instance document")
+    buyers, thresholds, budgets = buyers_from_json(doc, {"id", "rho", "budgets"})
+    items, values, costs, rcosts, _ = items_from_json(
+        doc, "item", {"id", "values", "costs", "resource_costs"}, buyers
     )
+    return Instance(items=items, buyers=buyers, values=values, thresholds=thresholds,
+                    costs=costs, budgets=budgets or None, resource_costs=rcosts or None)
+
+
+def exact_text(x) -> str | None:
+    """A Fraction as an exact "p/q" string (an integer keeps its "/1");
+    None for any other number."""
+    if isinstance(x, Fraction):
+        return f"{x.numerator}/{x.denominator}"
+    return None
 
 
 def fraction_to_json(x: Fraction):
@@ -509,67 +552,56 @@ def fraction_to_json(x: Fraction):
     f = float(x)
     if math.isfinite(f) and Fraction(Decimal(repr(f))) == x:
         return f
-    return f"{x.numerator}/{x.denominator}"
+    return exact_text(x)
 
 
-def instance_to_dict(inst: Instance) -> dict:
+def buyers_to_json(inst: Instance) -> list:
+    """The buyer entries of inst, each with its budgets if it has any."""
+    caps = {}
+    for (res, j), cap in sorted((inst.budgets or {}).items()):
+        caps.setdefault(j, {})[res] = fraction_to_json(cap)
     buyers = []
     for j in inst.buyers:
         b = {"id": j, "rho": fraction_to_json(inst.thresholds[j])}
-        if inst.budgets:
-            per = {
-                res: fraction_to_json(cap)
-                for (res, jj), cap in sorted(inst.budgets.items())
-                if jj == j
-            }
-            if per:
-                b["budgets"] = per
+        if j in caps:
+            b["budgets"] = caps[j]
         buyers.append(b)
+    return buyers
+
+
+def items_to_json(inst: Instance, costs, probs=None) -> list:
+    """The item entries of inst.  costs is the cost map to write, which
+    may cover only some valued pairs; probs, when given, adds each item's
+    "prob" after its id."""
+    costs = costs or {}
+    byres = {}
+    for (res, i, j), c in sorted((inst.resource_costs or {}).items()):
+        byres.setdefault(i, {}).setdefault(res, {})[j] = fraction_to_json(c)
     items = []
     for i in inst.items:
-        rec = {
-            "id": i,
-            "values": {
-                j: fraction_to_json(inst.values[(i, j)])
-                for j in inst.buyers
-                if (i, j) in inst.values
-            },
+        rec = {"id": i}
+        if probs is not None:
+            rec["prob"] = fraction_to_json(probs[i])
+        rec["values"] = {
+            j: fraction_to_json(inst.values[(i, j)]) for j in inst.buyers if (i, j) in inst.values
         }
-        if inst.costs is not None:
-            per = {
-                j: fraction_to_json(inst.costs[(i, j)])
-                for j in inst.buyers
-                if (i, j) in inst.costs
-            }
-            if per:
-                rec["costs"] = per
-        if inst.resource_costs:
-            byres = {}
-            for (res, ii, j), c in sorted(inst.resource_costs.items()):
-                if ii == i:
-                    byres.setdefault(res, {})[j] = fraction_to_json(c)
-            if byres:
-                rec["resource_costs"] = byres
+        per = {j: fraction_to_json(costs[(i, j)]) for j in inst.buyers if (i, j) in costs}
+        if per:
+            rec["costs"] = per
+        if i in byres:
+            rec["resource_costs"] = byres[i]
         items.append(rec)
-    return {"buyers": buyers, "items": items}
+    return items
+
+
+def instance_to_dict(inst: Instance) -> dict:
+    return {"buyers": buyers_to_json(inst), "items": items_to_json(inst, inst.costs)}
 
 
 def load_instance(fp) -> Instance:
     """Read an instance from a JSON file object or path."""
-    if isinstance(fp, (str, bytes)) or hasattr(fp, "__fspath__"):
-        with open(fp) as f:
-            doc = json.load(f, parse_float=Fraction)
-    else:
-        doc = json.load(fp, parse_float=Fraction)
-    return instance_from_dict(doc)
+    return instance_from_dict(read_json(fp))
 
 
 def dump_instance(inst: Instance, fp):
-    doc = instance_to_dict(inst)
-    if isinstance(fp, (str, bytes)) or hasattr(fp, "__fspath__"):
-        with open(fp, "w") as f:
-            json.dump(doc, f, indent=2)
-            f.write("\n")
-    else:
-        json.dump(doc, fp, indent=2)
-        fp.write("\n")
+    write_json(instance_to_dict(inst), fp)

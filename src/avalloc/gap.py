@@ -12,12 +12,11 @@ partitions.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .bundling import Bundle, BundledAllocation
-from .core import Instance, fraction_to_json, to_fraction
+from .core import Instance, fraction_to_json, to_fraction, write_json
 from .errors import AmbiguousInstance, InfeasibleGapSolution, NotMaximal
 
 
@@ -183,11 +182,4 @@ def gap_to_dict(gap: GapInstance) -> dict:
 
 
 def dump_gap(gap: GapInstance, fp):
-    doc = gap_to_dict(gap)
-    if isinstance(fp, (str, bytes)) or hasattr(fp, "__fspath__"):
-        with open(fp, "w") as f:
-            json.dump(doc, f, indent=2)
-            f.write("\n")
-    else:
-        json.dump(doc, fp, indent=2)
-        fp.write("\n")
+    write_json(gap_to_dict(gap), fp)

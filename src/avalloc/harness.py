@@ -14,16 +14,16 @@ LP benchmark and the per-bundle opening rates used by the marginal checks.
 from __future__ import annotations
 
 import csv
-import json
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .core import Instance, allocation_value
+from .core import Instance, allocation_value, exact_text
 from .errors import InvalidBundling
 from .lp_models import BundleLpSolution, IidModel
 from .rounding import (
     OfflinePlan,
     OnlinePlan,
+    check_unit_interval,
     gamma_offline,
     gamma_online,
     greedy_p_only,
@@ -89,18 +89,12 @@ def _stats(values, trials):
     return mean, sd, mean - half, mean + half, min(values)
 
 
-def _lp_value_fields(x: BundleLpSolution):
-    if isinstance(x.objective, Fraction):
-        return float(x.objective), f"{x.objective.numerator}/{x.objective.denominator}"
-    return float(x.objective), None
-
-
 def _trial_report(mode, x, alpha, beta, gamma, seed, values, open_counts, expected):
     """The report of one Monte-Carlo run from its per-trial values (floats,
     in trial order) and the number of trials that opened each bundle."""
     trials = len(values)
     mean, sd, lo, hi, mn = _stats(values, trials)
-    lp_val, lp_exact = _lp_value_fields(x)
+    lp_val = float(x.objective)
     return TrialReport(
         mode=mode,
         trials=trials,
@@ -109,7 +103,7 @@ def _trial_report(mode, x, alpha, beta, gamma, seed, values, open_counts, expect
         beta=beta,
         gamma=gamma,
         lp_value=lp_val,
-        lp_value_exact=lp_exact,
+        lp_value_exact=exact_text(x.objective),
         mean=mean,
         stddev=sd,
         ci95_lo=lo,
@@ -120,6 +114,14 @@ def _trial_report(mode, x, alpha, beta, gamma, seed, values, open_counts, expect
         open_rates={k: c / trials for k, c in open_counts.items()},
         open_expected=expected,
     )
+
+
+def _check_run(beta: float, trials: int):
+    """Reject a guarantee parameter beta outside (0, 1) and a run of no
+    trials."""
+    check_unit_interval("beta", beta)
+    if trials < 1:
+        raise ValueError(f"trials must be at least 1, got {trials}")
 
 
 def run_offline_trials(
@@ -133,6 +135,7 @@ def run_offline_trials(
 ) -> TrialReport:
     """Monte-Carlo over the offline rounding; aborts on any infeasible
     output."""
+    _check_run(beta, trials)
     plan = OfflinePlan(inst, x, alpha, budgeted=budgeted)
     values, open_counts = [], {}
     for t, (opened, value) in plan.run_trials(seed, trials):
@@ -186,6 +189,7 @@ def run_online_trials(
 ) -> TrialReport:
     """Monte-Carlo over the online rounding on sampled streams; aborts
     unless every prefix of every trial is feasible."""
+    _check_run(beta, trials)
     plan = OnlinePlan(model, x, alpha)
     values, open_counts = [], {}
     for t, (opened, members, value, _trace) in plan.run_trials(seed, trials):
@@ -227,12 +231,6 @@ def run_greedy_online_trials(model: IidModel, seed: int, trials: int) -> float:
 
 # ---------------------------------------------------------------------------
 # report files
-
-
-def write_report_json(doc: dict, path):
-    with open(path, "w") as f:
-        json.dump(doc, f, indent=2)
-        f.write("\n")
 
 
 def _flatten(doc, prefix=""):

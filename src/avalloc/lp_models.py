@@ -29,13 +29,16 @@ from functools import cached_property
 
 from .core import (
     Instance,
-    buyers_by_json_key,
-    id_from_json,
-    list_from_json,
+    buyers_from_json,
+    buyers_to_json,
+    items_from_json,
+    items_to_json,
     number_from_json,
     object_from_json,
+    read_json,
     reject_unknown_fields,
     to_fraction,
+    write_json,
 )
 from .errors import (
     AmbiguousInstance,
@@ -306,102 +309,36 @@ def solve_model_lp(lp: LinearProgram) -> BundleLpSolution:
 #   {"horizon": int, "buyers": [{"id": str, "rho": num}],
 #    "types": [{"id": str, "prob": num, "values": {buyerId: num},
 #               "costs": {buyerId: num}?}]}
-
-_MODEL_BUYER_FIELDS = {"id", "rho"}
-_MODEL_TYPE_FIELDS = {"id", "prob", "values", "costs"}
+#
+# Buyers and types are read and written as an instance's buyers and items.
 
 
 def model_from_dict(doc: dict) -> IidModel:
     doc = object_from_json(doc, "model document")
     reject_unknown_fields(doc, {"horizon", "buyers", "types"}, "model document")
-    buyers, thresholds = [], {}
-    for b in list_from_json(doc.get("buyers", []), "buyers"):
-        b = object_from_json(b, "buyer")
-        reject_unknown_fields(b, _MODEL_BUYER_FIELDS, f"buyer {b.get('id')!r}")
-        bid = id_from_json(b["id"], "buyer")
-        buyers.append(bid)
-        thresholds[bid] = number_from_json(b["rho"])
-    buyer_of = buyers_by_json_key(buyers)
-    types, probs, values, costs = [], {}, {}, {}
-    any_costs = False
-    for t in list_from_json(doc.get("types", []), "types"):
-        t = object_from_json(t, "type")
-        reject_unknown_fields(t, _MODEL_TYPE_FIELDS, f"type {t.get('id')!r}")
-        tid = id_from_json(t["id"], "type")
-        types.append(tid)
-        probs[tid] = number_from_json(t["prob"])
-        vals = object_from_json(t.get("values") or {}, f"values of type {tid!r}")
-        for j, v in vals.items():
-            values[(tid, buyer_of.get(j, j))] = number_from_json(v)
-        if t.get("costs") is not None:
-            any_costs = True
-            for j, c in object_from_json(t["costs"], f"costs of type {tid!r}").items():
-                costs[(tid, buyer_of.get(j, j))] = number_from_json(c)
+    buyers, thresholds, _ = buyers_from_json(doc, {"id", "rho"})
+    types, values, costs, _, entries = items_from_json(
+        doc, "type", {"id", "prob", "values", "costs"}, buyers
+    )
+    probs = {tid: number_from_json(t["prob"]) for tid, t in zip(types, entries)}
     horizon = number_from_json(doc["horizon"])
     if horizon.denominator != 1:
         raise InvalidInstance(f"horizon must be an integer, got {horizon}")
-    return IidModel(
-        types=types,
-        buyers=buyers,
-        values=values,
-        thresholds=thresholds,
-        probs=probs,
-        horizon=int(horizon),
-        costs=costs if any_costs else None,
-    )
+    return IidModel(types=types, buyers=buyers, values=values, thresholds=thresholds,
+                    probs=probs, horizon=int(horizon), costs=costs)
 
 
 def model_to_dict(model: IidModel) -> dict:
-    from .core import fraction_to_json
-
-    types = []
-    for i in model.types:
-        rec = {
-            "id": i,
-            "prob": fraction_to_json(model.probs[i]),
-            "values": {
-                j: fraction_to_json(model.values[(i, j)])
-                for j in model.buyers
-                if (i, j) in model.values
-            },
-        }
-        if model.costs is not None:
-            per = {
-                j: fraction_to_json(model.costs[(i, j)])
-                for j in model.buyers
-                if (i, j) in model.costs
-            }
-            if per:
-                rec["costs"] = per
-        types.append(rec)
     return {
         "horizon": model.horizon,
-        "buyers": [
-            {"id": j, "rho": fraction_to_json(model.thresholds[j])} for j in model.buyers
-        ],
-        "types": types,
+        "buyers": buyers_to_json(model.inst),
+        "types": items_to_json(model.inst, model.costs, model.probs),
     }
 
 
 def load_model(fp) -> IidModel:
-    import json
-
-    if isinstance(fp, (str, bytes)) or hasattr(fp, "__fspath__"):
-        with open(fp) as f:
-            doc = json.load(f, parse_float=Fraction)
-    else:
-        doc = json.load(fp, parse_float=Fraction)
-    return model_from_dict(doc)
+    return model_from_dict(read_json(fp))
 
 
 def dump_model(model: IidModel, fp):
-    import json
-
-    doc = model_to_dict(model)
-    if isinstance(fp, (str, bytes)) or hasattr(fp, "__fspath__"):
-        with open(fp, "w") as f:
-            json.dump(doc, f, indent=2)
-            f.write("\n")
-    else:
-        json.dump(doc, fp, indent=2)
-        fp.write("\n")
+    write_json(model_to_dict(model), fp)

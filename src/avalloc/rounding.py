@@ -127,6 +127,12 @@ def _state_dtype(bound: int):
     return np.int64 if bound < 1 << 63 else object
 
 
+def check_unit_interval(name: str, x: float):
+    """Raise ValueError unless 0 < x < 1; a NaN is rejected too."""
+    if not 0 < x < 1:
+        raise ValueError(f"{name} must lie in (0, 1)")
+
+
 @dataclass(frozen=True)
 class RoundingParams:
     """alpha drives the phase-II coins (None picks the algorithm default);
@@ -138,10 +144,9 @@ class RoundingParams:
     seed: int = 0
 
     def __post_init__(self):
-        if self.alpha is not None and not 0 < self.alpha < 1:
-            raise ValueError("alpha must lie in (0, 1)")
-        if not 0 < self.beta < 1:
-            raise ValueError("beta must lie in (0, 1)")
+        if self.alpha is not None:
+            check_unit_interval("alpha", self.alpha)
+        check_unit_interval("beta", self.beta)
 
 
 def gamma_offline(alpha: float, beta: float) -> float:
@@ -258,8 +263,7 @@ class OfflinePlan:
         self.resources = inst.resources() if budgeted else []
         k = len(self.resources)
         self.alpha = alpha if alpha is not None else 1.0 / (3 * max(k, 1))
-        if not 0 < self.alpha < 1:
-            raise ValueError("alpha must lie in (0, 1)")
+        check_unit_interval("alpha", self.alpha)
         self.budgeted = budgeted
 
         def rc(i, j):
@@ -485,8 +489,7 @@ class OnlinePlan:
         check_fractional(model.inst, x, *opton_lp_shape(model))
         self.model = model
         self.alpha = 0.64 if alpha is None else alpha
-        if not 0 < self.alpha < 1:
-            raise ValueError("alpha must lie in (0, 1)")
+        check_unit_interval("alpha", self.alpha)
         T = model.horizon
         self.half = T // 2
         self.tidx = {i: k for k, i in enumerate(model.types)}

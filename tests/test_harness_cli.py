@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from avalloc import IidModel
 from avalloc.cli import main
+from avalloc.core import write_json
 from avalloc.generators import (
     gen_integrality_gap,
     gen_iid_lower_bound,
@@ -20,7 +21,6 @@ from avalloc.harness import (
     run_online_trials,
     verify_prefix_feasibility,
     write_report_csv,
-    write_report_json,
 )
 from avalloc.lp_models import (
     build_bundle_lp,
@@ -208,7 +208,7 @@ def test_report_writers(tmp_path):
     doc = {"a": 1, "b": {"c": [1, 2], "d": 0.5}}
     jpath = tmp_path / "r.json"
     cpath = tmp_path / "r.csv"
-    write_report_json(doc, jpath)
+    write_json(doc, jpath)
     write_report_csv(doc, cpath)
     assert json.loads(jpath.read_text()) == doc
     lines = cpath.read_text().splitlines()
@@ -357,6 +357,15 @@ def test_cli_exit_codes(tmp_path, capsys):
                        '"types": [%s]}' % types)
         assert main(["lp", str(bad), "--which", "opton"]) == 2
         assert capsys.readouterr().err.startswith("error: ")
+    # trial counts below 1 and guarantee parameters beta outside (0, 1)
+    model = tmp_path / "model.json"
+    assert main(["gen", "iid-lower-bound", "-T", "4", "-o", str(model)]) == 0
+    online = ["online", "--model", str(model), "--trials", "5"]
+    for argv in (online + ["--trials", "0"], online + ["--trials", "-3"],
+                 online + ["--beta", "1"], online + ["--beta", "nan"],
+                 online + ["--beta", "-0.5"], ["bench", "--trials", "0"]):
+        assert main(argv) == 2
+        assert capsys.readouterr().err.startswith("error: ")
 
 
 def test_cli_export_gap_and_bench(tmp_path, capsys):
@@ -375,6 +384,13 @@ def test_cli_export_gap_and_bench(tmp_path, capsys):
     assert report.read_bytes() == first  # bit-for-bit reproducible
 
 
+def test_cli_bench_dash_writes_stdout(tmp_path, capsys, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    assert main(["bench", "--trials", "50", "--seed", "2", "-o", "-"]) == 0
+    assert json.loads(capsys.readouterr().out) == bench_examples(trials=50, seed=2)
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_cli_env_seed(tmp_path, capsys, monkeypatch):
     inst = tmp_path / "gap3.json"
     main(["gen", "integrality-gap", "-n", "3", "--eps", "0.1", "-o", str(inst)])
@@ -382,3 +398,13 @@ def test_cli_env_seed(tmp_path, capsys, monkeypatch):
     assert main(["solve", str(inst), "--algo", "bundle-round", "--alpha", "0.3"]) == 0
     doc = json.loads(capsys.readouterr().out)
     assert doc["seed"] == 123
+    # the seeded families follow the default seed: 0, or AVALLOC_SEED when set
+    for family in ("random", "random-iid"):
+        def gen(*seed):
+            assert main(["gen", family, *seed]) == 0
+            return capsys.readouterr().out
+
+        assert gen() == gen("--seed", "123") != gen("--seed", "0")
+        monkeypatch.delenv("AVALLOC_SEED")
+        assert gen() == gen("--seed", "0")
+        monkeypatch.setenv("AVALLOC_SEED", "123")
