@@ -19,6 +19,8 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 
+import numpy as np
+
 from .core import Allocation, Instance, copy_items, restrict_edges
 from .errors import InfeasiblePrefix, InvalidBundling, UnknownEdge
 
@@ -41,28 +43,9 @@ class Bundle:
         return [self.p_item] + sorted(self.n_items)
 
     def validate(self, inst: Instance):
-        """Raise InvalidBundling unless the bundle is permissible for inst:
-        a known buyer, the opener a P-edge, every other member an N-edge,
-        and a nonnegative residual excess (total value minus rho_j times
-        the bundle's cost sum), summed in the instance's scaled integers."""
-        j = self.buyer
-        if j not in inst.thresholds:
-            raise InvalidBundling(f"unknown buyer {j!r}")
-        scaled_excess = inst.scaled[1]
-        residual = 0
-        for i in self.members():
-            excess = scaled_excess.get((i, j))
-            if excess is None:
-                raise InvalidBundling(f"bundle uses non-edge ({i!r}, {j!r})")
-            if i == self.p_item and excess < 0:
-                raise InvalidBundling(f"({i!r}, {j!r}) is not a P-edge")
-            if i != self.p_item and excess >= 0:
-                raise InvalidBundling(f"({i!r}, {j!r}) is not an N-edge")
-            residual += excess
-        if residual < 0:
-            raise InvalidBundling(
-                f"bundle for {j!r} rooted at {self.p_item!r} is not permissible"
-            )
+        """Raise InvalidBundling unless the bundle on its own is a valid
+        bundling of inst (BundledAllocation.validate)."""
+        BundledAllocation((self,)).validate(inst)
 
     def value(self, inst: Instance) -> Fraction:
         j = self.buyer
@@ -77,31 +60,16 @@ class BundledAllocation:
         object.__setattr__(self, "bundles", tuple(self.bundles))
 
     def validate(self, inst: Instance):
-        """Raise InvalidBundling unless every bundle is permissible, no item
-        is used twice and every configured budget holds.  A buyer's slack is
-        the sum of its bundles' residual excesses, so permissible bundles
-        keep every average-value constraint.  Sums run in the instance's
-        scaled integers."""
-        resources = inst.resources()
-        _values, _excess, rcosts, budgets = inst.scaled
-        seen = set()
-        spent = {}
-        for b in self.bundles:
-            b.validate(inst)
-            j = b.buyer
-            for i in b.members():
-                if i in seen:
-                    raise InvalidBundling(f"item {i!r} used by two bundles")
-                seen.add(i)
-                for res in resources:
-                    spent[(res, j)] = spent.get((res, j), 0) + rcosts.get((res, i, j), 0)
-        for (res, j), total in spent.items():
-            cap = budgets.get((res, j))
-            if cap is not None and total > cap:
-                raise InvalidBundling(
-                    f"budget {res!r} of buyer {j!r} exceeded: "
-                    f"{Fraction(total, inst.scale)} > {inst.budget(res, j)}"
-                )
+        """Raise InvalidBundling unless the bundling is valid for inst:
+        invalid_bundling on a block of one row, every bundle open."""
+        labels = [(b.buyer, b.p_item) for b in self.bundles]
+        members = [i for b in self.bundles for i in sorted(b.n_items)]
+        joined = [k for k, b in enumerate(self.bundles) for _i in b.n_items]
+        fault = invalid_bundling(
+            inst, labels, np.ones((1, len(labels)), dtype=bool), members,
+            np.array(joined, dtype=np.int64).reshape(1, len(joined)))
+        if fault is not None:
+            raise InvalidBundling(fault[1])
 
     def to_allocation(self) -> Allocation:
         assignment = {}
@@ -115,6 +83,99 @@ class BundledAllocation:
 
     def __len__(self):
         return len(self.bundles)
+
+
+def state_dtype(bound: int):
+    """int64 when no sum formed from magnitudes totalling at most bound can
+    reach 2**63, else object (Python ints)."""
+    return np.int64 if bound < 1 << 63 else object
+
+
+def invalid_bundling(inst: Instance, labels, opened, members, joined):
+    """The lowest row of a block of bundlings of inst that is not valid, as
+    (row, reason), or None when every row is valid.
+
+    Bundle b is labels[b] = (buyer, P-item) and is open in row r when
+    opened[r, b]; item members[e] joins bundle joined[r, e] in row r, or no
+    bundle when that is -1.  A row is valid when every open bundle has a
+    known buyer, a P-edge opener and N-edge members, every member joins an
+    open bundle, every bundle keeps a nonnegative residual excess (its value
+    minus rho_j times its cost sum), no item is used twice and every
+    configured budget holds.  Only inst.scaled and the labels are read, so
+    the check does not depend on how the block was made.  Sums run in the
+    scaled integers: int64 arrays when a bound computed from the block
+    stays below 2**63, object arrays of Python ints otherwise.
+    """
+    _values, excess, rcosts, budgets = inst.scaled
+    n, nb = opened.shape
+    # one entry per open bundle (its opener) and per join (a member): its
+    # row, its bundle and its item, an index into names
+    r_open, b_open = np.nonzero(opened)
+    r_join, e_join = np.nonzero(joined >= 0)
+    rows = np.concatenate([r_open, r_join])
+    bundle = np.concatenate([b_open, joined[r_join, e_join]])
+    item = np.concatenate([b_open, nb + e_join])
+    names = [p for _j, p in labels] + list(members)
+    # the (item, buyer) edge of each distinct (item, bundle) cell; a row
+    # holds a cell at most once, so the cells' magnitudes bound its sums
+    cells, cell = np.unique(item * nb + bundle, return_inverse=True)
+    edges = [(names[c // nb], labels[c % nb][0]) for c in cells.tolist()]
+    exc = [excess.get(e) for e in edges]
+    costs = {res: [rcosts.get((res, *e), 0) for e in edges] for res in inst.resources()}
+    bound = sum(abs(e) for e in exc if e is not None) + sum(map(sum, costs.values()))
+    dt = state_dtype(bound + sum(budgets.values()))
+
+    def ints(xs):
+        return np.array([x or 0 for x in xs], dtype=dt)
+
+    faults = []  # (row, check, reason, entry): the first bad entry of each check
+
+    def fault(at, bad, reason):
+        if bad.any():
+            k = np.flatnonzero(bad)
+            k = k[np.argmin(at[k])]
+            faults.append((int(at[k]), len(faults), reason, k))
+
+    def over(key, amounts, limit, reason):
+        """Fault a row whose sum of amounts per key passes limit[key]."""
+        if limit:
+            total = np.zeros((n, len(limit)), dtype=dt)
+            np.add.at(total, (rows, key), amounts)
+            bad = (total > np.array(limit, dtype=dt)).ravel()
+            fault(np.arange(bad.size) // len(limit), bad,
+                  lambda k: reason(k % len(limit), int(total.flat[k])))
+
+    def edge_fault(k):
+        i, j = edges[cell[k]]
+        if j not in inst.thresholds:
+            return f"unknown buyer {j!r}"
+        if exc[cell[k]] is None:
+            return f"bundle uses non-edge ({i!r}, {j!r})"
+        return f"({i!r}, {j!r}) is not {'a P' if item[k] < nb else 'an N'}-edge"
+
+    # 1 on a P-edge (excess >= 0), 0 on an N-edge, 2 otherwise; openers
+    # need a P-edge and members an N-edge
+    kind = [2 if j not in inst.thresholds or e is None else int(e >= 0)
+            for (_i, j), e in zip(edges, exc)]
+    fault(rows, np.array(kind, dtype=np.int64)[cell] != (item < nb), edge_fault)
+    fault(rows, ~opened[rows, bundle],
+          lambda k: f"item {names[item[k]]!r} joins the closed bundle {labels[bundle[k]]}")
+    over(bundle, -ints(exc)[cell], [0] * nb,
+         lambda b, _t: "bundle for {!r} rooted at {!r} is not permissible".format(*labels[b]))
+    ids = {}
+    code = np.array([ids.setdefault(i, len(ids)) for i in names], dtype=np.int64)
+    over(code[item], np.ones(len(rows), dtype=dt), [1] * len(ids),
+         lambda u, _t: f"item {list(ids)[u]!r} used by two bundles")
+    owners = list(dict.fromkeys(j for j, _p in labels))
+    owner = np.array([owners.index(j) for j, _p in labels], dtype=np.int64)
+    for res, cost in costs.items():
+        over(owner[bundle], ints(cost)[cell], [budgets.get((res, j), bound) for j in owners],
+             lambda g, t, res=res: f"budget {res!r} of buyer {owners[g]!r} exceeded: "
+             f"{Fraction(t, inst.scale)} > {inst.budget(res, owners[g])}")
+    if faults:
+        row, _check, reason, k = min(faults, key=lambda f: f[:2])
+        return row, reason(k)
+    return None
 
 
 def extract_bundling(inst: Instance, alloc: Allocation, arrival_order) -> BundledAllocation:

@@ -57,8 +57,22 @@ def _emit(doc, path):
     write_json(doc, sys.stdout if _to_stdout(path) else path)
 
 
+def _write_text(text: str, path):
+    """Write text to the file at path, or to stdout when path is "-"."""
+    if _to_stdout(path):
+        sys.stdout.write(text)
+    else:
+        with open(path, "w") as f:
+            f.write(text)
+
+
 def _frac_fields(x) -> dict:
     return {"value": float(x), "value_exact": exact_text(x)}
+
+
+def _bundles_doc(bundling) -> list:
+    return [{"buyer": b.buyer, "p_item": b.p_item, "n_items": sorted(b.n_items)}
+            for b in bundling.bundles]
 
 
 # -- gen ---------------------------------------------------------------------
@@ -155,10 +169,7 @@ def _cmd_solve(args) -> int:
                 "beta": args.beta,
                 "gamma": rounding.gamma_offline(plan.alpha, args.beta),
                 "lp_value": float(x.objective),
-                "bundles": [
-                    {"buyer": b.buyer, "p_item": b.p_item, "n_items": sorted(b.n_items)}
-                    for b in out.bundles
-                ],
+                "bundles": _bundles_doc(out),
             },
         )
     elif args.algo == "greedy-p":
@@ -195,10 +206,7 @@ def _cmd_exact(args) -> int:
     if args.bundling:
         bval, bopt = oracles.exact_bundling_opt(inst, max_states=args.limit)
         doc["bundling_opt"] = _frac_fields(bval)
-        doc["bundles"] = [
-            {"buyer": b.buyer, "p_item": b.p_item, "n_items": sorted(b.n_items)}
-            for b in bopt.bundles
-        ]
+        doc["bundles"] = _bundles_doc(bopt)
     if args.gap:
         gap_inst = gap.export_gap(inst, eps_gap=args.eps_gap)
         doc["gap_opt"] = _frac_fields(oracles.exact_gap_opt(gap_inst))
@@ -225,8 +233,7 @@ def _cmd_lp(args) -> int:
         else:
             lp = build_bundle_lp_budgeted(inst)
     if args.export:
-        with open(args.export, "w") as f:
-            f.write(lp_to_text(lp))
+        _write_text(lp_to_text(lp), args.export)
     sol = solve_lp(lp)
     doc = {"which": args.which, "status": sol.status,
            "n_vars": lp.n_vars, "n_rows": lp.n_rows, "iterations": sol.iterations}
@@ -252,9 +259,7 @@ def _cmd_online(args) -> int:
             alpha=args.alpha, beta=args.beta, seed=rounding.derive_trial_seed(seed, 0)
         )
         _out, trace = rounding.round_online(model, x, params, stream)
-        with open(args.trace, "w") as f:
-            for rec in trace:
-                f.write(json.dumps(rec.to_json()) + "\n")
+        _write_text("".join(json.dumps(rec.to_json()) + "\n" for rec in trace), args.trace)
     _emit(report.to_json_dict(), args.output)
     return 0
 

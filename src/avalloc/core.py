@@ -432,9 +432,10 @@ def read_json(fp):
 
 def write_json(doc, fp):
     """Write doc to a path or a file object, indented by 2, with a final
-    newline."""
+    newline.  A NaN or infinite float, which JSON cannot hold, raises
+    ValueError."""
     with _opened(fp, "w") as f:
-        json.dump(doc, f, indent=2)
+        json.dump(doc, f, indent=2, allow_nan=False)
         f.write("\n")
 
 
@@ -459,6 +460,13 @@ def id_from_json(x, where):
     if isinstance(x, bool) or not isinstance(x, (str, int)):
         raise InvalidInstance(f"{where} id must be a string or an integer, got {x!r}")
     return x
+
+
+def required_field(d: dict, key, where):
+    """d[key]; a missing key raises InvalidInstance naming where and key."""
+    if key not in d:
+        raise InvalidInstance(f"{where} lacks field {key!r}")
+    return d[key]
 
 
 def reject_unknown_fields(d: dict, allowed, where):
@@ -489,9 +497,9 @@ def buyers_from_json(doc: dict, fields) -> tuple:
     for b in list_from_json(doc.get("buyers", []), "buyers"):
         b = object_from_json(b, "buyer")
         reject_unknown_fields(b, fields, f"buyer {b.get('id')!r}")
-        bid = id_from_json(b["id"], "buyer")
+        bid = id_from_json(required_field(b, "id", "buyer entry"), "buyer")
         buyers.append(bid)
-        thresholds[bid] = number_from_json(b["rho"])
+        thresholds[bid] = number_from_json(required_field(b, "rho", "buyer entry"))
         caps = object_from_json(b.get("budgets") or {}, f"budgets of buyer {bid!r}")
         for res, cap in caps.items():
             budgets[(res, bid)] = number_from_json(cap)
@@ -509,7 +517,7 @@ def items_from_json(doc: dict, entry: str, fields, buyers) -> tuple:
     for it in list_from_json(doc.get(entry + "s", []), entry + "s"):
         it = object_from_json(it, entry)
         reject_unknown_fields(it, fields, f"{entry} {it.get('id')!r}")
-        iid = id_from_json(it["id"], entry)
+        iid = id_from_json(required_field(it, "id", f"{entry} entry"), entry)
         items.append(iid)
         entries.append(it)
         vals = object_from_json(it.get("values") or {}, f"values of {entry} {iid!r}")

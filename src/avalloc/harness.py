@@ -2,23 +2,27 @@
 
 Every report is a pure function of (inputs, seed): trial t runs on the
 substream seed derive_trial_seed(seed, t), so results do not depend on
-scheduling, and every single trial output is re-verified in exact
-arithmetic: each offline trial by BundledAllocation.validate (permissible
-bundles, each item used once, every configured budget held), each online
-trial by replaying every prefix of its decisions.  One invalid trial aborts
-the run; this is a hard invariant, not a statistic.  Reports carry mean,
-sample stddev, the normal 95% CI mean +/- 1.96 s/sqrt(N), the minimum, the
-LP benchmark and the per-bundle opening rates used by the marginal checks.
+scheduling, and every trial's output is re-verified in exact arithmetic,
+a block of trials at a time from the plan's arrays and the instance's
+scaled integers alone: offline by bundling.invalid_bundling (permissible
+bundles, each item used once, every configured budget held), online by
+replaying every prefix of the decisions (_replay_prefix).  One invalid
+trial aborts the run, naming the lowest such trial; this is a hard
+invariant, not a statistic.  Reports carry mean, sample stddev, the normal
+95% CI mean +/- 1.96 s/sqrt(N), the minimum, the LP benchmark and the
+per-bundle opening rates used by the marginal checks.
 """
 
 from __future__ import annotations
 
 import csv
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from fractions import Fraction
 
+import numpy as np
+
+from .bundling import invalid_bundling, state_dtype
 from .core import Instance, allocation_value, exact_text
-from .errors import InvalidBundling
 from .lp_models import BundleLpSolution, IidModel
 from .rounding import (
     OfflinePlan,
@@ -50,40 +54,22 @@ class TrialReport:
     ci95_hi: float
     minimum: float
     feasible_count: int
-    ratio_lp_over_mean: float
+    ratio_lp_over_mean: float | None
     open_rates: dict = field(default_factory=dict)
     open_expected: dict = field(default_factory=dict)
 
     def to_json_dict(self) -> dict:
-        return {
-            "mode": self.mode,
-            "trials": self.trials,
-            "seed": self.seed,
-            "alpha": self.alpha,
-            "beta": self.beta,
-            "gamma": self.gamma,
-            "lp_value": self.lp_value,
-            "lp_value_exact": self.lp_value_exact,
-            "mean": self.mean,
-            "stddev": self.stddev,
-            "ci95_lo": self.ci95_lo,
-            "ci95_hi": self.ci95_hi,
-            "min": self.minimum,
-            "feasible_count": self.feasible_count,
-            "ratio_lp_over_mean": self.ratio_lp_over_mean,
-            "open_rates": {k: self.open_rates[k] for k in sorted(self.open_rates)},
-            "open_expected": {
-                k: self.open_expected[k] for k in sorted(self.open_expected)
-            },
-        }
+        """The fields in declaration order, minimum as "min" and the rate
+        maps by sorted key."""
+        doc = {("min" if k == "minimum" else k): v for k, v in asdict(self).items()}
+        for k in ("open_rates", "open_expected"):
+            doc[k] = dict(sorted(doc[k].items()))
+        return doc
 
 
 def _stats(values, trials):
     mean = sum(values) / trials
-    if trials > 1:
-        var = sum((v - mean) ** 2 for v in values) / (trials - 1)
-    else:
-        var = 0.0
+    var = sum((v - mean) ** 2 for v in values) / (trials - 1) if trials > 1 else 0.0
     sd = var ** 0.5
     half = 1.96 * sd / (trials ** 0.5)
     return mean, sd, mean - half, mean + half, min(values)
@@ -96,23 +82,11 @@ def _trial_report(mode, x, alpha, beta, gamma, seed, values, open_counts, expect
     mean, sd, lo, hi, mn = _stats(values, trials)
     lp_val = float(x.objective)
     return TrialReport(
-        mode=mode,
-        trials=trials,
-        seed=seed,
-        alpha=alpha,
-        beta=beta,
-        gamma=gamma,
-        lp_value=lp_val,
-        lp_value_exact=exact_text(x.objective),
-        mean=mean,
-        stddev=sd,
-        ci95_lo=lo,
-        ci95_hi=hi,
-        minimum=mn,
-        feasible_count=trials,
-        ratio_lp_over_mean=(lp_val / mean if mean else float("inf")),
-        open_rates={k: c / trials for k, c in open_counts.items()},
-        open_expected=expected,
+        mode=mode, trials=trials, seed=seed, alpha=alpha, beta=beta, gamma=gamma,
+        lp_value=lp_val, lp_value_exact=exact_text(x.objective), mean=mean, stddev=sd,
+        ci95_lo=lo, ci95_hi=hi, minimum=mn, feasible_count=trials,
+        ratio_lp_over_mean=(lp_val / mean if mean else None),
+        open_rates={k: c / trials for k, c in open_counts.items()}, open_expected=expected,
     )
 
 
@@ -137,46 +111,64 @@ def run_offline_trials(
     output."""
     _check_run(beta, trials)
     plan = OfflinePlan(inst, x, alpha, budgeted=budgeted)
-    values, open_counts = [], {}
-    for t, (opened, value) in plan.run_trials(seed, trials):
-        bundled = plan.to_bundled(opened)
-        try:
-            bundled.validate(inst)
-        except InvalidBundling as exc:
-            raise RuntimeError(f"trial {t} gave an invalid bundling: {exc}") from exc
-        values.append(value / inst.scale)
-        for b in bundled.bundles:
-            key = f"{b.buyer}|{b.p_item}"
-            open_counts[key] = open_counts.get(key, 0) + 1
+    values, open_counts = [], np.zeros(len(plan.bundles), dtype=np.int64)
+    for start, (opened, joined, value) in plan.run_trials(seed, trials):
+        fault = invalid_bundling(inst, plan.bundles, opened, plan.coin_items, joined)
+        if fault is not None:
+            row, reason = fault
+            raise RuntimeError(f"trial {start + row} gave an invalid bundling: {reason}")
+        values += [v / inst.scale for v in value.tolist()]
+        open_counts += opened.sum(0)
+    counts = {f"{j}|{p}": c for (j, p), c in zip(plan.bundles, open_counts.tolist()) if c}
     expected = {
         f"{j}|{p}": float(v) for (i, j, p), v in x.x.items() if i == p and float(v) > 0
     }
     return _trial_report(
         "offline-budgeted" if budgeted else "offline", x, plan.alpha, beta,
-        gamma_offline(plan.alpha, beta), seed, values, open_counts, expected,
+        gamma_offline(plan.alpha, beta), seed, values, counts, expected,
     )
 
 
-def _replay_prefix(model: IidModel, events) -> bool:
-    """Exact check that every prefix of the (buyer, type) allocations,
-    given in arrival order, keeps every buyer's constraint: each buyer's
-    sum of scaled excesses (Instance.scaled of model.inst) stays >= 0."""
-    excess = model.inst.scaled[1]
-    slack = {}
-    for j, typ in events:
-        slack[j] = slack.get(j, 0) + excess[(typ, j)]
-        if slack[j] < 0:
-            return False
-    return True
+def _replay_prefix(model: IidModel, buyer: np.ndarray, types: np.ndarray):
+    """The lowest row of a block of decision sequences in which a prefix
+    breaks a buyer's constraint, or None when no row does.
+
+    In row r, arrival k has the type model.types[types[r, k]] and went to
+    the buyer model.buyers[buyer[r, k]], or to none when that is -1; a
+    prefix holds when each buyer's sum of scaled excesses (Instance.scaled
+    of model.inst) is >= 0.  An arrival along a non-edge, or to the index
+    past the last buyer, breaks its row.  Sums run per row in int64, or in
+    Python ints when a bound computed from the model reaches 2**63."""
+    excess, nb, width = model.inst.scaled[1], len(model.buyers), buyer.shape[1]
+    # a broken arrival steps below anything the rest of its row can make up
+    low = -width * max(map(abs, excess.values()), default=0) - 1
+    table = np.array([[excess.get((i, j), low) for j in model.buyers] + [low, 0]
+                      for i in model.types], dtype=state_dtype(width * -low))
+    to = np.where(buyer < 0, nb + 1, np.minimum(buyer, nb))
+    # the arrivals of a row in segments per buyer, each in time order; a
+    # prefix sum is the row's running total less the total before the
+    # first arrival of its segment
+    rows = np.arange(len(to))[:, None]
+    order = np.argsort(to, axis=1, kind="stable")
+    step = table[types, to][rows, order]
+    to = to[rows, order]
+    total = np.cumsum(step, axis=1)
+    first = np.ones(to.shape, dtype=bool)
+    first[:, 1:] = to[:, 1:] != to[:, :-1]
+    first = np.maximum.accumulate(np.where(first, np.arange(width), 0), axis=1)
+    bad = np.flatnonzero((total - (total - step)[rows, first] < 0).any(1))
+    return int(bad[0]) if len(bad) else None
 
 
 def verify_prefix_feasibility(model: IidModel, trace) -> bool:
-    """Exact check that every decision kept every buyer's constraint."""
-    return _replay_prefix(model, (
-        (rec.bundle[0], rec.type)
-        for rec in trace
-        if rec.reason in ("opened", "singleton+permissible")
-    ))
+    """Exact check that every decision kept every buyer's constraint: the
+    prefix replay of a block of one row."""
+    buyers, types = list(model.buyers), list(model.types)
+    kept = np.array([(buyers.index(rec.bundle[0]) if rec.bundle[0] in buyers else len(buyers),
+                      types.index(rec.type))
+                     for rec in trace if rec.reason in ("opened", "singleton+permissible")],
+                    dtype=np.int64).reshape(-1, 2).T
+    return _replay_prefix(model, kept[:1], kept[1:]) is None
 
 
 def run_online_trials(
@@ -191,19 +183,23 @@ def run_online_trials(
     unless every prefix of every trial is feasible."""
     _check_run(beta, trials)
     plan = OnlinePlan(model, x, alpha)
-    values, open_counts = [], {}
-    for t, (opened, members, value, _trace) in plan.run_trials(seed, trials):
-        # openers and members in time order; each arrival makes at most one
-        events = sorted(
-            [(t_open, j, p) for (j, p, t_open) in opened]
-            + [(t_join, key[0], typ) for key in opened for (t_join, typ) in members[key]]
-        )
-        if not _replay_prefix(model, ((j, typ) for _t, j, typ in events)):
-            raise RuntimeError(f"trial {t} violated a prefix constraint")
-        values.append(value / model.inst.scale)
-        for (j, p, t_open) in opened:
-            key = f"{j}|{p}|{t_open}"
-            open_counts[key] = open_counts.get(key, 0) + 1
+    nt, nb, half = len(model.types), len(model.buyers), plan.half
+    values, open_counts = [], np.zeros(half * nt * nb, dtype=np.int64)
+    for start, (opener, hit, joined, value, arrivals) in plan.run_trials(seed, trials):
+        # the buyer of each arrival; a join to no open bundle goes to the
+        # index nb, which the replay rejects
+        joiner = np.take_along_axis(opener, np.maximum(hit, 0), 1)
+        joiner[(hit < 0) | (joiner < 0)] = nb
+        row = _replay_prefix(model, np.hstack([opener, np.where(joined, joiner, -1)]), arrivals)
+        if row is not None:
+            raise RuntimeError(f"trial {start + row} violated a prefix constraint")
+        values += [v / model.inst.scale for v in value.tolist()]
+        rows, slots = np.nonzero(opener >= 0)
+        code = (slots * nt + arrivals[rows, slots]) * nb + opener[rows, slots]
+        open_counts += np.bincount(code, minlength=open_counts.size)
+    # open_counts is indexed by (t_open - 1, type, buyer) in row-major order
+    counts = {f"{model.buyers[k % nb]}|{model.types[k // nb % nt]}|{k // (nb * nt) + 1}": c
+              for k, c in enumerate(open_counts.tolist()) if c}
     T = model.horizon
     expected = {
         f"{j}|{p}|{t_open}": float(v) / T
@@ -213,7 +209,7 @@ def run_online_trials(
     }
     return _trial_report(
         "online", x, plan.alpha, beta, gamma_online(plan.alpha, beta), seed, values,
-        open_counts, expected,
+        counts, expected,
     )
 
 

@@ -37,6 +37,7 @@ from .core import (
     object_from_json,
     read_json,
     reject_unknown_fields,
+    required_field,
     to_fraction,
     write_json,
 )
@@ -320,8 +321,9 @@ def model_from_dict(doc: dict) -> IidModel:
     types, values, costs, _, entries = items_from_json(
         doc, "type", {"id", "prob", "values", "costs"}, buyers
     )
-    probs = {tid: number_from_json(t["prob"]) for tid, t in zip(types, entries)}
-    horizon = number_from_json(doc["horizon"])
+    probs = {tid: number_from_json(required_field(t, "prob", "type entry"))
+             for tid, t in zip(types, entries)}
+    horizon = number_from_json(required_field(doc, "horizon", "model document"))
     if horizon.denominator != 1:
         raise InvalidInstance(f"horizon must be an integer, got {horizon}")
     return IidModel(types=types, buyers=buyers, values=values, thresholds=thresholds,

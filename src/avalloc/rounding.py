@@ -25,12 +25,12 @@ uint64 array with the same result.
 A compiled plan runs a block of trials at once: it loops over the items
 (offline) or the arrivals (online) and does each step for every trial of
 the block with numpy, keeping residuals, budgets and values in scaled
-integers.  Those are int64 arrays when a bound computed from the plan shows
-that no sum can reach 2**63, and object arrays of Python ints otherwise;
-the code is the same.  A block holds about _BLOCK array elements, so its
-memory does not depend on the number of trials or the horizon.  run() is a
-block of one trial.  The fractional input is validated once per plan; the
-Monte-Carlo harness reuses compiled plans across blocks.
+integers: int64 arrays when a bound computed from the plan shows that no
+sum can reach 2**63, object arrays of Python ints otherwise.  A block holds
+about _BLOCK array elements and is returned as arrays, one row per trial,
+with no Python object per trial; the harness checks those arrays
+(bundling.invalid_bundling, harness._replay_prefix).  run() is a block of
+one trial turned into Python objects.
 """
 
 from __future__ import annotations
@@ -40,7 +40,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .bundling import Bundle, BundledAllocation
+from .bundling import Bundle, BundledAllocation, state_dtype
 from .core import Allocation, Instance, copy_items
 from .errors import InfeasibleFractional, StreamModelMismatch
 from .lp_models import BundleLpSolution, IidModel, bundle_lp_shape, opton_lp_shape
@@ -119,12 +119,6 @@ def trial_seeds(seed: int, trials: np.ndarray) -> np.ndarray:
 
 def _block_trials(width: int) -> int:
     return max(1, _BLOCK // max(width, 1))
-
-
-def _state_dtype(bound: int):
-    """int64 when no sum a run forms can exceed bound < 2**63, else object
-    (Python ints)."""
-    return np.int64 if bound < 1 << 63 else object
 
 
 def check_unit_interval(name: str, x: float):
@@ -314,7 +308,7 @@ class OfflinePlan:
         bound = sum(abs(e) + abs(v) + sum(r) for _j, e, v, r in opener)
         bound += sum(abs(d) + abs(v) + sum(r) for *_c, d, v, r in coins)
         bound += sum(c for row in caps for c in row if c is not None)
-        self.dtype = dt = _state_dtype(bound)
+        self.dtype = dt = state_dtype(bound)
 
         def column(rows, pos, dtype=dt):
             return np.array([r[pos] for r in rows], dtype=dtype)
@@ -352,9 +346,11 @@ class OfflinePlan:
         return (used[rows, j] + cost <= self.caps[j]).all(1)
 
     def run_block(self, seeds: np.ndarray):
-        """One rounding pass per seed of a uint64 array.  Yields, per seed,
-        (opened bundle ids mapped to their member N-items, total value in
-        the instance's scaled integers)."""
+        """One rounding pass per seed of a uint64 array, as the block's
+        arrays (opened, joined, value): in row r, bundle b is open when
+        opened[r, b], the N-item self.coin_items[e] joined bundle
+        joined[r, e] (-1 for none), and value[r] is the total value in the
+        instance's scaled integers."""
         n, dt, k = len(seeds), self.dtype, len(self.resources)
         keys = _mix_rows(_H0, seeds)
         # every coin is known up front; only the budgets and residuals
@@ -397,27 +393,31 @@ class OfflinePlan:
             if k:
                 used[rows, self.b_buyer[b]] += self.c_rc[c]
             joined[rows, e] = b
-        # one trial's outcome at a time, so a block holds no Python objects
-        # per trial
-        for r, v in enumerate(value.tolist()):
-            trial = {b: [] for b, is_open in enumerate(opened[r].tolist()) if is_open}
-            for item, b in zip(self.coin_items, joined[r].tolist()):
-                if b >= 0:
-                    trial[b].append(item)
-            yield trial, v
+        return opened, joined, value
+
+    def outcome(self, block, r: int):
+        """Row r of a run_block result as (opened bundle ids mapped to their
+        member N-items, total value in scaled integers)."""
+        opened, joined, value = block
+        trial = {b: [] for b in np.flatnonzero(opened[r]).tolist()}
+        for item, b in zip(self.coin_items, joined[r].tolist()):
+            if b >= 0:
+                trial[b].append(item)
+        return trial, int(value[r])
 
     def run_trials(self, seed: int, trials: int):
-        """Yield (t, (opened, value)) of run_block for trials t = 0 ..
-        trials-1, each seeded by derive_trial_seed(seed, t), one block of
-        self.block_trials trials at a time."""
+        """Yield (start, run_block result) for trials t = 0 .. trials-1,
+        each seeded by derive_trial_seed(seed, t), one block of at most
+        self.block_trials trials at a time; row r of a block is trial
+        start + r."""
         for start in range(0, trials, self.block_trials):
             block = np.arange(start, min(trials, start + self.block_trials), dtype=np.uint64)
-            yield from enumerate(self.run_block(trial_seeds(seed, block)), start)
+            yield start, self.run_block(trial_seeds(seed, block))
 
     def run(self, seed: int):
         """One rounding pass.  Returns (opened bundle ids mapped to their
         member N-items, total value as a Fraction)."""
-        opened, value = next(self.run_block(np.array([seed & _MASK], dtype=np.uint64)))
+        opened, value = self.outcome(self.run_block(np.array([seed & _MASK], dtype=np.uint64)), 0)
         return opened, Fraction(value, self.inst.scale)
 
     def to_bundled(self, opened) -> BundledAllocation:
@@ -433,8 +433,7 @@ def round_offline(inst: Instance, x: BundleLpSolution, params: RoundingParams) -
     """Round a bundle-LP solution offline; output is feasible with
     probability 1 and deterministic given the seed."""
     plan = OfflinePlan(inst, x, params.alpha, budgeted=False)
-    opened, _value = plan.run(params.seed)
-    return plan.to_bundled(opened)
+    return plan.to_bundled(plan.run(params.seed)[0])
 
 
 def round_offline_budgeted(inst: Instance, x: BundleLpSolution,
@@ -443,8 +442,7 @@ def round_offline_budgeted(inst: Instance, x: BundleLpSolution,
     it, only when every configured budget of the receiving buyer survives.
     With alpha=None the default is 1/(3K) for K budget resources."""
     plan = OfflinePlan(inst, x, params.alpha, budgeted=True)
-    opened, _value = plan.run(params.seed)
-    return plan.to_bundled(opened)
+    return plan.to_bundled(plan.run(params.seed)[0])
 
 
 # ---------------------------------------------------------------------------
@@ -533,24 +531,21 @@ class OnlinePlan:
         grid = [[(values.get((i, j), 0), excess.get((i, j), 0)) for j in model.buyers]
                 for i in model.types]
         bound = T * sum(abs(v) + abs(e) for row in grid for v, e in row)
-        self.dtype = dt = _state_dtype(bound)
+        self.dtype = dt = state_dtype(bound)
         self.values = np.array([[v for v, _e in row] for row in grid], dtype=dt).reshape(nt, nb)
         self.p_excess = np.array([[e for _v, e in row] for row in grid], dtype=dt).reshape(nt, nb)
         self.deficit = -self.p_excess
         self.block_trials = _block_trials(max(T, self.half * width, (T - self.half) * self.half))
 
-    def arrivals(self, streams) -> np.ndarray:
-        """Type indices of the given streams, one row each."""
-        for stream in streams:
-            _check_stream(self.model, stream)
-        return np.array([[self.tidx[typ] for typ in s.arrivals] for s in streams],
-                        dtype=np.int64).reshape(len(streams), self.model.horizon)
-
-    def run_block(self, seeds: np.ndarray, arrivals: np.ndarray, want_trace: bool = False):
+    def run_block(self, seeds: np.ndarray, arrivals: np.ndarray):
         """One online pass per seed of a uint64 array, against the stream
-        in the same row of arrivals (type indices).  Yields, per seed,
-        (opened keys, members per key, value in the model's scaled
-        integers, trace or None); opened keys are (buyer, type, time)."""
+        in the same row of arrivals (type indices), as the block's arrays
+        (opener, hit, joined, value, arrivals): in row r, opener[r, s] is
+        the buyer index of the bundle opened at time s + 1 (-1 for none),
+        hit[r, c] the opening slot s of the single coin that second-half
+        arrival c hit (-1 for none or several), joined[r, c] whether it
+        joined that bundle, and value[r] the total value in the model's
+        scaled integers."""
         n, T, half, dt = len(seeds), self.model.horizon, self.half, self.dtype
         keys = _mix_rows(_H0, seeds)[:, None]
         first, second = arrivals[:, :half], arrivals[:, half:]
@@ -588,14 +583,15 @@ class OnlinePlan:
             residual[rows, slots] -= self.deficit[i, j]
             value[rows] += self.values[i, j]
             joined[rows, c] = True
-        # one trial's outcome at a time, so a block holds no Python objects
-        # per trial
-        for r, v in enumerate(value.tolist()):
-            yield self._outcome(opener[r].tolist(), arrivals[r].tolist(), hit[r].tolist(),
-                                joined[r].tolist(), v, want_trace)
+        return opener, hit, joined, value, arrivals
 
-    def _outcome(self, opener, arrivals, hit, joined, value, want_trace):
-        """One trial's (opened keys, members, value, trace) from its rows."""
+    def outcome(self, block, r: int, want_trace: bool = False):
+        """Row r of a run_block result as (opened keys, members per key,
+        value in scaled integers, trace or None); opened keys are (buyer,
+        type, time)."""
+        opener, hit, joined, value, arrivals = block
+        opener, hit, joined, arrivals = (a[r].tolist() for a in (opener, hit, joined, arrivals))
+        value = int(value[r])
         types, buyers, half = self.model.types, self.model.buyers, self.half
         keys = [None if j < 0 else (buyers[j], types[arrivals[s]], s + 1)
                 for s, j in enumerate(opener)]
@@ -618,21 +614,23 @@ class OnlinePlan:
         return opened, members, value, trace
 
     def run_trials(self, seed: int, trials: int):
-        """Yield (t, outcome of run_block) for trials t = 0 .. trials-1,
+        """Yield (start, run_block result) for trials t = 0 .. trials-1,
         each seeded by derive_trial_seed(seed, t) on the stream
-        sample_stream(model, seed, t), one block of self.block_trials
-        trials at a time."""
+        sample_stream(model, seed, t), one block of at most
+        self.block_trials trials at a time; row r of a block is trial
+        start + r."""
         for start in range(0, trials, self.block_trials):
             block = np.arange(start, min(trials, start + self.block_trials), dtype=np.uint64)
             arrivals = stream_arrivals(self.model, seed, block)
-            yield from enumerate(self.run_block(trial_seeds(seed, block), arrivals), start)
+            yield start, self.run_block(trial_seeds(seed, block), arrivals)
 
     def run(self, seed: int, stream: OnlineStream, want_trace: bool = False):
         """One online pass.  Returns (opened keys, members per key, value,
         trace or None).  opened keys are (buyer, type, time)."""
-        arrivals = self.arrivals([stream])
-        opened, members, value, trace = next(self.run_block(
-            np.array([seed & _MASK], dtype=np.uint64), arrivals, want_trace))
+        _check_stream(self.model, stream)
+        arrivals = np.array([[self.tidx[typ] for typ in stream.arrivals]], dtype=np.int64)
+        block = self.run_block(np.array([seed & _MASK], dtype=np.uint64), arrivals)
+        opened, members, value, trace = self.outcome(block, 0, want_trace)
         return opened, members, Fraction(value, self.model.inst.scale), trace
 
 

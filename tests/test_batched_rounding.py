@@ -25,7 +25,8 @@ def _check_offline(inst, x, alpha, budgeted, seed, trials):
     plan = OfflinePlan(inst, x, alpha, budgeted=budgeted)
     ref = ScalarOfflinePlan(inst, x, alpha, budgeted=budgeted)
     assert [b[:2] for b in ref.bundles] == plan.bundles
-    runs = list(plan.run_trials(seed, trials))
+    runs = [(start + r, plan.outcome(block, r))
+            for start, block in plan.run_trials(seed, trials) for r in range(len(block[2]))]
     assert [t for t, _out in runs] == list(range(trials))
     for t, (opened, value) in runs:
         want = ref.run(derive_trial_seed(seed, t))
@@ -42,12 +43,14 @@ def _check_online(model, x, alpha, seed, trials):
     ref = ScalarOnlinePlan(model, x, alpha)
     streams = [sample_stream(model, seed, t) for t in range(trials)]
     seeds = [derive_trial_seed(seed, t) for t in range(trials)]
-    traced = list(plan.run_block(np.array(seeds, dtype=np.uint64), plan.arrivals(streams),
-                                 want_trace=True))
-    for t, (opened, members, value, _trace) in plan.run_trials(seed, trials):
-        want = ref.run(seeds[t], streams[t])
-        assert traced[t] == want
-        assert (opened, members, value, None) == (*want[:3], None)
+    arrivals = rounding.stream_arrivals(model, seed, np.arange(trials, dtype=np.uint64))
+    block = plan.run_block(np.array(seeds, dtype=np.uint64), arrivals)
+    traced = [plan.outcome(block, t, want_trace=True) for t in range(trials)]
+    for start, block in plan.run_trials(seed, trials):
+        for r in range(len(block[3])):
+            want = ref.run(seeds[start + r], streams[start + r])
+            assert traced[start + r] == want
+            assert plan.outcome(block, r) == (*want[:3], None)
     opened, members, value, trace = plan.run(seeds[0], streams[0], want_trace=True)
     assert (opened, members, value, trace) == (
         *traced[0][:2], Fraction(traced[0][2], model.inst.scale), traced[0][3])
@@ -112,8 +115,11 @@ def test_object_dtype_offline_matches_scalar_reference(budgeted):
     inst = _huge_scale_instance(budgeted)
     assert inst.scale > 2 ** 63
     build = build_bundle_lp_budgeted if budgeted else build_bundle_lp
-    plan = _check_offline(inst, solve_model_lp(build(inst)), 0.6, budgeted, 4, 300)
+    x = solve_model_lp(build(inst))
+    plan = _check_offline(inst, x, 0.6, budgeted, 4, 300)
     assert plan.dtype is object
+    # the block check sums in Python ints too
+    assert run_offline_trials(inst, x, 0.6, 0.156, 4, 300, budgeted).feasible_count == 300
 
 
 def test_object_dtype_online_matches_scalar_reference():
@@ -128,8 +134,11 @@ def test_object_dtype_online_matches_scalar_reference():
         horizon=12,
     )
     assert model.inst.scale > 2 ** 63
-    plan = _check_online(model, solve_model_lp(build_opton_lp(model)), 0.9, 2, 300)
+    x = solve_model_lp(build_opton_lp(model))
+    plan = _check_online(model, x, 0.9, 2, 300)
     assert plan.dtype is object
+    # the prefix replay sums in Python ints too
+    assert run_online_trials(model, x, 0.9, 0.0766, 2, 300).feasible_count == 300
 
 
 def test_online_exact_fits_match_scalar_reference():
@@ -140,8 +149,8 @@ def test_online_exact_fits_match_scalar_reference():
         thresholds={"b": 1}, probs={"p": Fraction(1, 4), "n": Fraction(3, 4)}, horizon=12,
     )
     plan = _check_online(model, solve_model_lp(build_opton_lp(model)), 0.9, 6, 300)
-    joins = [len(m) for _t, (_o, members, _v, _tr) in plan.run_trials(6, 300)
-             for m in members.values()]
+    joins = [len(m) for _s, block in plan.run_trials(6, 300) for r in range(len(block[3]))
+             for m in plan.outcome(block, r)[1].values()]
     assert max(joins) == 2
 
 

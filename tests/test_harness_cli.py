@@ -1,6 +1,7 @@
 import json
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -30,6 +31,7 @@ from avalloc.lp_models import (
 )
 from avalloc.rounding import (
     OfflinePlan,
+    OnlinePlan,
     RoundingParams,
     derive_trial_seed,
     round_online,
@@ -84,16 +86,88 @@ def test_offline_trials_validate_every_trial(monkeypatch, bad_trial, tamper):
     blocks = []
 
     def tampered(self, seeds):
-        out = list(run_block(self, seeds))
+        # row bad_trial opens the tampered bundles and nothing else; its
+        # members are labelled by columns added for them
+        opened, joined, value = run_block(self, seeds)
         blocks.append(len(seeds))
         bid = {(j, p): b for b, (j, p) in enumerate(self.bundles)}
-        out[bad_trial] = (tamper(bid), out[bad_trial][1])
-        return out
+        bundles = tamper(bid)
+        joins = [(i, b) for b, items in bundles.items() for i in items]
+        self.coin_items = [*self.coin_items, *(i for i, _b in joins)]
+        joined = np.hstack([joined, np.full((len(seeds), len(joins)), -1)])
+        opened[bad_trial] = False
+        opened[bad_trial, list(bundles)] = True
+        joined[bad_trial] = -1
+        joined[bad_trial, joined.shape[1] - len(joins):] = [b for _i, b in joins]
+        return opened, joined, value
 
     monkeypatch.setattr(OfflinePlan, "run_block", tampered)
     with pytest.raises(RuntimeError, match=f"trial {bad_trial} "):
         run_offline_trials(inst, x, alpha=0.3, beta=0.156, seed=0, trials=5)
     assert blocks == [5]  # all five trials ran in one block
+
+
+def _tamper_plans(monkeypatch, cls, tamper):
+    """Make every cls plan call tamper(plan) once compiled."""
+    init = cls.__init__
+
+    def tampered(self, *args, **kwargs):
+        init(self, *args, **kwargs)
+        tamper(self)
+
+    monkeypatch.setattr(cls, "__init__", tampered)
+
+
+@pytest.fixture(scope="module")
+def binding_budgets():
+    # P-items alone can exhaust a buyer's single budget
+    inst = gen_random(12, 3, 4, unambiguous=True, budget_resources=1, bid_frac="0.6")
+    return inst, solve_model_lp(build_bundle_lp_budgeted(inst))
+
+
+def test_offline_check_reads_budgets_from_the_instance(monkeypatch, binding_budgets):
+    inst, x = binding_budgets
+    run_offline_trials(inst, x, 0.9, 0.156, seed=0, trials=200, budgeted=True)
+
+    def double_caps(plan):
+        plan.caps = plan.caps * 2
+
+    _tamper_plans(monkeypatch, OfflinePlan, double_caps)
+    with pytest.raises(RuntimeError, match="budget 'r1' of buyer"):
+        run_offline_trials(inst, x, 0.9, 0.156, seed=0, trials=200, budgeted=True)
+
+
+def test_offline_check_reads_members_from_the_instance(monkeypatch, binding_budgets):
+    inst, x = binding_budgets
+
+    def reroute(plan):
+        # each coin's bundle moves to the next bundle of another buyer, so
+        # members join with the deficits and costs of their first buyer
+        buyer = [j for j, _p in plan.bundles]
+        plan.c_bundle = np.array([
+            next(c for c in [*range(b + 1, len(buyer)), *range(b)] if buyer[c] != buyer[b])
+            for b in plan.c_bundle.tolist()], dtype=np.int64)
+
+    _tamper_plans(monkeypatch, OfflinePlan, reroute)
+    with pytest.raises(RuntimeError, match="gave an invalid bundling"):
+        run_offline_trials(inst, x, 0.9, 0.156, seed=0, trials=200, budgeted=True)
+
+
+def test_online_replay_reads_excesses_from_the_model(monkeypatch):
+    # an opener of excess 1 has room for two members of deficit 1/2 only
+    model = IidModel(
+        types=["p", "n"], buyers=["b"], values={("p", "b"): 2, ("n", "b"): Fraction(1, 2)},
+        thresholds={"b": 1}, probs={"p": Fraction(1, 4), "n": Fraction(3, 4)}, horizon=12,
+    )
+    x = solve_model_lp(build_opton_lp(model))
+    run_online_trials(model, x, 0.9, 0.0766, seed=6, trials=300)
+
+    def free_joins(plan):
+        plan.deficit = plan.deficit * 0
+
+    _tamper_plans(monkeypatch, OnlinePlan, free_joins)
+    with pytest.raises(RuntimeError, match="violated a prefix constraint"):
+        run_online_trials(model, x, 0.9, 0.0766, seed=6, trials=300)
 
 
 @settings(max_examples=30, derandomize=True, database=None, deadline=None)
@@ -110,9 +184,12 @@ def test_offline_trials_on_random_instances_are_all_feasible(n, m, seed, budgete
 
 
 def _fraction_replay(model, events):
-    """Prefix check in Fractions, the reference for the scaled integers."""
+    """Prefix check in Fractions, the reference for the scaled integers;
+    an arrival to buyer None goes to no buyer."""
     value, count = {}, {}
     for j, typ in events:
+        if j is None:
+            continue
         value[j] = value.get(j, Fraction(0)) + model.values[(typ, j)]
         count[j] = count.get(j, 0) + 1
         if value[j] < model.thresholds[j] * count[j]:
@@ -147,9 +224,19 @@ def test_integer_replay_matches_fraction_replay(data, n_types, n_buyers):
     values, excess = model.inst.scaled[:2]
     for (i, j), v in values.items():  # one common factor scales both sides
         assert Fraction(excess[(i, j)], v) == model.inst.excess(i, j) / model.values[(i, j)]
-    events = data.draw(st.lists(st.tuples(st.sampled_from(buyers), st.sampled_from(types)),
-                                max_size=12))
-    assert _replay_prefix(model, events) == _fraction_replay(model, events)
+    # a block of rows, shorter rows padded with arrivals to no buyer
+    rows = data.draw(st.lists(st.lists(
+        st.tuples(st.sampled_from([*buyers, None]), st.sampled_from(types)), max_size=12),
+        min_size=1, max_size=4))
+    width = max(map(len, rows))
+    buyer = np.full((len(rows), width), -1)
+    typ = np.zeros((len(rows), width), dtype=np.int64)
+    for r, events in enumerate(rows):
+        for k, (j, i) in enumerate(events):
+            buyer[r, k] = -1 if j is None else buyers.index(j)
+            typ[r, k] = types.index(i)
+    want = [r for r, events in enumerate(rows) if not _fraction_replay(model, events)]
+    assert _replay_prefix(model, buyer, typ) == (want[0] if want else None)
 
 
 def _check_online_runs(model, seed):
@@ -214,6 +301,25 @@ def test_report_writers(tmp_path):
     lines = cpath.read_text().splitlines()
     assert lines[0] == "key,value"
     assert "b.c.0,1" in lines
+    with pytest.raises(ValueError):  # JSON has no infinity
+        write_json({"ratio": float("inf")}, tmp_path / "inf.json")
+
+
+def _reject_constant(name):
+    raise ValueError(f"{name} is not JSON")
+
+
+def test_cli_zero_mean_report_is_json(tmp_path, capsys):
+    # two N-types and no P-type: no trial allocates anything
+    model = tmp_path / "m.json"
+    model.write_text(json.dumps({
+        "horizon": 4, "buyers": [{"id": "b", "rho": 1}],
+        "types": [{"id": "n1", "prob": 0.5, "values": {"b": 0.5}},
+                  {"id": "n2", "prob": 0.5, "values": {"b": 0.25}}],
+    }))
+    assert main(["online", "--model", str(model), "--trials", "3"]) == 0
+    doc = json.loads(capsys.readouterr().out, parse_constant=_reject_constant)
+    assert doc["mean"] == 0 and doc["ratio_lp_over_mean"] is None
 
 
 def test_bench_small_is_deterministic():
@@ -347,6 +453,20 @@ def test_cli_exit_codes(tmp_path, capsys):
                    '"types": [{"id": "t", "prob": 1, "values": {"b": 2}}]}')
     assert main(["lp", str(bad), "--which", "opton"]) == 2
     assert capsys.readouterr().err.startswith("error: ")
+    # a missing required field is named with its entry
+    for which, doc, err in (
+        ("naive", '{"buyers": [{"rho": 1}], "items": []}', "buyer entry lacks field 'id'"),
+        ("naive", '{"buyers": [{"id": "b"}], "items": []}', "buyer entry lacks field 'rho'"),
+        ("naive", '{"buyers": [], "items": [{"values": {}}]}', "item entry lacks field 'id'"),
+        ("opton", '{"horizon": 4, "buyers": [{"id": "b", "rho": 1}], '
+                  '"types": [{"id": "t", "values": {"b": 2}}]}', "type entry lacks field 'prob'"),
+        ("opton", '{"buyers": [{"id": "b", "rho": 1}], '
+                  '"types": [{"id": "t", "prob": 1, "values": {"b": 2}}]}',
+         "model document lacks field 'horizon'"),
+    ):
+        bad.write_text(doc)
+        assert main(["lp", str(bad), "--which", which]) == 2
+        assert capsys.readouterr().err == f"error: {err}\n"
     # a model's types are checked like an instance's items: a duplicate id,
     # a negative value, a negative cost
     for types in ('{"id": "t", "prob": 1, "values": {"b": 2}}, '
@@ -389,6 +509,19 @@ def test_cli_bench_dash_writes_stdout(tmp_path, capsys, monkeypatch):
     assert main(["bench", "--trials", "50", "--seed", "2", "-o", "-"]) == 0
     assert json.loads(capsys.readouterr().out) == bench_examples(trials=50, seed=2)
     assert list(tmp_path.iterdir()) == []
+
+
+def test_cli_dash_writes_trace_and_export_to_stdout(tmp_path, capsys, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    assert main(["gen", "iid-lower-bound", "-T", "4", "-o", "m.json"]) == 0
+    assert main(["online", "--model", "m.json", "--trials", "3", "--trace", "-"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    fields = {"t", "item", "type", "bundle", "reason"}
+    assert [set(json.loads(l)) for l in lines[:4]] == [fields] * 4
+    assert json.loads("\n".join(lines[4:]))["trials"] == 3
+    assert main(["lp", "m.json", "--which", "opton", "--export", "-"]) == 0
+    assert capsys.readouterr().out.startswith("Maximize")
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["m.json"]
 
 
 def test_cli_env_seed(tmp_path, capsys, monkeypatch):

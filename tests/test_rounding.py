@@ -196,7 +196,7 @@ def test_offline_residual_mass_opens_nothing():
     x = BundleLpSolution(x={("p", "b", "p"): Fraction(1, 2)}, objective=Fraction(1))
     trials = 10_000
     plan = OfflinePlan(inst, x, alpha=0.3)
-    opens = sum(1 for _t, (opened, _value) in plan.run_trials(3, trials) if len(opened) == 1)
+    opens = sum(int(opened.any(1).sum()) for _s, (opened, _j, _v) in plan.run_trials(3, trials))
     sigma = (trials * 0.25) ** 0.5
     assert abs(opens - trials / 2) <= 3 * sigma
 
@@ -211,8 +211,9 @@ def test_offline_pure_p_instance_matches_lp_marginals():
     trials = 10_000
     plan = OfflinePlan(inst, x, alpha=0.3)
     total = 0.0
-    for _t, (opened, _value) in plan.run_trials(5, trials):
-        total += float(plan.to_bundled(opened).value(inst))
+    for _s, block in plan.run_trials(5, trials):
+        total += sum(float(plan.to_bundled(plan.outcome(block, r)[0]).value(inst))
+                     for r in range(len(block[2])))
     mean = total / trials
     # each value is bounded by 2.7, so 3 sigma of the mean is comfortably 0.05
     assert abs(mean - expect) <= 0.05
@@ -225,8 +226,9 @@ def test_offline_gap_instance_mean_beats_one():
     trials = 2000
     plan = OfflinePlan(inst, x, alpha=0.3)
     total = 0.0
-    for _t, (opened, _value) in plan.run_trials(17, trials):
-        total += float(plan.to_bundled(opened).value(inst))
+    for _s, block in plan.run_trials(17, trials):
+        total += sum(float(plan.to_bundled(plan.outcome(block, r)[0]).value(inst))
+                     for r in range(len(block[2])))
     mean = total / trials
     assert mean >= float(x.objective) / 32
     assert mean >= 1.0
@@ -297,11 +299,9 @@ def test_offline_small_deficit_allocation_rate():
     trials = 10_000
     hits = {k: 0 for k in (1, 2, 3)}
     plan = OfflinePlan(inst, x, alpha=alpha)
-    for _t, (opened, _value) in plan.run_trials(9, trials):
-        for b in plan.to_bundled(opened).bundles:
-            for k in (1, 2, 3):
-                if f"n{k}" in b.n_items:
-                    hits[k] += 1
+    for _s, (_opened, joined, _value) in plan.run_trials(9, trials):
+        for k in (1, 2, 3):
+            hits[k] += int((joined[:, plan.coin_items.index(f"n{k}")] >= 0).sum())
     gamma = gamma_offline(alpha, beta)
     for k, cnt in hits.items():
         rate = cnt / trials
@@ -356,8 +356,10 @@ def test_budgeted_small_bids_feasibility():
         inst = gen_random(7, 3, seed=seed, unambiguous=True, budget_resources=1)
         x = solve_model_lp(build_bundle_lp_budgeted_safe(inst))
         plan = OfflinePlan(inst, x, alpha=1 / 3, budgeted=True)
-        for _t, (opened, _value) in plan.run_trials(seed, 500):
-            assert is_feasible(inst, plan.to_bundled(opened).to_allocation())
+        for _s, block in plan.run_trials(seed, 500):
+            for r in range(len(block[2])):
+                opened, _value = plan.outcome(block, r)
+                assert is_feasible(inst, plan.to_bundled(opened).to_allocation())
 
 
 # -- online --------------------------------------------------------------------
@@ -459,8 +461,8 @@ def test_online_open_count_marginal():
     trials = 4000
     plan = OnlinePlan(model, x, alpha=0.64)
     total = 0
-    for _t, (opened, _members, _value, _trace) in plan.run_trials(21, trials):
-        total += len(opened)
+    for _s, (opener, *_rest) in plan.run_trials(21, trials):
+        total += int((opener >= 0).sum())
     mean = total / trials
     T = model.horizon
     q = float(x.x[(p, j, p)]) / T
