@@ -26,7 +26,7 @@ from .core import (
     to_fraction,
 )
 from .gap import GapInstance, bundles_to_gap, export_gap, gap_solution_to_bundles
-from .genava import genava_bicriteria_greedy, genava_single_buyer
+from .genava import genava_bicriteria_greedy, genava_single_buyer, greedy_p_only
 from .lp import LinearProgram, LpSolution, lp_to_text, solve_lp
 from .lp_models import (
     BundleLpSolution,
@@ -43,11 +43,9 @@ from .lp_models import (
 )
 from .oracles import exact_bundling_opt, exact_gap_opt, exact_opt
 from .rounding import (
-    OnlineStream,
     RoundingParams,
     gamma_offline,
     gamma_online,
-    greedy_p_only,
     round_offline,
     round_offline_budgeted,
     round_online,

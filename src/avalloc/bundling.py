@@ -292,12 +292,7 @@ def make_unambiguous_deterministic(inst: Instance, bundling: BundledAllocation):
     input value and uses each original item at most once.
     """
     split, orig_of = split_ambiguous(inst)
-    try:
-        bundling.validate(split)
-    except InvalidBundling:
-        raise
-    except Exception as exc:  # noqa: BLE001 - surface as bundling error
-        raise InvalidBundling(str(exc)) from exc
+    bundling.validate(split)
 
     bundles = [
         {"buyer": b.buyer, "p": b.p_item, "members": set(b.n_items)}

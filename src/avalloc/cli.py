@@ -173,7 +173,7 @@ def _cmd_solve(args) -> int:
             },
         )
     elif args.algo == "greedy-p":
-        alloc = rounding.greedy_p_only(inst)
+        alloc = genava.greedy_p_only(inst)
         doc = _allocation_doc(inst, alloc, {"algo": args.algo})
     elif args.algo == "bicriteria":
         alloc = genava.genava_bicriteria_greedy(inst, args.eps)

@@ -1,10 +1,12 @@
-"""Approximation algorithms for the cost-mode (return-on-spend) problem.
+"""Greedy baselines and approximation algorithms for the cost-mode
+(return-on-spend) problem.
 
-Two simple baselines: a linear-time bicriteria greedy that relaxes each
-buyer's constraint by a factor 1/(1-eps) while keeping at least an eps
-fraction of the optimum value, and a strictly feasible single-buyer
-algorithm (all P-edges plus a 2-approximate knapsack over N-edges) that is
-within a factor 2n of the optimum for n buyers.
+Both greedy baselines give each item to the buyer of its highest-value
+admitted edge: greedy_p_only admits P-edges, so it is always feasible; the
+linear-time bicriteria greedy relaxes each buyer's constraint by a factor
+1/(1-eps) while keeping at least an eps fraction of the optimum value.  The
+strictly feasible single-buyer algorithm (all P-edges plus a 2-approximate
+knapsack over N-edges) is within a factor 2n of the optimum for n buyers.
 """
 
 from __future__ import annotations
@@ -12,6 +14,25 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .core import Allocation, Instance, to_fraction
+
+
+def _greedy(inst: Instance, admits) -> Allocation:
+    """Assign each item to the buyer of its highest-value edge (i, j) with
+    admits(i, j), the earlier-declared buyer on a tie; leave it unallocated
+    when no edge is admitted.  Each item is decided on its own."""
+    assignment = {}
+    for i in inst.items:
+        admitted = [j for j in inst.edges_of_item(i) if admits(i, j)]
+        if admitted:  # max keeps the first of equal values
+            assignment[i] = max(admitted, key=lambda j: inst.values[(i, j)])
+    return Allocation(assignment)
+
+
+def greedy_p_only(inst: Instance) -> Allocation:
+    """Allocate each item along its highest-value nonnegative-excess edge,
+    unallocated otherwise.  Always feasible; ties go to the earlier buyer.
+    Items are decided independently, so the arrival order does not matter."""
+    return _greedy(inst, inst.is_p_edge)
 
 
 def genava_bicriteria_greedy(inst: Instance, eps) -> Allocation:
@@ -27,19 +48,8 @@ def genava_bicriteria_greedy(inst: Instance, eps) -> Allocation:
     eps = to_fraction(eps)
     if not 0 < eps < 1:
         raise ValueError("eps must lie in (0, 1)")
-    assignment = {}
-    for i in inst.items:
-        best = None
-        for j in inst.buyers:
-            if (i, j) not in inst.values:
-                continue
-            v = inst.values[(i, j)]
-            if v >= inst.thresholds[j] * inst.cost(i, j) * (1 - eps):
-                if best is None or v > best[0]:
-                    best = (v, j)
-        if best is not None:
-            assignment[i] = best[1]
-    return Allocation(assignment)
+    return _greedy(inst, lambda i, j: (
+        inst.values[(i, j)] >= inst.thresholds[j] * inst.cost(i, j) * (1 - eps)))
 
 
 def bicriteria_cost_ratio(inst: Instance, alloc: Allocation) -> dict:

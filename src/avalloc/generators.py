@@ -129,24 +129,35 @@ def gen_max_coverage(sets, k: int, eps) -> Instance:
     return inst
 
 
+def _graph(vertices, edges):
+    """(vertices, edges, degree) of a simple graph with at least one edge,
+    as lists and a degree per vertex; raises BadEps on a loop, an edge to
+    an unknown vertex or a repeated edge."""
+    vertices = list(vertices)
+    edges = [tuple(e) for e in edges]
+    if not edges:
+        raise BadEps("graph must have at least one edge")
+    degree = {v: 0 for v in vertices}
+    seen = set()
+    for u, v in edges:
+        if u == v or u not in degree or v not in degree:
+            raise BadEps(f"bad edge ({u!r}, {v!r})")
+        key = frozenset((u, v))
+        if key in seen:
+            raise BadEps(f"duplicate edge ({u!r}, {v!r})")
+        seen.add(key)
+        degree[u] += 1
+        degree[v] += 1
+    return vertices, edges, degree
+
+
 def gen_genava_clique(vertices, edges, eps_exponent=1) -> Instance:
     """Independent-set reduction in cost mode: vertex item i_v costs
     M + deg(v) and is worth M to its own buyer only; edge items cost 0 and
     are worth 1 to both endpoint buyers.  M = 2|E| / n^eps_exponent; the
     exponent is a parameter because the asymptotic choice is meaningless at
     desk scale."""
-    vertices = list(vertices)
-    edges = [tuple(e) for e in edges]
-    if not edges:
-        raise BadEps("graph must have at least one edge")
-    seen = set()
-    for u, v in edges:
-        if u == v or u not in vertices or v not in vertices:
-            raise BadEps(f"bad edge ({u!r}, {v!r})")
-        key = frozenset((u, v))
-        if key in seen:
-            raise BadEps(f"duplicate edge ({u!r}, {v!r})")
-        seen.add(key)
+    vertices, edges, deg = _graph(vertices, edges)
     n = len(vertices)
     eps_exponent = to_fraction(eps_exponent)
     if eps_exponent == 1:
@@ -155,10 +166,6 @@ def gen_genava_clique(vertices, edges, eps_exponent=1) -> Instance:
         m_value = to_fraction(
             float(2 * len(edges)) / (n ** float(eps_exponent))
         )
-    deg = {v: 0 for v in vertices}
-    for u, v in edges:
-        deg[u] += 1
-        deg[v] += 1
     buyers = [f"j:{v}" for v in vertices]
     items, values, costs = [], {}, {}
     for v in vertices:
@@ -185,28 +192,19 @@ def gen_genava_clique(vertices, edges, eps_exponent=1) -> Instance:
     return inst
 
 
-def gen_genava_clique_iid(vertices, edges, eps, m_value=None, r_count=None) -> IidModel:
+def gen_genava_clique_iid(vertices, edges, eps) -> IidModel:
     """Structural arrival-model variant of the independent-set reduction:
-    vertex items cost M + R*deg(v), edge items are free; vertex types arrive
-    with probability 1/(2|V|), edge types 1/(2|E|), over
+    vertex items are worth M = 2|E| and cost M + R*deg(v), with
+    R = max(1, ceil(eps^2 ln(|E|+1))); edge items are free; vertex types
+    arrive with probability 1/(2|V|), edge types 1/(2|E|), over
     ceil(2*(1+eps/2)*R*|E|) arrivals.  Only the structure is generated; no
     statistical claims are validated."""
-    vertices = list(vertices)
-    edges = [tuple(e) for e in edges]
-    if not edges:
-        raise BadEps("graph must have at least one edge")
+    vertices, edges, deg = _graph(vertices, edges)
     eps = to_fraction(eps)
     if not 0 < eps < 1:
         raise BadEps("eps must lie in (0, 1)")
-    if r_count is None:
-        r_count = max(1, math.ceil(float(eps) ** 2 * math.log(len(edges) + 1)))
-    if m_value is None:
-        m_value = Fraction(2 * len(edges))
-    m_value = to_fraction(m_value)
-    deg = {v: 0 for v in vertices}
-    for u, v in edges:
-        deg[u] += 1
-        deg[v] += 1
+    r_count = max(1, math.ceil(float(eps) ** 2 * math.log(len(edges) + 1)))
+    m_value = Fraction(2 * len(edges))
     buyers = [f"j:{v}" for v in vertices]
     types, values, costs, probs = [], {}, {}, {}
     for v in vertices:
@@ -297,28 +295,33 @@ def _grid(rng: random.Random, lo: Fraction, hi: Fraction) -> Fraction:
     return Fraction(rng.randint(lo_c, hi_c), 100)
 
 
+def _check_count(name: str, count: int, least: int):
+    if count < least:
+        raise BadEps(f"{name} must be at least {least}, got {count}")
+
+
 def gen_random(
     n_items: int,
     n_buyers: int,
     seed: int,
     edge_density: float = 0.75,
     p_density: float = 0.4,
-    v_lo="0.55",
-    v_hi="2.0",
     unambiguous: bool = False,
     budget_resources: int = 0,
     bid_frac="0.05",
 ) -> Instance:
     """Seeded random instance on unit thresholds.
 
-    P-edges draw values from [1, v_hi], N-edges from [v_lo, 0.99]; every
+    P-edges draw values from [1, 2], N-edges from [0.55, 0.99]; every
     item gets at least one edge.  With unambiguous=True the P/N side is
     chosen per item instead of per edge.  budget_resources > 0 attaches that
     many unit budgets per buyer with per-edge costs on [0, bid_frac] (small
-    bids).
+    bids).  Raises BadEps unless n_items >= 0 and n_buyers >= 1.
     """
+    _check_count("items", n_items, 0)
+    _check_count("buyers", n_buyers, 1)
     rng = random.Random(seed)
-    v_lo, v_hi, bid_frac = to_fraction(v_lo), to_fraction(v_hi), to_fraction(bid_frac)
+    bid_frac = to_fraction(bid_frac)
     items = [f"i{k}" for k in range(1, n_items + 1)]
     buyers = [f"b{k}" for k in range(1, n_buyers + 1)]
     values = {}
@@ -335,9 +338,9 @@ def gen_random(
             touched.append((j, item_is_p if unambiguous else rng.random() < p_density))
         for j, edge_is_p in touched:
             if edge_is_p:
-                values[(i, j)] = _grid(rng, Fraction(1), v_hi)
+                values[(i, j)] = _grid(rng, Fraction(1), Fraction(2))
             else:
-                values[(i, j)] = _grid(rng, v_lo, Fraction(99, 100))
+                values[(i, j)] = _grid(rng, Fraction(11, 20), Fraction(99, 100))
     budgets = None
     rcosts = None
     if budget_resources > 0:
@@ -369,13 +372,13 @@ def gen_random_iid_model(
     n_buyers: int,
     horizon: int,
     seed: int,
-    edge_density: float = 0.8,
-    p_density: float = 0.4,
-    min_weight: int = 1,
-    max_weight: int = 4,
 ) -> IidModel:
-    """Seeded random arrival model: integer type weights normalized to exact
-    probabilities, unit thresholds, values on the 1/100 grid."""
+    """Seeded random arrival model: edges with probability 0.8 (at least one
+    per type), P-edges with probability 0.4, integer type weights on [1, 4]
+    normalized to exact probabilities, unit thresholds, values on the 1/100
+    grid.  Raises BadEps unless n_types >= 1 and n_buyers >= 1."""
+    _check_count("types", n_types, 1)
+    _check_count("buyers", n_buyers, 1)
     rng = random.Random(seed)
     types = [f"y{k}" for k in range(1, n_types + 1)]
     buyers = [f"b{k}" for k in range(1, n_buyers + 1)]
@@ -383,16 +386,16 @@ def gen_random_iid_model(
     for i in types:
         touched = []
         for j in buyers:
-            if rng.random() < edge_density:
+            if rng.random() < 0.8:
                 touched.append(j)
         if not touched:
             touched.append(buyers[rng.randrange(n_buyers)])
         for j in touched:
-            if rng.random() < p_density:
+            if rng.random() < 0.4:
                 values[(i, j)] = _grid(rng, Fraction(1), Fraction(2))
             else:
                 values[(i, j)] = _grid(rng, Fraction(11, 20), Fraction(99, 100))
-    weights = [rng.randint(min_weight, max_weight) for _ in types]
+    weights = [rng.randint(1, 4) for _ in types]
     total = sum(weights)
     probs = {i: Fraction(w, total) for i, w in zip(types, weights)}
     model = IidModel(

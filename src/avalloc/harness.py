@@ -23,6 +23,7 @@ import numpy as np
 
 from .bundling import invalid_bundling, state_dtype
 from .core import Instance, allocation_value, exact_text
+from .genava import greedy_p_only
 from .lp_models import BundleLpSolution, IidModel
 from .rounding import (
     OfflinePlan,
@@ -30,7 +31,6 @@ from .rounding import (
     check_unit_interval,
     gamma_offline,
     gamma_online,
-    greedy_p_only,
     sample_stream,
     stream_instance,
 )
@@ -320,8 +320,8 @@ def bench_examples(trials: int = 10_000, seed: int = 0) -> dict:
     )
     report["online_rounding_iid_T20"] = on.to_json_dict()
 
-    adv, order = gen_adversarial_T(5, Fraction(1, 20))
-    greedy_val = allocation_value(adv, greedy_p_only(adv, order))
+    adv, _order = gen_adversarial_T(5, Fraction(1, 20))
+    greedy_val = allocation_value(adv, greedy_p_only(adv))
     adv_opt, _ = exact_opt(adv)
     report["adversarial_T5"] = {"greedy": float(greedy_val), "opt": float(adv_opt)}
 

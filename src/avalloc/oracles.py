@@ -41,6 +41,11 @@ def _submasks(mask):
         T = (T - mask) & mask
 
 
+def _mask_items(inst: Instance, mask: int) -> list:
+    """The items whose bits are set in mask, in item order."""
+    return [i for k, i in enumerate(inst.items) if mask >> k & 1]
+
+
 def _buyer_tables(inst: Instance, j):
     """Tables over the submasks T of buyer j's edge neighborhood, each a
     list indexed by T: the scaled value sum, the scaled excess sum, and
@@ -180,16 +185,8 @@ def exact_opt(inst: Instance, max_states: int = DEFAULT_STATE_LIMIT):
         return bytearray(ok and e >= 0 for ok, e in zip(in_budget, exc))
 
     value, masks = _allocation_dp(inst, admissible, max_states)
-    assignment = {}
-    for jpos, T in enumerate(masks):
-        j = inst.buyers[jpos]
-        k = 0
-        while T:
-            if T & 1:
-                assignment[inst.items[k]] = j
-            T >>= 1
-            k += 1
-    return value, Allocation(assignment)
+    return value, Allocation({i: j for j, T in zip(inst.buyers, masks)
+                              for i in _mask_items(inst, T)})
 
 
 def _partition_tables(inst: Instance, j, tables):
@@ -250,15 +247,8 @@ def exact_bundling_opt(inst: Instance, max_states: int = DEFAULT_STATE_LIMIT):
             B = pick[mask]
             root_bit = B & p_mask
             root = inst.items[root_bit.bit_length() - 1]
-            others = B ^ root_bit
-            n_items = []
-            k = 0
-            while others:
-                if others & 1:
-                    n_items.append(inst.items[k])
-                others >>= 1
-                k += 1
-            bundles.append(Bundle(buyer=j, p_item=root, n_items=frozenset(n_items)))
+            bundles.append(Bundle(buyer=j, p_item=root,
+                                  n_items=frozenset(_mask_items(inst, B ^ root_bit))))
             mask ^= B
     out = BundledAllocation(bundles)
     out.validate(inst)

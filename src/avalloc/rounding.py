@@ -8,9 +8,10 @@ heads and the hit bundle stays permissible.  The budget-aware variant also
 requires every configured per-buyer budget to survive each addition, the
 P-item that opens a bundle included.
 
-Online: arrivals in the first half of the horizon may only open bundles
-(buyer drawn with probability x_pjp / (q_p T)); arrivals in the second half
-may only join them, with per-open-bundle coin probability
+Online: a stream is the tuple of the arriving type ids, stream[t-1] the
+type at time t.  Arrivals in the first half of the horizon may only open
+bundles (buyer drawn with probability x_pjp / (q_p T)); arrivals in the
+second half may only join them, with per-open-bundle coin probability
 alpha * x_ijp / (x_pjp q_i T).  Decisions are immediate and irrevocable and
 every prefix of the run satisfies the buyers' constraints.
 
@@ -41,7 +42,7 @@ from fractions import Fraction
 import numpy as np
 
 from .bundling import Bundle, BundledAllocation, state_dtype
-from .core import Allocation, Instance, copy_items
+from .core import Instance, copy_items
 from .errors import InfeasibleFractional, StreamModelMismatch
 from .lp_models import BundleLpSolution, IidModel, bundle_lp_shape, opton_lp_shape
 
@@ -121,6 +122,24 @@ def _block_trials(width: int) -> int:
     return max(1, _BLOCK // max(width, 1))
 
 
+def _draw_table(rows):
+    """Phase-I draw table of rows of (cumulative probability, choice)
+    pairs: the arrays (acc, choice), one row each, padded with 0.0, which
+    no draw falls below."""
+    width = max(1, max(map(len, rows), default=0))
+    acc = np.zeros((len(rows), width))
+    choice = np.zeros((len(rows), width), dtype=np.int64)
+    for r, row in enumerate(rows):
+        for k, (a, c) in enumerate(row):
+            acc[r, k], choice[r, k] = a, c
+    return acc, choice
+
+
+def _ratio(v, xp) -> float:
+    """x_ijp / x_pjp as a float; a Fraction pair is divided exactly first."""
+    return float(Fraction(v) / Fraction(xp)) if isinstance(v, Fraction) else v / xp
+
+
 def check_unit_interval(name: str, x: float):
     """Raise ValueError unless 0 < x < 1; a NaN is rejected too."""
     if not 0 < x < 1:
@@ -153,19 +172,6 @@ def gamma_online(alpha: float, beta: float) -> float:
     return (alpha / 2) * (1 - alpha / 2) * (1 - alpha / (2 * (1 - beta)))
 
 
-@dataclass(frozen=True)
-class OnlineStream:
-    """Realized arrival sequence: arrivals[t-1] is the type at time t."""
-
-    arrivals: tuple
-
-    def __post_init__(self):
-        object.__setattr__(self, "arrivals", tuple(self.arrivals))
-
-    def __len__(self):
-        return len(self.arrivals)
-
-
 def stream_arrivals(model: IidModel, seed: int, trials: np.ndarray) -> np.ndarray:
     """Type indices of the streams of the trials in a uint64 array, one row
     per trial: the type at time t is the first whose model.stream_cdf entry
@@ -176,28 +182,29 @@ def stream_arrivals(model: IidModel, seed: int, trials: np.ndarray) -> np.ndarra
     return np.minimum(k, len(model.types) - 1, out=k)
 
 
-def sample_stream(model: IidModel, seed: int, trial: int = 0) -> OnlineStream:
-    """Stream of one trial, as drawn by stream_arrivals."""
+def sample_stream(model: IidModel, seed: int, trial: int = 0) -> tuple:
+    """Stream of one trial, as drawn by stream_arrivals: the tuple of its
+    type ids, stream[t-1] the type at time t."""
     row = stream_arrivals(model, seed, np.array([trial & _MASK], dtype=np.uint64))[0]
-    return OnlineStream(model.types[k] for k in row.tolist())
+    return tuple(model.types[k] for k in row.tolist())
 
 
-def stream_instance(model: IidModel, stream: OnlineStream) -> Instance:
-    """Instance realized by a stream: one item per timestep (id "t<k>"),
-    a copy of its type in model.inst."""
+def stream_instance(model: IidModel, stream) -> Instance:
+    """Instance realized by a stream (a sequence of type ids): one item per
+    timestep (id "t<k>"), a copy of its type in model.inst."""
     _check_stream(model, stream)
     inst = model.inst
     return copy_items(inst, [(f"t{t}", typ, inst.edges_of_item(typ))
-                             for t, typ in enumerate(stream.arrivals, start=1)])
+                             for t, typ in enumerate(stream, start=1)])
 
 
-def _check_stream(model: IidModel, stream: OnlineStream):
+def _check_stream(model: IidModel, stream):
     if len(stream) != model.horizon:
         raise StreamModelMismatch(
             f"stream length {len(stream)} != horizon {model.horizon}"
         )
     known = set(model.types)
-    for typ in stream.arrivals:
+    for typ in stream:
         if typ not in known:
             raise StreamModelMismatch(f"unknown type {typ!r} in stream")
 
@@ -293,10 +300,9 @@ class OfflinePlan:
                 v = x.x.get((i, j, p))
                 if not v:
                     continue
-                xp = x.x[(p, j, p)]
-                ratio = float(Fraction(v) / Fraction(xp)) if isinstance(v, Fraction) else v / xp
                 group.append((b, inst.item_index(i), inst.buyer_index(j), inst.item_index(p),
-                              self.alpha * ratio, -excess[(i, j)], values[(i, j)], rc(i, j)))
+                              self.alpha * _ratio(v, x.x[(p, j, p)]), -excess[(i, j)],
+                              values[(i, j)], rc(i, j)))
             if group:
                 self.coin_items.append(i)
                 starts.append(len(coins))
@@ -320,15 +326,9 @@ class OfflinePlan:
         self.b_excess, self.b_value = column(opener, 1), column(opener, 2)
         self.b_rc = costs([r[-1] for r in opener])
         self.caps = costs([[bound if c is None else c for c in row] for row in caps])
-        # phase I: per P-item its cumulative probabilities and bundles,
-        # padded with 0.0, which no draw falls below
-        width = max((len(cum) for _i, cum in draws), default=1)
+        # phase I: per P-item its cumulative probabilities and bundles
         self.p_index = np.array([p for p, _cum in draws], dtype=np.uint64)
-        self.p_acc = np.zeros((len(draws), width))
-        self.p_bundle = np.zeros((len(draws), width), dtype=np.int64)
-        for q, (_p, cum) in enumerate(draws):
-            for pos, (acc, b) in enumerate(cum):
-                self.p_acc[q, pos], self.p_bundle[q, pos] = acc, b
+        self.p_acc, self.p_bundle = _draw_table([cum for _p, cum in draws])
         # phase II: one column per coin, the coins of an N-item contiguous
         self.c_bundle = column(coins, 0, np.int64)
         self.c_key = [column(coins, pos, np.uint64) for pos in (1, 2, 3)]
@@ -337,7 +337,7 @@ class OfflinePlan:
         self.c_rc = costs([r[-1] for r in coins])
         self.c_start = np.array(starts, dtype=np.int64)
         self.block_trials = _block_trials(
-            max(len(coins), len(draws) * width, len(self.bundles), len(caps) * k))
+            max(len(coins), self.p_acc.size, len(self.bundles), len(caps) * k))
 
     def _within_caps(self, used, rows, b, cost):
         """Which (trial row, bundle b) pairs may add resource costs cost
@@ -493,8 +493,7 @@ class OnlinePlan:
         self.tidx = {i: k for k, i in enumerate(model.types)}
         nt, nb = len(model.types), len(model.buyers)
         values, excess = model.inst.scaled[:2]
-        # phase I: per type, cumulative opening probabilities over buyers,
-        # padded with 0.0, which no draw falls below
+        # phase I: per type, cumulative opening probabilities over buyers
         open_cum = []
         for p in model.types:
             qT = float(model.probs[p] * T)
@@ -505,12 +504,7 @@ class OnlinePlan:
                     acc += float(v) / qT
                     cum.append((acc, jdx))
             open_cum.append(cum)
-        width = max(1, max(map(len, open_cum)))
-        self.open_acc = np.zeros((nt, width))
-        self.open_buyer = np.zeros((nt, width), dtype=np.int64)
-        for p, cum in enumerate(open_cum):
-            for k, (acc, jdx) in enumerate(cum):
-                self.open_acc[p, k], self.open_buyer[p, k] = acc, jdx
+        self.open_acc, self.open_buyer = _draw_table(open_cum)
         # phase II: join_prob[i, p, j] is the coin probability of a type-i
         # arrival against an open bundle (p, j); 0.0 where it has no coin.
         # check_fractional has checked that each member entry x_ijp, i != p,
@@ -521,9 +515,8 @@ class OnlinePlan:
             qT = float(model.probs[i] * T)
             if i == p or not v or qT <= 0:
                 continue
-            xp = x.x[(p, j, p)]
-            ratio = float(Fraction(v) / Fraction(xp)) if isinstance(v, Fraction) else v / xp
-            self.join_prob[self.tidx[i], self.tidx[p], bidx[j]] = self.alpha * ratio / qT
+            self.join_prob[self.tidx[i], self.tidx[p], bidx[j]] = (
+                self.alpha * _ratio(v, x.x[(p, j, p)]) / qT)
         self.may_join = self.join_prob > 0
         # scaled value and excess of each (type, buyer), 0 on non-edges; a
         # run's value is at most T times the largest value, and a bundle's
@@ -535,7 +528,8 @@ class OnlinePlan:
         self.values = np.array([[v for v, _e in row] for row in grid], dtype=dt).reshape(nt, nb)
         self.p_excess = np.array([[e for _v, e in row] for row in grid], dtype=dt).reshape(nt, nb)
         self.deficit = -self.p_excess
-        self.block_trials = _block_trials(max(T, self.half * width, (T - self.half) * self.half))
+        self.block_trials = _block_trials(
+            max(T, self.half * self.open_acc.shape[1], (T - self.half) * self.half))
 
     def run_block(self, seeds: np.ndarray, arrivals: np.ndarray):
         """One online pass per seed of a uint64 array, against the stream
@@ -585,10 +579,10 @@ class OnlinePlan:
             joined[rows, c] = True
         return opener, hit, joined, value, arrivals
 
-    def outcome(self, block, r: int, want_trace: bool = False):
+    def outcome(self, block, r: int):
         """Row r of a run_block result as (opened keys, members per key,
-        value in scaled integers, trace or None); opened keys are (buyer,
-        type, time)."""
+        value in scaled integers, trace); opened keys are (buyer, type,
+        time)."""
         opener, hit, joined, value, arrivals = block
         opener, hit, joined, arrivals = (a[r].tolist() for a in (opener, hit, joined, arrivals))
         value = int(value[r])
@@ -600,17 +594,15 @@ class OnlinePlan:
         for c, s in enumerate(hit):
             if joined[c]:
                 members[keys[s]].append((half + c + 1, types[arrivals[half + c]]))
-        trace = None
-        if want_trace:
-            trace = [TraceRecord(t, f"t{t}", types[arrivals[t - 1]], key,
-                                 "no-phase" if key is None else "opened")
-                     for t, key in enumerate(keys, start=1)]
-            for c, s in enumerate(hit):
-                t = half + c + 1
-                key = None if s < 0 else keys[s]
-                reason = ("multi-hit" if key is None
-                          else "singleton+permissible" if joined[c] else "impermissible")
-                trace.append(TraceRecord(t, f"t{t}", types[arrivals[t - 1]], key, reason))
+        trace = [TraceRecord(t, f"t{t}", types[arrivals[t - 1]], key,
+                             "no-phase" if key is None else "opened")
+                 for t, key in enumerate(keys, start=1)]
+        for c, s in enumerate(hit):
+            t = half + c + 1
+            key = None if s < 0 else keys[s]
+            reason = ("multi-hit" if key is None
+                      else "singleton+permissible" if joined[c] else "impermissible")
+            trace.append(TraceRecord(t, f"t{t}", types[arrivals[t - 1]], key, reason))
         return opened, members, value, trace
 
     def run_trials(self, seed: int, trials: int):
@@ -624,26 +616,26 @@ class OnlinePlan:
             arrivals = stream_arrivals(self.model, seed, block)
             yield start, self.run_block(trial_seeds(seed, block), arrivals)
 
-    def run(self, seed: int, stream: OnlineStream, want_trace: bool = False):
-        """One online pass.  Returns (opened keys, members per key, value,
-        trace or None).  opened keys are (buyer, type, time)."""
+    def run(self, seed: int, stream):
+        """One online pass against a stream of type ids.  Returns (opened
+        keys, members per key, value, trace).  opened keys are (buyer,
+        type, time)."""
         _check_stream(self.model, stream)
-        arrivals = np.array([[self.tidx[typ] for typ in stream.arrivals]], dtype=np.int64)
+        arrivals = np.array([[self.tidx[typ] for typ in stream]], dtype=np.int64)
         block = self.run_block(np.array([seed & _MASK], dtype=np.uint64), arrivals)
-        opened, members, value, trace = self.outcome(block, 0, want_trace)
+        opened, members, value, trace = self.outcome(block, 0)
         return opened, members, Fraction(value, self.model.inst.scale), trace
 
 
-def round_online(model: IidModel, x: BundleLpSolution, params: RoundingParams,
-                 stream: OnlineStream):
-    """Round an online-LP solution against a realized stream.
+def round_online(model: IidModel, x: BundleLpSolution, params: RoundingParams, stream):
+    """Round an online-LP solution against a realized stream of type ids.
 
     Returns (BundledAllocation over the stream instance, decision trace).
     Bundles are labelled (buyer, type, opening time); items carry the
     timestep ids of stream_instance.
     """
     plan = OnlinePlan(model, x, params.alpha)
-    opened, members, _value, trace = plan.run(params.seed, stream, want_trace=True)
+    opened, members, _value, trace = plan.run(params.seed, stream)
     bundles = [
         Bundle(
             buyer=key[0],
@@ -654,23 +646,3 @@ def round_online(model: IidModel, x: BundleLpSolution, params: RoundingParams,
     ]
     return BundledAllocation(bundles), trace
 
-
-# ---------------------------------------------------------------------------
-
-
-def greedy_p_only(inst: Instance, order=None) -> Allocation:
-    """Allocate each item along its highest-value nonnegative-excess edge,
-    unallocated otherwise.  Always feasible; ties go to the earlier buyer."""
-    if order is None:
-        order = inst.items
-    assignment = {}
-    for i in order:
-        best = None
-        for j in inst.buyers:
-            if (i, j) in inst.values and inst.is_p_edge(i, j):
-                v = inst.values[(i, j)]
-                if best is None or v > best[0]:
-                    best = (v, j)
-        if best is not None:
-            assignment[i] = best[1]
-    return Allocation(assignment)

@@ -188,7 +188,7 @@ class ScalarOnlinePlan:
         value = 0
         h_open = _mix(seed, _TAG_OPEN_ON)
         h_coin = _mix(seed, _TAG_COIN_ON)
-        for t, typ in enumerate(stream.arrivals, start=1):
+        for t, typ in enumerate(stream, start=1):
             item_id = f"t{t}"
             if t <= self.half:
                 chosen = None

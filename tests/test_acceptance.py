@@ -12,7 +12,6 @@ import time
 from fractions import Fraction
 
 from avalloc import (
-    OnlineStream,
     RoundingParams,
     allocation_value,
     duplicate_supply,
@@ -45,7 +44,7 @@ from avalloc.lp_models import (
     solve_model_lp,
 )
 from avalloc.oracles import exact_bundling_opt, exact_gap_opt, exact_opt
-from avalloc.rounding import greedy_p_only
+from avalloc.genava import greedy_p_only
 from util import random_feasible_allocation
 
 TRIALS = 10_000
@@ -219,8 +218,8 @@ def test_criterion_07_online_rounding():
 def test_criterion_08_adversarial_sequences():
     t0 = time.time()
     eps = Fraction(1, 20)
-    inst, order = gen_adversarial_T(5, eps)
-    greedy_val = allocation_value(inst, greedy_p_only(inst, order))
+    inst, _order = gen_adversarial_T(5, eps)
+    greedy_val = allocation_value(inst, greedy_p_only(inst))
     opt, _ = exact_opt(inst)
     cap = 1 + eps * 5
     assert greedy_val == Fraction(5, 4) == cap
@@ -244,7 +243,7 @@ def test_criterion_08_adversarial_sequences():
         horizon=T6,
     )
     x = solve_model_lp(build_opton_lp(model))
-    stream = OnlineStream(["low"] * (T6 - 1) + ["star"])
+    stream = ("low",) * (T6 - 1) + ("star",)
     out, trace = round_online(model, x, RoundingParams(alpha=0.64, seed=0), stream)
     assert verify_prefix_feasibility(model, trace)
     from avalloc.rounding import stream_instance

@@ -45,13 +45,13 @@ def _check_online(model, x, alpha, seed, trials):
     seeds = [derive_trial_seed(seed, t) for t in range(trials)]
     arrivals = rounding.stream_arrivals(model, seed, np.arange(trials, dtype=np.uint64))
     block = plan.run_block(np.array(seeds, dtype=np.uint64), arrivals)
-    traced = [plan.outcome(block, t, want_trace=True) for t in range(trials)]
+    traced = [plan.outcome(block, t) for t in range(trials)]
     for start, block in plan.run_trials(seed, trials):
         for r in range(len(block[3])):
             want = ref.run(seeds[start + r], streams[start + r])
             assert traced[start + r] == want
-            assert plan.outcome(block, r) == (*want[:3], None)
-    opened, members, value, trace = plan.run(seeds[0], streams[0], want_trace=True)
+            assert plan.outcome(block, r) == want
+    opened, members, value, trace = plan.run(seeds[0], streams[0])
     assert (opened, members, value, trace) == (
         *traced[0][:2], Fraction(traced[0][2], model.inst.scale), traced[0][3])
     return plan

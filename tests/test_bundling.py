@@ -243,6 +243,21 @@ def test_deterministic_unambiguous_two_cycle():
     assert out.value(out_inst) == opt
 
 
+def test_deterministic_unambiguous_rejects_an_invalid_split_bundling():
+    inst = unit_instance(
+        {("i", "b1"): "1.5", ("i", "b2"): "0.8", ("q", "b2"): "1.1",
+         ("k", "b1"): "0.9", ("k", "b2"): "0.9"},
+        buyers=["b1", "b2"],
+    )
+    shared = BundledAllocation([Bundle("b1", "i+", ["k"]), Bundle("b2", "q", ["k"])])
+    with pytest.raises(InvalidBundling, match="two bundles"):
+        make_unambiguous_deterministic(inst, shared)
+    # the deficit 1/5 of i- exceeds the excess 1/10 of q
+    impermissible = BundledAllocation([Bundle("b2", "q", ["i-"])])
+    with pytest.raises(InvalidBundling, match="not permissible"):
+        make_unambiguous_deterministic(inst, impermissible)
+
+
 def test_deterministic_unambiguous_random_sweep():
     for seed in range(20):
         inst = gen_random(6, 3, seed=400 + seed)

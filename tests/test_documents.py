@@ -9,6 +9,7 @@ import hashlib
 import io
 from dataclasses import replace
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -84,3 +85,12 @@ def test_dump_bytes_are_pinned(name):
     buf = io.StringIO()
     dump(make(), buf)
     assert _sha(buf.getvalue()) == digest
+
+
+def test_readme_library_tour_runs(capsys):
+    # the first python block under README's "## Library quick tour" heading
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    section = text.split("\n## Library quick tour\n", 1)[1].split("\n## ", 1)[0]
+    code = section.split("```python\n", 1)[1].split("\n```", 1)[0]
+    exec(compile(code, "README.md", "exec"), {})
+    assert capsys.readouterr().out == "11/5 13/10\n"

@@ -111,6 +111,15 @@ def test_genava_clique_iid_structure():
     assert model.costs[("v:b", "j:b")] == Fraction(6) + 2 * r
 
 
+def test_clique_generators_reject_a_bad_graph():
+    # a loop, a repeated edge and an edge to an unknown vertex
+    for edges in ([("a", "a")], [("a", "c"), ("c", "a")], [("a", "b")]):
+        with pytest.raises(BadEps):
+            gen_genava_clique(["a", "c"], edges)
+        with pytest.raises(BadEps):
+            gen_genava_clique_iid(["a", "c"], edges, Fraction(1, 2))
+
+
 def test_iid_lower_bound():
     model = gen_iid_lower_bound(10)
     assert len(model.types) == 10 and len(model.buyers) == 10
@@ -125,9 +134,9 @@ def test_adversarial_instance():
     inst, order = gen_adversarial_T(5, Fraction(1, 20))
     assert order == list(inst.items)
     from avalloc import allocation_value
-    from avalloc.rounding import greedy_p_only
+    from avalloc.genava import greedy_p_only
 
-    greedy = greedy_p_only(inst, order)
+    greedy = greedy_p_only(inst)
     assert allocation_value(inst, greedy) == Fraction(5, 4)  # 1 + eps*T
     assert exact_opt(inst)[0] == Fraction(101, 20)
     # the first T-1 arrivals admit no feasible nonempty allocation
@@ -161,6 +170,16 @@ def test_random_generator_determinism_and_shape():
     assert c.values != a.values
     for i in c.items:
         assert c.edges_of_item(i)  # every item has at least one edge
+
+
+def test_random_generators_reject_empty_sizes():
+    for make, name in ((lambda: gen_random(-2, 2, 1), "items"),
+                       (lambda: gen_random(2, 0, 1), "buyers"),
+                       (lambda: gen_random_iid_model(0, 2, 4, 1), "types"),
+                       (lambda: gen_random_iid_model(2, 0, 4, 1), "buyers")):
+        with pytest.raises(BadEps, match=f"^{name} must be at least"):
+            make()
+    assert gen_random(0, 2, 1).items == ()
 
 
 def test_random_iid_model_determinism():

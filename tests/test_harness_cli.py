@@ -486,6 +486,12 @@ def test_cli_exit_codes(tmp_path, capsys):
                  online + ["--beta", "-0.5"], ["bench", "--trials", "0"]):
         assert main(argv) == 2
         assert capsys.readouterr().err.startswith("error: ")
+    # empty generator sizes are named
+    for family, flag, err in (("random", "--buyers", "buyers must be at least 1, got 0"),
+                              ("random", "--items", "items must be at least 0, got -1"),
+                              ("random-iid", "--types", "types must be at least 1, got -1")):
+        assert main(["gen", family, flag, "0" if flag == "--buyers" else "-1"]) == 2
+        assert capsys.readouterr().err == f"error: {err}\n"
 
 
 def test_cli_export_gap_and_bench(tmp_path, capsys):

@@ -14,6 +14,7 @@ from avalloc import (
     is_feasible,
 )
 from avalloc.errors import AmbiguousInstance, InfeasibleFractional, StreamModelMismatch
+from avalloc.genava import greedy_p_only
 from avalloc.generators import (
     gen_adversarial_T,
     gen_integrality_gap,
@@ -31,7 +32,6 @@ from avalloc.lp_models import (
 from avalloc.rounding import (
     OfflinePlan,
     OnlinePlan,
-    OnlineStream,
     RoundingParams,
     _mix,
     _mix_from,
@@ -39,7 +39,6 @@ from avalloc.rounding import (
     derive_trial_seed,
     gamma_offline,
     gamma_online,
-    greedy_p_only,
     round_offline,
     round_offline_budgeted,
     round_online,
@@ -147,7 +146,7 @@ def test_online_streams_and_traces_are_pinned():
         _out, trace = round_online(
             model, x, RoundingParams(alpha=0.64, seed=derive_trial_seed(3, t)), stream
         )
-        arrivals.append(stream.arrivals)
+        arrivals.append(stream)
         traces.append([rec.to_json() for rec in trace])
     assert _sha(arrivals) == STREAM_DIGEST
     assert _sha(traces) == TRACE_DIGEST
@@ -268,7 +267,7 @@ def test_online_rejects_infeasible_fractional():
         probs={"p": Fraction(1, 4), "q": Fraction(1, 4), "n": Fraction(1, 2)},
         horizon=4,
     )
-    stream = OnlineStream(["p", "q", "n", "n"])
+    stream = ("p", "q", "n", "n")
     cases = [
         ({("p", "b", "p"): -0.5}, "negative"),
         ({("n", "b", "n"): 0.5}, "outside"),
@@ -375,7 +374,7 @@ def test_online_pure_n_stream_allocates_nothing():
         horizon=4,
     )
     x = solve_model_lp(build_opton_lp(model))
-    stream = OnlineStream(["n", "n", "n", "n"])
+    stream = ("n", "n", "n", "n")
     out, trace = round_online(model, x, RoundingParams(alpha=0.64, seed=3), stream)
     assert len(out) == 0
     assert all(rec.reason in ("no-phase", "multi-hit") for rec in trace)
@@ -389,7 +388,7 @@ def test_online_single_p_type_value_four():
     x = solve_model_lp(build_opton_lp(model))
     assert x.x[("p", "b", "p")] == 4
     for seed in range(30):
-        stream = OnlineStream(["p"] * 4)
+        stream = ("p",) * 4
         out, trace = round_online(model, x, RoundingParams(alpha=0.64, seed=seed), stream)
         inst = stream_instance(model, stream)
         assert out.value(inst) == 4  # both phase-one arrivals open, none join
@@ -403,7 +402,7 @@ def test_stream_instance_reads_a_missing_model_cost_as_one():
         costs={("t", "b"): "1.5"},
     )
     assert model.inst.excess("u", "b") == Fraction(-1, 2)
-    inst = stream_instance(model, OnlineStream(["u", "t"]))
+    inst = stream_instance(model, ("u", "t"))
     assert inst.items == ("t1", "t2")
     assert inst.costs == {("t1", "b"): 1, ("t2", "b"): Fraction(3, 2)}
 
@@ -414,15 +413,15 @@ def test_online_requires_even_horizon_and_known_types():
     x = solve_model_lp(x_lp)
     with pytest.raises(ValueError):
         round_online(model, x, RoundingParams(alpha=0.64, seed=0),
-                     OnlineStream(["p"] * 9))
+                     ("p",) * 9)
     even = gen_iid_lower_bound(10)
     xe = solve_model_lp(build_opton_lp(even))
     with pytest.raises(StreamModelMismatch):
         round_online(even, xe, RoundingParams(alpha=0.64, seed=0),
-                     OnlineStream(["p"] * 9))
+                     ("p",) * 9)
     with pytest.raises(StreamModelMismatch):
         round_online(even, xe, RoundingParams(alpha=0.64, seed=0),
-                     OnlineStream(["ghost"] * 10))
+                     ("ghost",) * 10)
 
 
 def test_online_prefix_feasible_and_committed():
@@ -488,8 +487,8 @@ def test_trace_records_serialize():
 
 
 def test_greedy_on_adversarial_sequence():
-    inst, order = gen_adversarial_T(5, Fraction(1, 20))
-    alloc = greedy_p_only(inst, order)
+    inst, _order = gen_adversarial_T(5, Fraction(1, 20))
+    alloc = greedy_p_only(inst)
     assert allocation_value(inst, alloc) == Fraction(5, 4)
     assert is_feasible(inst, alloc)
 
@@ -512,4 +511,4 @@ def test_sample_stream_deterministic_and_valid():
     s3 = sample_stream(model, 3, 1)
     assert s1 == s2 and len(s1) == 10
     assert s1 != s3
-    assert all(t in model.types for t in s1.arrivals)
+    assert all(t in model.types for t in s1)
