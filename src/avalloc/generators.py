@@ -300,6 +300,11 @@ def _check_count(name: str, count: int, least: int):
         raise BadEps(f"{name} must be at least {least}, got {count}")
 
 
+def _check_density(name: str, density: float):
+    if not 0 <= density <= 1:  # also false for NaN
+        raise BadEps(f"{name} must lie in [0, 1], got {density}")
+
+
 def gen_random(
     n_items: int,
     n_buyers: int,
@@ -316,10 +321,13 @@ def gen_random(
     item gets at least one edge.  With unambiguous=True the P/N side is
     chosen per item instead of per edge.  budget_resources > 0 attaches that
     many unit budgets per buyer with per-edge costs on [0, bid_frac] (small
-    bids).  Raises BadEps unless n_items >= 0 and n_buyers >= 1.
+    bids).  Raises BadEps unless n_items >= 0, n_buyers >= 1 and both
+    densities lie in [0, 1].
     """
     _check_count("items", n_items, 0)
     _check_count("buyers", n_buyers, 1)
+    _check_density("edge_density", edge_density)
+    _check_density("p_density", p_density)
     rng = random.Random(seed)
     bid_frac = to_fraction(bid_frac)
     items = [f"i{k}" for k in range(1, n_items + 1)]

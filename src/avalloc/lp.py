@@ -5,24 +5,31 @@ rows of the form  a.x {<=,==,>=} b, each row stored sparse as its nonzero
 coefficients.  The solver runs a two-phase tableau simplex in floating
 point (largest-coefficient pivoting, switching to Bland's rule after
 10*(rows+cols) iterations to break cycles) and re-derives the final vertex
-with a revised simplex over Fractions.  The exact layer certifies
-optimality through exact reduced costs and repairs the rare case where the
-float run stopped one degenerate pivot short, so callers can assert
-objectives like 11/5 exactly.
+with an exact revised simplex.  The exact layer certifies optimality
+through exact reduced costs and repairs the rare case where the float run
+stopped one degenerate pivot short, so callers can assert objectives like
+11/5 exactly; the vertex is then checked against the LP's own rows.
 
 The tableau is held in one float array, but a pivot updates only the block
 of rows with a nonzero in the pivot column and columns with a nonzero in
 the pivot row, so its cost follows the tableau's fill-in rather than its
-size; the exact layer eliminates sparse Fraction rows in Markowitz order.
-The bundle LP of 32 items and 8 buyers (1271 variables, 1303 rows) solves
-in about a second; at 40 items (1973 variables, 2013 rows) fill-in leaves
-the tableau about 20% dense and the solve takes about ten seconds.
-``solve_lp`` is the seam to swap in an external solver.
+size.  It gathers and scatters that block through flat indices into the
+tableau, at most ``_PIVOT_BLOCK`` entries at a time.  The exact layer works
+on the standard form with each row multiplied by the lcm of its
+denominators, so its columns and rhs are Python ints.  It eliminates sparse
+rows in Markowitz order with Fraction divisions, prices reduced costs in
+ints with y over one common denominator, and the final check reads each
+row of the LP in ints.  The bundle LP of 32 items and 8 buyers (1271
+variables, 1303 rows) solves in about half a second; at 40 items (1973
+variables, 2013 rows) fill-in leaves the tableau about 20% dense and the
+solve takes about five seconds.  ``solve_lp`` is the seam to swap in an
+external solver.
 """
 
 from __future__ import annotations
 
 import heapq
+import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -40,6 +47,10 @@ _RELS = ("<=", "==", ">=")
 # the float phase's pivot tolerance: reduced costs above -PIVOT_TOL count as
 # optimal and ratio-test entries below PIVOT_TOL as zero
 PIVOT_TOL = 1e-9
+
+# tableau entries per chunk of a pivot's block update; a chunk spans
+# max(1, _PIVOT_BLOCK // block width) rows, which bounds its temporaries
+_PIVOT_BLOCK = 1 << 16
 
 
 @dataclass
@@ -115,12 +126,25 @@ class LpSolution:
 # standard form
 
 
+def _common_denominator(values):
+    """(ints, den) with values[i] == ints[i] / den, den the lcm of the
+    values' denominators."""
+    den = math.lcm(*(v.denominator for v in values))
+    return [v.numerator * (den // v.denominator) for v in values], den
+
+
 def _standard_form(lp: LinearProgram):
     """Rows (incl. upper-bound rows) normalized to b >= 0, slack/surplus
     columns appended, then one artificial column per >=/== row.  Returns
     the float tableau (its last row left for the objective, its last column
     holding b) with its starting basis, the artificial columns, and the
-    exact sparse columns and rhs used by the rational layer."""
+    exact sparse columns, rhs and row scales used by the rational layer.
+
+    The exact layer multiplies each normalized row, its slack included, by
+    the lcm of the row's denominators, so its columns and rhs hold Python
+    ints.  Scaling rows leaves every basic solution, direction and reduced
+    cost as it was and divides the row's dual by its scale.  The float
+    tableau holds the unscaled coefficients."""
     n = lp.n_vars
     rows = list(lp.rows)
     if lp.upper_bounds is not None:
@@ -137,44 +161,67 @@ def _standard_form(lp: LinearProgram):
     m = len(norm)
     ncols = n + sum(1 for _c, rel, _b in norm if rel != "==")
     n_art = sum(1 for _c, rel, _b in norm if rel != "<=")
-    T = np.zeros((m + 1, ncols + n_art + 1))
+    width = ncols + n_art + 1
     cols_exact = [dict() for _ in range(ncols)]
     b_exact = []
+    scales = []
     basis = [None] * m
     art_cols = set()
+    # the float tableau's nonzeros, written by one assignment at the end
+    t_rows, t_cols, t_vals = [], [], []
     slack_col = n
     for r, (coeffs, rel, rhs) in enumerate(norm):
-        for k, a in coeffs.items():
-            T[r, k] = float(a)
-            cols_exact[k][r] = a
-        T[r, -1] = float(rhs)
-        b_exact.append(rhs)
+        ints, scale = _common_denominator([*coeffs.values(), rhs])
+        scales.append(scale)
+        for (k, a), a_int in zip(coeffs.items(), ints):
+            t_rows.append(r)
+            t_cols.append(k)
+            t_vals.append(float(a))
+            cols_exact[k][r] = a_int
+        t_rows.append(r)
+        t_cols.append(width - 1)
+        t_vals.append(float(rhs))
+        b_exact.append(ints[-1])
         if rel != "==":
             sign = 1 if rel == "<=" else -1
-            T[r, slack_col] = sign
-            cols_exact[slack_col][r] = Fraction(sign)
+            t_rows.append(r)
+            t_cols.append(slack_col)
+            t_vals.append(sign)
+            cols_exact[slack_col][r] = sign * scale
             if rel == "<=":
                 basis[r] = slack_col
             slack_col += 1
         if rel != "<=":
             col = ncols + len(art_cols)
-            T[r, col] = 1.0
+            t_rows.append(r)
+            t_cols.append(col)
+            t_vals.append(1.0)
             basis[r] = col
             art_cols.add(col)
-    return T, basis, art_cols, cols_exact, b_exact, ncols
+    T = np.zeros((m + 1, width))
+    T[t_rows, t_cols] = t_vals
+    return T, basis, art_cols, cols_exact, b_exact, scales, ncols
 
 
 def _pivot(T, basis, row, col):
-    """Pivot on T[row, col], updating only the rows with a nonzero in the
-    pivot column and the columns with a nonzero in the pivot row.  Every
-    skipped entry would have had f*0 or 0*r subtracted, so the stored values
-    equal those of a full rank-one update up to the sign of a zero, which
-    no comparison in the solver sees."""
+    """Pivot on T[row, col] (T C-contiguous), updating only the rows with
+    a nonzero in the pivot column and the columns with a nonzero in the
+    pivot row.  Every skipped entry would have had f*0 or 0*r subtracted,
+    so the stored values equal those of a full rank-one update up to the
+    sign of a zero, which no comparison in the solver sees.  The block is
+    gathered and scattered through flat indices into T, a chunk of rows
+    at a time; each entry x becomes x - f*r as in the full update."""
     T[row] /= T[row, col]
     rows = np.flatnonzero(T[:, col])
     rows = rows[rows != row]
     cols = np.flatnonzero(T[row])
-    T[np.ix_(rows, cols)] -= np.outer(T[rows, col], T[row, cols])
+    r = T[row, cols]
+    flat = T.reshape(-1)
+    step = max(1, _PIVOT_BLOCK // max(cols.size, 1))
+    for start in range(0, rows.size, step):
+        part = rows[start:start + step]
+        idx = (part * T.shape[1])[:, None] + cols
+        flat[idx] -= T[part, col][:, None] * r
     T[:, col] = 0.0
     T[row, col] = 1.0
     basis[row] = col
@@ -221,7 +268,7 @@ def _simplex_phase(T, basis, barred, tol, max_iter, bland_after, start_iter=0):
 
 
 def _float_solve(lp: LinearProgram):
-    T, basis, art_cols, cols_exact, b_exact, ncols = _standard_form(lp)
+    T, basis, art_cols, cols_exact, b_exact, scales, ncols = _standard_form(lp)
     n = lp.n_vars
     m = T.shape[0] - 1
     total = T.shape[1] - 1
@@ -238,7 +285,7 @@ def _float_solve(lp: LinearProgram):
         if status != OPTIMAL:
             raise NumericalFailure("phase 1 did not terminate at an optimum")
         if -T[-1, -1] > 1e-7:
-            return INFEASIBLE, basis, iters, cols_exact, b_exact, ncols
+            return INFEASIBLE, basis, iters, cols_exact, b_exact, scales, ncols
         for i in range(m):
             if basis[i] in art_cols and T[i, -1] <= 1e-9:
                 for j in range(ncols):
@@ -254,20 +301,22 @@ def _float_solve(lp: LinearProgram):
         T, basis, art_cols, PIVOT_TOL, max_iter, bland_after, start_iter=iters
     )
     if status == UNBOUNDED:
-        return UNBOUNDED, basis, iters, cols_exact, b_exact, ncols
-    return OPTIMAL, basis, iters, cols_exact, b_exact, ncols
+        return UNBOUNDED, basis, iters, cols_exact, b_exact, scales, ncols
+    return OPTIMAL, basis, iters, cols_exact, b_exact, scales, ncols
 
 
 # ---------------------------------------------------------------------------
-# exact layer: sparse Gaussian elimination and revised simplex on Fractions
+# exact layer: sparse Gaussian elimination and revised simplex over ints and
+# Fractions
 
 
 def _solve_sparse(cols, rhs):
-    """Solve B x = rhs, B given column-wise as {row: Fraction} dicts.
+    """Solve B x = rhs, B given column-wise as {row: int or Fraction} dicts.
     Markowitz-style pivoting keeps slack-heavy bases cheap: each step
     eliminates the active column with the fewest rows (lowest index on
     ties), found through a lazy heap of (row count, column) entries.
-    Returns None when B is singular."""
+    Every division is a Fraction division, so x holds only Fractions even
+    when B and rhs hold ints.  Returns None when B is singular."""
     m = len(rhs)
     rows = [dict() for _ in range(m)]
     for k, col in enumerate(cols):
@@ -296,7 +345,7 @@ def _solve_sparse(cols, rhs):
         for kk in rows[r]:
             col_rows[kk].discard(r)
         for rr in list(col_rows[k]):
-            f = rows[rr][k] / piv
+            f = Fraction(rows[rr][k], piv)
             target = rows[rr]
             for kk, v in rows[r].items():
                 if kk == k:
@@ -325,7 +374,7 @@ def _solve_sparse(cols, rhs):
         for kk, v in rows[r].items():
             if kk != k:
                 s -= v * x[kk]
-        x[k] = s / rows[r][k]
+        x[k] = Fraction(s, rows[r][k])
     return x
 
 
@@ -356,13 +405,16 @@ def _exact_revised_simplex(cols, b, c, basis, barred, max_pivots=2000):
         y = _solve_sparse(_transpose_cols(bcols, m), cB)
         if y is None:
             return "singular", basis, None
+        # y = Y / den; c_j - y.a_j > 0 iff c_j's numerator * den exceeds
+        # c_j's denominator * Y.a_j, all in ints for int columns
+        Y, den = _common_denominator(y)
         entering = None
         in_basis = set(basis)
-        for j in range(len(cols)):
+        for j, col in enumerate(cols):
             if j in in_basis or j in barred:
                 continue
-            rj = c[j] - sum(y[r] * v for r, v in cols[j].items())
-            if rj > 0:
+            cj = c[j]
+            if cj.numerator * den > cj.denominator * sum(Y[r] * v for r, v in col.items()):
                 entering = j
                 break
         if entering is None:
@@ -383,21 +435,24 @@ def _exact_revised_simplex(cols, b, c, basis, barred, max_pivots=2000):
 
 
 def _col_dense(col, m):
-    out = [Fraction(0)] * m
+    out = [0] * m
     for r, v in col.items():
         out[r] = v
     return out
 
 
-def _exact_from_scratch(cols, b, c, barred):
-    """Exact two-phase solve: artificial columns appended, driven out, then
-    the real objective optimized with artificials barred."""
+def _exact_from_scratch(cols, b, scales, c, barred):
+    """Exact two-phase solve: artificial columns appended to a copy of
+    ``cols``, driven out, then the real objective optimized with artificials
+    barred.  Row r's artificial has coefficient scales[r], which is 1 in
+    the unscaled row."""
     m = len(b)
+    cols = list(cols)
     total = len(cols)
     c1 = [Fraction(0)] * total
     basis = []
     for r in range(m):
-        cols.append({r: Fraction(1)})
+        cols.append({r: scales[r]})
         c1.append(Fraction(-1))
         basis.append(total + r)
     c_full = list(c) + [Fraction(0)] * m
@@ -427,7 +482,7 @@ def solve_lp(lp: LinearProgram) -> LpSolution:
     ``exact_objective``.
     """
     n = lp.n_vars
-    status, basis, iters, cols_exact, b_exact, ncols = _float_solve(lp)
+    status, basis, iters, cols_exact, b_exact, scales, ncols = _float_solve(lp)
     if status in (INFEASIBLE, UNBOUNDED):
         return LpSolution(status=status, iterations=iters)
 
@@ -435,13 +490,9 @@ def solve_lp(lp: LinearProgram) -> LpSolution:
     st = "restart"
     eb = xB = None
     if all(col is not None and col < ncols for col in basis):
-        st, eb, xB = _exact_revised_simplex(
-            [dict(c) for c in cols_exact], b_exact, c_exact, basis, barred=set()
-        )
+        st, eb, xB = _exact_revised_simplex(cols_exact, b_exact, c_exact, basis, barred=set())
     if st in ("singular", "infeasible-basis", "restart"):
-        st, eb, xB = _exact_from_scratch(
-            [dict(c) for c in cols_exact], b_exact, c_exact, barred=set()
-        )
+        st, eb, xB = _exact_from_scratch(cols_exact, b_exact, scales, c_exact, barred=set())
     if st in (INFEASIBLE, UNBOUNDED):
         return LpSolution(status=st, iterations=iters)
     if st != OPTIMAL:
@@ -464,14 +515,21 @@ def solve_lp(lp: LinearProgram) -> LpSolution:
 
 
 def _verify_exact(lp, xs):
+    """Check x >= 0, the upper bounds and every row of ``lp`` itself, never
+    the standard form the vertex came from.  Rows are checked in ints: x
+    over one common denominator, each row times the lcm of its own
+    denominators."""
     for k, v in enumerate(xs):
         if v < 0:
             raise NumericalFailure("exact vertex has a negative coordinate")
         if lp.upper_bounds is not None and lp.upper_bounds[k] is not None:
             if v > lp.upper_bounds[k]:
                 raise NumericalFailure("exact vertex violates an upper bound")
+    X, den = _common_denominator(xs)
     for coeffs, rel, rhs in lp.rows:
-        lhs = sum((a * xs[k] for k, a in coeffs.items()), Fraction(0))
+        ints, _scale = _common_denominator([*coeffs.values(), rhs])
+        lhs = sum(a * X[k] for k, a in zip(coeffs, ints))
+        rhs = ints[-1] * den
         if (
             (rel == "<=" and lhs > rhs)
             or (rel == ">=" and lhs < rhs)

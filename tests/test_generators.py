@@ -182,6 +182,16 @@ def test_random_generators_reject_empty_sizes():
     assert gen_random(0, 2, 1).items == ()
 
 
+def test_random_generator_rejects_bad_densities():
+    for density in (-0.1, 1.5, float("nan")):
+        with pytest.raises(BadEps, match="^edge_density must lie in"):
+            gen_random(3, 2, 1, edge_density=density)
+        with pytest.raises(BadEps, match="^p_density must lie in"):
+            gen_random(3, 2, 1, p_density=density)
+    for density in (0, 1):
+        assert len(gen_random(3, 2, 1, edge_density=density, p_density=density).items) == 3
+
+
 def test_random_iid_model_determinism():
     a = gen_random_iid_model(4, 3, 12, seed=2)
     b = gen_random_iid_model(4, 3, 12, seed=2)

@@ -492,6 +492,13 @@ def test_cli_exit_codes(tmp_path, capsys):
                               ("random-iid", "--types", "types must be at least 1, got -1")):
         assert main(["gen", family, flag, "0" if flag == "--buyers" else "-1"]) == 2
         assert capsys.readouterr().err == f"error: {err}\n"
+    # so are densities outside [0, 1], NaN included
+    for args, err in ((["--edge-density", "nan", "--p-density", "-3"],
+                       "edge_density must lie in [0, 1], got nan"),
+                      (["--p-density", "-3"], "p_density must lie in [0, 1], got -3.0"),
+                      (["--edge-density", "1.5"], "edge_density must lie in [0, 1], got 1.5")):
+        assert main(["gen", "random", *args]) == 2
+        assert capsys.readouterr().err == f"error: {err}\n"
 
 
 def test_cli_export_gap_and_bench(tmp_path, capsys):

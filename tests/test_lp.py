@@ -4,11 +4,12 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from avalloc import lp as lp_module
+from avalloc.errors import NumericalFailure
 from avalloc.generators import gen_iid_lower_bound, gen_random
 from avalloc.lp import INFEASIBLE, OPTIMAL, UNBOUNDED, LinearProgram, lp_to_text, solve_lp
 from avalloc.lp_models import (
@@ -101,6 +102,30 @@ def test_weak_duality_certificates():
         assert u + 3 * v >= 1 and 2 * u + v >= 1  # dual feasibility
         assert sol.exact_objective <= 4 * u + 6 * v
     assert sol.exact_objective == Fraction(14, 5)
+
+
+def test_verification_reads_the_lp_rows():
+    # the exact layer solves a copy of the LP with each row scaled to ints;
+    # a wrong rhs in that copy must be caught against lp.rows themselves
+    lp = LinearProgram(
+        objective=[F(1), F(1)],
+        rows=[({0: Fraction(1, 2), 1: Fraction(1, 3)}, "<=", F(1)), ({0: F(1)}, "<=", F(1))],
+    )
+    assert solve_lp(lp).exact_values == [0, 3]  # row 0 binds
+    form = lp_module._standard_form(lp)
+    cols_exact, b_exact = form[3], form[4]
+    assert cols_exact[:2] == [{0: 3, 1: 1}, {0: 2}] and b_exact == [6, 1]
+    assert all(type(v) is int for col in cols_exact for v in col.values())
+    standard_form = lp_module._standard_form
+
+    def tampered(lp):
+        form = standard_form(lp)
+        form[4][0] += 1  # 3x + 2y <= 7 in place of <= 6
+        return form
+
+    with mock.patch.object(lp_module, "_standard_form", tampered):
+        with pytest.raises(NumericalFailure, match="violates a row"):
+            solve_lp(lp)
 
 
 def test_objective_scaling_preserves_argmax_face():
@@ -345,11 +370,22 @@ def _square_systems(draw):
     return cols, rhs
 
 
+def _as_int(v):
+    return int(v) if v.denominator == 1 else v
+
+
 @PROPERTY_SETTINGS
 @given(_square_systems())
 def test_solve_sparse_matches_dense_gauss_jordan(system):
     cols, rhs = system
-    assert lp_module._solve_sparse(cols, rhs) == _gauss_jordan(cols, rhs)
+    ref = _gauss_jordan(cols, rhs)
+    assert lp_module._solve_sparse(cols, rhs) == ref
+    # the same system with its integral entries as ints, as the exact layer
+    # stores scaled rows: every division must still be a Fraction division
+    int_cols = [{r: _as_int(v) for r, v in col.items()} for col in cols]
+    got = lp_module._solve_sparse(int_cols, [_as_int(v) for v in rhs])
+    assert got == ref
+    assert got is None or all(type(v) is Fraction for v in got)
 
 
 def _dense_pivot(T, basis, row, col):
@@ -376,7 +412,10 @@ def _tableau_pivots(draw):
     T = draw(arrays(np.float64, (m + 1, width + 1), elements=_TABLEAU_ENTRIES))
     row = draw(st.integers(0, m - 1))
     col = draw(st.integers(0, width - 1))
-    assume(abs(T[row, col]) >= 1e-6)
+    if abs(T[row, col]) < 1e-6:
+        # a usable pivot drawn directly: most entries are zero, so filtering
+        # for one discards most examples
+        T[row, col] = draw(st.floats(1e-6, 100) | st.floats(-100, -1e-6))
     return T, row, col
 
 
@@ -387,9 +426,13 @@ def test_sparse_pivot_matches_dense_update(case):
     basis = list(range(T.shape[0] - 1))
     ref, ref_basis = T.copy(), list(basis)
     _dense_pivot(ref, ref_basis, row, col)
-    lp_module._pivot(T, basis, row, col)
-    assert np.array_equal(T, ref)
-    assert basis == ref_basis
+    # small chunk sizes split one pivot's block over several chunks
+    for block in (lp_module._PIVOT_BLOCK, 1, 3, 8):
+        got, got_basis = T.copy(), list(basis)
+        with mock.patch.object(lp_module, "_PIVOT_BLOCK", block):
+            lp_module._pivot(got, got_basis, row, col)
+        assert np.array_equal(got, ref)
+        assert got_basis == ref_basis
 
 
 def _loop_simplex_phase(T, basis, barred, tol, max_iter, bland_after, start_iter=0):
