@@ -3,13 +3,17 @@
 exact_opt enumerates, per buyer, every feasible subset of that buyer's edge
 neighborhood and combines them by dynamic programming over the remaining
 item set, so correctness never relies on any structural shortcut.  The state
-budget is quoted as (buyers+1)^items, the size of the raw assignment space;
-the DP itself visits at most 3^items * buyers (subset, subset-of-subset)
-pairs.  Whether a buyer may receive a subset is decided once per subset,
-into a table the DP reads.  exact_bundling_opt replaces per-buyer
-feasibility by "partitionable into permissible bundles" (tabulated over
-bitmask subsets), and exact_gap_opt searches bin-opening choices (one per
-partition group) times element packings with a value-bound prune.
+budget is quoted as (buyers+1)^items, the size of the raw assignment space.
+The DP fills, for each buyer, only the item sets a later step reads: those
+holding every item that no earlier buyer can take.  With U the union of the
+earlier buyers' neighborhoods and E the buyer's own, that is 2^|U| states
+and 2^|U-E| * 3^|U&E| * 2^|E-U| (state, subset) pairs: 2^|E| for the first
+buyer and at most 3^items for any.  Whether a buyer may receive a subset is
+decided once per subset, into a table the DP reads.  exact_bundling_opt
+replaces per-buyer feasibility by "partitionable into permissible bundles"
+(tabulated over bitmask subsets), and exact_gap_opt searches bin-opening
+choices (one per partition group) times element packings with a
+value-bound prune.
 
 exact_opt and exact_bundling_opt run on the instance's scaled integers
 (Instance.scaled: every number times one common denominator), which keeps
@@ -29,8 +33,13 @@ DEFAULT_STATE_LIMIT = 10_000_000
 _DP_MASK_LIMIT = 1 << 17  # memory guard for the subset tables
 
 
-def _state_count(inst: Instance) -> int:
-    return (len(inst.buyers) + 1) ** len(inst.items)
+def _check_budget(inst: Instance, max_states: int) -> None:
+    """ValueError for a limit below 1, TooLarge past (buyers+1)^items."""
+    if max_states < 1:
+        raise ValueError(f"state limit must be at least 1, got {max_states}")
+    states = (len(inst.buyers) + 1) ** len(inst.items)
+    if states > max_states:
+        raise TooLarge(states, max_states)
 
 
 def _submasks(mask):
@@ -46,16 +55,23 @@ def _mask_items(inst: Instance, mask: int) -> list:
     return [i for k, i in enumerate(inst.items) if mask >> k & 1]
 
 
+def _edge_mask(inst: Instance, j) -> int:
+    """The mask of the items buyer j has an edge to."""
+    values = inst.scaled[0]
+    mask = 0
+    for k, i in enumerate(inst.items):
+        if (i, j) in values:
+            mask |= 1 << k
+    return mask
+
+
 def _buyer_tables(inst: Instance, j):
     """Tables over the submasks T of buyer j's edge neighborhood, each a
     list indexed by T: the scaled value sum, the scaled excess sum, and
     whether every budget of j holds.  Returns (edge_mask, val, exc,
     in_budget); entries outside the neighborhood stay 0."""
     values, excess, rcosts, budgets = inst.scaled
-    edge_mask = 0
-    for k, i in enumerate(inst.items):
-        if (i, j) in values:
-            edge_mask |= 1 << k
+    edge_mask = _edge_mask(inst, j)
     size = 1 << len(inst.items)
     val = [0] * size
     exc = [0] * size
@@ -88,14 +104,17 @@ def _allocation_dp(inst: Instance, admissible, max_states: int):
     for which admissible(j, tables) -- a table over the submasks T of j's
     neighborhood, built once per buyer from _buyer_tables -- is truthy.
     Returns (value, chosen masks)."""
-    states = _state_count(inst)
-    if states > max_states:
-        raise TooLarge(states, max_states)
+    _check_budget(inst, max_states)
     n = len(inst.items)
     if (1 << n) > _DP_MASK_LIMIT:
         raise TooLarge(1 << n, _DP_MASK_LIMIT)
     full = (1 << n) - 1
     m = len(inst.buyers)
+    # buyer jpos is read only at sets holding every item outside seen[jpos],
+    # the earlier buyers' neighborhoods; no other entry is filled
+    seen = [0] * m
+    for jpos in range(1, m):
+        seen[jpos] = seen[jpos - 1] | _edge_mask(inst, inst.buyers[jpos - 1])
     g_next = [0] * (full + 1)
     choice = [None] * m
     for jpos in range(m - 1, -1, -1):
@@ -105,7 +124,10 @@ def _allocation_dp(inst: Instance, admissible, max_states: int):
         adm = admissible(j, tables)
         g_cur = [0] * (full + 1)
         ch = choice[jpos] = [0] * (full + 1)
-        for S in range(full + 1):
+        U = seen[jpos]
+        sub = U
+        while True:
+            S = (full ^ U) | sub
             avail = S & edge_mask
             best = g_next[S]
             best_T = 0
@@ -119,6 +141,9 @@ def _allocation_dp(inst: Instance, admissible, max_states: int):
                 T = (T - 1) & avail
             g_cur[S] = best
             ch[S] = best_T
+            if not sub:
+                break
+            sub = (sub - 1) & U
         g_next = g_cur
     masks = []
     S = full
@@ -132,9 +157,7 @@ def _allocation_dp(inst: Instance, admissible, max_states: int):
 def _single_buyer_dfs(inst: Instance, max_states: int):
     """Memoryless search for one buyer when the bitmask tables would not
     fit; prunes on the remaining positive-value sum."""
-    states = _state_count(inst)
-    if states > max_states:
-        raise TooLarge(states, max_states)
+    _check_budget(inst, max_states)
     values, excess, rcosts, budgets = inst.scaled
     j = inst.buyers[0]
     edges = [i for i in inst.items if (i, j) in values]
@@ -173,9 +196,10 @@ def exact_opt(inst: Instance, max_states: int = DEFAULT_STATE_LIMIT):
     """Globally optimal feasible allocation by exhaustive search.
 
     Supports plain, cost-mode and budgeted instances.  Returns
-    (value, Allocation); raises TooLarge beyond the state budget, and
-    TooLarge(2**items, _DP_MASK_LIMIT) when the subset tables of an
-    instance with several buyers would pass that limit.
+    (value, Allocation); raises ValueError when max_states < 1,
+    TooLarge beyond the state budget, and TooLarge(2**items,
+    _DP_MASK_LIMIT) when the subset tables of an instance with several
+    buyers would pass that limit.
     """
     if len(inst.buyers) == 1 and (1 << len(inst.items)) > _DP_MASK_LIMIT:
         return _single_buyer_dfs(inst, max_states)
@@ -227,7 +251,8 @@ def _partition_tables(inst: Instance, j, tables):
 
 def exact_bundling_opt(inst: Instance, max_states: int = DEFAULT_STATE_LIMIT):
     """Optimal value over allocations partitionable into permissible
-    bundles.  Returns (value, BundledAllocation)."""
+    bundles.  Returns (value, BundledAllocation); raises like exact_opt,
+    and TooLarge(2**items, _DP_MASK_LIMIT) for a single buyer too."""
     parters = {}
 
     def admissible(j, tables):

@@ -37,6 +37,7 @@ from avalloc.oracles import (
     exact_gap_opt,
     exact_opt,
 )
+from reference_dp import reference_allocation_dp
 from util import unit_instance
 
 
@@ -352,3 +353,91 @@ def test_mask_limit_refuses_before_building_tables(oracle, monkeypatch):
     # the refusal names the subset-table size and its limit, not the state
     # count, which is within max_states
     assert (err.value.state_count, err.value.limit) == (1 << 18, _DP_MASK_LIMIT)
+
+
+@pytest.mark.parametrize("oracle", [exact_opt, exact_bundling_opt])
+@pytest.mark.parametrize("limit", [0, -5])
+def test_limit_below_one_is_a_usage_error(oracle, limit, monkeypatch):
+    def no_tables(*_args):
+        raise AssertionError("a subset table was built")
+
+    monkeypatch.setattr(oracles, "_buyer_tables", no_tables)
+    for inst in (gen_random(4, 2, seed=0), gen_random(18, 1, seed=0)):
+        with pytest.raises(ValueError, match="at least 1"):
+            oracle(inst, max_states=limit)
+
+
+def _dp_call(oracle, inst, wrap=lambda table: table):
+    """Run oracle on inst, replacing each admissible table it builds by
+    wrap(table).  Returns the oracle's admissible function, the wrapped
+    tables by buyer and the result of its one _allocation_dp call."""
+    real = oracles._allocation_dp
+    calls = []
+
+    def spy(inst, admissible, max_states):
+        tables = {}
+
+        def wrapped(j, buyer_tables):
+            tables[j] = wrap(admissible(j, buyer_tables))
+            return tables[j]
+
+        calls.append((admissible, tables, real(inst, wrapped, max_states)))
+        return calls[-1][2]
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(oracles, "_allocation_dp", spy)
+        oracle(inst)
+    (call,) = calls
+    return call
+
+
+@st.composite
+def tie_instances(draw, max_items, max_buyers):
+    """Instances full of ties: values in {0, 1} and one threshold for every
+    buyer, so many allocations share the best value."""
+    n = draw(st.integers(1, max_items))
+    m = draw(st.integers(1, max_buyers))
+    rho = draw(st.sampled_from([Fraction(1, 2), Fraction(1), Fraction(3, 2)]))
+    rng = random.Random(draw(st.integers(0, 2 ** 32)))
+    items = [f"i{k}" for k in range(n)]
+    buyers = [f"b{k}" for k in range(m)]
+    values = {(i, j): rng.randint(0, 1) for i in items for j in buyers if rng.random() < 0.75}
+    return Instance(items=items, buyers=buyers, values=values,
+                    thresholds={j: rho for j in buyers})
+
+
+@settings(max_examples=400, derandomize=True, database=None, deadline=None)
+@given(st.one_of(small_instances(9, 4), tie_instances(9, 4)))
+def test_dp_matches_full_table_reference(inst):
+    # same value and masks, so the same tie-breaks, on both oracles' tables
+    for oracle in (exact_opt, exact_bundling_opt):
+        admissible, _tables, got = _dp_call(oracle, inst)
+        assert got == reference_allocation_dp(inst, admissible)
+
+
+class _CountingTable(bytearray):
+    """An admissible table that counts its reads."""
+
+    reads = 0
+
+    def __getitem__(self, key):
+        self.reads += 1
+        return super().__getitem__(key)
+
+
+def test_dp_reads_only_reachable_states():
+    # one buyer is read only at the full item set, once per nonempty
+    # submask of its neighborhood; filling every item set reads it
+    # 3^11 - 2^11 times
+    inst = gen_tightness_example(Fraction(1, 5))
+    assert (len(inst.items), len(inst.buyers)) == (11, 1)
+    _adm, tables, _out = _dp_call(exact_opt, inst, _CountingTable)
+    (table,) = tables.values()
+    assert table.reads < 2 ** 11
+    # two buyers with disjoint neighborhoods: the first is read only at the
+    # full set, the second at every set holding the first's items or not
+    inst = unit_instance({**{(f"a{k}", "b0"): 1 for k in range(5)},
+                          **{(f"c{k}", "b1"): 1 for k in range(4)}})
+    _adm, tables, _out = _dp_call(exact_opt, inst, _CountingTable)
+    assert tables["b0"].reads < 2 ** 5
+    assert tables["b1"].reads < 2 ** 5 * 2 ** 4
