@@ -423,16 +423,6 @@ def test_cli_lp_which_variants(tmp_path, capsys):
     assert export.read_text().startswith("Maximize")
 
 
-def test_cli_exact_rejects_limit_below_one(tmp_path, capsys):
-    inst = tmp_path / "gap3.json"
-    main(["gen", "integrality-gap", "-n", "3", "--eps", "0.1", "-o", str(inst)])
-    capsys.readouterr()
-    for limit in ("0", "-5"):
-        assert main(["exact", str(inst), "--limit", limit]) == 2
-        err = capsys.readouterr().err
-        assert err.startswith("error: ") and "at least 1" in err
-
-
 def test_cli_exit_codes(tmp_path, capsys):
     bad = tmp_path / "bad.json"
     bad.write_text('{"buyers": [], "items": [], "extra": 1}')
@@ -444,6 +434,10 @@ def test_cli_exit_codes(tmp_path, capsys):
     capsys.readouterr()
     assert main(["exact", str(big), "--limit", "10"]) == 3
     capsys.readouterr()
+    # a limit below 1 is a usage error, not a refusal
+    for limit in ("0", "-5"):
+        assert main(["exact", str(big), "--limit", limit]) == 2
+        assert "at least 1" in capsys.readouterr().err
     assert main(["gen", "integrality-gap", "-n", "3", "--eps", "0.9"]) == 2
     capsys.readouterr()
     # malformed numbers are rejected where the JSON is loaded
