@@ -321,15 +321,17 @@ def gen_random(
     item gets at least one edge.  With unambiguous=True the P/N side is
     chosen per item instead of per edge.  budget_resources > 0 attaches that
     many unit budgets per buyer with per-edge costs on [0, bid_frac] (small
-    bids).  Raises BadEps unless n_items >= 0, n_buyers >= 1 and both
-    densities lie in [0, 1].
+    bids).  Raises BadEps unless n_items >= 0, n_buyers >= 1, both
+    densities lie in [0, 1], budget_resources >= 0 and bid_frac >= 0.
     """
     _check_count("items", n_items, 0)
     _check_count("buyers", n_buyers, 1)
     _check_density("edge_density", edge_density)
     _check_density("p_density", p_density)
-    rng = random.Random(seed)
+    _check_count("budget_resources", budget_resources, 0)
     bid_frac = to_fraction(bid_frac)
+    _check_count("bid_frac", bid_frac, 0)
+    rng = random.Random(seed)
     items = [f"i{k}" for k in range(1, n_items + 1)]
     buyers = [f"b{k}" for k in range(1, n_buyers + 1)]
     values = {}

@@ -23,13 +23,18 @@ is hashed as a left fold, so a run hashes each shared prefix once (the
 for each coin.  The fold runs on a Python int or, elementwise, on a numpy
 uint64 array with the same result.
 
-A compiled plan runs a block of trials at once: it loops over the items
-(offline) or the arrivals (online) and does each step for every trial of
-the block with numpy, keeping residuals, budgets and values in scaled
-integers: int64 arrays when a bound computed from the plan shows that no
-sum can reach 2**63, object arrays of Python ints otherwise.  A block holds
-about _BLOCK array elements and is returned as arrays, one row per trial,
-with no Python object per trial; the harness checks those arrays
+A compiled plan runs a block of trials at once, each step for every trial
+of the block with numpy.  Offline, it loops over the items, since a budget
+is shared by all the bundles of a buyer.  Online, it does not walk the
+arrivals: an arrival's coins are looked up among the block's open bundles,
+sorted by (trial, class of opener type and buyer), in the classes its type
+may join; and since online bundles share no state, the joins run in
+rounds, round k taking each bundle's k-th hit in arrival order.
+Residuals, budgets and values are kept in scaled integers: int64 arrays
+when a bound computed from the plan shows that no sum can reach 2**63,
+object arrays of Python ints otherwise.  A block holds about _BLOCK array
+elements and is returned as arrays, one row per trial, with no Python
+object per trial; the harness checks those arrays
 (bundling.invalid_bundling, harness._replay_prefix).  run() is a block of
 one trial turned into Python objects.
 """
@@ -120,6 +125,12 @@ def trial_seeds(seed: int, trials: np.ndarray) -> np.ndarray:
 
 def _block_trials(width: int) -> int:
     return max(1, _BLOCK // max(width, 1))
+
+
+def _ragged(counts: np.ndarray) -> np.ndarray:
+    """0, 1, .., k - 1 for each k of counts, concatenated."""
+    ends = np.cumsum(counts)
+    return np.arange(counts.sum()) - np.repeat(ends - counts, counts)
 
 
 def _draw_table(rows):
@@ -517,7 +528,13 @@ class OnlinePlan:
                 continue
             self.join_prob[self.tidx[i], self.tidx[p], bidx[j]] = (
                 self.alpha * _ratio(v, x.x[(p, j, p)]) / qT)
-        self.may_join = self.join_prob > 0
+        # per type i, the classes c = p * nb + j of the open bundles (p, j) it
+        # may join and their coin probabilities, in entries join_start[i] ..
+        # join_start[i + 1] - 1 of join_class and join_coin
+        i, p, j = np.nonzero(self.join_prob > 0)
+        self.join_start = np.searchsorted(i, np.arange(nt + 1))
+        self.join_class = p * nb + j
+        self.join_coin = self.join_prob[i, p, j]
         # scaled value and excess of each (type, buyer), 0 on non-edges; a
         # run's value is at most T times the largest value, and a bundle's
         # residual lies between 0 and its opener's excess
@@ -530,6 +547,28 @@ class OnlinePlan:
         self.deficit = -self.p_excess
         self.block_trials = _block_trials(
             max(T, self.half * self.open_acc.shape[1], (T - self.half) * self.half))
+
+    def coin_candidates(self, first, second, opener):
+        """The coins of a block, one per second-half arrival and open bundle
+        it may join, as arrays (cells, entries, slots): the arrival's cell
+        r * (T - half) + c, the coin's entry of join_class and join_coin,
+        and the bundle's opening slot.  The open bundles are sorted by
+        (row, class) once, and each arrival looks up the run of open
+        bundles in each class its type may join."""
+        m, (nt, nb) = second.shape[1], self.values.shape
+        is_open = opener >= 0
+        key = np.arange(len(opener))[:, None] * (nt * nb) + first * nb + opener
+        order = np.argsort(key[is_open], kind="stable")
+        key, open_slot = key[is_open][order], np.nonzero(is_open)[1][order]
+        i = second.ravel()
+        count = np.diff(self.join_start)[i]
+        cells = np.repeat(np.arange(len(i)), count)
+        e = np.repeat(self.join_start[i], count) + _ragged(count)
+        want = cells // m * (nt * nb) + self.join_class[e]
+        lo = np.searchsorted(key, want)
+        count = np.searchsorted(key, want, side="right") - lo
+        return (np.repeat(cells, count), np.repeat(e, count),
+                open_slot[np.repeat(lo, count) + _ragged(count)])
 
     def run_block(self, seeds: np.ndarray, arrivals: np.ndarray):
         """One online pass per seed of a uint64 array, against the stream
@@ -550,33 +589,43 @@ class OnlinePlan:
         opener = np.where(below.any(2), self.open_buyer[first, below.argmax(2)], -1)
         is_open = opener >= 0
         buyer = np.maximum(opener, 0)
-        residual = np.where(is_open, self.p_excess[first, buyer], 0).astype(dt)
+        residual = np.where(is_open, self.p_excess[first, buyer], 0).astype(dt).ravel()
         value = np.where(is_open, self.values[first, buyer], 0).astype(dt).sum(1)
         # phase II coins, hashed at the open bundles each arrival may join;
         # hit is the opening slot of a second-half arrival's single hit, or -1
-        may_join = self.may_join[second[:, :, None], first[:, None, :], buyer[:, None, :]]
-        rows, cols, slots = np.nonzero(may_join & is_open[:, None, :])
-        i, p, j = second[rows, cols], first[rows, slots], buyer[rows, slots]
+        m = T - half
+        cells, e, slots = self.coin_candidates(first, second, opener)
+        p, j = np.divmod(self.join_class[e], self.values.shape[1])
         h_t = _mix_from(keys, _TAG_COIN_ON, np.arange(half + 1, T + 1, dtype=np.uint64))
-        u = _unit(_mix_from(h_t[rows, cols], j.astype(np.uint64), p.astype(np.uint64),
+        u = _unit(_mix_from(h_t.ravel()[cells], j.astype(np.uint64), p.astype(np.uint64),
                             (slots + 1).astype(np.uint64)))
-        won = u < self.join_prob[i, p, j]
-        cells, slots = (rows * (T - half) + cols)[won], slots[won]
-        one = np.bincount(cells, minlength=n * (T - half))[cells] == 1
-        hit = np.full(n * (T - half), -1)
+        won = u < self.join_coin[e]
+        cells, slots = cells[won], slots[won]
+        one = np.bincount(cells, minlength=n * m)[cells] == 1
+        hit = np.full(n * m, -1)
         hit[cells[one]] = slots[one]
-        hit = hit.reshape(n, T - half)
-        # joins in arrival order, each while its bundle's residual covers it
-        joined = np.zeros(hit.shape, dtype=bool)
-        for c in range(T - half):
-            rows = np.flatnonzero(hit[:, c] >= 0)
-            slots = hit[rows, c]
-            i, j = second[rows, c], buyer[rows, slots]
-            keep = residual[rows, slots] >= self.deficit[i, j]
-            rows, slots, i, j = rows[keep], slots[keep], i[keep], j[keep]
-            residual[rows, slots] -= self.deficit[i, j]
-            value[rows] += self.values[i, j]
-            joined[rows, c] = True
+        # joins: bundles share no state, so each bundle takes its hits in
+        # arrival order, round k its k-th hit, each while its residual
+        # covers the deficit
+        cells = np.flatnonzero(hit >= 0)
+        bundle = cells // m * half + hit[cells]
+        order = np.argsort(bundle, kind="stable")
+        cells, bundle = cells[order], bundle[order]
+        rank = np.arange(len(bundle)) - np.searchsorted(bundle, bundle)
+        i, j = second.ravel()[cells], buyer.ravel()[bundle]
+        deficit = self.deficit[i, j]
+        joins = np.zeros(len(cells), dtype=bool)
+        for k in range(rank.max(initial=-1) + 1):
+            at = np.flatnonzero(rank == k)
+            at = at[residual[bundle[at]] >= deficit[at]]
+            residual[bundle[at]] -= deficit[at]
+            joins[at] = True
+        joined = np.zeros(n * m, dtype=bool)
+        joined[cells[joins]] = True
+        gain = np.zeros(n * m, dtype=dt)
+        gain[cells[joins]] = self.values[i[joins], j[joins]]
+        value += gain.reshape(n, m).sum(1)
+        hit, joined = hit.reshape(n, m), joined.reshape(n, m)
         return opener, hit, joined, value, arrivals
 
     def outcome(self, block, r: int):

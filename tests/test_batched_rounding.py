@@ -12,12 +12,14 @@ from avalloc import IidModel, Instance, rounding
 from avalloc.generators import gen_random, gen_random_iid_model
 from avalloc.harness import run_offline_trials, run_online_trials
 from avalloc.lp_models import (
+    BundleLpSolution,
     build_bundle_lp,
     build_bundle_lp_budgeted,
     build_opton_lp,
     solve_model_lp,
 )
 from avalloc.rounding import OfflinePlan, OnlinePlan, derive_trial_seed, sample_stream
+from dense_candidates import dense_coin_candidates
 from scalar_rounding import ScalarOfflinePlan, ScalarOnlinePlan
 
 
@@ -152,6 +154,107 @@ def test_online_exact_fits_match_scalar_reference():
     joins = [len(m) for _s, block in plan.run_trials(6, 300) for r in range(len(block[3]))
              for m in plan.outcome(block, r)[1].values()]
     assert max(joins) == 2
+
+
+def _candidate_triples(plan, first, second, opener):
+    """plan.coin_candidates as a set of (row, col, slot) triples, after
+    checking that each names the coin of its arrival's type against its
+    bundle's class, once."""
+    cells, entries, slots = plan.coin_candidates(first, second, opener)
+    rows, cols = np.divmod(cells, second.shape[1])
+    typ = second[rows, cols]
+    assert ((plan.join_start[typ] <= entries) & (entries < plan.join_start[typ + 1])).all()
+    nb = len(plan.model.buyers)
+    assert (plan.join_class[entries] == first[rows, slots] * nb + opener[rows, slots]).all()
+    triples = set(zip(rows.tolist(), cols.tolist(), slots.tolist()))
+    assert len(triples) == len(cells)
+    return triples
+
+
+def _dense_triples(plan, first, second, opener):
+    return set(zip(*(a.tolist() for a in dense_coin_candidates(plan, first, second, opener))))
+
+
+@settings(max_examples=60, derandomize=True, database=None, deadline=None)
+@given(st.integers(1, 6), st.integers(1, 4), st.integers(1, 15), st.integers(0, 10 ** 6),
+       st.integers(1, 9), st.sampled_from([0.0, 0.3, 1.0]))
+def test_coin_candidates_match_the_dense_gather(n_types, n_buyers, half, seed, n, open_frac):
+    model = gen_random_iid_model(n_types, n_buyers, 2 * half, seed)
+    plan = OnlinePlan(model, solve_model_lp(build_opton_lp(model)), 0.9)
+    # the blocks of real runs, then random streams with random openers, a
+    # buyer for any type; open_frac 0 opens no bundle
+    seeds = rounding.trial_seeds(seed, np.arange(n, dtype=np.uint64))
+    arrivals = rounding.stream_arrivals(model, seed, np.arange(n, dtype=np.uint64))
+    opener = plan.run_block(seeds, arrivals)[0]
+    rng = np.random.default_rng(seed)
+    blocks = [(arrivals, opener)]
+    arrivals = rng.integers(n_types, size=(n, 2 * half))
+    opener = rng.integers(n_buyers, size=(n, half))
+    blocks.append((arrivals, np.where(rng.random((n, half)) < open_frac, opener, -1)))
+    for arrivals, opener in blocks:
+        first, second = arrivals[:, :half], arrivals[:, half:]
+        assert (_candidate_triples(plan, first, second, opener)
+                == _dense_triples(plan, first, second, opener))
+
+
+def test_coin_candidates_of_a_model_without_coins():
+    # every edge is a P-edge, so no arrival has a coin
+    model = IidModel(
+        types=["p", "q"], buyers=["b1", "b2"],
+        values={("p", "b1"): 2, ("p", "b2"): Fraction(3, 2), ("q", "b2"): Fraction(5, 4)},
+        thresholds={"b1": 1, "b2": 1}, probs={"p": Fraction(1, 2), "q": Fraction(1, 2)},
+        horizon=10,
+    )
+    plan = _check_online(model, solve_model_lp(build_opton_lp(model)), 0.9, 4, 40)
+    assert not (plan.join_prob > 0).any() and len(plan.join_class) == 0
+    arrivals = rounding.stream_arrivals(model, 4, np.arange(40, dtype=np.uint64))
+    opener, hit, joined = plan.run_block(rounding.trial_seeds(4, np.arange(40, dtype=np.uint64)),
+                                         arrivals)[:3]
+    assert (opener >= 0).any() and (hit < 0).all() and not joined.any()
+    first, second = arrivals[:, :5], arrivals[:, 5:]
+    assert _candidate_triples(plan, first, second, opener) == set()
+
+
+def _contested_model():
+    """Three N-types that may join two or three of the classes (p1, b1),
+    (p1, b2) and (p2, b2), each with coin probability 0.225 or 0.45 at
+    alpha 0.9, and openers of excess 1/4 or 1/5: a bundle fits two or
+    three members of deficit 1/10 or 1/20.  The solution is feasible for
+    the online LP, not optimal."""
+    model = IidModel(
+        types=["p1", "p2", "n1", "n2", "n3"], buyers=["b1", "b2"],
+        values={("p1", "b1"): Fraction(5, 4), ("p1", "b2"): Fraction(6, 5),
+                ("p2", "b2"): Fraction(5, 4), ("n1", "b1"): Fraction(9, 10),
+                ("n1", "b2"): Fraction(9, 10), ("n2", "b1"): Fraction(19, 20),
+                ("n2", "b2"): Fraction(9, 10), ("n3", "b1"): Fraction(9, 10),
+                ("n3", "b2"): Fraction(19, 20)},
+        thresholds={"b1": 1, "b2": 1},
+        probs={"p1": Fraction(1, 8), "p2": Fraction(1, 8), "n1": Fraction(1, 4),
+               "n2": Fraction(1, 4), "n3": Fraction(1, 4)},
+        horizon=16,
+    )
+    x = {("p1", "b1", "p1"): 1, ("p2", "b2", "p2"): 1, ("p1", "b2", "p1"): Fraction(1, 2),
+         ("n1", "b1", "p1"): 1, ("n2", "b1", "p1"): 1, ("n3", "b1", "p1"): 1,
+         ("n1", "b2", "p2"): 1, ("n2", "b2", "p2"): 1, ("n3", "b2", "p2"): 1,
+         ("n2", "b2", "p1"): Fraction(1, 2), ("n3", "b2", "p1"): 1}
+    x = {k: Fraction(v) for k, v in x.items()}
+    objective = sum(v * model.values[(i, j)] for (i, j, _p), v in x.items())
+    return model, BundleLpSolution(x=x, objective=objective)
+
+
+def test_contested_bundles_match_scalar_reference():
+    model, x = _contested_model()
+    plan = _check_online(model, x, 0.9, 3, 300)
+    most, refused = 0, 0
+    for _start, (_opener, hit, joined, _value, _arrivals) in plan.run_trials(3, 300):
+        rows, cols = np.nonzero(hit >= 0)
+        hits_per_bundle = np.unique(rows * plan.half + hit[rows, cols], return_counts=True)[1]
+        most = max(most, hits_per_bundle.max(initial=0))
+        refused += len(rows) - int(joined.sum())
+    # later join rounds run, and some of their hits find the residual spent
+    assert most >= 3
+    assert refused >= 1
+    assert run_online_trials(model, x, 0.9, 0.0766, 3, 300).feasible_count == 300
 
 
 def _reports():

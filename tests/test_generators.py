@@ -192,6 +192,16 @@ def test_random_generator_rejects_bad_densities():
         assert len(gen_random(3, 2, 1, edge_density=density, p_density=density).items) == 3
 
 
+def test_random_generator_rejects_bad_budget_arguments():
+    with pytest.raises(BadEps, match=r"^budget_resources must be at least 0, got -1$"):
+        gen_random(3, 2, 1, budget_resources=-1)
+    for bid_frac, shown in (("-0.5", "-1/2"), (-0.01, "-1/100")):
+        with pytest.raises(BadEps, match=f"^bid_frac must be at least 0, got {shown}$"):
+            gen_random(3, 2, 1, budget_resources=1, bid_frac=bid_frac)
+    inst = gen_random(3, 2, 1, budget_resources=1, bid_frac=0)
+    assert set(inst.resource_costs.values()) == {0}
+
+
 def test_random_iid_model_determinism():
     a = gen_random_iid_model(4, 3, 12, seed=2)
     b = gen_random_iid_model(4, 3, 12, seed=2)

@@ -500,7 +500,12 @@ def test_cli_exit_codes(tmp_path, capsys):
     for args, err in ((["--edge-density", "nan", "--p-density", "-3"],
                        "edge_density must lie in [0, 1], got nan"),
                       (["--p-density", "-3"], "p_density must lie in [0, 1], got -3.0"),
-                      (["--edge-density", "1.5"], "edge_density must lie in [0, 1], got 1.5")):
+                      (["--edge-density", "1.5"], "edge_density must lie in [0, 1], got 1.5"),
+                      # and negative budget counts and bid fractions
+                      (["--budget-resources", "-1"],
+                       "budget_resources must be at least 0, got -1"),
+                      (["--budget-resources", "1", "--bid-frac", "-0.5"],
+                       "bid_frac must be at least 0, got -1/2")):
         assert main(["gen", "random", *args]) == 2
         assert capsys.readouterr().err == f"error: {err}\n"
 
