@@ -22,10 +22,13 @@ import enum
 import json
 import math
 import sys
+from collections import namedtuple
 from dataclasses import dataclass, field
 from decimal import Decimal
 from fractions import Fraction
 from functools import cached_property
+
+import numpy as np
 
 from .errors import InvalidInstance, UnknownEdge
 
@@ -73,6 +76,10 @@ def number_from_json(x) -> Fraction:
     if abs(v) > _FLOAT_MAX:
         raise InvalidInstance(f"number outside the float range |x| <= {sys.float_info.max:g}")
     return v
+
+
+# the columns of the bundle LP, as Instance.bundle_layout builds them
+BundleLayout = namedtuple("BundleLayout", "keys col bundles item bundle opener excess")
 
 
 class EdgeClass(enum.Enum):
@@ -209,6 +216,35 @@ class Instance:
 
         return ints(self.values), ints(self._excess), ints(self.resource_costs), ints(self.budgets)
 
+    @cached_property
+    def bundle_layout(self) -> BundleLayout:
+        """The columns of every bundle-shaped LP: per edge (i, j), the opener
+        (i, j, i) of a P-edge or a member (i, j, p) per bundle (j, p) of an
+        N-edge; per column, arrays of the index of i, of (j, p) in bundles (one
+        per P-edge (p, j)), the column of (p, j, p) and the float excess."""
+        edges = self.edges()
+        p_edge = [self._excess[e] >= 0 for e in edges]
+        bundles = [(j, p) for (p, j), pe in zip(edges, p_edge) if pe]
+        of_buyer = {j: [b for b, (jj, _p) in enumerate(bundles) if jj == j] for j in self.buyers}
+        cols = [(i, j, b) for (i, j), pe in zip(edges, p_edge) for b in of_buyer[j]
+                if not pe or bundles[b][1] == i]
+        keys = [(i, j, bundles[b][1]) for i, j, b in cols]
+        col = {k: c for c, k in enumerate(keys)}
+        excess = {e: float(self._excess[e]) for e in edges}
+        return BundleLayout(
+            keys, col, bundles,
+            item=np.array([self._item_index[i] for i, _j, _b in cols], dtype=np.int64),
+            bundle=np.array([b for _i, _j, b in cols], dtype=np.int64),
+            opener=np.array([col[(p, j, p)] for _i, j, p in keys], dtype=np.int64),
+            excess=np.array([excess[(i, j)] for i, j, _b in cols]))
+
+    @cached_property
+    def _item_classes(self) -> dict:
+        signs = dict.fromkeys(self.items, 0)
+        for (i, _j), e in self._excess.items():
+            signs[i] |= 2 if e >= 0 else 1
+        return {i: ("isolated", "N", "P", "ambiguous")[s] for i, s in signs.items()}
+
     # -- basic accessors -------------------------------------------------
 
     @property
@@ -250,14 +286,7 @@ class Instance:
 
     def item_class(self, i) -> str:
         """'P', 'N', 'isolated' (no edges) or 'ambiguous'."""
-        classes = {self.edge_class(i, j) for j in self.edges_of_item(i)}
-        if not classes:
-            return "isolated"
-        if classes == {EdgeClass.P}:
-            return "P"
-        if classes == {EdgeClass.N}:
-            return "N"
-        return "ambiguous"
+        return self._item_classes[i]
 
     def p_items(self):
         return [i for i in self.items if self.item_class(i) == "P"]

@@ -120,9 +120,7 @@ def run_offline_trials(
         values += [v / inst.scale for v in value.tolist()]
         open_counts += opened.sum(0)
     counts = {f"{j}|{p}": c for (j, p), c in zip(plan.bundles, open_counts.tolist()) if c}
-    expected = {
-        f"{j}|{p}": float(v) for (i, j, p), v in x.x.items() if i == p and float(v) > 0
-    }
+    expected = {f"{j}|{p}": m for (j, p), m in zip(plan.bundles, plan.b_mass.tolist()) if m > 0}
     return _trial_report(
         "offline-budgeted" if budgeted else "offline", x, plan.alpha, beta,
         gamma_offline(plan.alpha, beta), seed, values, counts, expected,

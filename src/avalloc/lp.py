@@ -173,14 +173,12 @@ def _standard_form(lp: LinearProgram):
     for r, (coeffs, rel, rhs) in enumerate(norm):
         ints, scale = _common_denominator([*coeffs.values(), rhs])
         scales.append(scale)
-        for (k, a), a_int in zip(coeffs.items(), ints):
-            t_rows.append(r)
-            t_cols.append(k)
-            t_vals.append(float(a))
+        # a_int / scale is the correctly rounded a, as float(a) is
+        t_rows += [r] * len(ints)
+        t_cols += [*coeffs, width - 1]
+        t_vals += [a_int / scale for a_int in ints]
+        for k, a_int in zip(coeffs, ints):
             cols_exact[k][r] = a_int
-        t_rows.append(r)
-        t_cols.append(width - 1)
-        t_vals.append(float(rhs))
         b_exact.append(ints[-1])
         if rel != "==":
             sign = 1 if rel == "<=" else -1

@@ -156,44 +156,32 @@ def build_naive_lp(inst: Instance) -> LinearProgram:
 def _bundle_lp(inst: Instance, item_cap, member_cap) -> LinearProgram:
     """The bundle relaxation every bundle-shaped LP shares.
 
-    Openers x_pjp exist per P-edge (p, j), members x_ijp per N-edge (i, j)
-    and bundle (j, p) of the same buyer.  item_cap(i) is the rhs of the row
-    of item i; member_cap(i) multiplies x_pjp in the membership row of x_ijp.
+    Columns as in inst.bundle_layout: openers x_pjp per P-edge (p, j), members
+    x_ijp per N-edge (i, j) and bundle (j, p).  item_cap(i) is the rhs of the
+    row of item i; member_cap(i) multiplies x_pjp in the membership row of x_ijp.
     """
-    buyers, values = inst.buyers, inst.values
-    p_edges = [
-        (p, j) for p in inst.items for j in buyers if (p, j) in values and inst.is_p_edge(p, j)
-    ]
-    keys = []
-    for i in inst.items:
-        for j in buyers:
-            if (i, j) not in values:
-                continue
-            if inst.is_p_edge(i, j):
-                keys.append((i, j, i))
-            else:
-                keys.extend((i, j, p) for (p, jj) in p_edges if jj == j)
-    col = {k: pos for pos, k in enumerate(keys)}
+    layout = inst.bundle_layout
+    keys = layout.keys
     # per-bundle average-value rows: sum_i (rho_j c_ij - v_ij) x_ijp <= 0
-    value_rows = {(j, p): {} for (p, j) in p_edges}
+    value_rows = [{} for _ in layout.bundles]
     # per-item rows: the mass of item i over all bundles <= item_cap(i)
     item_rows = {}
-    for pos, (i, j, p) in enumerate(keys):
-        value_rows[(j, p)][pos] = -inst.excess(i, j)
+    for pos, ((i, j, _p), b) in enumerate(zip(keys, layout.bundle.tolist())):
+        value_rows[b][pos] = -inst.excess(i, j)
         item_rows.setdefault(i, {})[pos] = Fraction(1)
-    rows = [(row, "<=", Fraction(0)) for row in value_rows.values()]
+    rows = [(row, "<=", Fraction(0)) for row in value_rows]
     rows += [(row, "<=", item_cap(i)) for i, row in item_rows.items()]
     # membership rows: x_ijp <= member_cap(i) * x_pjp
     rows += [
-        ({pos: Fraction(1), col[(p, j, p)]: -member_cap(i)}, "<=", Fraction(0))
-        for pos, (i, j, p) in enumerate(keys)
-        if i != p
+        ({pos: Fraction(1), opener: -member_cap(i)}, "<=", Fraction(0))
+        for pos, ((i, _j, _p), opener) in enumerate(zip(keys, layout.opener.tolist()))
+        if opener != pos
     ]
     return LinearProgram(
-        objective=[values[(i, j)] for (i, j, _p) in keys],
+        objective=[inst.values[(i, j)] for (i, j, _p) in keys],
         rows=rows,
         names=[f"x[{i},{j},{p}]" for i, j, p in keys],
-        var_keys=keys,
+        var_keys=list(keys),
     )
 
 
@@ -232,8 +220,7 @@ def build_bundle_lp_budgeted(inst: Instance) -> LinearProgram:
     if not inst.budgets:
         raise MissingBudgets("instance carries no budgets")
     lp = _bundle_lp(inst, *bundle_lp_shape(inst))
-    keys = lp.var_keys
-    col = {k: pos for pos, k in enumerate(keys)}
+    keys, col = lp.var_keys, inst.bundle_layout.col
     rows = []
     for res in inst.resources():
         for j in inst.buyers:

@@ -41,6 +41,7 @@ one trial turned into Python objects.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -224,33 +225,53 @@ def _check_stream(model: IidModel, stream):
 # fractional-solution checks
 
 
+def _entry_fault(inst: Instance, key, v) -> str:
+    """The first per-entry check of check_fractional that x[key] = v fails."""
+    (i, j, p), fv = key, float(v)
+    if not math.isfinite(fv):
+        return f"non-finite value at {(i, j, p)}"
+    if fv < -FRACTIONAL_TOL:
+        return f"negative value at {(i, j, p)}"
+    if (i, j) not in inst.values or (p, j) not in inst.values or not inst.is_p_edge(p, j):
+        return f"variable {(i, j, p)} outside the bundle LP"
+    if i != p and inst.is_p_edge(i, j):
+        return f"P-edge ({i!r}, {j!r}) used as a member"
+    return f"x[{i},{j},{p}] exceeds its opener cap"
+
+
 def check_fractional(inst: Instance, x: BundleLpSolution, item_cap, member_cap):
-    """Raise InfeasibleFractional unless x satisfies, within FRACTIONAL_TOL,
-    the bundle LP that lp_models builds over inst from the shape
-    (item_cap, member_cap)."""
-    mass = {i: 0.0 for i in inst.items}
-    av = {}
-    for (i, j, p), v in x.x.items():
-        fv = float(v)
-        if fv < -FRACTIONAL_TOL:
-            raise InfeasibleFractional(f"negative value at {(i, j, p)}")
-        if (i, j) not in inst.values or (p, j) not in inst.values or not inst.is_p_edge(p, j):
-            raise InfeasibleFractional(f"variable {(i, j, p)} outside the bundle LP")
-        excess = inst.excess(i, j)
-        if i != p and excess >= 0:
-            raise InfeasibleFractional(f"P-edge ({i!r}, {j!r}) used as a member")
-        mass[i] += fv
-        av[(j, p)] = av.get((j, p), 0.0) - fv * float(excess)
-        if i != p:
-            cap = float(x.x.get((p, j, p), 0)) * float(member_cap(i))
-            if fv > cap + FRACTIONAL_TOL:
-                raise InfeasibleFractional(f"x[{i},{j},{p}] exceeds its opener cap")
-    for i, s in mass.items():
-        if s > float(item_cap(i)) + FRACTIONAL_TOL:
-            raise InfeasibleFractional(f"item {i!r} mass {s} exceeds its cap")
-    for bp, s in av.items():
-        if s > FRACTIONAL_TOL:
-            raise InfeasibleFractional(f"bundle {bp} violates its value row by {s}")
+    """Raise InfeasibleFractional, naming the first failing entry of x.x, else
+    item, else bundle in x.x order, unless x is finite and satisfies, within
+    FRACTIONAL_TOL, the bundle LP over inst of the shape (item_cap, member_cap).
+    Returns the sorted inst.bundle_layout columns of the nonzeros, and their floats."""
+    layout = inst.bundle_layout
+    cols = np.array([layout.col.get(k, -1) for k in x.x], dtype=np.int64)
+    nonzero = [n for n, v in enumerate(x.x.values()) if v]
+    fv = np.zeros(len(cols))
+    fv[nonzero] = [float(v) for v in x.x.values() if v]
+    xv = np.bincount(cols[cols >= 0], fv[cols >= 0], len(layout.keys))
+    # the entries up to the first key outside the layout, which fails
+    end = np.append(np.flatnonzero(cols < 0), len(cols))[0]
+    c, fv = cols[:end], fv[:end]
+    opener, item = layout.opener[c], layout.item[c]
+    member_caps = np.array([float(member_cap(i)) for i in inst.items])
+    bad = ~np.isfinite(fv) | (fv < -FRACTIONAL_TOL) | (
+        (opener != c) & (fv > xv[opener] * member_caps[item] + FRACTIONAL_TOL))
+    at = np.append(np.flatnonzero(bad), end)[0]
+    if at < len(cols):
+        raise InfeasibleFractional(_entry_fault(inst, *list(x.x.items())[at]))
+    mass = np.bincount(item, fv, len(inst.items))
+    over = np.flatnonzero(mass > [float(item_cap(i)) + FRACTIONAL_TOL for i in inst.items])
+    if over.size:
+        i = over[0]
+        raise InfeasibleFractional(f"item {inst.items[i]!r} mass {float(mass[i])} exceeds its cap")
+    av = np.bincount(layout.bundle[c], -(fv * layout.excess[c]), len(layout.bundles))
+    if (av > FRACTIONAL_TOL).any():
+        b = next(b for b in dict.fromkeys(layout.bundle[c].tolist()) if av[b] > FRACTIONAL_TOL)
+        raise InfeasibleFractional(
+            f"bundle {layout.bundles[b]} violates its value row by {float(av[b])}")
+    order = np.argsort(c[nonzero])
+    return c[nonzero][order], fv[nonzero][order]
 
 
 # ---------------------------------------------------------------------------
@@ -264,12 +285,12 @@ class OfflinePlan:
     floats and the instance's scaled integers (Instance.scaled), held in
     arrays of self.dtype, and turns its value into a Fraction once at the
     end.  Bundle b is self.bundles[b] = (buyer, P-item), in canonical
-    (P-item, buyer) order.
+    (P-item, buyer) order, with the float x_pjp in self.b_mass[b].
     """
 
     def __init__(self, inst: Instance, x: BundleLpSolution, alpha: float | None,
                  budgeted: bool = False):
-        check_fractional(inst, x, *bundle_lp_shape(inst))
+        cols, mass = check_fractional(inst, x, *bundle_lp_shape(inst))
         self.inst = inst
         values, excess, rcosts, budgets = inst.scaled
         self.resources = inst.resources() if budgeted else []
@@ -281,43 +302,33 @@ class OfflinePlan:
         def rc(i, j):
             return [rcosts.get((res, i, j), 0) for res in self.resources]
 
-        self.bundles = []
-        bundle_idx = {}
+        # bundles: the nonzero openers in column, that is (P-item, buyer), order
+        layout = inst.bundle_layout
+        is_opener = layout.opener[cols] == cols
+        self.bundles = [layout.bundles[b] for b in layout.bundle[cols[is_opener]].tolist()]
+        self.b_mass = mass[is_opener]
         opener = []  # per bundle (buyer index, excess, value, resource costs)
-        draws = []  # per P-item (item index, [(cumulative float, bundle id)])
-        for p in inst.items:
-            if inst.item_class(p) != "P":
-                continue
-            acc, cum = 0.0, []
-            for j in inst.buyers:
-                v = x.x.get((p, j, p))
-                if v:
-                    acc += float(v)
-                    cum.append((acc, len(self.bundles)))
-                    bundle_idx[(j, p)] = len(self.bundles)
-                    self.bundles.append((j, p))
-                    opener.append((inst.buyer_index(j), excess[(p, j)], values[(p, j)], rc(p, j)))
-            if cum:
-                draws.append((inst.item_index(p), cum))
-        # coins, grouped by N-item: (bundle, item index, buyer index,
-        # P-item index, prob, deficit, value, resource costs)
+        draws = {}  # per P-item index, [(cumulative float, bundle id)]
+        for b, ((j, p), m) in enumerate(zip(self.bundles, self.b_mass.tolist())):
+            cum = draws.setdefault(inst.item_index(p), [])
+            cum.append(((cum[-1][0] if cum else 0.0) + m, b))
+            opener.append((inst.buyer_index(j), excess[(p, j)], values[(p, j)], rc(p, j)))
+        # coins of the opened bundles, by N-item and then bundle: (bundle, item
+        # index, buyer index, P-item index, prob, deficit, value, resource costs)
+        opens, members = cols[is_opener], cols[~is_opener]
+        members = members[np.isin(layout.opener[members], opens)]
+        b_of = np.searchsorted(opens, layout.opener[members])
+        order = np.lexsort((b_of, layout.item[members]))
         self.coin_items = []  # the N-items with at least one coin
         coins, starts = [], []
-        for i in inst.items:
-            if inst.item_class(i) != "N":
-                continue
-            group = []
-            for (j, p), b in bundle_idx.items():
-                v = x.x.get((i, j, p))
-                if not v:
-                    continue
-                group.append((b, inst.item_index(i), inst.buyer_index(j), inst.item_index(p),
-                              self.alpha * _ratio(v, x.x[(p, j, p)]), -excess[(i, j)],
-                              values[(i, j)], rc(i, j)))
-            if group:
+        for c, b in zip(members[order].tolist(), b_of[order].tolist()):
+            i, j, p = layout.keys[c]
+            if not self.coin_items or self.coin_items[-1] != i:
                 self.coin_items.append(i)
                 starts.append(len(coins))
-                coins += group
+            coins.append((b, inst.item_index(i), inst.buyer_index(j), inst.item_index(p),
+                          self.alpha * _ratio(x.x[(i, j, p)], x.x[(p, j, p)]), -excess[(i, j)],
+                          values[(i, j)], rc(i, j)))
         caps = [[budgets.get((res, j)) for res in self.resources] for j in inst.buyers]
 
         # every sum a run forms is bounded by the sum of these magnitudes,
@@ -338,8 +349,8 @@ class OfflinePlan:
         self.b_rc = costs([r[-1] for r in opener])
         self.caps = costs([[bound if c is None else c for c in row] for row in caps])
         # phase I: per P-item its cumulative probabilities and bundles
-        self.p_index = np.array([p for p, _cum in draws], dtype=np.uint64)
-        self.p_acc, self.p_bundle = _draw_table([cum for _p, cum in draws])
+        self.p_index = np.array(list(draws), dtype=np.uint64)
+        self.p_acc, self.p_bundle = _draw_table(list(draws.values()))
         # phase II: one column per coin, the coins of an N-item contiguous
         self.c_bundle = column(coins, 0, np.int64)
         self.c_key = [column(coins, pos, np.uint64) for pos in (1, 2, 3)]
@@ -495,39 +506,31 @@ class OnlinePlan:
             raise ValueError("online rounding requires a plain (unit-cost) model")
         if model.horizon % 2 != 0:
             raise ValueError("online rounding needs an even horizon")
-        check_fractional(model.inst, x, *opton_lp_shape(model))
+        cols, mass = check_fractional(model.inst, x, *opton_lp_shape(model))
         self.model = model
         self.alpha = 0.64 if alpha is None else alpha
         check_unit_interval("alpha", self.alpha)
         T = model.horizon
         self.half = T // 2
-        self.tidx = {i: k for k, i in enumerate(model.types)}
-        nt, nb = len(model.types), len(model.buyers)
-        values, excess = model.inst.scaled[:2]
-        # phase I: per type, cumulative opening probabilities over buyers
-        open_cum = []
-        for p in model.types:
-            qT = float(model.probs[p] * T)
-            acc, cum = 0.0, []
-            for jdx, j in enumerate(model.buyers):
-                v = x.x.get((p, j, p)) if qT > 0 else None
-                if v:
-                    acc += float(v) / qT
-                    cum.append((acc, jdx))
-            open_cum.append(cum)
-        self.open_acc, self.open_buyer = _draw_table(open_cum)
+        inst, nt, nb = model.inst, len(model.types), len(model.buyers)
+        # phase I: per type, cumulative opening probabilities over buyers;
         # phase II: join_prob[i, p, j] is the coin probability of a type-i
-        # arrival against an open bundle (p, j); 0.0 where it has no coin.
-        # check_fractional has checked that each member entry x_ijp, i != p,
-        # pairs an N-edge (i, j) with a P-edge (p, j)
-        bidx = {j: k for k, j in enumerate(model.buyers)}
+        # arrival against an open bundle (p, j); 0.0 where it has no coin
+        qT = [float(model.probs[i] * T) for i in model.types]
+        open_cum = [[] for _ in model.types]
         self.join_prob = np.zeros((nt, nt, nb))
-        for (i, j, p), v in x.x.items():
-            qT = float(model.probs[i] * T)
-            if i == p or not v or qT <= 0:
+        for col, m in zip(cols.tolist(), mass.tolist()):
+            i, j, p = inst.bundle_layout.keys[col]
+            t, jdx = inst.item_index(i), inst.buyer_index(j)
+            if qT[t] <= 0:
                 continue
-            self.join_prob[self.tidx[i], self.tidx[p], bidx[j]] = (
-                self.alpha * _ratio(v, x.x[(p, j, p)]) / qT)
+            if i == p:
+                cum = open_cum[t]
+                cum.append(((cum[-1][0] if cum else 0.0) + m / qT[t], jdx))
+            else:
+                self.join_prob[t, inst.item_index(p), jdx] = (
+                    self.alpha * _ratio(x.x[(i, j, p)], x.x[(p, j, p)]) / qT[t])
+        self.open_acc, self.open_buyer = _draw_table(open_cum)
         # per type i, the classes c = p * nb + j of the open bundles (p, j) it
         # may join and their coin probabilities, in entries join_start[i] ..
         # join_start[i + 1] - 1 of join_class and join_coin
@@ -538,12 +541,12 @@ class OnlinePlan:
         # scaled value and excess of each (type, buyer), 0 on non-edges; a
         # run's value is at most T times the largest value, and a bundle's
         # residual lies between 0 and its opener's excess
-        grid = [[(values.get((i, j), 0), excess.get((i, j), 0)) for j in model.buyers]
-                for i in model.types]
-        bound = T * sum(abs(v) + abs(e) for row in grid for v, e in row)
-        self.dtype = dt = state_dtype(bound)
-        self.values = np.array([[v for v, _e in row] for row in grid], dtype=dt).reshape(nt, nb)
-        self.p_excess = np.array([[e for _v, e in row] for row in grid], dtype=dt).reshape(nt, nb)
+        values, excess = inst.scaled[:2]
+        self.dtype = dt = state_dtype(T * sum(abs(v) + abs(excess[e]) for e, v in values.items()))
+        self.values, self.p_excess = np.zeros((nt, nb), dtype=dt), np.zeros((nt, nb), dtype=dt)
+        for (i, j), v in values.items():
+            t, jdx = inst.item_index(i), inst.buyer_index(j)
+            self.values[t, jdx], self.p_excess[t, jdx] = v, excess[(i, j)]
         self.deficit = -self.p_excess
         self.block_trials = _block_trials(
             max(T, self.half * self.open_acc.shape[1], (T - self.half) * self.half))
@@ -670,7 +673,7 @@ class OnlinePlan:
         keys, members per key, value, trace).  opened keys are (buyer,
         type, time)."""
         _check_stream(self.model, stream)
-        arrivals = np.array([[self.tidx[typ] for typ in stream]], dtype=np.int64)
+        arrivals = np.array([list(map(self.model.inst.item_index, stream))], dtype=np.int64)
         block = self.run_block(np.array([seed & _MASK], dtype=np.uint64), arrivals)
         opened, members, value, trace = self.outcome(block, 0)
         return opened, members, Fraction(value, self.model.inst.scale), trace

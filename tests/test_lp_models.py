@@ -6,7 +6,7 @@ from fractions import Fraction
 
 import pytest
 
-from avalloc import IidModel
+from avalloc import EdgeClass, IidModel, Instance
 from avalloc.errors import (
     AmbiguousInstance,
     DomainError,
@@ -15,10 +15,16 @@ from avalloc.errors import (
     MissingBudgets,
 )
 from avalloc.generators import (
+    gen_adversarial_T,
+    gen_genava_clique,
+    gen_genava_clique_iid,
     gen_integrality_gap,
     gen_iid_lower_bound,
+    gen_max_coverage,
     gen_random,
     gen_random_iid_model,
+    gen_supply_example,
+    gen_tightness_example,
 )
 from avalloc.harness import run_greedy_online_trials
 from avalloc.lp import lp_to_text, solve_lp
@@ -70,6 +76,67 @@ PINNED_LP_TEXT = [
 def test_lp_text_is_pinned(builder, make, digest):
     text = lp_to_text(builder(make()))
     assert hashlib.sha256(text.encode()).hexdigest() == digest
+
+
+# -- the cached bundle layout ------------------------------------------------
+
+
+LAYOUT_INPUTS = [
+    ("integrality-gap", lambda: gen_integrality_gap(3, Fraction(1, 10))),
+    ("supply", lambda: gen_supply_example(3, Fraction(1, 100))),
+    ("tightness", lambda: gen_tightness_example(Fraction(1, 5))),
+    ("max-coverage", lambda: gen_max_coverage([["e1", "e2"], ["e3", "e4"]], 2, Fraction(1, 10))),
+    ("genava-clique", lambda: gen_genava_clique(["a", "b", "c"], [("a", "b"), ("b", "c")])),
+    ("genava-clique-iid",
+     lambda: gen_genava_clique_iid(["a", "b", "c"], [("a", "b"), ("b", "c")], Fraction(1, 2))),
+    ("iid-lower-bound", lambda: gen_iid_lower_bound(6)),
+    ("adversarial", lambda: gen_adversarial_T(4, Fraction(1, 10))[0]),
+    ("random-ambiguous", lambda: gen_random(9, 4, 5)),
+    ("random", lambda: gen_random(9, 4, 5, unambiguous=True)),
+    ("random-budgeted", lambda: gen_random(9, 3, 7, unambiguous=True, budget_resources=2)),
+    ("isolated", lambda: Instance(items=["p", "z", "n"], buyers=["b", "c"],
+                                  values={("p", "b"): 2, ("n", "b"): "0.5"},
+                                  thresholds={"b": 1, "c": 1})),
+    ("random-iid", lambda: gen_random_iid_model(6, 3, 10, 7)),
+]
+
+
+@pytest.mark.parametrize("make", [case[1] for case in LAYOUT_INPUTS],
+                         ids=[case[0] for case in LAYOUT_INPUTS])
+def test_bundle_layout_and_item_classes_match_the_edges(make):
+    made = make()
+    model = made if isinstance(made, IidModel) else None
+    inst = model.inst if model else made
+    for i in inst.items:
+        classes = {inst.edge_class(i, j) for j in inst.edges_of_item(i)}
+        want = ("isolated" if not classes else "P" if classes == {EdgeClass.P}
+                else "N" if classes == {EdgeClass.N} else "ambiguous")
+        assert inst.item_class(i) == want
+    p_edges = [(p, j) for p, j in inst.edges() if inst.excess(p, j) >= 0]
+    keys = []
+    for i, j in inst.edges():
+        if inst.excess(i, j) >= 0:
+            keys.append((i, j, i))
+        else:
+            keys += [(i, j, p) for p, jj in p_edges if jj == j]
+    layout = inst.bundle_layout
+    assert layout is inst.bundle_layout
+    assert layout.keys == keys
+    assert layout.col == {k: c for c, k in enumerate(keys)}
+    assert layout.bundles == [(j, p) for p, j in p_edges]
+    assert layout.item.tolist() == [inst.items.index(i) for i, _j, _p in keys]
+    assert layout.bundle.tolist() == [layout.bundles.index((j, p)) for _i, j, p in keys]
+    assert layout.opener.tolist() == [keys.index((p, j, p)) for _i, j, p in keys]
+    assert layout.excess.tolist() == [float(inst.excess(i, j)) for i, j, _p in keys]
+    if model:
+        lps = [build_opton_lp(model)]
+    elif inst.is_unambiguous():
+        lps = [build_bundle_lp(inst)] + ([build_bundle_lp_budgeted(inst)] if inst.budgets else [])
+    else:
+        lps = []
+    assert lps or not inst.is_unambiguous()
+    for lp in lps:
+        assert lp.var_keys == keys
 
 
 # -- naive LP ----------------------------------------------------------------

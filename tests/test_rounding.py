@@ -1,5 +1,6 @@
 import hashlib
 import json
+import math
 from fractions import Fraction
 
 import numpy as np
@@ -27,6 +28,8 @@ from avalloc.lp_models import (
     build_bundle_lp,
     build_bundle_lp_budgeted,
     build_opton_lp,
+    bundle_lp_shape,
+    opton_lp_shape,
     solve_model_lp,
 )
 from avalloc.rounding import (
@@ -35,6 +38,7 @@ from avalloc.rounding import (
     RoundingParams,
     _mix,
     _mix_from,
+    check_fractional,
     counter_uniform,
     derive_trial_seed,
     gamma_offline,
@@ -45,6 +49,7 @@ from avalloc.rounding import (
     sample_stream,
     stream_instance,
 )
+from scalar_fractional import scalar_check_fractional
 from util import unit_instance
 
 
@@ -250,6 +255,23 @@ def test_offline_rejects_infeasible_fractional():
     stray = BundleLpSolution(x={("n1", "b2", "p"): 0.5}, objective=0)
     with pytest.raises(InfeasibleFractional):
         round_offline(inst, stray, RoundingParams(alpha=0.3, seed=0))
+    # a non-finite opener or member passes no comparison, so it is named
+    # as such; a NaN opener would otherwise never open its bundle
+    random_inst = gen_random(7, 3, 3001, unambiguous=True)
+    random_x = solve_model_lp(build_bundle_lp(random_inst))
+    for bad in (float("nan"), float("inf")):
+        for case, sol in ((inst, x), (random_inst, random_x)):
+            for opener in (True, False):
+                key = next(k for k, v in sol.x.items() if v and (k[0] == k[2]) == opener)
+                tampered = BundleLpSolution(x={**sol.x, key: bad}, objective=sol.objective)
+                with pytest.raises(InfeasibleFractional, match="non-finite"):
+                    OfflinePlan(case, tampered, alpha=0.3)
+    # of two bundles over their value rows, the first in x.x is named
+    two = unit_instance({("p1", "b"): "1.2", ("p2", "b"): "1.2", ("n1", "b"): "0.5",
+                         ("n2", "b"): "0.5"})
+    late = {("n2", "b", "p2"): 1, ("p2", "b", "p2"): 1, ("n1", "b", "p1"): 1, ("p1", "b", "p1"): 1}
+    with pytest.raises(InfeasibleFractional, match=r"bundle \('b', 'p2'\) violates"):
+        OfflinePlan(two, BundleLpSolution(x=late, objective=0), alpha=0.3)
     # the bundle LP, and so its check, is defined on unambiguous instances only
     amb = unit_instance({("i", "b1"): "1.3", ("i", "b2"): "0.9"}, buyers=["b1", "b2"])
     with pytest.raises(AmbiguousInstance):
@@ -275,6 +297,10 @@ def test_online_rejects_infeasible_fractional():
         ({("p", "b", "p"): 0.5, ("n", "b", "p"): 1.5}, "opener cap"),
         ({("p", "b", "p"): 1.5}, "mass"),
         ({("p", "b", "p"): 1, ("n", "b", "p"): 2}, "value row"),
+        ({("p", "b", "p"): float("nan")}, "non-finite"),
+        ({("p", "b", "p"): 1, ("n", "b", "p"): float("nan")}, "non-finite"),
+        ({("p", "b", "p"): float("inf"), ("n", "b", "p"): 1}, "non-finite"),
+        ({("p", "b", "p"): 1, ("n", "b", "p"): float("-inf")}, "non-finite"),
     ]
     for x, reason in cases:
         with pytest.raises(InfeasibleFractional, match=reason):
@@ -283,6 +309,92 @@ def test_online_rejects_infeasible_fractional():
     ok = {("p", "b", "p"): 1, ("n", "b", "p"): Fraction(5, 4)}
     round_online(model, BundleLpSolution(x=ok, objective=0),
                  RoundingParams(alpha=0.64, seed=0), stream)
+
+
+def _tamper(inst, x, rng, kinds, item_cap, member_cap):
+    """x with the tampering of each kind applied in turn, drawn from rng."""
+    x, layout = dict(x), inst.bundle_layout
+    keys = list(x) or [None]
+    members = [k for k in layout.keys if k[0] != k[2]] or [None]
+    p_edges = [e for e in inst.edges() if inst.is_p_edge(*e)]
+    for kind in kinds:
+        key = rng.choice(keys)
+        if kind == "negative" and key:
+            # a negative opener also caps its members, zero ones included
+            key = rng.choice([key, (key[2], key[1], key[2])])
+            x[key] = -rng.choice([Fraction(1, 2), Fraction(1, 10 ** 12), Fraction(1, 10 ** 8)])
+        elif kind == "stray":
+            i, j, p = (rng.choice(inst.items) for _ in "ijp")
+            x[(i, rng.choice(inst.buyers), p)] = rng.choice([0, Fraction(1, 2), -1])
+        elif kind == "p_member" and p_edges:
+            i, j = rng.choice(p_edges)
+            p = rng.choice([q for q, jj in p_edges if jj == j and q != i] or [i])
+            x[(i, j, p)] = rng.choice([0, Fraction(1, 3)])
+        elif kind == "over_cap" and members[0]:
+            member = rng.choice(members)
+            x[member] = x.get(member, 0) + rng.choice([Fraction(1, 10 ** 6), 1])
+        elif kind == "value_row":
+            # fill bundles with whole items up to the caps, so that the value
+            # rows of several bundles fail and the first in x.x is named
+            for _i, j, p in rng.sample(layout.keys, min(2, len(layout.keys))):
+                for i, _j, _p in (k for k in layout.keys if k[1:] == (j, p) and k[0] != p):
+                    x.update({k: 0 for k in x if k[0] == i})
+                    x[(i, j, p)] = min(x.get((p, j, p), 0) * member_cap(i), item_cap(i))
+        elif kind == "mass" and key:
+            x[key] = x.get(key, 0) * 2 + rng.choice([0, Fraction(1, 10 ** 12), Fraction(1, 2)])
+        elif kind == "zero" and key:
+            x[key] = rng.choice([0, 0.0, -0.0])
+        elif kind == "drop" and key:
+            x.pop(key, None)
+        elif kind == "float":
+            x = {k: float(v) for k, v in x.items()}
+        elif kind == "shuffle":
+            order = list(x)
+            rng.shuffle(order)
+            x = {k: x[k] for k in order}
+        elif kind == "non_finite" and key:
+            x[key] = rng.choice([float("nan"), float("inf"), float("-inf")])
+    return x
+
+
+_TAMPERS = ["negative", "stray", "p_member", "over_cap", "value_row", "mass", "zero", "drop",
+            "float", "shuffle", "non_finite"]
+
+
+@settings(max_examples=300, derandomize=True, database=None, deadline=None)
+@given(st.booleans(), st.integers(1, 8), st.integers(1, 3), st.integers(0, 10 ** 6),
+       st.sampled_from([0, 1, 2]), st.lists(st.sampled_from(_TAMPERS), max_size=4),
+       st.randoms(use_true_random=False))
+def test_check_fractional_matches_the_scalar_check(online, n, m, seed, budgets, kinds, rng):
+    # both LP shapes over gen_random* inputs, tampered; the only allowed
+    # difference is that a non-finite entry is now rejected as such
+    if online:
+        model = gen_random_iid_model(n, m, 2 * n, seed)
+        inst, shape = model.inst, opton_lp_shape(model)
+        lp = build_opton_lp(model)
+    else:
+        inst = gen_random(n, m, seed, unambiguous=True, budget_resources=budgets)
+        shape = bundle_lp_shape(inst)
+        lp = (build_bundle_lp_budgeted if budgets else build_bundle_lp)(inst)
+    x = BundleLpSolution(_tamper(inst, solve_model_lp(lp).x, rng, kinds, *shape), 0)
+
+    def fault(check):
+        try:
+            return check(inst, x, *shape)
+        except InfeasibleFractional as exc:
+            return str(exc)
+
+    got, want = fault(check_fractional), fault(scalar_check_fractional)
+    if isinstance(got, str):
+        non_finite = any(isinstance(v, float) and not math.isfinite(v) for v in x.x.values())
+        assert got == want or (non_finite and got.startswith("non-finite value at"))
+        return
+    assert want is None
+    cols, floats = got
+    layout = inst.bundle_layout
+    assert [layout.keys[c] for c in cols.tolist()] == sorted(
+        (k for k, v in x.x.items() if v), key=layout.col.get)
+    assert floats.tolist() == [float(x.x[layout.keys[c]]) for c in cols.tolist()]
 
 
 def test_offline_small_deficit_allocation_rate():
