@@ -305,7 +305,8 @@ class OfflinePlan:
         # bundles: the nonzero openers in column, that is (P-item, buyer), order
         layout = inst.bundle_layout
         is_opener = layout.opener[cols] == cols
-        self.bundles = [layout.bundles[b] for b in layout.bundle[cols[is_opener]].tolist()]
+        opens, members = cols[is_opener], cols[~is_opener]
+        self.bundles = [layout.bundles[b] for b in layout.bundle[opens].tolist()]
         self.b_mass = mass[is_opener]
         opener = []  # per bundle (buyer index, excess, value, resource costs)
         draws = {}  # per P-item index, [(cumulative float, bundle id)]
@@ -315,7 +316,6 @@ class OfflinePlan:
             opener.append((inst.buyer_index(j), excess[(p, j)], values[(p, j)], rc(p, j)))
         # coins of the opened bundles, by N-item and then bundle: (bundle, item
         # index, buyer index, P-item index, prob, deficit, value, resource costs)
-        opens, members = cols[is_opener], cols[~is_opener]
         members = members[np.isin(layout.opener[members], opens)]
         b_of = np.searchsorted(opens, layout.opener[members])
         order = np.lexsort((b_of, layout.item[members]))
@@ -522,7 +522,7 @@ class OnlinePlan:
         for col, m in zip(cols.tolist(), mass.tolist()):
             i, j, p = inst.bundle_layout.keys[col]
             t, jdx = inst.item_index(i), inst.buyer_index(j)
-            if qT[t] <= 0:
+            if qT[t] <= 0 or not x.x.get((p, j, p)):  # no coin without an opener
                 continue
             if i == p:
                 cum = open_cum[t]

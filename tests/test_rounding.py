@@ -309,6 +309,10 @@ def test_online_rejects_infeasible_fractional():
     ok = {("p", "b", "p"): 1, ("n", "b", "p"): Fraction(5, 4)}
     round_online(model, BundleLpSolution(x=ok, objective=0),
                  RoundingParams(alpha=0.64, seed=0), stream)
+    # a member within the tolerance of an absent or zero opener passes the
+    # check and tosses no coin, as offline
+    for x in ({("n", "b", "p"): 1e-12}, {("p", "b", "p"): 0, ("n", "b", "p"): 1e-12}):
+        assert not OnlinePlan(model, BundleLpSolution(x=x, objective=0), 0.64).join_prob.any()
 
 
 def _tamper(inst, x, rng, kinds, item_cap, member_cap):
