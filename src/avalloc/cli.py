@@ -236,7 +236,8 @@ def _cmd_lp(args) -> int:
         _write_text(lp_to_text(lp), args.export)
     sol = solve_lp(lp)
     doc = {"which": args.which, "status": sol.status,
-           "n_vars": lp.n_vars, "n_rows": lp.n_rows, "iterations": sol.iterations}
+           "n_vars": lp.n_vars, "n_rows": lp.n_rows, "iterations": sol.iterations,
+           "rounds": sol.rounds, "columns": sol.columns}
     if sol.status == "optimal":
         doc.update(_frac_fields(sol.exact_objective))
     _emit(doc, args.output)

@@ -337,10 +337,9 @@ def bench_examples(trials: int = 10_000, seed: int = 0) -> dict:
     p3_opt, _ = exact_opt(p3)
     report["clique_reduction"] = {"triangle_opt": float(tri_opt), "path3_opt": float(p3_opt)}
 
-    von = solve_model_lp(build_opton_lp(model)).objective
     voff = solve_model_lp(build_optoff_lp(model, 1)).objective
     report["arrival_lps_T20"] = {
-        "v_on": float(von),
+        "v_on": float(on_lp.objective),
         "v_off": float(voff),
         "kappa": compute_kappa(1, 20),
         "kappa_1_1000": compute_kappa(1, 1000),

@@ -32,6 +32,7 @@ import heapq
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
+from typing import NamedTuple
 
 import numpy as np
 
@@ -52,13 +53,20 @@ PIVOT_TOL = 1e-9
 # max(1, _PIVOT_BLOCK // block width) rows, which bounds its temporaries
 _PIVOT_BLOCK = 1 << 16
 
+# columns each pricing round admits per priced row, and overall
+_CG_BATCH = 4
+
 
 @dataclass
 class LinearProgram:
     """objective: coefficients to maximize; rows: (coeffs, rel, rhs) with
     coeffs a {column: coefficient} mapping; upper_bounds: optional
     per-variable caps (None entries = unbounded); var_keys: opaque builder
-    metadata identifying each column.
+    metadata identifying each column; row_owner: optional per-row owning
+    column (None entries = unowned).  A column that owns a row is left out
+    of the solve, with its rows, until pricing admits it, so an owned row
+    must be <= with rhs >= 0 and its only positive coefficient on its
+    owner: x_owner = 0 then satisfies it whatever the other columns hold.
 
     Every number is converted with ``to_fraction``, so floats are read as
     the decimals they print as.  Each stored row keeps only its nonzero
@@ -70,6 +78,7 @@ class LinearProgram:
     upper_bounds: list | None = None
     names: list | None = None
     var_keys: list | None = None
+    row_owner: list | None = None
 
     def __post_init__(self):
         n = len(self.objective)
@@ -95,6 +104,18 @@ class LinearProgram:
             ]
         if self.names is None:
             self.names = [f"x{k}" for k in range(n)]
+        if self.row_owner is not None:
+            if len(self.row_owner) != len(rows):
+                raise ValueError("row owner vector has wrong length")
+            for r, ((coeffs, rel, rhs), k) in enumerate(zip(rows, self.row_owner)):
+                if k is None:
+                    continue
+                if not isinstance(k, int) or not 0 <= k < n:
+                    raise ValueError(f"row {r} owned by column {k}, out of range for {n} variables")
+                if (rel != "<=" or rhs < 0 or coeffs.get(k, 0) <= 0
+                        or any(a > 0 for kk, a in coeffs.items() if kk != k)):
+                    raise ValueError(f"row {r} is not satisfied by x{k} = 0, so column {k} "
+                                     "cannot own it")
 
     @property
     def n_vars(self) -> int:
@@ -112,8 +133,13 @@ class LpSolution:
     objective: float = 0.0
     exact_values: list | None = None
     exact_objective: Fraction | None = None
+    # one per row of the LP, then one per upper bound in column order
+    exact_duals: list | None = None
     basis: list | None = None
     iterations: int = 0
+    # restricted LPs solved, and columns admitted by pricing
+    rounds: int = 0
+    columns: int = 0
 
     def value_map(self, lp: LinearProgram) -> dict:
         """Map var_keys to the exact solution values."""
@@ -126,6 +152,30 @@ class LpSolution:
 # standard form
 
 
+class _StandardForm(NamedTuple):
+    """The LP's rows, then one row per upper bound, each normalized to
+    b >= 0 (``signs[r]`` is -1 where the row was negated).  The exact half
+    holds each normalized row times the lcm of its denominators
+    (``scales[r]``): sparse int columns, structural then one slack per
+    non-== row in row order (``ncols`` in all), and the int rhs.  The float
+    half holds the structural nonzeros as (row, column, value) arrays and
+    the rhs.  ``owner[r]`` is the column that owns row r, or -1, and
+    ``priced`` marks the unowned rows with b > 0, the rows each pricing
+    round draws from."""
+
+    rels: list
+    signs: list
+    entries: tuple
+    cols_exact: list
+    b_exact: list
+    scales: list
+    ncols: int
+    rhs: np.ndarray
+    slack: np.ndarray
+    owner: np.ndarray
+    priced: np.ndarray
+
+
 def _common_denominator(values):
     """(ints, den) with values[i] == ints[i] / den, den the lcm of the
     values' denominators."""
@@ -133,72 +183,51 @@ def _common_denominator(values):
     return [v.numerator * (den // v.denominator) for v in values], den
 
 
-def _standard_form(lp: LinearProgram):
-    """Rows (incl. upper-bound rows) normalized to b >= 0, slack/surplus
-    columns appended, then one artificial column per >=/== row.  Returns
-    the float tableau (its last row left for the objective, its last column
-    holding b) with its starting basis, the artificial columns, and the
-    exact sparse columns, rhs and row scales used by the rational layer.
-
-    The exact layer multiplies each normalized row, its slack included, by
-    the lcm of the row's denominators, so its columns and rhs hold Python
-    ints.  Scaling rows leaves every basic solution, direction and reduced
-    cost as it was and divides the row's dual by its scale.  The float
-    tableau holds the unscaled coefficients."""
+def _standard_form(lp: LinearProgram) -> _StandardForm:
+    """The standard form of ``lp``, over all of its columns.  Scaling rows leaves every basic solution, direction and reduced cost
+    as it was and divides the row's dual by its scale.  Each float entry is
+    ``a_int / scale``, the correctly rounded unscaled coefficient, as
+    ``float(a)`` is."""
     n = lp.n_vars
     rows = list(lp.rows)
+    owner = list(lp.row_owner or [None] * len(rows))
     if lp.upper_bounds is not None:
         for k, u in enumerate(lp.upper_bounds):
             if u is not None:
                 rows.append(({k: Fraction(1)}, "<=", u))
-    norm = []
-    for coeffs, rel, rhs in rows:
-        if rhs < 0:
-            coeffs = {k: -a for k, a in coeffs.items()}
-            rhs = -rhs
+                owner.append(None)
+    rels, signs, b_exact, scales, rhs, slack = [], [], [], [], [], []
+    cols_exact = [dict() for _ in range(n)]
+    slacks = []
+    e_rows, e_cols, e_vals = [], [], []
+    for r, (coeffs, rel, b) in enumerate(rows):
+        sign = -1 if b < 0 else 1
+        if sign < 0:
             rel = {"<=": ">=", ">=": "<=", "==": "=="}[rel]
-        norm.append((coeffs, rel, rhs))
-    m = len(norm)
-    ncols = n + sum(1 for _c, rel, _b in norm if rel != "==")
-    n_art = sum(1 for _c, rel, _b in norm if rel != "<=")
-    width = ncols + n_art + 1
-    cols_exact = [dict() for _ in range(ncols)]
-    b_exact = []
-    scales = []
-    basis = [None] * m
-    art_cols = set()
-    # the float tableau's nonzeros, written by one assignment at the end
-    t_rows, t_cols, t_vals = [], [], []
-    slack_col = n
-    for r, (coeffs, rel, rhs) in enumerate(norm):
-        ints, scale = _common_denominator([*coeffs.values(), rhs])
+        ints, scale = _common_denominator([*coeffs.values(), b])
+        ints = [sign * v for v in ints]
+        rels.append(rel)
+        signs.append(sign)
         scales.append(scale)
-        # a_int / scale is the correctly rounded a, as float(a) is
-        t_rows += [r] * len(ints)
-        t_cols += [*coeffs, width - 1]
-        t_vals += [a_int / scale for a_int in ints]
+        b_exact.append(ints[-1])
+        rhs.append(ints[-1] / scale)
+        e_rows += [r] * len(coeffs)
+        e_cols += coeffs
+        e_vals += [a_int / scale for a_int in ints[:-1]]
         for k, a_int in zip(coeffs, ints):
             cols_exact[k][r] = a_int
-        b_exact.append(ints[-1])
-        if rel != "==":
-            sign = 1 if rel == "<=" else -1
-            t_rows.append(r)
-            t_cols.append(slack_col)
-            t_vals.append(sign)
-            cols_exact[slack_col][r] = sign * scale
-            if rel == "<=":
-                basis[r] = slack_col
-            slack_col += 1
-        if rel != "<=":
-            col = ncols + len(art_cols)
-            t_rows.append(r)
-            t_cols.append(col)
-            t_vals.append(1.0)
-            basis[r] = col
-            art_cols.add(col)
-    T = np.zeros((m + 1, width))
-    T[t_rows, t_cols] = t_vals
-    return T, basis, art_cols, cols_exact, b_exact, scales, ncols
+        if rel == "==":
+            slack.append(-1)
+        else:
+            slack.append(n + len(slacks))
+            slacks.append({r: scale if rel == "<=" else -scale})
+    rhs = np.array(rhs, dtype=float)
+    entries = (np.array(e_rows, dtype=np.intp), np.array(e_cols, dtype=np.intp),
+               np.array(e_vals, dtype=float))
+    owner = np.array([-1 if k is None else k for k in owner], dtype=np.intp)
+    return _StandardForm(rels, signs, entries, cols_exact + slacks, b_exact, scales,
+                         n + len(slacks), rhs, np.array(slack, dtype=np.intp), owner,
+                         (rhs > 0) & (owner < 0))
 
 
 def _pivot(T, basis, row, col):
@@ -265,42 +294,193 @@ def _simplex_phase(T, basis, barred, tol, max_iter, bland_after, start_iter=0):
             raise NumericalFailure("pivot limit exceeded")
 
 
-def _float_solve(lp: LinearProgram):
-    T, basis, art_cols, cols_exact, b_exact, scales, ncols = _standard_form(lp)
-    n = lp.n_vars
-    m = T.shape[0] - 1
-    total = T.shape[1] - 1
-    bland_after = 10 * (m + total)
-    max_iter = max(2000, 60 * (m + total))
-    iters = 0
+class _RestrictedTableau:
+    """The float tableau of the standard form over a subset of its
+    structural columns and the rows they leave present: every unowned row
+    and the owned rows of the present columns.  Columns are the present
+    structurals, the slacks of the present rows and one artificial per
+    >=/== row, in that order at the start, with the columns of each
+    admission appended after them; b is the last column and the objective
+    the last row.  ``rows`` and ``cols`` map each tableau row and column to
+    its row and column in the full standard form (artificials numbered from
+    ``form.ncols`` on), and ``units[i]`` is the column that held row i's
+    unit vector at the start, so ``T[:m, units]`` is the inverse of the
+    current basis.  The counters sum over both phases."""
 
-    if art_cols:
+    def __init__(self, form: _StandardForm, present):
+        self.form = form
+        self.present = present
+        self.iterations, self.rounds, self.columns = 0, 1, 0
+        # an unowned row (owner -1) reads the True appended to present
+        rows = np.flatnonzero(np.append(present, True)[form.owner])
+        self.rows = rows
+        self.row_pos = np.full(len(form.rels), -1, dtype=np.intp)
+        self.row_pos[rows] = np.arange(rows.size)
+        rels = [form.rels[r] for r in rows]
+        slack = [int(form.slack[r]) for r in rows if form.rels[r] != "=="]
+        art_rows = [i for i, rel in enumerate(rels) if rel != "<="]
+        # artificials are numbered in row order from form.ncols on
+        art = np.cumsum([rel != "<=" for rel in form.rels], dtype=np.intp) + form.ncols - 1
+        self.cols = np.concatenate([np.flatnonzero(present),
+                                    np.array(slack, dtype=np.intp), art[rows[art_rows]]])
+        self.col_pos = np.full(form.ncols + len(form.rels), -1, dtype=np.intp)
+        self.col_pos[self.cols] = np.arange(self.cols.size)
+        m, width = rows.size, self.cols.size + 1
+        T = np.zeros((m + 1, width))
+        e_rows, e_cols, e_vals = form.entries
+        keep = (self.row_pos[e_rows] >= 0) & present[e_cols]
+        T[self.row_pos[e_rows[keep]], self.col_pos[e_cols[keep]]] = e_vals[keep]
+        T[:m, -1] = form.rhs[rows]
+        basis = [None] * m
+        for i, r in enumerate(rows):
+            if form.rels[r] != "==":
+                j = self.col_pos[form.slack[r]]
+                T[i, j] = 1.0 if form.rels[r] == "<=" else -1.0
+                if form.rels[r] == "<=":
+                    basis[i] = int(j)
+        self.art_cols = set()
+        for i in art_rows:
+            j = int(self.col_pos[art[rows[i]]])
+            T[i, j] = 1.0
+            basis[i] = j
+            self.art_cols.add(j)
+        self.T, self.basis, self.units = T, basis, list(basis)
+
+    def duals(self, c_full):
+        """y over the present rows from the objective row of phase costs
+        ``c_full``: the unit column of row i has reduced cost y_i - c."""
+        units = np.array(self.units, dtype=np.intp)
+        return self.T[-1, units] + c_full[self.cols[units]]
+
+    def price(self, c_full):
+        """The absent structural columns admitted this round: those with
+        reduced cost c_j - y.a_j above ``PIVOT_TOL``, the best
+        ``_CG_BATCH`` of each priced row and overall, ties to the lowest
+        column."""
+        form, present = self.form, self.present
+        e_rows, e_cols, e_vals = form.entries
+        y = np.zeros(len(form.rels))  # absent rows have dual 0
+        y[self.rows] = self.duals(c_full)
+        n = present.size
+        d = c_full[:n] - np.bincount(e_cols, weights=e_vals * y[e_rows], minlength=n)
+        cand = ~present & (d > PIVOT_TOL)
+        best = np.flatnonzero(cand)
+        best = best[np.lexsort((best, -d[best]))][:_CG_BATCH]
+        sel = form.priced[e_rows] & cand[e_cols]
+        r, k = e_rows[sel], e_cols[sel]
+        order = np.lexsort((k, -d[k], r))
+        r, k = r[order], k[order]
+        rank = np.arange(r.size) - np.searchsorted(r, r)
+        return np.union1d(best, k[rank < _CG_BATCH])
+
+    def admit(self, new, c_full):
+        """Add the structural columns ``new`` and the rows they own.  A
+        column enters as B^-1 a with reduced cost y.a - c, so the basis and
+        its values stay as they were; each new row enters with its slack
+        basic, once the basic columns are eliminated from it, at b - a_B x_B
+        (cap * x_opener in a membership row), clipped at 0."""
+        form, T = self.form, self.T
+        m, width = T.shape[0] - 1, T.shape[1]
+        k = new.size
+        new_rows = np.flatnonzero(np.isin(form.owner, new))
+        q = new_rows.size
+        e_rows, e_cols, e_vals = form.entries
+        new_pos = np.full(self.present.size, -1, dtype=np.intp)
+        new_pos[new] = np.arange(k)
+        keep = (new_pos[e_cols] >= 0) & (self.row_pos[e_rows] >= 0)
+        A = np.zeros((m, k))
+        A[self.row_pos[e_rows[keep]], new_pos[e_cols[keep]]] = e_vals[keep]
+        units = np.array(self.units, dtype=np.intp)
+        T2 = np.zeros((m + q + 1, width + k + q))
+        T2[:m, :width - 1] = T[:m, :-1]
+        T2[:m, width - 1:width - 1 + k] = T[:m, units] @ A
+        T2[:m, -1] = T[:m, -1]
+        T2[-1, :width - 1] = T[-1, :-1]
+        T2[-1, width - 1:width - 1 + k] = self.duals(c_full) @ A - c_full[new]
+        T2[-1, -1] = T[-1, -1]
+        self.present[new] = True
+        self.cols = np.concatenate([self.cols, new, form.slack[new_rows]])
+        self.col_pos[self.cols[width - 1:]] = np.arange(width - 1, self.cols.size)
+        self.rows = np.concatenate([self.rows, new_rows])
+        self.row_pos[new_rows] = m + np.arange(q)
+        # the new rows over the grown tableau, then the basic columns eliminated
+        keep = np.isin(e_rows, new_rows) & self.present[e_cols]
+        rows = np.zeros((q, T2.shape[1]))
+        rows[self.row_pos[e_rows[keep]] - m, self.col_pos[e_cols[keep]]] = e_vals[keep]
+        slacks = width - 1 + k + np.arange(q)
+        rows[np.arange(q), slacks] = 1.0
+        rows[:, -1] = form.rhs[new_rows]
+        T2[m:m + q] = rows - rows[:, self.basis] @ T2[:m]
+        np.maximum(T2[m:m + q, -1], 0.0, out=T2[m:m + q, -1])
+        self.T = T2
+        self.basis += slacks.tolist()
+        self.units += slacks.tolist()
+
+    def solve_phase(self, c_full, barred, max_iter, bland_after):
+        """Optimize the phase costs ``c_full`` over the present columns,
+        price, admit, and go on from the same basis until no absent column
+        prices in; returns OPTIMAL, or UNBOUNDED, which a restricted LP
+        shares with the full one."""
+        self.T[-1] = _obj_row(self.T, self.basis, c_full[self.cols])
+        while True:
+            status, self.iterations = _simplex_phase(
+                self.T, self.basis, barred, PIVOT_TOL, max_iter, bland_after,
+                start_iter=self.iterations)
+            if status != OPTIMAL:
+                return status
+            new = self.price(c_full)
+            if not new.size:
+                return OPTIMAL
+            self.admit(new, c_full)
+            self.rounds += 1
+            self.columns += int(new.size)
+
+    def full_basis(self):
+        """The basis of the full standard form: each present row's basic
+        column, and the slack of each absent row."""
+        basis = self.form.slack.tolist()
+        for r, j in zip(self.rows.tolist(), self.basis):
+            basis[r] = int(self.cols[j])
+        return basis
+
+
+def _float_solve(lp: LinearProgram):
+    """Two-phase float simplex by delayed column generation: start from the
+    columns that own no row, and after each phase's optimum price every
+    absent column at once and admit the best; a phase ends when none
+    prices in.  Returns (status, basis of the full standard form,
+    iterations, the standard form, rounds, columns admitted)."""
+    form = _standard_form(lp)
+    n = lp.n_vars
+    present = np.ones(n, dtype=bool)
+    present[form.owner[form.owner >= 0]] = False
+    tab = _RestrictedTableau(form, present)
+    n_art = sum(rel != "<=" for rel in form.rels)
+    total = form.ncols + n_art
+    m = len(form.rels)
+    limits = (max(2000, 60 * (m + total)), 10 * (m + total))  # max_iter, bland_after
+
+    def result(status):
+        return status, tab.full_basis(), tab.iterations, form, tab.rounds, tab.columns
+
+    if n_art:
         c1 = np.zeros(total)
-        for col in art_cols:
-            c1[col] = -1.0
-        T[-1] = _obj_row(T, basis, c1)
-        status, iters = _simplex_phase(T, basis, set(), PIVOT_TOL, max_iter, bland_after)
-        if status != OPTIMAL:
+        c1[form.ncols:] = -1.0
+        if tab.solve_phase(c1, set(), *limits) != OPTIMAL:
             raise NumericalFailure("phase 1 did not terminate at an optimum")
+        T = tab.T
         if -T[-1, -1] > 1e-7:
-            return INFEASIBLE, basis, iters, cols_exact, b_exact, scales, ncols
-        for i in range(m):
-            if basis[i] in art_cols and T[i, -1] <= 1e-9:
-                for j in range(ncols):
-                    if j not in art_cols and abs(T[i, j]) > 1e-8:
-                        _pivot(T, basis, i, j)
+            return result(INFEASIBLE)
+        for i in range(T.shape[0] - 1):
+            if tab.basis[i] in tab.art_cols and T[i, -1] <= 1e-9:
+                for j in range(T.shape[1] - 1):
+                    if j not in tab.art_cols and abs(T[i, j]) > 1e-8:
+                        _pivot(T, tab.basis, i, j)
                         break
 
     c2 = np.zeros(total)
-    for k in range(n):
-        c2[k] = float(lp.objective[k])
-    T[-1] = _obj_row(T, basis, c2)
-    status, iters = _simplex_phase(
-        T, basis, art_cols, PIVOT_TOL, max_iter, bland_after, start_iter=iters
-    )
-    if status == UNBOUNDED:
-        return UNBOUNDED, basis, iters, cols_exact, b_exact, scales, ncols
-    return OPTIMAL, basis, iters, cols_exact, b_exact, scales, ncols
+    c2[:n] = [float(c) for c in lp.objective]
+    return result(tab.solve_phase(c2, tab.art_cols, *limits))
 
 
 # ---------------------------------------------------------------------------
@@ -387,22 +567,23 @@ def _transpose_cols(bcols, m):
 def _exact_revised_simplex(cols, b, c, basis, barred, max_pivots=2000):
     """Exact revised simplex with Bland's rule from a starting basis.
 
-    Returns (status, basis, x_basic) where x_basic aligns with basis rows;
-    status may also be 'singular' or 'infeasible-basis' when the starting
-    basis is unusable."""
+    Returns (status, basis, x_basic, y) where x_basic aligns with basis
+    rows and y, the duals of the rows of ``b`` at an optimum, solves
+    B^T y = c_B on the last iteration; status may also be 'singular' or
+    'infeasible-basis' when the starting basis is unusable."""
     m = len(b)
     basis = list(basis)
     for _ in range(max_pivots):
         bcols = [cols[j] for j in basis]
         xB = _solve_sparse(bcols, b)
         if xB is None:
-            return "singular", basis, None
+            return "singular", basis, None, None
         if any(v < 0 for v in xB):
-            return "infeasible-basis", basis, None
+            return "infeasible-basis", basis, None, None
         cB = [c[j] for j in basis]
         y = _solve_sparse(_transpose_cols(bcols, m), cB)
         if y is None:
-            return "singular", basis, None
+            return "singular", basis, None, None
         # y = Y / den; c_j - y.a_j > 0 iff c_j's numerator * den exceeds
         # c_j's denominator * Y.a_j, all in ints for int columns
         Y, den = _common_denominator(y)
@@ -416,10 +597,10 @@ def _exact_revised_simplex(cols, b, c, basis, barred, max_pivots=2000):
                 entering = j
                 break
         if entering is None:
-            return OPTIMAL, basis, xB
+            return OPTIMAL, basis, xB, y
         d = _solve_sparse(bcols, _col_dense(cols[entering], m))
         if d is None:
-            return "singular", basis, None
+            return "singular", basis, None, None
         best = None
         for i in range(m):
             if d[i] > 0:
@@ -427,7 +608,7 @@ def _exact_revised_simplex(cols, b, c, basis, barred, max_pivots=2000):
                 if best is None or key < best[0]:
                     best = (key, i)
         if best is None:
-            return UNBOUNDED, basis, None
+            return UNBOUNDED, basis, None, None
         basis[best[1]] = entering
     raise NumericalFailure("exact pivot limit exceeded")
 
@@ -454,45 +635,50 @@ def _exact_from_scratch(cols, b, scales, c, barred):
         c1.append(Fraction(-1))
         basis.append(total + r)
     c_full = list(c) + [Fraction(0)] * m
-    status, basis, xB = _exact_revised_simplex(
+    status, basis, xB, _y = _exact_revised_simplex(
         cols, b, c1, basis, barred=set(barred), max_pivots=5000
     )
     if status != OPTIMAL:
         raise NumericalFailure(f"exact phase 1 failed: {status}")
     art_cols = set(range(total, total + m))
     if any(xB[i] > 0 and basis[i] in art_cols for i in range(m)):
-        return INFEASIBLE, basis, None
-    status, basis, xB = _exact_revised_simplex(
+        return INFEASIBLE, basis, None, None
+    status, basis, xB, y = _exact_revised_simplex(
         cols, b, c_full, basis, barred=set(barred) | art_cols, max_pivots=5000
     )
     if status == UNBOUNDED:
-        return UNBOUNDED, basis, None
+        return UNBOUNDED, basis, None, None
     if status != OPTIMAL:
         raise NumericalFailure(f"exact phase 2 failed: {status}")
-    return OPTIMAL, basis, xB
+    return OPTIMAL, basis, xB, y
 
 
 def solve_lp(lp: LinearProgram) -> LpSolution:
     """Solve a maximization LP.
 
-    The float phase pivots with tolerance ``PIVOT_TOL``; its final vertex is
-    re-derived and certified exactly, populating ``exact_values`` and
-    ``exact_objective``.
+    The float phase pivots with tolerance ``PIVOT_TOL`` over the columns
+    that column generation admits; the basis it ends at, completed by the
+    slacks of the rows no admitted column owns, is re-derived and priced
+    exactly over every column of the LP, populating ``exact_values``,
+    ``exact_objective`` and ``exact_duals``, and then checked against the
+    LP's own rows and columns.
     """
     n = lp.n_vars
-    status, basis, iters, cols_exact, b_exact, scales, ncols = _float_solve(lp)
+    status, basis, iters, form, rounds, columns = _float_solve(lp)
+    counters = {"iterations": iters, "rounds": rounds, "columns": columns}
     if status in (INFEASIBLE, UNBOUNDED):
-        return LpSolution(status=status, iterations=iters)
+        return LpSolution(status=status, **counters)
 
+    cols_exact, b_exact, ncols = form.cols_exact, form.b_exact, form.ncols
     c_exact = lp.objective + [Fraction(0)] * (ncols - n)
     st = "restart"
-    eb = xB = None
-    if all(col is not None and col < ncols for col in basis):
-        st, eb, xB = _exact_revised_simplex(cols_exact, b_exact, c_exact, basis, barred=set())
+    if all(col < ncols for col in basis):
+        st, eb, xB, y = _exact_revised_simplex(cols_exact, b_exact, c_exact, basis, barred=set())
     if st in ("singular", "infeasible-basis", "restart"):
-        st, eb, xB = _exact_from_scratch(cols_exact, b_exact, scales, c_exact, barred=set())
+        st, eb, xB, y = _exact_from_scratch(cols_exact, b_exact, form.scales, c_exact,
+                                            barred=set())
     if st in (INFEASIBLE, UNBOUNDED):
-        return LpSolution(status=st, iterations=iters)
+        return LpSolution(status=st, **counters)
     if st != OPTIMAL:
         raise NumericalFailure(f"exact layer failed: {st}")
     full = [Fraction(0)] * (max(eb) + 1 if eb else 0)
@@ -500,32 +686,43 @@ def solve_lp(lp: LinearProgram) -> LpSolution:
         full[col] = xB[i]
     exact_values = (full + [Fraction(0)] * n)[:n]
     exact_obj = sum((c * v for c, v in zip(lp.objective, exact_values)), Fraction(0))
-    _verify_exact(lp, exact_values)
+    # y is per scaled, normalized row; the dual of the LP's own row undoes both
+    exact_duals = [sign * scale * v for sign, scale, v in zip(form.signs, form.scales, y)]
+    _verify_exact(lp, exact_values, exact_duals)
     return LpSolution(
         status=OPTIMAL,
         values=[float(v) for v in exact_values],
         objective=float(exact_obj),
         exact_values=exact_values,
         exact_objective=exact_obj,
+        exact_duals=exact_duals,
         basis=list(eb),
-        iterations=iters,
+        **counters,
     )
 
 
-def _verify_exact(lp, xs):
-    """Check x >= 0, the upper bounds and every row of ``lp`` itself, never
-    the standard form the vertex came from.  Rows are checked in ints: x
-    over one common denominator, each row times the lcm of its own
-    denominators."""
+def _verify_exact(lp, xs, ys):
+    """Check the primal x and the dual y against ``lp`` itself, never the
+    standard form they came from.  x: x >= 0, the upper bounds and every
+    row.  y, one entry per row of ``lp`` and then per upper bound: y >= 0
+    on <= rows and bounds, y <= 0 on >= rows, A^T y >= c on every column
+    and b.y == c.x, which proves x optimal.  Rows are read in ints, each
+    row times the lcm of its own denominators, with x and the row duals
+    divided by those lcms each over one common denominator."""
     for k, v in enumerate(xs):
         if v < 0:
             raise NumericalFailure("exact vertex has a negative coordinate")
         if lp.upper_bounds is not None and lp.upper_bounds[k] is not None:
             if v > lp.upper_bounds[k]:
                 raise NumericalFailure("exact vertex violates an upper bound")
+    rows = lp.rows + [({k: Fraction(1)}, "<=", u)
+                      for k, u in enumerate(lp.upper_bounds or []) if u is not None]
+    if len(ys) != len(rows):
+        raise NumericalFailure("exact dual has the wrong length")
     X, den = _common_denominator(xs)
-    for coeffs, rel, rhs in lp.rows:
-        ints, _scale = _common_denominator([*coeffs.values(), rhs])
+    scaled = []
+    for (coeffs, rel, rhs), y in zip(rows, ys):
+        ints, scale = _common_denominator([*coeffs.values(), rhs])
         lhs = sum(a * X[k] for k, a in zip(coeffs, ints))
         rhs = ints[-1] * den
         if (
@@ -534,6 +731,22 @@ def _verify_exact(lp, xs):
             or (rel == "==" and lhs != rhs)
         ):
             raise NumericalFailure("exact vertex violates a row")
+        if (rel == "<=" and y < 0) or (rel == ">=" and y > 0):
+            raise NumericalFailure("exact dual has the wrong sign")
+        if y:
+            scaled.append((coeffs, ints, Fraction(y) / scale))
+    W, wden = _common_denominator([w for _c, _i, w in scaled])
+    lhs = [0] * lp.n_vars  # (A^T y)_k * wden
+    dual_obj = 0
+    for (coeffs, ints, _w), w in zip(scaled, W):
+        for k, a in zip(coeffs, ints):
+            lhs[k] += a * w
+        dual_obj += ints[-1] * w
+    if any(c.numerator * wden > c.denominator * s for c, s in zip(lp.objective, lhs)):
+        raise NumericalFailure("exact dual violates a column")
+    primal_obj = sum((c * v for c, v in zip(lp.objective, xs) if v), Fraction(0))
+    if Fraction(dual_obj, wden) != primal_obj:
+        raise NumericalFailure("exact duality gap is not zero")
 
 
 def lp_to_text(lp: LinearProgram) -> str:

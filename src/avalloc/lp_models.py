@@ -171,17 +171,22 @@ def _bundle_lp(inst: Instance, item_cap, member_cap) -> LinearProgram:
         item_rows.setdefault(i, {})[pos] = Fraction(1)
     rows = [(row, "<=", Fraction(0)) for row in value_rows]
     rows += [(row, "<=", item_cap(i)) for i, row in item_rows.items()]
-    # membership rows: x_ijp <= member_cap(i) * x_pjp
-    rows += [
-        ({pos: Fraction(1), opener: -member_cap(i)}, "<=", Fraction(0))
+    # membership rows: x_ijp <= member_cap(i) * x_pjp, each owned by its
+    # member, which the solver leaves out with the row until it prices in
+    members = [
+        (pos, i, opener)
         for pos, ((i, _j, _p), opener) in enumerate(zip(keys, layout.opener.tolist()))
         if opener != pos
     ]
+    owner = [None] * len(rows) + [pos for pos, _i, _opener in members]
+    rows += [({pos: Fraction(1), opener: -member_cap(i)}, "<=", Fraction(0))
+             for pos, i, opener in members]
     return LinearProgram(
         objective=[inst.values[(i, j)] for (i, j, _p) in keys],
         rows=rows,
         names=[f"x[{i},{j},{p}]" for i, j, p in keys],
         var_keys=list(keys),
+        row_owner=owner,
     )
 
 
@@ -240,7 +245,7 @@ def build_bundle_lp_budgeted(inst: Instance) -> LinearProgram:
                 row = {pos: c for pos, c in rcost.items() if keys[pos][2] == p}
                 row[col[(p, j, p)]] -= cap
                 rows.append((row, "<=", Fraction(0)))
-    return replace(lp, rows=lp.rows + rows)
+    return replace(lp, rows=lp.rows + rows, row_owner=lp.row_owner + [None] * len(rows))
 
 
 # ---------------------------------------------------------------------------

@@ -413,6 +413,8 @@ def test_cli_lp_which_variants(tmp_path, capsys):
     doc = json.loads(capsys.readouterr().out)
     assert doc["value_exact"] == "29/10"
     assert doc["iterations"] == 19  # the solver's pivot count, deterministic
+    # openers first, then one pricing round admits the 9 members
+    assert (doc["rounds"], doc["columns"]) == (2, 9)
     assert main(["lp", str(model), "--which", "optoff", "--gamma-floor", "1"]) == 0
     assert json.loads(capsys.readouterr().out)["status"] == "optimal"
     export = tmp_path / "lp.txt"
@@ -420,6 +422,9 @@ def test_cli_lp_which_variants(tmp_path, capsys):
     main(["gen", "integrality-gap", "-n", "3", "--eps", "0.1", "-o", str(inst)])
     assert main(["lp", str(inst), "--which", "bundle", "--export", str(export)]) == 0
     capsys.readouterr()
+    assert main(["lp", str(inst), "--which", "naive"]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    assert (doc["rounds"], doc["columns"]) == (1, 0)  # the naive LP owns no rows
     assert export.read_text().startswith("Maximize")
 
 

@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 from fractions import Fraction
 from unittest import mock
@@ -10,7 +11,7 @@ from hypothesis.extra.numpy import arrays
 
 from avalloc import lp as lp_module
 from avalloc.errors import NumericalFailure
-from avalloc.generators import gen_iid_lower_bound, gen_random
+from avalloc.generators import gen_iid_lower_bound, gen_random, gen_random_iid_model
 from avalloc.lp import INFEASIBLE, OPTIMAL, UNBOUNDED, LinearProgram, lp_to_text, solve_lp
 from avalloc.lp_models import (
     build_bundle_lp,
@@ -294,37 +295,39 @@ def test_exact_polish_handles_degenerate_float_stop():
 
 # -- pinned pivot path ---------------------------------------------------------
 
-# Simplex iterations and the sha256 of repr((basis, exact_values)) of each
-# seeded LP.  A change to the float pivot sequence or to the exact layer's
-# repair changes the iterations or the digest.  Basis entries are hashed as
-# Python ints, so the digest does not depend on the integer type stored.
+# Simplex iterations, pricing rounds, admitted columns and the sha256 of
+# repr((basis, exact_values)) of each seeded LP.  A change to the float
+# pivot sequence, to pricing or to the exact layer's repair changes the
+# counts or the digest.  Basis entries are hashed as Python ints, so the
+# digest does not depend on the integer type stored.  The naive LP owns no
+# rows and is solved in one round.
 PINNED_PIVOT_PATH = [
     ("bundle-12", lambda: build_bundle_lp(gen_random(12, 8, 1, unambiguous=True)),
-     77, "7aa0e52f0d5108f2791a3992c90ba020de3421a54ec70d8a9cf86a9f1053b832"),
+     81, 4, 52, "5628307327d29a830c6f0e73e03e54cc964a0168ddee841b4a35fc718567599c"),
     ("bundle-20", lambda: build_bundle_lp(gen_random(20, 8, 1, unambiguous=True)),
-     164, "ee46a84476e2ca56344ac9461236e58cb7aeffac389a354c4f6fde67353ae9fb"),
+     197, 6, 104, "9f205543a7144d33638eb18926d55fcc89268f8307bf2c5455bdb4f7ab8e7ff9"),
     ("bundle-32", lambda: build_bundle_lp(gen_random(32, 8, 1, unambiguous=True)),
-     247, "61306a9caaa4e57961499f22dcdec8a397384003034729e0c75e5d9c6d2adebe"),
+     283, 7, 145, "0930d9e563c2ee345b8214b7eb5fcb34870943c5809dd94f65698557ddaa378f"),
     ("budgeted-20",
      lambda: build_bundle_lp_budgeted(
          gen_random(20, 6, 1, unambiguous=True, budget_resources=2)),
-     75, "2c8606d8457ef28d4448cbae0c3fa16de39f1b45e2090a1a477af786312802c6"),
+     84, 4, 81, "866daa138608d57668a904b78665c8958ee7c777aa55fbfecf502b156a625e46"),
     ("naive-20", lambda: build_naive_lp(gen_random(20, 8, 1)),
-     20, "ed13fa98b38995c0b528b167ab23801f0a4da1002b1236a7e6bde26b3416ca3a"),
+     20, 1, 0, "ed13fa98b38995c0b528b167ab23801f0a4da1002b1236a7e6bde26b3416ca3a"),
     ("opton-40", lambda: build_opton_lp(gen_iid_lower_bound(40)),
-     79, "c7a427c409a7a8a9dba63c5175b0778629c80b07695161322352c1bc8d5fb252"),
+     79, 2, 39, "c7a427c409a7a8a9dba63c5175b0778629c80b07695161322352c1bc8d5fb252"),
     ("optoff-40", lambda: build_optoff_lp(gen_iid_lower_bound(40), 1),
-     94, "d08cd712b2e9771027c3738d9613c0371dcf72e5c3ff9bf93583998d7d363e89"),
+     94, 2, 39, "d08cd712b2e9771027c3738d9613c0371dcf72e5c3ff9bf93583998d7d363e89"),
 ]
 
 
-@pytest.mark.parametrize("make, iterations, digest",
+@pytest.mark.parametrize("make, iterations, rounds, columns, digest",
                          [case[1:] for case in PINNED_PIVOT_PATH],
                          ids=[case[0] for case in PINNED_PIVOT_PATH])
-def test_pivot_path_is_pinned(make, iterations, digest):
+def test_pivot_path_is_pinned(make, iterations, rounds, columns, digest):
     sol = solve_lp(make())
     assert sol.status == OPTIMAL
-    assert sol.iterations == iterations
+    assert (sol.iterations, sol.rounds, sol.columns) == (iterations, rounds, columns)
     path = repr(([int(j) for j in sol.basis], sol.exact_values))
     assert hashlib.sha256(path.encode()).hexdigest() == digest
 
@@ -498,3 +501,237 @@ def test_float_phase_matches_loop_reference(lp, bland_after):
             mock.patch.object(lp_module, "_pivot", _dense_pivot):
         ref = lp_module._float_solve(lp)
     assert got[:3] == ref[:3]
+
+
+# -- exact dual certificate ----------------------------------------------------
+
+
+def _dual_rows(lp):
+    """The LP's rows, then one <= row per upper bound, as exact_duals lists them."""
+    return lp.rows + [({k: F(1)}, "<=", u)
+                      for k, u in enumerate(lp.upper_bounds or []) if u is not None]
+
+
+def _three_relation_lp():
+    # max -x + 2y + z  s.t.  x + y + z <= 6,  x >= 1,  z - y == 1,  y <= 2
+    return LinearProgram(
+        objective=[F(-1), F(2), F(1)],
+        rows=[({0: F(1), 1: F(1), 2: F(1)}, "<=", F(6)), ({0: F(1)}, ">=", F(1)),
+              ({1: F(-1), 2: F(1)}, "==", F(1))],
+        upper_bounds=[None, F(2), None],
+    )
+
+
+def test_exact_duals_certify_the_optimum():
+    lp = _three_relation_lp()
+    sol = solve_lp(lp)
+    assert sol.exact_values == [1, 2, 3] and sol.exact_objective == 6
+    ys = sol.exact_duals
+    # <= row, >= row, == row, then the bound on y
+    assert ys == [Fraction(3, 2), Fraction(-5, 2), Fraction(-1, 2), 0]
+    lp_module._verify_exact(lp, sol.exact_values, ys)
+
+
+def test_tampered_certificates_fail():
+    lp = _three_relation_lp()
+    sol = solve_lp(lp)
+    xs, ys = sol.exact_values, sol.exact_duals
+    for k in range(lp.n_vars):
+        for step in (Fraction(1, 7), Fraction(-1, 7)):
+            bad = list(xs)
+            bad[k] += step
+            with pytest.raises(NumericalFailure):
+                lp_module._verify_exact(lp, bad, ys)
+    for r in range(len(ys)):
+        for bad_y in (ys[r] + Fraction(1, 3), ys[r] - Fraction(1, 3), -ys[r] or F(1)):
+            bad = list(ys)
+            bad[r] = bad_y
+            with pytest.raises(NumericalFailure):
+                lp_module._verify_exact(lp, xs, bad)
+    with pytest.raises(NumericalFailure, match="wrong length"):
+        lp_module._verify_exact(lp, xs, ys[:-1])
+
+
+def test_each_dual_condition_is_checked_on_its_own():
+    # max x  s.t.  x - y <= 0,  y <= 1: x = y = 1 with duals 1 and 1
+    lp = LinearProgram(objective=[F(1), F(0)],
+                       rows=[({0: F(1), 1: F(-1)}, "<=", F(0)), ({1: F(1)}, "<=", F(1))])
+    sol = solve_lp(lp)
+    assert sol.exact_values == [1, 1] and sol.exact_duals == [1, 1]
+    # the rhs-0 row's dual halved keeps b.y == c.x and breaks A^T y >= c on x
+    with pytest.raises(NumericalFailure, match="violates a column"):
+        lp_module._verify_exact(lp, [F(1), F(1)], [Fraction(1, 2), F(1)])
+    # the second dual doubled keeps A^T y >= c and opens a gap
+    with pytest.raises(NumericalFailure, match="gap"):
+        lp_module._verify_exact(lp, [F(1), F(1)], [F(1), F(2)])
+    # a feasible, non-optimal x with optimal duals
+    with pytest.raises(NumericalFailure, match="gap"):
+        lp_module._verify_exact(lp, [Fraction(1, 2), F(1)], [F(1), F(1)])
+
+
+@pytest.mark.parametrize("rel, dual, ok", [
+    ("<=", -1, False), ("<=", 1, True), (">=", 1, False), (">=", -1, True),
+    ("==", 1, True), ("==", -1, True),
+])
+def test_dual_sign_follows_the_relation(rel, dual, ok):
+    # an empty row with rhs 0 adds nothing to A^T y or to b.y, so only the
+    # sign check can reject its dual
+    lp = LinearProgram(objective=[F(0)], rows=[({}, rel, F(0))])
+    if ok:
+        lp_module._verify_exact(lp, [F(0)], [F(dual)])
+    else:
+        with pytest.raises(NumericalFailure, match="wrong sign"):
+            lp_module._verify_exact(lp, [F(0)], [F(dual)])
+
+
+def test_upper_bound_dual_must_be_nonnegative():
+    # x <= 0 with c = -1: y = -1 meets A^T y >= c and b.y == c.x, not the sign
+    lp = LinearProgram(objective=[F(-1)], rows=[], upper_bounds=[F(0)])
+    lp_module._verify_exact(lp, [F(0)], [F(0)])
+    with pytest.raises(NumericalFailure, match="wrong sign"):
+        lp_module._verify_exact(lp, [F(0)], [F(-1)])
+
+
+@PROPERTY_SETTINGS
+@given(_small_lps())
+def test_exact_duals_are_a_certificate_on_random_lps(lp):
+    sol = solve_lp(lp)
+    if sol.status != OPTIMAL:
+        assert sol.exact_duals is None
+        return
+    rows = _dual_rows(lp)
+    assert len(sol.exact_duals) == len(rows)
+    reduced = list(lp.objective)
+    dual_obj = F(0)
+    for (coeffs, rel, rhs), y in zip(rows, sol.exact_duals):
+        assert type(y) is Fraction
+        assert {"<=": y >= 0, ">=": y <= 0, "==": True}[rel]
+        dual_obj += rhs * y
+        for k, a in coeffs.items():
+            reduced[k] -= a * y
+    assert all(d <= 0 for d in reduced)
+    assert dual_obj == sol.exact_objective
+
+
+# -- column generation ---------------------------------------------------------
+
+
+def test_owned_rows_must_hold_at_a_zero_owner():
+    def make(row, owner):
+        return LinearProgram(objective=[F(1), F(1)], rows=[row], row_owner=[owner])
+
+    make(({0: F(1), 1: F(-2)}, "<=", F(0)), 0)
+    make(({0: F(3)}, "<=", F(1)), 0)
+    for row, owner in [
+        (({0: F(1), 1: F(-2)}, ">=", F(0)), 0),   # >= row
+        (({0: F(1), 1: F(-2)}, "==", F(0)), 0),   # == row
+        (({0: F(1), 1: F(-2)}, "<=", F(-1)), 0),  # negative rhs
+        (({0: F(1), 1: F(2)}, "<=", F(0)), 0),    # a second positive coefficient
+        (({0: F(-1), 1: F(-2)}, "<=", F(0)), 0),  # negative owner coefficient
+        (({1: F(-2)}, "<=", F(0)), 0),            # owner absent from the row
+        (({0: F(1)}, "<=", F(0)), 2),             # owner out of range
+    ]:
+        with pytest.raises(ValueError):
+            make(row, owner)
+    with pytest.raises(ValueError, match="wrong length"):
+        LinearProgram(objective=[F(1)], rows=[], row_owner=[None])
+
+
+@st.composite
+def _bundle_shaped_lps(draw):
+    """The bundle, budgeted and arrival LPs of small seeded draws."""
+    kind = draw(st.sampled_from(["plain", "fractional", "budgeted", "opton", "optoff"]))
+    seed = draw(st.integers(0, 10 ** 6))
+    if kind in ("opton", "optoff"):
+        model = gen_random_iid_model(draw(st.integers(1, 8)), draw(st.integers(1, 4)),
+                                     draw(st.integers(3, 30)), seed)
+        if kind == "opton":
+            return build_opton_lp(model)
+        floor = min(model.probs[i] * model.horizon for i in model.types)
+        return build_optoff_lp(model, floor)
+    n, m = draw(st.integers(0, 14)), draw(st.integers(1, 5))
+    if kind == "budgeted":
+        return build_bundle_lp_budgeted(
+            gen_random(n, m, seed, unambiguous=True, budget_resources=draw(st.integers(1, 2))))
+    return build_bundle_lp(
+        gen_random(n, m, seed, unambiguous=True, p_density=0.2 if kind == "fractional" else 0.4))
+
+
+@PROPERTY_SETTINGS
+@given(_bundle_shaped_lps())
+def test_column_generation_matches_one_round(lp):
+    # solve_lp certifies both over the full LP; the vertex may differ
+    sol = solve_lp(lp)
+    ref = solve_lp(dataclasses.replace(lp, row_owner=None))
+    assert sol.status == ref.status == OPTIMAL
+    assert sol.exact_objective == ref.exact_objective
+    assert (ref.rounds, ref.columns) == (1, 0)
+    assert sol.columns <= sum(k is not None for k in lp.row_owner)
+
+
+@st.composite
+def _lps_with_owned_rows(draw):
+    """Random LPs of every relation and upper bounds, with owned rows
+    appended: each owns a random column, with a positive coefficient on it,
+    nonpositive ones elsewhere and rhs >= 0."""
+    lp = draw(_small_lps())
+    n = lp.n_vars
+    owned = []
+    for owner in draw(st.lists(st.integers(0, n - 1), max_size=2 * n)):
+        row = {k: F(draw(st.sampled_from([0, 0, -1, Fraction(-1, 2), -3]))) for k in range(n)}
+        row[owner] = F(draw(st.sampled_from([1, 2, Fraction(1, 3)])))
+        owned.append((row, "<=", F(draw(st.sampled_from([0, 0, 1, 2])))))
+    return LinearProgram(objective=lp.objective, rows=lp.rows + owned,
+                         upper_bounds=lp.upper_bounds,
+                         row_owner=[None] * lp.n_rows + [
+                             next(k for k, a in row.items() if a > 0) for row, _r, _b in owned])
+
+
+@PROPERTY_SETTINGS
+@given(_lps_with_owned_rows())
+def test_column_generation_on_random_lps_with_owned_rows(lp):
+    # phase 1 prices columns too, and a restricted LP that is unbounded is
+    # unbounded in full
+    sol = solve_lp(lp)
+    ref = solve_lp(dataclasses.replace(lp, row_owner=None))
+    assert sol.status == ref.status
+    assert sol.exact_objective == ref.exact_objective
+
+
+def _tampered_pricing(mode):
+    """``_RestrictedTableau.price`` that drops the column of highest reduced
+    cost from each round, or prices nothing after the first round."""
+    price = lp_module._RestrictedTableau.price
+
+    def tampered(self, c_full):
+        new = price(self, c_full)
+        if mode == "none":
+            return new[:0]
+        form = self.form
+        e_rows, e_cols, e_vals = form.entries
+        y = np.zeros(len(form.rels))
+        y[self.rows] = self.duals(c_full)
+        d = c_full[:self.present.size] - np.bincount(
+            e_cols, weights=e_vals * y[e_rows], minlength=self.present.size)
+        return new[new != new[np.argmax(d[new])]] if new.size else new
+
+    return tampered
+
+
+@pytest.mark.parametrize("mode", ["drop-best", "none"])
+@pytest.mark.parametrize("make", [
+    lambda: build_bundle_lp(gen_random(8, 3, 4, unambiguous=True, p_density=0.2)),
+    lambda: build_bundle_lp_budgeted(gen_random(8, 3, 1, unambiguous=True, budget_resources=1)),
+    lambda: build_opton_lp(gen_iid_lower_bound(6)),
+], ids=["fractional", "budgeted", "opton"])
+def test_tampered_pricing_still_ends_certified(make, mode):
+    lp = make()
+    ref = solve_lp(lp)
+    assert ref.rounds > 1  # the first restricted optimum is not optimal in full
+    with mock.patch.object(lp_module._RestrictedTableau, "price", _tampered_pricing(mode)):
+        sol = solve_lp(lp)  # its exact pricing and checks run over every column
+    assert sol.status == OPTIMAL
+    assert sol.exact_objective == ref.exact_objective
+    lp_module._verify_exact(lp, sol.exact_values, sol.exact_duals)
+    if mode == "none":
+        assert (sol.rounds, sol.columns) == (1, 0)

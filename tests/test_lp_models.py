@@ -222,6 +222,32 @@ def test_bundle_lp_counts():
     assert lp.n_rows == 3 + 4 + 3
 
 
+@pytest.mark.parametrize("make", [
+    lambda: build_bundle_lp(gen_integrality_gap(3, Fraction(1, 10))),
+    lambda: build_bundle_lp(gen_random(12, 4, 3, unambiguous=True)),
+    lambda: build_bundle_lp_budgeted(gen_random(12, 4, 3, unambiguous=True, budget_resources=2)),
+    lambda: build_opton_lp(gen_random_iid_model(6, 3, 20, 2)),
+    lambda: build_optoff_lp(gen_iid_lower_bound(6), 1),
+], ids=["gap3", "random", "budgeted", "opton", "optoff"])
+def test_membership_rows_are_owned_by_their_members(make):
+    lp = make()
+    keys = lp.var_keys
+    owners = [k for k in lp.row_owner if k is not None]
+    # each member x_ijp owns exactly its row x_ijp - cap * x_pjp <= 0, openers none
+    assert sorted(owners) == [k for k, (i, _j, p) in enumerate(keys) if i != p]
+    for (coeffs, rel, rhs), k in zip(lp.rows, lp.row_owner):
+        if k is None:
+            continue
+        i, j, p = keys[k]
+        opener = keys.index((p, j, p))
+        assert list(coeffs) == sorted([k, opener]) and coeffs[k] == 1 and coeffs[opener] < 0
+        assert rel == "<=" and rhs == 0
+    # the owned rows come last, after the value and item rows, and before
+    # the budget rows of the budgeted LP
+    owned = [r for r, k in enumerate(lp.row_owner) if k is not None]
+    assert owned == list(range(owned[0], owned[0] + len(owned)))
+
+
 def test_bundle_lp_dominates_bundling_optimum():
     for seed in range(30):
         inst = gen_random(6, 3, seed=700 + seed, unambiguous=True)
