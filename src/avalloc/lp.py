@@ -1,29 +1,50 @@
-"""Generic linear programs and a self-contained simplex solver.
+"""Generic linear programs and a self-contained, certified simplex solver.
 
 Maximization LPs over nonnegative variables with optional upper bounds and
 rows of the form  a.x {<=,==,>=} b, each row stored sparse as its nonzero
-coefficients.  The solver runs a two-phase tableau simplex in floating
-point (largest-coefficient pivoting, switching to Bland's rule after
-10*(rows+cols) iterations to break cycles) and re-derives the final vertex
-with an exact revised simplex.  The exact layer certifies optimality
-through exact reduced costs and repairs the rare case where the float run
-stopped one degenerate pivot short, so callers can assert objectives like
-11/5 exactly; the vertex is then checked against the LP's own rows.
+coefficients.  A row may be owned by a column (``LinearProgram.row_owner``):
+a <= row with rhs >= 0 whose only positive coefficient is on its owner, so
+that the owner at 0 satisfies it.  The bundle builders own each membership
+row x_ijp <= cap * x_pjp by its member x_ijp.
 
-The tableau is held in one float array, but a pivot updates only the block
-of rows with a nonzero in the pivot column and columns with a nonzero in
-the pivot row, so its cost follows the tableau's fill-in rather than its
-size.  It gathers and scatters that block through flat indices into the
-tableau, at most ``_PIVOT_BLOCK`` entries at a time.  The exact layer works
-on the standard form with each row multiplied by the lcm of its
-denominators, so its columns and rhs are Python ints.  It eliminates sparse
-rows in Markowitz order with Fraction divisions, prices reduced costs in
-ints with y over one common denominator, and the final check reads each
-row of the LP in ints.  The bundle LP of 32 items and 8 buyers (1271
-variables, 1303 rows) solves in about half a second; at 40 items (1973
-variables, 2013 rows) fill-in leaves the tableau about 20% dense and the
-solve takes about five seconds.  ``solve_lp`` is the seam to swap in an
-external solver.
+The float phase is a two-phase tableau simplex (largest-coefficient
+pivoting, Bland's rule after 10*(rows+cols) pivots) run by delayed column
+generation (Gilmore & Gomory, OR 1961).  It starts from the columns that
+own no row and every unowned row.  At each optimum it prices every absent
+column at once, c - A^T y in numpy with y read off the objective row at the
+starting basis's unit columns, and admits the best ``_CG_BATCH`` of each
+row with b > 0 (the item rows) and overall, with the rows they own.  The
+rounds are warm: a column enters as B^-1 a, with B^-1 read off those unit
+columns, and a row enters with its slack basic once the basic columns are
+eliminated from it, so the simplex goes on from the same basis.  An LP
+that owns no rows takes one round over all of its columns.
+
+When no column prices in, the restricted basis plus the slacks of the rows
+never admitted is a basis of the full LP.  An exact revised simplex
+re-derives it and prices every column of the full LP, pivoting on any the
+floats missed; the y of its last iteration gives exact duals.  The vertex
+and the duals are then checked against the LP's own rows: x feasible, each
+dual's sign by its row's relation, A^T y >= c on every column and
+b.y == c.x (the float-then-verify scheme of Applegate, Cook, Dash &
+Espinoza, ORL 2007), so an optimum like 11/5 is proven, not trusted.
+
+A pivot updates only the block of rows with a nonzero in the pivot column
+and columns with a nonzero in the pivot row, gathered and scattered
+through flat indices into the tableau, at most ``_PIVOT_BLOCK`` entries at
+a time.  The exact layer works on each row multiplied by the lcm of its
+denominators, so its columns and rhs are Python ints; it eliminates sparse
+rows in Markowitz order with Fraction divisions and prices reduced costs
+in ints with y over one common denominator.
+
+On a 2-core Xeon, the bundle LP of 32 items and 8 buyers (1271 columns,
+1303 rows) solves in 7 rounds that admit 145 of its 1175 members; its
+tableau reaches 274 x 515 entries, against 1304 x 2575 (27 MB) for all
+columns, and the certified solve takes about 0.25 s of CPU, 0.05 s of it
+in 283 pivots.  At 64 items (4934 columns, 4998 rows) it takes 10 rounds
+and about 1.8 s; with P-edge density 0.2 (3797 columns, a fractional
+optimum) about 3 s, three quarters of it pivoting a tableau of at most
+719 x 1373 that fill-in leaves mostly dense.  ``solve_lp`` is the seam to
+swap in an external solver.
 """
 
 from __future__ import annotations
@@ -112,8 +133,10 @@ class LinearProgram:
                     continue
                 if not isinstance(k, int) or not 0 <= k < n:
                     raise ValueError(f"row {r} owned by column {k}, out of range for {n} variables")
-                if (rel != "<=" or rhs < 0 or coeffs.get(k, 0) <= 0
-                        or any(a > 0 for kk, a in coeffs.items() if kk != k)):
+                # signs read off numerators, which is much faster than
+                # comparing Fractions
+                if (rel != "<=" or rhs.numerator < 0 or coeffs.get(k, 0).numerator <= 0
+                        or any(a.numerator > 0 for kk, a in coeffs.items() if kk != k)):
                     raise ValueError(f"row {r} is not satisfied by x{k} = 0, so column {k} "
                                      "cannot own it")
 
@@ -365,13 +388,15 @@ class _RestrictedTableau:
         d = c_full[:n] - np.bincount(e_cols, weights=e_vals * y[e_rows], minlength=n)
         cand = ~present & (d > PIVOT_TOL)
         best = np.flatnonzero(cand)
-        best = best[np.lexsort((best, -d[best]))][:_CG_BATCH]
+        admit = np.zeros(n, dtype=bool)
+        admit[best[np.lexsort((best, -d[best]))][:_CG_BATCH]] = True
         sel = form.priced[e_rows] & cand[e_cols]
         r, k = e_rows[sel], e_cols[sel]
         order = np.lexsort((k, -d[k], r))
         r, k = r[order], k[order]
         rank = np.arange(r.size) - np.searchsorted(r, r)
-        return np.union1d(best, k[rank < _CG_BATCH])
+        admit[k[rank < _CG_BATCH]] = True
+        return np.flatnonzero(admit)
 
     def admit(self, new, c_full):
         """Add the structural columns ``new`` and the rows they own.  A
@@ -382,11 +407,12 @@ class _RestrictedTableau:
         form, T = self.form, self.T
         m, width = T.shape[0] - 1, T.shape[1]
         k = new.size
-        new_rows = np.flatnonzero(np.isin(form.owner, new))
-        q = new_rows.size
         e_rows, e_cols, e_vals = form.entries
-        new_pos = np.full(self.present.size, -1, dtype=np.intp)
+        new_pos = np.full(self.present.size + 1, -1, dtype=np.intp)
         new_pos[new] = np.arange(k)
+        # an unowned row (owner -1) reads the -1 past the last column
+        new_rows = np.flatnonzero(new_pos[form.owner] >= 0)
+        q = new_rows.size
         keep = (new_pos[e_cols] >= 0) & (self.row_pos[e_rows] >= 0)
         A = np.zeros((m, k))
         A[self.row_pos[e_rows[keep]], new_pos[e_cols[keep]]] = e_vals[keep]
@@ -404,7 +430,7 @@ class _RestrictedTableau:
         self.rows = np.concatenate([self.rows, new_rows])
         self.row_pos[new_rows] = m + np.arange(q)
         # the new rows over the grown tableau, then the basic columns eliminated
-        keep = np.isin(e_rows, new_rows) & self.present[e_cols]
+        keep = (self.row_pos[e_rows] >= m) & self.present[e_cols]
         rows = np.zeros((q, T2.shape[1]))
         rows[self.row_pos[e_rows[keep]] - m, self.col_pos[e_cols[keep]]] = e_vals[keep]
         slacks = width - 1 + k + np.arange(q)
