@@ -39,11 +39,11 @@ in ints with y over one common denominator.
 On a 2-core Xeon, the bundle LP of 32 items and 8 buyers (1271 columns,
 1303 rows) solves in 7 rounds that admit 145 of its 1175 members; its
 tableau reaches 274 x 515 entries, against 1304 x 2575 (27 MB) for all
-columns, and the certified solve takes about 0.25 s of CPU, 0.05 s of it
+columns, and the certified solve takes about 0.13 s of CPU, 0.03 s of it
 in 283 pivots.  At 64 items (4934 columns, 4998 rows) it takes 10 rounds
-and about 1.8 s; with P-edge density 0.2 (3797 columns, a fractional
-optimum) about 3 s, three quarters of it pivoting a tableau of at most
-719 x 1373 that fill-in leaves mostly dense.  ``solve_lp`` is the seam to
+and 0.8-1.0 s; with P-edge density 0.2 (3797 columns, a fractional
+optimum) 1.6-2.1 s, three quarters of it pivoting a tableau of at most
+719 x 1373 that fill-in leaves mostly dense.  No step calls BLAS.  ``solve_lp`` is the seam to
 swap in an external solver.
 """
 
@@ -413,16 +413,19 @@ class _RestrictedTableau:
         # an unowned row (owner -1) reads the -1 past the last column
         new_rows = np.flatnonzero(new_pos[form.owner] >= 0)
         q = new_rows.size
+        # B^-1 a summed over the few nonzeros of a in the present rows, each
+        # adding its multiple of a column of B^-1: no dense product, which
+        # would call BLAS (its threads and buffers cost more than the sums)
         keep = (new_pos[e_cols] >= 0) & (self.row_pos[e_rows] >= 0)
-        A = np.zeros((m, k))
-        A[self.row_pos[e_rows[keep]], new_pos[e_cols[keep]]] = e_vals[keep]
+        ri, ci, vals = self.row_pos[e_rows[keep]], new_pos[e_cols[keep]], e_vals[keep]
         units = np.array(self.units, dtype=np.intp)
         T2 = np.zeros((m + q + 1, width + k + q))
         T2[:m, :width - 1] = T[:m, :-1]
-        T2[:m, width - 1:width - 1 + k] = T[:m, units] @ A
+        np.add.at(T2[:m, width - 1:width - 1 + k].T, ci, T[:m, units[ri]].T * vals[:, None])
         T2[:m, -1] = T[:m, -1]
         T2[-1, :width - 1] = T[-1, :-1]
-        T2[-1, width - 1:width - 1 + k] = self.duals(c_full) @ A - c_full[new]
+        T2[-1, width - 1:width - 1 + k] = np.bincount(
+            ci, weights=self.duals(c_full)[ri] * vals, minlength=k) - c_full[new]
         T2[-1, -1] = T[-1, -1]
         self.present[new] = True
         self.cols = np.concatenate([self.cols, new, form.slack[new_rows]])
@@ -436,7 +439,10 @@ class _RestrictedTableau:
         slacks = width - 1 + k + np.arange(q)
         rows[np.arange(q), slacks] = 1.0
         rows[:, -1] = form.rhs[new_rows]
-        T2[m:m + q] = rows - rows[:, self.basis] @ T2[:m]
+        basis = np.array(self.basis, dtype=np.intp)
+        nq, ni = np.nonzero(rows[:, basis])
+        np.add.at(rows, nq, -rows[nq, basis[ni]][:, None] * T2[ni])
+        T2[m:m + q] = rows
         np.maximum(T2[m:m + q, -1], 0.0, out=T2[m:m + q, -1])
         self.T = T2
         self.basis += slacks.tolist()
