@@ -735,18 +735,14 @@ def solve_lp(lp: LinearProgram) -> LpSolution:
 
 def _verify_exact(lp, xs, ys):
     """Check the primal x and the dual y against ``lp`` itself, never the
-    standard form they came from.  x: x >= 0, the upper bounds and every
-    row.  y, one entry per row of ``lp`` and then per upper bound: y >= 0
+    standard form they came from.  x: x >= 0 and every row, each upper
+    bound read as a row x_k <= u.  y, one per row and then per bound: y >= 0
     on <= rows and bounds, y <= 0 on >= rows, A^T y >= c on every column
     and b.y == c.x, which proves x optimal.  Rows are read in ints, each
     row times the lcm of its own denominators, with x and the row duals
     divided by those lcms each over one common denominator."""
-    for k, v in enumerate(xs):
-        if v < 0:
-            raise NumericalFailure("exact vertex has a negative coordinate")
-        if lp.upper_bounds is not None and lp.upper_bounds[k] is not None:
-            if v > lp.upper_bounds[k]:
-                raise NumericalFailure("exact vertex violates an upper bound")
+    if any(v < 0 for v in xs):
+        raise NumericalFailure("exact vertex has a negative coordinate")
     rows = lp.rows + [({k: Fraction(1)}, "<=", u)
                       for k, u in enumerate(lp.upper_bounds or []) if u is not None]
     if len(ys) != len(rows):
