@@ -31,20 +31,31 @@ Espinoza, ORL 2007), so an optimum like 11/5 is proven, not trusted.
 A pivot updates only the block of rows with a nonzero in the pivot column
 and columns with a nonzero in the pivot row, gathered and scattered
 through flat indices into the tableau, at most ``_PIVOT_BLOCK`` entries at
-a time.  The exact layer works on each row multiplied by the lcm of its
-denominators, so its columns and rhs are Python ints; it eliminates sparse
-rows in Markowitz order with Fraction divisions and prices reduced costs
-in ints with y over one common denominator.
+a time.
+
+The exact layer works on each row multiplied by the lcm of its
+denominators, so its columns and rhs are Python ints.  Each iteration
+peels the basis first: a column with one nonzero (a slack, an artificial,
+a one-entry structural) claims the row of that nonzero, and only the
+kernel, the other columns over the unclaimed rows, is eliminated, sparse
+and in Markowitz order with Fraction divisions (the bump of Suhl & Suhl,
+ORSA J. Computing 1990).  A claimed row's value and dual then take one
+division each, so the work follows the structural part of the basis and
+not the row count.  Pricing sums A^T y in ints over the rows whose dual
+is nonzero, with y over one common denominator.
 
 On a 2-core Xeon, the bundle LP of 32 items and 8 buyers (1271 columns,
 1303 rows) solves in 7 rounds that admit 145 of its 1175 members; its
 tableau reaches 274 x 515 entries, against 1304 x 2575 (27 MB) for all
 columns, and the certified solve takes about 0.13 s of CPU, 0.03 s of it
-in 283 pivots.  At 64 items (4934 columns, 4998 rows) it takes 10 rounds
-and 0.8-1.0 s; with P-edge density 0.2 (3797 columns, a fractional
-optimum) 1.6-2.1 s, three quarters of it pivoting a tableau of at most
-719 x 1373 that fill-in leaves mostly dense.  No step calls BLAS.  ``solve_lp`` is the seam to
-swap in an external solver.
+in 283 pivots.  Its final basis has 114 structural columns, so the exact
+layer factors a kernel of 114 of the 1303 rows.  At 64 items (4934
+columns, 4998 rows) it takes 10 rounds and 0.8-1.0 s; with P-edge density
+0.2 (3797 columns, a fractional optimum) 1.6-2.1 s, three quarters of it
+pivoting a tableau of at most 719 x 1373 that fill-in leaves mostly dense.
+
+No step calls BLAS.  ``solve_lp`` is the seam to swap in an external
+solver.
 """
 
 from __future__ import annotations
@@ -207,7 +218,9 @@ def _common_denominator(values):
 
 
 def _standard_form(lp: LinearProgram) -> _StandardForm:
-    """The standard form of ``lp``, over all of its columns.  Scaling rows leaves every basic solution, direction and reduced cost
+    """The standard form of ``lp``, over all of its columns.
+
+    Scaling rows leaves every basic solution, direction and reduced cost
     as it was and divides the row's dual by its scale.  Each float entry is
     ``a_int / scale``, the correctly rounded unscaled coefficient, as
     ``float(a)`` is."""
@@ -588,16 +601,97 @@ def _solve_sparse(cols, rhs):
     return x
 
 
-def _transpose_cols(bcols, m):
-    t = [dict() for _ in range(m)]
-    for pos, col in enumerate(bcols):
-        for r, v in col.items():
-            t[r][pos] = v
-    return t
+class _PeeledBasis:
+    """A basis B of ``cols`` split for exact solves.  Each singleton column
+    (one nonzero: a slack, an artificial or a one-entry structural) claims
+    the row of its nonzero; the kernel is the other columns over the
+    unclaimed rows, so it is square.  With claimed rows and singletons
+    first, B is block upper triangular, [[D, C], [0, K]] with D diagonal,
+    so B is nonsingular iff K is, and each solve with B or B^T is one
+    ``_solve_sparse`` with K or K^T plus a division per claimed row.
+    ``singular`` is set when two singletons claim one row."""
+
+    def __init__(self, cols, basis, m):
+        self.m = m
+        self.singular = False
+        self.claims = {}  # claimed row -> (basis position, value)
+        self.kernel = []  # basis positions of the kernel columns
+        for i, j in enumerate(basis):
+            col = cols[j]
+            if len(col) == 1:
+                (r, v), = col.items()
+                if v:
+                    if r in self.claims:
+                        self.singular = True
+                        return
+                    self.claims[r] = (i, v)
+                    continue
+            self.kernel.append(i)
+        self.rows = [r for r in range(m) if r not in self.claims]
+        pos = {r: q for q, r in enumerate(self.rows)}
+        # K column-wise and row-wise over the kernel rows, and C as
+        # (kernel column, claimed row, value)
+        self.kcols = []
+        self.krows = [{} for _ in self.rows]
+        self.coupling = []
+        for p, i in enumerate(self.kernel):
+            kcol = {}
+            for r, v in cols[basis[i]].items():
+                q = pos.get(r)
+                if q is None:
+                    self.coupling.append((p, r, v))
+                else:
+                    kcol[q] = v
+                    self.krows[q][p] = v
+            self.kcols.append(kcol)
+
+    def solve(self, rhs):
+        """x with B x = rhs, aligned with the basis, or None when K is
+        singular: x_K from K, then each claimed row's value from its rhs
+        less the kernel columns' terms, summed in ints over x_K's common
+        denominator."""
+        xk = _solve_sparse(self.kcols, [rhs[r] for r in self.rows])
+        if xk is None:
+            return None
+        X, den = _common_denominator(xk)
+        rest = {r: rhs[r] * den for r in self.claims}
+        for p, r, v in self.coupling:
+            rest[r] -= v * X[p]
+        x = [None] * self.m
+        zero = Fraction(0)
+        for r, (i, v) in self.claims.items():
+            x[i] = Fraction(rest[r], v * den) if rest[r] else zero
+        for i, v in zip(self.kernel, xk):
+            x[i] = v
+        return x
+
+    def solve_transposed(self, cB):
+        """y with B^T y = cB, one per row: c/v on each claimed row, a
+        shared zero where c = 0, then the kernel rows from K^T with the
+        claimed rows' terms moved to the rhs.  K must be nonsingular."""
+        y = [Fraction(0)] * self.m
+        for r, (i, v) in self.claims.items():
+            if cB[i]:
+                y[r] = Fraction(cB[i], v)
+        rhs = [cB[i] for i in self.kernel]
+        for p, r, v in self.coupling:
+            if y[r]:
+                rhs[p] -= v * y[r]
+        for r, v in zip(self.rows, _solve_sparse(self.krows, rhs)):
+            y[r] = v
+        return y
 
 
 def _exact_revised_simplex(cols, b, c, basis, barred, max_pivots=2000):
     """Exact revised simplex with Bland's rule from a starting basis.
+
+    Each iteration peels the basis (``_PeeledBasis``) and factors only its
+    kernel, for x_B, for y and for the entering column's direction, so
+    the work follows the structural part of the basis, not the row count.
+    Pricing sums A^T y in ints over the rows with y != 0 only, read
+    row-wise from ``cols`` once per call, and enters the lowest-index
+    column with c_j > y.a_j; the ratio test breaks ties on the lowest
+    basic column.
 
     Returns (status, basis, x_basic, y) where x_basic aligns with basis
     rows and y, the duals of the rows of ``b`` at an optimum, solves
@@ -605,37 +699,36 @@ def _exact_revised_simplex(cols, b, c, basis, barred, max_pivots=2000):
     'infeasible-basis' when the starting basis is unusable."""
     m = len(b)
     basis = list(basis)
+    rows = [[] for _ in range(m)]
+    for j, col in enumerate(cols):
+        for r, v in col.items():
+            rows[r].append((j, v))
+    c_ints = [(cj.numerator, cj.denominator) for cj in c]
     for _ in range(max_pivots):
-        bcols = [cols[j] for j in basis]
-        xB = _solve_sparse(bcols, b)
+        peel = _PeeledBasis(cols, basis, m)
+        xB = None if peel.singular else peel.solve(b)
         if xB is None:
             return "singular", basis, None, None
-        if any(v < 0 for v in xB):
+        if any(v.numerator < 0 for v in xB):
             return "infeasible-basis", basis, None, None
-        cB = [c[j] for j in basis]
-        y = _solve_sparse(_transpose_cols(bcols, m), cB)
-        if y is None:
-            return "singular", basis, None, None
-        # y = Y / den; c_j - y.a_j > 0 iff c_j's numerator * den exceeds
-        # c_j's denominator * Y.a_j, all in ints for int columns
-        Y, den = _common_denominator(y)
-        entering = None
-        in_basis = set(basis)
-        for j, col in enumerate(cols):
-            if j in in_basis or j in barred:
-                continue
-            cj = c[j]
-            if cj.numerator * den > cj.denominator * sum(Y[r] * v for r, v in col.items()):
-                entering = j
-                break
+        y = peel.solve_transposed([c[j] for j in basis])
+        # y = Y / den over the rows with y != 0; c_j - y.a_j > 0 iff c_j's
+        # numerator * den exceeds c_j's denominator * Y.a_j, all in ints
+        # for int columns.  A basic column prices at exactly 0.
+        support = [r for r, v in enumerate(y) if v]
+        Y, den = _common_denominator([y[r] for r in support])
+        ya = [0] * len(cols)
+        for r, w in zip(support, Y):
+            for j, v in rows[r]:
+                ya[j] += w * v
+        entering = next((j for j, ((num, dnm), s) in enumerate(zip(c_ints, ya))
+                         if num * den > dnm * s and j not in barred), None)
         if entering is None:
             return OPTIMAL, basis, xB, y
-        d = _solve_sparse(bcols, _col_dense(cols[entering], m))
-        if d is None:
-            return "singular", basis, None, None
+        d = peel.solve(_col_dense(cols[entering], m))
         best = None
         for i in range(m):
-            if d[i] > 0:
+            if d[i].numerator > 0:
                 key = (xB[i] / d[i], basis[i])
                 if best is None or key < best[0]:
                     best = (key, i)
@@ -717,9 +810,10 @@ def solve_lp(lp: LinearProgram) -> LpSolution:
     for i, col in enumerate(eb):
         full[col] = xB[i]
     exact_values = (full + [Fraction(0)] * n)[:n]
-    exact_obj = sum((c * v for c, v in zip(lp.objective, exact_values)), Fraction(0))
+    exact_obj = sum((c * v for c, v in zip(lp.objective, exact_values) if v), Fraction(0))
     # y is per scaled, normalized row; the dual of the LP's own row undoes both
-    exact_duals = [sign * scale * v for sign, scale, v in zip(form.signs, form.scales, y)]
+    exact_duals = [sign * scale * v if v else v
+                   for sign, scale, v in zip(form.signs, form.scales, y)]
     _verify_exact(lp, exact_values, exact_duals)
     return LpSolution(
         status=OPTIMAL,

@@ -23,7 +23,7 @@ instances by using the excess v - rho*c wherever the plain mode uses v - rho.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
 
@@ -153,12 +153,13 @@ def build_naive_lp(inst: Instance) -> LinearProgram:
     )
 
 
-def _bundle_lp(inst: Instance, item_cap, member_cap) -> LinearProgram:
+def _bundle_lp(inst: Instance, item_cap, member_cap, extra_rows=()) -> LinearProgram:
     """The bundle relaxation every bundle-shaped LP shares.
 
     Columns as in inst.bundle_layout: openers x_pjp per P-edge (p, j), members
     x_ijp per N-edge (i, j) and bundle (j, p).  item_cap(i) is the rhs of the
     row of item i; member_cap(i) multiplies x_pjp in the membership row of x_ijp.
+    ``extra_rows`` (unowned) follow the membership rows.
     """
     layout = inst.bundle_layout
     keys = layout.keys
@@ -181,6 +182,8 @@ def _bundle_lp(inst: Instance, item_cap, member_cap) -> LinearProgram:
     owner = [None] * len(rows) + [pos for pos, _i, _opener in members]
     rows += [({pos: Fraction(1), opener: -member_cap(i)}, "<=", Fraction(0))
              for pos, i, opener in members]
+    rows += extra_rows
+    owner += [None] * len(extra_rows)
     return LinearProgram(
         objective=[inst.values[(i, j)] for (i, j, _p) in keys],
         rows=rows,
@@ -224,8 +227,8 @@ def build_bundle_lp_budgeted(inst: Instance) -> LinearProgram:
     """Bundle LP with per-buyer and per-bundle budget rows per resource."""
     if not inst.budgets:
         raise MissingBudgets("instance carries no budgets")
-    lp = _bundle_lp(inst, *bundle_lp_shape(inst))
-    keys, col = lp.var_keys, inst.bundle_layout.col
+    shape = bundle_lp_shape(inst)
+    keys, col = inst.bundle_layout.keys, inst.bundle_layout.col
     rows = []
     for res in inst.resources():
         for j in inst.buyers:
@@ -245,7 +248,7 @@ def build_bundle_lp_budgeted(inst: Instance) -> LinearProgram:
                 row = {pos: c for pos, c in rcost.items() if keys[pos][2] == p}
                 row[col[(p, j, p)]] -= cap
                 rows.append((row, "<=", Fraction(0)))
-    return replace(lp, rows=lp.rows + rows, row_owner=lp.row_owner + [None] * len(rows))
+    return _bundle_lp(inst, *shape, extra_rows=rows)
 
 
 # ---------------------------------------------------------------------------

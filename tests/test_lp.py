@@ -20,6 +20,7 @@ from avalloc.lp_models import (
     build_opton_lp,
     build_optoff_lp,
 )
+from reference_exact_simplex import reference_exact_revised_simplex
 
 # the property tests replay the same examples on every run
 PROPERTY_SETTINGS = settings(max_examples=200, derandomize=True, database=None, deadline=None)
@@ -501,6 +502,103 @@ def test_float_phase_matches_loop_reference(lp, bland_after):
             mock.patch.object(lp_module, "_pivot", _dense_pivot):
         ref = lp_module._float_solve(lp)
     assert got[:3] == ref[:3]
+
+
+# -- exact simplex against its reference ---------------------------------------
+
+
+_EXACT_COSTS = st.sampled_from([0, 0, 1, -1, 2, Fraction(1, 2), Fraction(-5, 3)])
+
+
+@st.composite
+def _exact_starts(draw):
+    """(cols, b, c, basis, barred) over the standard form of a random LP,
+    from one of four kinds of starting basis:
+
+    - slack: the slack basis of the LP with each row read as <= |rhs|, so
+      the start is feasible and the simplex pivots from it;
+    - random: any columns, repeats allowed where the LP has too few;
+    - singular: a column twice, which for a slack is two slacks claiming
+      one row;
+    - infeasible: the slack basis under an added >= row with rhs 1, with
+      == rows read as <=.
+
+    c is the objective on the structural columns, and on half the draws
+    is drawn on the slacks too, so claimed rows carry nonzero duals."""
+    lp = draw(_small_lps())
+    n = lp.n_vars
+    kind = draw(st.sampled_from(["slack", "random", "singular", "infeasible"]))
+    rows = lp.rows
+    if kind == "slack":
+        rows = [(coeffs, "<=", abs(rhs)) for coeffs, _rel, rhs in rows]
+    elif kind == "singular":
+        rows = rows + [({0: F(1)}, "<=", F(1))]
+    elif kind == "infeasible":
+        rows = [(coeffs, "<=" if rel == "==" else rel, rhs) for coeffs, rel, rhs in rows]
+        rows.append(({draw(st.integers(0, n - 1)): F(1)}, ">=", F(1)))
+    lp = LinearProgram(objective=lp.objective, rows=rows, upper_bounds=lp.upper_bounds)
+    form = lp_module._standard_form(lp)
+    m, ncols = len(form.rels), form.ncols
+    basis = [j if j >= 0 else draw(st.integers(0, n - 1)) for j in form.slack.tolist()]
+    if kind == "random":
+        basis = draw(st.permutations(range(ncols)))[:m]
+        basis += [draw(st.integers(0, ncols - 1)) for _ in range(m - len(basis))]
+    elif kind == "singular":
+        i, k = draw(st.lists(st.integers(0, m - 1), min_size=2, max_size=2, unique=True))
+        basis[i] = basis[k]
+    c = lp.objective + [F(0)] * (ncols - n)
+    if draw(st.booleans()):
+        c = lp.objective + [F(draw(_EXACT_COSTS)) for _ in range(ncols - n)]
+    barred = set(draw(st.lists(st.integers(0, ncols - 1), max_size=2)))
+    return form.cols_exact, form.b_exact, c, basis, barred
+
+
+def _assert_fractions(result):
+    _status, _basis, xB, y = result
+    assert all(type(v) is Fraction for v in (xB or []) + (y or []))
+
+
+@PROPERTY_SETTINGS
+@given(_exact_starts())
+def test_exact_simplex_matches_reference(start):
+    # status, basis, x_B and y all equal the full-basis simplex's, for every
+    # kind of starting basis, pivots included
+    cols, b, c, basis, barred = start
+    got = lp_module._exact_revised_simplex(cols, b, c, basis, barred)
+    assert got == reference_exact_revised_simplex(cols, b, c, basis, barred)
+    _assert_fractions(got)
+    # the kernel is square unless two singletons claim one row
+    peel = lp_module._PeeledBasis(cols, basis, len(b))
+    assert peel.singular or len(peel.kcols) == len(peel.rows)
+
+
+@PROPERTY_SETTINGS
+@given(_small_lps())
+def test_exact_from_scratch_matches_reference(lp):
+    # the all-artificial start is all singletons; phase 1 prices with
+    # nonzero duals on every claimed row
+    form = lp_module._standard_form(lp)
+    c = lp.objective + [F(0)] * (form.ncols - lp.n_vars)
+    args = (form.cols_exact, form.b_exact, form.scales, c, set())
+    got = lp_module._exact_from_scratch(*args)
+    with mock.patch.object(lp_module, "_exact_revised_simplex",
+                           reference_exact_revised_simplex):
+        ref = lp_module._exact_from_scratch(*args)
+    assert got == ref
+    _assert_fractions(got)
+
+
+def test_exact_pivot_limit_is_typed():
+    # max x0 + x1 with x0, x1 <= 1 takes two exact pivots from the slack basis
+    lp = LinearProgram(objective=[F(1), F(1)],
+                       rows=[({0: F(1)}, "<=", F(1)), ({1: F(1)}, "<=", F(1))])
+    form = lp_module._standard_form(lp)
+    args = (form.cols_exact, form.b_exact, lp.objective + [F(0), F(0)],
+            form.slack.tolist(), set())
+    status, basis, xB, y = lp_module._exact_revised_simplex(*args)
+    assert (status, basis, xB, y) == (OPTIMAL, [0, 1], [F(1), F(1)], [F(1), F(1)])
+    with pytest.raises(NumericalFailure, match="exact pivot limit exceeded"):
+        lp_module._exact_revised_simplex(*args, max_pivots=1)
 
 
 # -- exact dual certificate ----------------------------------------------------
