@@ -519,7 +519,7 @@ def _exact_starts(draw):
       the start is feasible and the simplex pivots from it;
     - random: any columns, repeats allowed where the LP has too few;
     - singular: a column twice, which for a slack is two slacks claiming
-      one row;
+      one row (an added row makes room for two);
     - infeasible: the slack basis under an added >= row with rhs 1, with
       == rows read as <=.
 
