@@ -196,15 +196,13 @@ def run_online_trials(
         code = (slots * nt + arrivals[rows, slots]) * nb + opener[rows, slots]
         open_counts += np.bincount(code, minlength=open_counts.size)
     # open_counts is indexed by (t_open - 1, type, buyer) in row-major order
+    opened = np.flatnonzero(open_counts)
     counts = {f"{model.buyers[k % nb]}|{model.types[k // nb % nt]}|{k // (nb * nt) + 1}": c
-              for k, c in enumerate(open_counts.tolist()) if c}
+              for k, c in zip(opened.tolist(), open_counts[opened].tolist())}
     T = model.horizon
-    expected = {
-        f"{j}|{p}|{t_open}": float(v) / T
-        for (i, j, p), v in x.x.items()
-        if i == p and float(v) > 0
-        for t_open in range(1, T // 2 + 1)
-    }
+    openers = [(j, p, float(v)) for (i, j, p), v in x.x.items() if i == p]
+    expected = {f"{j}|{p}|{t_open}": f / T
+                for j, p, f in openers if f > 0 for t_open in range(1, half + 1)}
     return _trial_report(
         "online", x, plan.alpha, beta, gamma_online(plan.alpha, beta), seed, values,
         counts, expected,

@@ -64,6 +64,7 @@ import heapq
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
 from typing import NamedTuple
 
 import numpy as np
@@ -159,6 +160,21 @@ class LinearProgram:
     def n_rows(self) -> int:
         return len(self.rows)
 
+    def rows_with_bounds(self) -> list:
+        """self.rows, then one row x_k <= u per upper bound u, in column
+        order."""
+        return self.rows + [({k: Fraction(1)}, "<=", u)
+                            for k, u in enumerate(self.upper_bounds or []) if u is not None]
+
+    @cached_property
+    def scaled_rows(self) -> list:
+        """(ints, scale) per row of rows_with_bounds(): scale is the lcm
+        of the denominators of the row's coefficients and rhs, and ints are
+        those numbers times scale, the rhs last.  Taken once per LP, for
+        the standard form and for the exact certificate."""
+        return [_common_denominator([*coeffs.values(), rhs])
+                for coeffs, _rel, rhs in self.rows_with_bounds()]
+
 
 @dataclass
 class LpSolution:
@@ -225,23 +241,17 @@ def _standard_form(lp: LinearProgram) -> _StandardForm:
     ``a_int / scale``, the correctly rounded unscaled coefficient, as
     ``float(a)`` is."""
     n = lp.n_vars
-    rows = list(lp.rows)
-    owner = list(lp.row_owner or [None] * len(rows))
-    if lp.upper_bounds is not None:
-        for k, u in enumerate(lp.upper_bounds):
-            if u is not None:
-                rows.append(({k: Fraction(1)}, "<=", u))
-                owner.append(None)
+    rows = lp.rows_with_bounds()
+    owner = list(lp.row_owner or [None] * lp.n_rows) + [None] * (len(rows) - lp.n_rows)
     rels, signs, b_exact, scales, rhs, slack = [], [], [], [], [], []
     cols_exact = [dict() for _ in range(n)]
     slacks = []
     e_rows, e_cols, e_vals = [], [], []
-    for r, (coeffs, rel, b) in enumerate(rows):
+    for r, ((coeffs, rel, b), (ints, scale)) in enumerate(zip(rows, lp.scaled_rows)):
         sign = -1 if b < 0 else 1
         if sign < 0:
             rel = {"<=": ">=", ">=": "<=", "==": "=="}[rel]
-        ints, scale = _common_denominator([*coeffs.values(), b])
-        ints = [sign * v for v in ints]
+            ints = [-v for v in ints]
         rels.append(rel)
         signs.append(sign)
         scales.append(scale)
@@ -696,7 +706,9 @@ def _exact_revised_simplex(cols, b, c, basis, barred, max_pivots=2000):
     Returns (status, basis, x_basic, y) where x_basic aligns with basis
     rows and y, the duals of the rows of ``b`` at an optimum, solves
     B^T y = c_B on the last iteration; status may also be 'singular' or
-    'infeasible-basis' when the starting basis is unusable."""
+    'infeasible-basis' when the starting basis is unusable.  At most
+    ``max_pivots`` pivots are made; NumericalFailure is raised when the
+    basis after the last of them is not optimal."""
     m = len(b)
     basis = list(basis)
     rows = [[] for _ in range(m)]
@@ -704,7 +716,7 @@ def _exact_revised_simplex(cols, b, c, basis, barred, max_pivots=2000):
         for r, v in col.items():
             rows[r].append((j, v))
     c_ints = [(cj.numerator, cj.denominator) for cj in c]
-    for _ in range(max_pivots):
+    for pivots in range(max_pivots + 1):
         peel = _PeeledBasis(cols, basis, m)
         xB = None if peel.singular else peel.solve(b)
         if xB is None:
@@ -725,6 +737,8 @@ def _exact_revised_simplex(cols, b, c, basis, barred, max_pivots=2000):
                          if num * den > dnm * s and j not in barred), None)
         if entering is None:
             return OPTIMAL, basis, xB, y
+        if pivots == max_pivots:
+            break
         d = peel.solve(_col_dense(cols[entering], m))
         best = None
         for i in range(m):
@@ -833,18 +847,17 @@ def _verify_exact(lp, xs, ys):
     bound read as a row x_k <= u.  y, one per row and then per bound: y >= 0
     on <= rows and bounds, y <= 0 on >= rows, A^T y >= c on every column
     and b.y == c.x, which proves x optimal.  Rows are read in ints, each
-    row times the lcm of its own denominators, with x and the row duals
-    divided by those lcms each over one common denominator."""
+    row times the lcm of its own denominators (lp.scaled_rows, of the
+    LP's rows as given, not negated), with x and the row duals divided by
+    those lcms each over one common denominator."""
     if any(v < 0 for v in xs):
         raise NumericalFailure("exact vertex has a negative coordinate")
-    rows = lp.rows + [({k: Fraction(1)}, "<=", u)
-                      for k, u in enumerate(lp.upper_bounds or []) if u is not None]
+    rows = lp.rows_with_bounds()
     if len(ys) != len(rows):
         raise NumericalFailure("exact dual has the wrong length")
     X, den = _common_denominator(xs)
     scaled = []
-    for (coeffs, rel, rhs), y in zip(rows, ys):
-        ints, scale = _common_denominator([*coeffs.values(), rhs])
+    for (coeffs, rel, rhs), (ints, scale), y in zip(rows, lp.scaled_rows, ys):
         lhs = sum(a * X[k] for k, a in zip(coeffs, ints))
         rhs = ints[-1] * den
         if (

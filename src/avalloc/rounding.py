@@ -35,8 +35,12 @@ when a bound computed from the plan shows that no sum can reach 2**63,
 object arrays of Python ints otherwise.  A block holds about _BLOCK array
 elements and is returned as arrays, one row per trial, with no Python
 object per trial; the harness checks those arrays
-(bundling.invalid_bundling, harness._replay_prefix).  run() is a block of
-one trial turned into Python objects.
+(bundling.invalid_bundling, harness._replay_prefix).  An online block is
+sized by the arrays every trial holds, not by its coins, which are far
+fewer than the (T/2)**2 of every second-half arrival against every
+first-half bundle; a block of more than one trial whose coins would pass
+_BLOCK runs each half as its own block instead.  run() is a block of one
+trial turned into Python objects.
 """
 
 from __future__ import annotations
@@ -66,7 +70,8 @@ _TAG_STREAM = 5
 _TAG_TRIAL = 6
 
 # array elements per block of trials; a block runs max(1, _BLOCK // width)
-# trials, where width is the largest per-trial row of the plan
+# trials, where width is the largest per-trial row of the plan, and an
+# online block of more than one trial also holds at most _BLOCK coins
 _BLOCK = 1 << 16
 
 # slack allowed on each row and bound of a fractional solution, read as floats
@@ -548,8 +553,12 @@ class OnlinePlan:
             t, jdx = inst.item_index(i), inst.buyer_index(j)
             self.values[t, jdx], self.p_excess[t, jdx] = v, excess[(i, j)]
         self.deficit = -self.p_excess
+        # per trial: the four T-wide arrays the prefix replay holds at once,
+        # the phase-I draw table, and a second-half arrival per join class
+        # of its type; the coins are bounded as a block runs (run_block)
+        joins = np.diff(self.join_start).max(initial=0)
         self.block_trials = _block_trials(
-            max(T, self.half * self.open_acc.shape[1], (T - self.half) * self.half))
+            max(4 * T, self.half * self.open_acc.shape[1], (T - self.half) * joins))
 
     def coin_candidates(self, first, second, opener):
         """The coins of a block, one per second-half arrival and open bundle
@@ -557,7 +566,9 @@ class OnlinePlan:
         r * (T - half) + c, the coin's entry of join_class and join_coin,
         and the bundle's opening slot.  The open bundles are sorted by
         (row, class) once, and each arrival looks up the run of open
-        bundles in each class its type may join."""
+        bundles in each class its type may join.  None, before any coin
+        is materialized, when a block of more than one trial has more
+        than _BLOCK coins."""
         m, (nt, nb) = second.shape[1], self.values.shape
         is_open = opener >= 0
         key = np.arange(len(opener))[:, None] * (nt * nb) + first * nb + opener
@@ -570,6 +581,8 @@ class OnlinePlan:
         want = cells // m * (nt * nb) + self.join_class[e]
         lo = np.searchsorted(key, want)
         count = np.searchsorted(key, want, side="right") - lo
+        if len(second) > 1 and count.sum() > _BLOCK:
+            return None
         return (np.repeat(cells, count), np.repeat(e, count),
                 open_slot[np.repeat(lo, count) + _ragged(count)])
 
@@ -597,7 +610,14 @@ class OnlinePlan:
         # phase II coins, hashed at the open bundles each arrival may join;
         # hit is the opening slot of a second-half arrival's single hit, or -1
         m = T - half
-        cells, e, slots = self.coin_candidates(first, second, opener)
+        coins = self.coin_candidates(first, second, opener)
+        if coins is None:
+            # too many coins for one block: each half runs as its own block,
+            # down to a block of one trial, whose coins are at most (T/2)**2
+            halves = (self.run_block(seeds[:n // 2], arrivals[:n // 2]),
+                      self.run_block(seeds[n // 2:], arrivals[n // 2:]))
+            return tuple(np.concatenate(parts) for parts in zip(*halves))
+        cells, e, slots = coins
         p, j = np.divmod(self.join_class[e], self.values.shape[1])
         h_t = _mix_from(keys, _TAG_COIN_ON, np.arange(half + 1, T + 1, dtype=np.uint64))
         u = _unit(_mix_from(h_t.ravel()[cells], j.astype(np.uint64), p.astype(np.uint64),

@@ -21,6 +21,7 @@ from avalloc.lp_models import (
 from avalloc.rounding import OfflinePlan, OnlinePlan, derive_trial_seed, sample_stream
 from dense_candidates import dense_coin_candidates
 from scalar_rounding import ScalarOfflinePlan, ScalarOnlinePlan
+from util import dense_coin_model
 
 
 def _check_offline(inst, x, alpha, budgeted, seed, trials):
@@ -279,9 +280,41 @@ def test_reports_do_not_depend_on_the_block_size(monkeypatch):
 def test_blocks_hold_a_bounded_number_of_elements():
     model = gen_random_iid_model(5, 3, 100, 2)
     plan = OnlinePlan(model, solve_model_lp(build_opton_lp(model)), None)
-    assert plan.block_trials == rounding._BLOCK // (50 * 50)
+    # per trial: four T-wide replay arrays, the phase-I draw table, and a
+    # second-half arrival per join class of its type
+    joins = np.diff(plan.join_start).max()
+    assert plan.block_trials == rounding._BLOCK // max(4 * 100, 50 * plan.open_acc.shape[1],
+                                                       50 * joins) >= 100
     inst = gen_random(14, 4, 5, unambiguous=True, budget_resources=2)
     plan = OfflinePlan(inst, solve_model_lp(build_bundle_lp_budgeted(inst)), None, True)
     # per trial: one column per coin, per P-item draw, per bundle, per budget
     widths = [len(plan.c_bundle), plan.p_acc.size, len(plan.bundles), plan.caps.size]
     assert plan.block_trials == rounding._BLOCK // max(widths) > 1
+
+
+def test_dense_coin_blocks_split_within_the_budget(monkeypatch):
+    model, x = dense_coin_model(100)
+    # a block of 150 trials has about 94,000 coins, so it splits; each of
+    # its rows still matches the scalar reference
+    _check_online(model, x, None, 5, 150)
+    want = run_online_trials(model, x, None, 0.0766, 5, 300)
+    assert want.feasible_count == 300
+    coin_candidates = OnlinePlan.coin_candidates
+    blocks = []  # (trials, coins) of each block asked for its coins
+
+    def counted(self, first, second, opener):
+        coins = coin_candidates(self, first, second, opener)
+        blocks.append((len(second), None if coins is None else len(coins[0])))
+        return coins
+
+    monkeypatch.setattr(OnlinePlan, "coin_candidates", counted)
+    for block in (rounding._BLOCK, 4096, 1):
+        monkeypatch.setattr(rounding, "_BLOCK", block)
+        blocks.clear()
+        assert run_online_trials(model, x, None, 0.0766, 5, 300) == want
+        ran = [(n, coins) for n, coins in blocks if coins is not None]
+        # every trial ran once, and a block of more than one trial over the
+        # budget split instead of materializing its coins
+        assert sum(n for n, _coins in ran) == 300
+        assert all(n == 1 or coins <= block for n, coins in ran)
+        assert (len(ran) < len(blocks)) == (block > 1)

@@ -597,8 +597,22 @@ def test_exact_pivot_limit_is_typed():
             form.slack.tolist(), set())
     status, basis, xB, y = lp_module._exact_revised_simplex(*args)
     assert (status, basis, xB, y) == (OPTIMAL, [0, 1], [F(1), F(1)], [F(1), F(1)])
+    assert lp_module._exact_revised_simplex(*args, max_pivots=2) == (status, basis, xB, y)
     with pytest.raises(NumericalFailure, match="exact pivot limit exceeded"):
         lp_module._exact_revised_simplex(*args, max_pivots=1)
+
+
+@PROPERTY_SETTINGS
+@given(_small_lps())
+def test_scaled_rows_are_the_lp_rows(lp):
+    # each row's ints over its scale are the row's own Fractions, rhs last
+    # and never negated, bound rows included; taken once per LP
+    rows = lp.rows_with_bounds()
+    assert len(lp.scaled_rows) == len(rows) == len(lp_module._standard_form(lp).scales)
+    for (coeffs, _rel, rhs), (ints, scale) in zip(rows, lp.scaled_rows):
+        assert scale > 0 and all(type(v) is int for v in ints)
+        assert [Fraction(v, scale) for v in ints] == [*coeffs.values(), rhs]
+    assert lp.scaled_rows is lp.scaled_rows
 
 
 # -- exact dual certificate ----------------------------------------------------

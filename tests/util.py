@@ -2,7 +2,8 @@
 
 from fractions import Fraction
 
-from avalloc import Allocation, Instance
+from avalloc import Allocation, IidModel, Instance
+from avalloc.lp_models import build_opton_lp, solve_model_lp
 
 
 def unit_instance(values, buyers=None, costs=None, budgets=None, rcosts=None):
@@ -52,3 +53,14 @@ def random_feasible_allocation(inst, rng):
             slack[j] += inst.excess(i, j)
             order.append(i)
     return Allocation(assignment), order
+
+
+def dense_coin_model(horizon):
+    """(model, online-LP optimum) with one buyer and two types, each
+    arriving with probability 1/2: every first-half arrival of the P-type
+    opens a bundle, and every second-half arrival of the N-type has a coin
+    at every open bundle, about (T/4)**2 coins a trial."""
+    model = IidModel(types=["p", "n"], buyers=["b"],
+                     values={("p", "b"): 3, ("n", "b"): Fraction(1, 2)}, thresholds={"b": 1},
+                     probs={"p": Fraction(1, 2), "n": Fraction(1, 2)}, horizon=horizon)
+    return model, solve_model_lp(build_opton_lp(model))
