@@ -6,7 +6,8 @@ scheduling, and every trial's output is re-verified in exact arithmetic,
 a block of trials at a time from the plan's arrays and the instance's
 scaled integers alone: offline by bundling.invalid_bundling (permissible
 bundles, each item used once, every configured budget held), online by
-replaying every prefix of the decisions (_replay_prefix).  One invalid
+replaying every prefix of the decisions, one running sum in time order
+for each buyer that takes a negative step (_replay_prefix).  One invalid
 trial aborts the run, naming the lowest such trial; this is a hard
 invariant, not a statistic.  Reports carry mean, sample stddev, the normal
 95% CI mean +/- 1.96 s/sqrt(N), the minimum, the LP benchmark and the
@@ -31,8 +32,6 @@ from .rounding import (
     check_unit_interval,
     gamma_offline,
     gamma_online,
-    sample_stream,
-    stream_instance,
 )
 
 SEED_ENV_VAR = "AVALLOC_SEED"
@@ -135,26 +134,23 @@ def _replay_prefix(model: IidModel, buyer: np.ndarray, types: np.ndarray):
     the buyer model.buyers[buyer[r, k]], or to none when that is -1; a
     prefix holds when each buyer's sum of scaled excesses (Instance.scaled
     of model.inst) is >= 0.  An arrival along a non-edge, or to the index
-    past the last buyer, breaks its row.  Sums run per row in int64, or in
-    Python ints when a bound computed from the model reaches 2**63."""
-    excess, nb, width = model.inst.scaled[1], len(model.buyers), buyer.shape[1]
-    # a broken arrival steps below anything the rest of its row can make up
+    past the last buyer, breaks its row.  Each buyer's running sum runs
+    along the rows in time order, in int64, or in Python ints when a bound
+    computed from the model reaches 2**63."""
+    excess, nb, width = model.inst.scaled[1], len(model.buyers), max(buyer.shape[1], 1)
+    # a broken arrival steps below anything the rest of its row can make up;
+    # every entry, and every sum of up to width of them, lies within width * -low
     low = -width * max(map(abs, excess.values()), default=0) - 1
     table = np.array([[excess.get((i, j), low) for j in model.buyers] + [low, 0]
                       for i in model.types], dtype=state_dtype(width * -low))
     to = np.where(buyer < 0, nb + 1, np.minimum(buyer, nb))
-    # the arrivals of a row in segments per buyer, each in time order; a
-    # prefix sum is the row's running total less the total before the
-    # first arrival of its segment
-    rows = np.arange(len(to))[:, None]
-    order = np.argsort(to, axis=1, kind="stable")
-    step = table[types, to][rows, order]
-    to = to[rows, order]
-    total = np.cumsum(step, axis=1)
-    first = np.ones(to.shape, dtype=bool)
-    first[:, 1:] = to[:, 1:] != to[:, :-1]
-    first = np.maximum.accumulate(np.where(first, np.arange(width), 0), axis=1)
-    bad = np.flatnonzero((total - (total - step)[rows, first] < 0).any(1))
+    step = table.ravel()[types * (nb + 2) + to]
+    # a running sum from 0 falls below 0 only at a negative step, so only
+    # the buyers (index nb included) that take one are summed
+    bad = np.zeros(len(to), dtype=bool)
+    for j in np.flatnonzero(np.bincount(to[step < 0], minlength=nb + 2)):
+        bad |= (np.cumsum(np.where(to == j, step, 0), axis=1) < 0).any(1)
+    bad = np.flatnonzero(bad)
     return int(bad[0]) if len(bad) else None
 
 
@@ -207,18 +203,6 @@ def run_online_trials(
         "online", x, plan.alpha, beta, gamma_online(plan.alpha, beta), seed, values,
         counts, expected,
     )
-
-
-def run_greedy_online_trials(model: IidModel, seed: int, trials: int) -> float:
-    """Mean value of highest-P-edge greedy over sampled streams (a committed
-    online baseline used to sanity-check the online LP benchmark)."""
-    total = Fraction(0)
-    for t in range(trials):
-        stream = sample_stream(model, seed, t)
-        inst = stream_instance(model, stream)
-        alloc = greedy_p_only(inst)
-        total += allocation_value(inst, alloc)
-    return float(total) / trials
 
 
 # ---------------------------------------------------------------------------

@@ -231,8 +231,15 @@ def _partition_tables(inst: Instance, j, tables):
     part[0] = 1
     pick = {}
     for T in _submasks(edge_mask):
+        # a sum of permissible bundles holds a P-item and has excess >= 0,
+        # and with one P-item T itself is the only bundle that can cover it
         roots = T & p_mask
-        permissible[T] = roots != 0 and roots & (roots - 1) == 0 and exc[T] >= 0
+        if not roots or exc[T] < 0:
+            continue
+        if not roots & (roots - 1):
+            permissible[T] = part[T] = 1
+            pick[T] = T
+            continue
         # bundles B holding T's lowest item, in decreasing order; T ^ B < T
         low = T & -T
         rest = T ^ low

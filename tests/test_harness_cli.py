@@ -1,11 +1,17 @@
 import json
+import os
+import subprocess
+import sys
+import textwrap
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import avalloc
 from avalloc import IidModel
 from avalloc.cli import main
 from avalloc.core import write_json
@@ -38,6 +44,7 @@ from avalloc.rounding import (
     sample_stream,
     stream_instance,
 )
+from reference_replay import reference_replay_prefix
 from util import unit_instance
 
 
@@ -237,6 +244,97 @@ def test_integer_replay_matches_fraction_replay(data, n_types, n_buyers):
             typ[r, k] = types.index(i)
     want = [r for r, events in enumerate(rows) if not _fraction_replay(model, events)]
     assert _replay_prefix(model, buyer, typ) == (want[0] if want else None)
+
+
+@st.composite
+def replay_blocks(draw):
+    """A model and a block of decision rows (buyer, types) for the prefix
+    replay, with the model's scale factor.  Edges sit at a quarter-step
+    multiple of the threshold, so steps are negative, zero or positive, and
+    some (type, buyer) pairs are non-edges; some buyers take only positive
+    steps.  Arrivals go to no buyer (-1), to a buyer or to the index past
+    the last buyer.  A factor of 2**70 on every value and threshold puts
+    the scaled integers past 2**63, so sums run in object arrays."""
+    nt, nb = draw(st.integers(1, 3)), draw(st.integers(1, 3))
+    factor = draw(st.sampled_from([1, 2 ** 70]))
+    types = [f"y{k}" for k in range(nt)]
+    buyers = [f"b{k}" for k in range(nb)]
+    thresholds = {j: Fraction(draw(st.integers(1, 6)), draw(st.integers(1, 4))) for j in buyers}
+    values = {}
+    for j in buyers:
+        quarters = st.integers(5, 8) if draw(st.booleans()) else st.integers(1, 8)
+        for i in types:
+            if draw(st.integers(0, 5)):
+                values[(i, j)] = thresholds[j] * draw(quarters) / 4 * factor
+    model = IidModel(
+        types=types, buyers=buyers, values=values,
+        thresholds={j: t * factor for j, t in thresholds.items()},
+        probs={i: Fraction(1, nt) for i in types}, horizon=2,
+    )
+    n, width = draw(st.integers(1, 5)), draw(st.integers(0, 8))
+    to_none = draw(st.integers(0, 3))
+    cells = st.one_of(st.just(-1), st.integers(-1, nb)) if to_none else st.integers(0, nb - 1)
+    buyer = np.array(draw(st.lists(cells, min_size=n * width, max_size=n * width)),
+                     dtype=np.int64).reshape(n, width)
+    typ = np.array(draw(st.lists(st.integers(0, nt - 1), min_size=n * width,
+                                 max_size=n * width)), dtype=np.int64).reshape(n, width)
+    return model, factor, buyer, typ
+
+
+@settings(max_examples=400, derandomize=True, database=None, deadline=None)
+@given(replay_blocks())
+def test_replay_matches_the_sorted_reference(block):
+    model, factor, buyer, typ = block
+    excess = model.inst.scaled[1].values()
+    if factor > 1:  # every nonzero sum needs Python ints
+        assert all(e == 0 or abs(e) >= 2 ** 63 for e in excess)
+    if not buyer.shape[1]:
+        # the reference overflows int64 on an empty block of a model past
+        # 2**63; an empty row breaks nothing
+        assert _replay_prefix(model, buyer, typ) is None
+        return
+    # each suffix of the block, so every failing row is compared, not only
+    # the first
+    for r in range(len(buyer)):
+        assert _replay_prefix(model, buyer[r:], typ[r:]) == reference_replay_prefix(
+            model, buyer[r:], typ[r:])
+
+
+def test_replay_past_int64_breaks_the_right_row():
+    # b0 gains 2**70 per y0 and loses 2**70 per y1, so each sum needs more
+    # than 64 bits once the block's bound is applied
+    big = 2 ** 70
+    model = IidModel(
+        types=["y0", "y1"], buyers=["b0"],
+        values={("y0", "b0"): 2 * big, ("y1", "b0"): Fraction(big, 2)},
+        thresholds={"b0": big}, probs={"y0": Fraction(1, 2), "y1": Fraction(1, 2)},
+        horizon=2,
+    )
+    typ = np.array([[0, 1, 1, 0], [0, 1, 1, 1], [1, 0, 0, 0]])
+    buyer = np.zeros_like(typ)
+    assert _replay_prefix(model, buyer, typ) == reference_replay_prefix(model, buyer, typ) == 1
+    assert _replay_prefix(model, buyer[[0]], typ[[0]]) is None
+
+
+def test_trial_runs_do_not_import_numpy_ma():
+    # numpy.ma costs about 1.2 MiB of resident memory on its first import
+    # (np.unique pulls it in), so the trial loops must not reach it
+    code = textwrap.dedent("""
+        import sys
+        from fractions import Fraction
+        from avalloc.generators import gen_integrality_gap, gen_random_iid_model
+        from avalloc.harness import run_offline_trials, run_online_trials
+        from avalloc.lp_models import build_bundle_lp, build_opton_lp, solve_model_lp
+        inst = gen_integrality_gap(3, Fraction(1, 10))
+        run_offline_trials(inst, solve_model_lp(build_bundle_lp(inst)), 0.3, 0.156, 0, 20)
+        model = gen_random_iid_model(4, 3, 10, 1)
+        run_online_trials(model, solve_model_lp(build_opton_lp(model)), 0.64, 0.0766, 0, 20)
+        print("numpy.ma" in sys.modules)
+    """)
+    env = {**os.environ, "PYTHONPATH": str(Path(avalloc.__file__).parents[1])}
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         check=True, env=env)
+    assert out.stdout.split() == ["False"]
 
 
 def _check_online_runs(model, seed):

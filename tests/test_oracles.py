@@ -38,6 +38,7 @@ from avalloc.oracles import (
     exact_opt,
 )
 from reference_dp import reference_allocation_dp
+from reference_partition import reference_partition_tables
 from util import unit_instance
 
 
@@ -413,6 +414,25 @@ def test_dp_matches_full_table_reference(inst):
     for oracle in (exact_opt, exact_bundling_opt):
         admissible, _tables, got = _dp_call(oracle, inst)
         assert got == reference_allocation_dp(inst, admissible)
+
+
+@st.composite
+def random_instances(draw):
+    """gen_random draws, plain or budgeted, with P-edges dense or sparse."""
+    return gen_random(
+        draw(st.integers(1, 10)), draw(st.integers(1, 3)), draw(st.integers(0, 2 ** 32)),
+        p_density=draw(st.sampled_from([0.0, 0.3, 0.4, 1.0])),
+        unambiguous=draw(st.booleans()), budget_resources=draw(st.integers(0, 2)),
+    )
+
+
+@settings(max_examples=300, derandomize=True, database=None, deadline=None)
+@given(st.one_of(small_instances(10, 3), tie_instances(10, 3), random_instances()))
+def test_partition_tables_match_the_unpruned_reference(inst):
+    for j in inst.buyers:
+        tables = oracles._buyer_tables(inst, j)
+        assert oracles._partition_tables(inst, j, tables) == reference_partition_tables(
+            inst, j, tables)
 
 
 class _CountingTable(bytearray):
