@@ -301,8 +301,9 @@ def test_replay_matches_the_sorted_reference(block):
 
 
 def test_replay_past_int64_breaks_the_right_row():
-    # b0 gains 2**70 per y0 and loses 2**70 per y1, so each sum needs more
-    # than 64 bits once the block's bound is applied
+    # b0 gains 2**70 per y0 and loses 2**69 per y1, so the block's bound
+    # passes 2**63 and its sums run in Python ints; only row 0 never dips
+    # below 0, and row 1 is the lowest that does
     big = 2 ** 70
     model = IidModel(
         types=["y0", "y1"], buyers=["b0"],
