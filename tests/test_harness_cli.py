@@ -286,7 +286,7 @@ def replay_blocks(draw):
 def test_replay_matches_the_sorted_reference(block):
     model, factor, buyer, typ = block
     excess = model.inst.scaled[1].values()
-    if factor > 1:  # every nonzero sum needs Python ints
+    if factor > 1:  # every nonzero scaled excess is past int64
         assert all(e == 0 or abs(e) >= 2 ** 63 for e in excess)
     if not buyer.shape[1]:
         # the reference overflows int64 on an empty block of a model past
