@@ -8,7 +8,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import avalloc
@@ -281,8 +281,23 @@ def replay_blocks(draw):
     return model, factor, buyer, typ
 
 
+def _past_int64_block():
+    """b0 gains 2**70 per y0 and loses 2**69 per y1, so the block's sums run
+    in Python ints; rows 1 and 2 dip below 0 and row 0 does not."""
+    big = 2 ** 70
+    model = IidModel(
+        types=["y0", "y1"], buyers=["b0"],
+        values={("y0", "b0"): 2 * big, ("y1", "b0"): Fraction(big, 2)},
+        thresholds={"b0": big}, probs={"y0": Fraction(1, 2), "y1": Fraction(1, 2)},
+        horizon=2,
+    )
+    typ = np.array([[0, 1, 1, 0], [0, 1, 1, 1], [1, 0, 0, 0]])
+    return model, big, np.zeros_like(typ), typ
+
+
 @settings(max_examples=400, derandomize=True, database=None, deadline=None)
 @given(replay_blocks())
+@example(_past_int64_block())
 def test_replay_matches_the_sorted_reference(block):
     model, factor, buyer, typ = block
     excess = model.inst.scaled[1].values()
@@ -300,28 +315,13 @@ def test_replay_matches_the_sorted_reference(block):
             model, buyer[r:], typ[r:])
 
 
-def test_replay_past_int64_breaks_the_right_row():
-    # b0 gains 2**70 per y0 and loses 2**69 per y1, so the block's bound
-    # passes 2**63 and its sums run in Python ints; only row 0 never dips
-    # below 0, and row 1 is the lowest that does
-    big = 2 ** 70
-    model = IidModel(
-        types=["y0", "y1"], buyers=["b0"],
-        values={("y0", "b0"): 2 * big, ("y1", "b0"): Fraction(big, 2)},
-        thresholds={"b0": big}, probs={"y0": Fraction(1, 2), "y1": Fraction(1, 2)},
-        horizon=2,
-    )
-    typ = np.array([[0, 1, 1, 0], [0, 1, 1, 1], [1, 0, 0, 0]])
-    buyer = np.zeros_like(typ)
-    assert _replay_prefix(model, buyer, typ) == reference_replay_prefix(model, buyer, typ) == 1
-    assert _replay_prefix(model, buyer[[0]], typ[[0]]) is None
-
-
 def test_trial_runs_do_not_import_numpy_ma():
     # numpy.ma costs about 1.2 MiB of resident memory on its first import
     # (np.unique pulls it in), so the trial loops must not reach it
     code = textwrap.dedent("""
         import sys
+        import numpy
+        print("numpy.ma" in sys.modules)
         from fractions import Fraction
         from avalloc.generators import gen_integrality_gap, gen_random_iid_model
         from avalloc.harness import run_offline_trials, run_online_trials
@@ -335,7 +335,10 @@ def test_trial_runs_do_not_import_numpy_ma():
     env = {**os.environ, "PYTHONPATH": str(Path(avalloc.__file__).parents[1])}
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                          check=True, env=env)
-    assert out.stdout.split() == ["False"]
+    at_import, after_runs = out.stdout.split()
+    if at_import == "True":
+        pytest.skip("this numpy imports numpy.ma with numpy itself (numpy < 2)")
+    assert after_runs == "False"
 
 
 def _check_online_runs(model, seed):
