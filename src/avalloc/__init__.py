@@ -47,7 +47,6 @@ from .rounding import (
     gamma_offline,
     gamma_online,
     round_offline,
-    round_offline_budgeted,
     round_online,
     sample_stream,
     stream_instance,

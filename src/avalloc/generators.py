@@ -192,48 +192,6 @@ def gen_genava_clique(vertices, edges, eps_exponent=1) -> Instance:
     return inst
 
 
-def gen_genava_clique_iid(vertices, edges, eps) -> IidModel:
-    """Structural arrival-model variant of the independent-set reduction:
-    vertex items are worth M = 2|E| and cost M + R*deg(v), with
-    R = max(1, ceil(eps^2 ln(|E|+1))); edge items are free; vertex types
-    arrive with probability 1/(2|V|), edge types 1/(2|E|), over
-    ceil(2*(1+eps/2)*R*|E|) arrivals.  Only the structure is generated; no
-    statistical claims are validated."""
-    vertices, edges, deg = _graph(vertices, edges)
-    eps = to_fraction(eps)
-    if not 0 < eps < 1:
-        raise BadEps("eps must lie in (0, 1)")
-    r_count = max(1, math.ceil(float(eps) ** 2 * math.log(len(edges) + 1)))
-    m_value = Fraction(2 * len(edges))
-    buyers = [f"j:{v}" for v in vertices]
-    types, values, costs, probs = [], {}, {}, {}
-    for v in vertices:
-        tid = f"v:{v}"
-        types.append(tid)
-        values[(tid, f"j:{v}")] = m_value
-        costs[(tid, f"j:{v}")] = m_value + r_count * deg[v]
-        probs[tid] = Fraction(1, 2 * len(vertices))
-    for u, v in edges:
-        tid = f"e:{u}-{v}"
-        types.append(tid)
-        for w in (u, v):
-            values[(tid, f"j:{w}")] = Fraction(1)
-            costs[(tid, f"j:{w}")] = Fraction(0)
-        probs[tid] = Fraction(1, 2 * len(edges))
-    horizon = math.ceil(2 * (1 + float(eps) / 2) * r_count * len(edges))
-    model = IidModel(
-        types=types,
-        buyers=buyers,
-        values=values,
-        thresholds={j: Fraction(1) for j in buyers},
-        probs=probs,
-        horizon=max(2, horizon),
-        costs=costs,
-    )
-    model.metadata.update({"family": "genava-clique-iid", "R": r_count, "M": str(m_value)})
-    return model
-
-
 def gen_iid_lower_bound(T: int) -> IidModel:
     """Uniform model on which no online algorithm beats a constant while the
     ex-post optimum grows like ln T / ln ln T: T buyers, T-1 single-buyer

@@ -1,32 +1,36 @@
-"""Generic linear programs and a self-contained, certified simplex solver.
+"""Packing linear programs and a self-contained, certified simplex solver.
 
-Maximization LPs over nonnegative variables with optional upper bounds and
-rows of the form  a.x {<=,==,>=} b, each row stored sparse as its nonzero
-coefficients.  A row may be owned by a column (``LinearProgram.row_owner``):
-a <= row with rhs >= 0 whose only positive coefficient is on its owner, so
-that the owner at 0 satisfies it.  The bundle builders own each membership
-row x_ijp <= cap * x_pjp by its member x_ijp.
+Maximization LPs over nonnegative variables with optional upper bounds
+u >= 0 and rows a.x <= b with b >= 0, each row stored sparse as its
+nonzero coefficients.  Every relaxation of the toolkit has this packing
+form, so x = 0 is feasible and the slack basis starts every simplex.  A
+row may be owned by a column (``LinearProgram.row_owner``): its only
+positive coefficient is on its owner, so that the owner at 0 satisfies
+it.  The bundle builders own each membership row x_ijp <= cap * x_pjp by
+its member x_ijp.
 
-The float phase is a two-phase tableau simplex (largest-coefficient
-pivoting, Bland's rule after 10*(rows+cols) pivots) run by delayed column
-generation (Gilmore & Gomory, OR 1961).  It starts from the columns that
-own no row and every unowned row.  At each optimum it prices every absent
-column at once, c - A^T y in numpy with y read off the objective row at the
-starting basis's unit columns, and admits the best ``_CG_BATCH`` of each
-row with b > 0 (the item rows) and overall, with the rows they own.  The
-rounds are warm: a column enters as B^-1 a, with B^-1 read off those unit
-columns, and a row enters with its slack basic once the basic columns are
-eliminated from it, so the simplex goes on from the same basis.  An LP
-that owns no rows takes one round over all of its columns.
+The float phase is a tableau simplex (largest-coefficient pivoting,
+Bland's rule after 10*(rows+cols) pivots) run by delayed column
+generation (Gilmore & Gomory, OR 1961).  It starts from the slack basis
+over the columns that own no row and every unowned row.  At each optimum
+it prices every absent column at once, c - A^T y in numpy with y read off
+the objective row at the slack columns, and admits the best ``_CG_BATCH``
+of each row with b > 0 (the item rows) and overall, with the rows they
+own.  The rounds are warm: a column enters as B^-1 a, with B^-1 read off
+the slack columns, and a row enters with its slack basic once the basic
+columns are eliminated from it, so the simplex goes on from the same
+basis.  An LP that owns no rows takes one round over all of its columns.
 
 When no column prices in, the restricted basis plus the slacks of the rows
 never admitted is a basis of the full LP.  An exact revised simplex
 re-derives it and prices every column of the full LP, pivoting on any the
-floats missed; the y of its last iteration gives exact duals.  The vertex
-and the duals are then checked against the LP's own rows: x feasible, each
-dual's sign by its row's relation, A^T y >= c on every column and
-b.y == c.x (the float-then-verify scheme of Applegate, Cook, Dash &
-Espinoza, ORL 2007), so an optimum like 11/5 is proven, not trusted.
+floats missed; should the float basis be singular or infeasible in exact
+arithmetic, the exact simplex starts over from the slack basis instead.
+The y of its last iteration gives exact duals.  The vertex and the duals
+are then checked against the LP's own rows: x feasible, y >= 0,
+A^T y >= c on every column and b.y == c.x (the float-then-verify scheme
+of Applegate, Cook, Dash & Espinoza, ORL 2007), so an optimum like 11/5 is
+proven, not trusted.
 
 A pivot updates only the block of rows with a nonzero in the pivot column
 and columns with a nonzero in the pivot row, gathered and scattered
@@ -35,14 +39,14 @@ a time.
 
 The exact layer works on each row multiplied by the lcm of its
 denominators, so its columns and rhs are Python ints.  Each iteration
-peels the basis first: a column with one nonzero (a slack, an artificial,
-a one-entry structural) claims the row of that nonzero, and only the
-kernel, the other columns over the unclaimed rows, is eliminated, sparse
-and in Markowitz order with Fraction divisions (the bump of Suhl & Suhl,
-ORSA J. Computing 1990).  A claimed row's value and dual then take one
-division each, so the work follows the structural part of the basis and
-not the row count.  Pricing sums A^T y in ints over the rows whose dual
-is nonzero, with y over one common denominator.
+peels the basis first: a column with one nonzero (a slack, a one-entry
+structural) claims the row of that nonzero, and only the kernel, the
+other columns over the unclaimed rows, is eliminated, sparse and in
+Markowitz order with Fraction divisions (the bump of Suhl & Suhl, ORSA J.
+Computing 1990).  A claimed row's value and dual then take one division
+each, so the work follows the structural part of the basis and not the
+row count.  Pricing sums A^T y in ints over the rows whose dual is
+nonzero, with y over one common denominator.
 
 On a 2-core Xeon, the bundle LP of 32 items and 8 buyers (1271 columns,
 1303 rows) solves in 7 rounds that admit 145 of its 1175 members; its
@@ -62,7 +66,7 @@ from __future__ import annotations
 
 import heapq
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from typing import NamedTuple
@@ -73,10 +77,7 @@ from .core import to_fraction
 from .errors import NumericalFailure
 
 OPTIMAL = "optimal"
-INFEASIBLE = "infeasible"
 UNBOUNDED = "unbounded"
-
-_RELS = ("<=", "==", ">=")
 
 # the float phase's pivot tolerance: reduced costs above -PIVOT_TOL count as
 # optimal and ratio-test entries below PIVOT_TOL as zero
@@ -92,14 +93,16 @@ _CG_BATCH = 4
 
 @dataclass
 class LinearProgram:
-    """objective: coefficients to maximize; rows: (coeffs, rel, rhs) with
-    coeffs a {column: coefficient} mapping; upper_bounds: optional
-    per-variable caps (None entries = unbounded); var_keys: opaque builder
-    metadata identifying each column; row_owner: optional per-row owning
-    column (None entries = unowned).  A column that owns a row is left out
-    of the solve, with its rows, until pricing admits it, so an owned row
-    must be <= with rhs >= 0 and its only positive coefficient on its
-    owner: x_owner = 0 then satisfies it whatever the other columns hold.
+    """objective: coefficients to maximize; rows: (coeffs, "<=", rhs) with
+    coeffs a {column: coefficient} mapping and rhs >= 0; upper_bounds:
+    optional per-variable caps >= 0 (None entries = unbounded); var_keys:
+    opaque builder metadata identifying each column; row_owner: optional
+    per-row owning column (None entries = unowned).  Any other relation, a
+    negative rhs or a negative cap raises ValueError, so x = 0 is always
+    feasible.  A column that owns a row is left out of the solve, with its
+    rows, until pricing admits it, so an owned row must have its only
+    positive coefficient on its owner: x_owner = 0 then satisfies it
+    whatever the other columns hold.
 
     Every number is converted with ``to_fraction``, so floats are read as
     the decimals they print as.  Each stored row keeps only its nonzero
@@ -117,9 +120,11 @@ class LinearProgram:
         n = len(self.objective)
         self.objective = [to_fraction(c) for c in self.objective]
         rows = []
-        for coeffs, rel, rhs in self.rows:
-            if rel not in _RELS:
-                raise ValueError(f"unknown relation {rel!r}")
+        for r, (coeffs, rel, rhs) in enumerate(self.rows):
+            rhs = to_fraction(rhs)
+            if rel != "<=" or rhs < 0:
+                raise ValueError(f"row {r} is {rel} {rhs}; a packing LP takes only "
+                                 "<= rows with rhs >= 0")
             row = {}
             for k, a in sorted(coeffs.items()):
                 if not isinstance(k, int) or not 0 <= k < n:
@@ -127,7 +132,7 @@ class LinearProgram:
                 a = to_fraction(a)
                 if a:
                     row[k] = a
-            rows.append((row, rel, to_fraction(rhs)))
+            rows.append((row, rel, rhs))
         self.rows = rows
         if self.upper_bounds is not None:
             if len(self.upper_bounds) != n:
@@ -135,19 +140,21 @@ class LinearProgram:
             self.upper_bounds = [
                 None if u is None else to_fraction(u) for u in self.upper_bounds
             ]
+            if any(u is not None and u < 0 for u in self.upper_bounds):
+                raise ValueError("a packing LP takes only upper bounds >= 0")
         if self.names is None:
             self.names = [f"x{k}" for k in range(n)]
         if self.row_owner is not None:
             if len(self.row_owner) != len(rows):
                 raise ValueError("row owner vector has wrong length")
-            for r, ((coeffs, rel, rhs), k) in enumerate(zip(rows, self.row_owner)):
+            for r, ((coeffs, _rel, _rhs), k) in enumerate(zip(rows, self.row_owner)):
                 if k is None:
                     continue
                 if not isinstance(k, int) or not 0 <= k < n:
                     raise ValueError(f"row {r} owned by column {k}, out of range for {n} variables")
-                # signs read off numerators, which is much faster than
-                # comparing Fractions
-                if (rel != "<=" or rhs.numerator < 0 or coeffs.get(k, 0).numerator <= 0
+                # each sign read off the numerator, which is much faster
+                # than comparing Fractions
+                if (coeffs.get(k, 0).numerator <= 0
                         or any(a.numerator > 0 for kk, a in coeffs.items() if kk != k)):
                     raise ValueError(f"row {r} is not satisfied by x{k} = 0, so column {k} "
                                      "cannot own it")
@@ -179,8 +186,6 @@ class LinearProgram:
 @dataclass
 class LpSolution:
     status: str
-    values: list = field(default_factory=list)
-    objective: float = 0.0
     exact_values: list | None = None
     exact_objective: Fraction | None = None
     # one per row of the LP, then one per upper bound in column order
@@ -191,30 +196,21 @@ class LpSolution:
     rounds: int = 0
     columns: int = 0
 
-    def value_map(self, lp: LinearProgram) -> dict:
-        """Map var_keys to the exact solution values."""
-        if lp.var_keys is None:
-            raise ValueError("LP carries no variable keys")
-        return dict(zip(lp.var_keys, self.exact_values))
-
 
 # ---------------------------------------------------------------------------
 # standard form
 
 
 class _StandardForm(NamedTuple):
-    """The LP's rows, then one row per upper bound, each normalized to
-    b >= 0 (``signs[r]`` is -1 where the row was negated).  The exact half
-    holds each normalized row times the lcm of its denominators
-    (``scales[r]``): sparse int columns, structural then one slack per
-    non-== row in row order (``ncols`` in all), and the int rhs.  The float
-    half holds the structural nonzeros as (row, column, value) arrays and
-    the rhs.  ``owner[r]`` is the column that owns row r, or -1, and
-    ``priced`` marks the unowned rows with b > 0, the rows each pricing
-    round draws from."""
+    """The LP's rows, then one row per upper bound, each with its slack:
+    row r's slack is column n + r.  The exact half holds each row times the
+    lcm of its denominators (``scales[r]``): sparse int columns, structural
+    then slack (``ncols`` in all), and the int rhs.  The float half holds
+    the structural nonzeros as (row, column, value) arrays and the rhs.
+    ``slack[r]`` is row r's slack column, ``owner[r]`` the column that owns
+    row r, or -1, and ``priced`` marks the unowned rows with b > 0, the rows
+    each pricing round draws from."""
 
-    rels: list
-    signs: list
     entries: tuple
     cols_exact: list
     b_exact: list
@@ -242,18 +238,12 @@ def _standard_form(lp: LinearProgram) -> _StandardForm:
     ``float(a)`` is."""
     n = lp.n_vars
     rows = lp.rows_with_bounds()
-    owner = list(lp.row_owner or [None] * lp.n_rows) + [None] * (len(rows) - lp.n_rows)
-    rels, signs, b_exact, scales, rhs, slack = [], [], [], [], [], []
+    m = len(rows)
+    owner = list(lp.row_owner or [None] * lp.n_rows) + [None] * (m - lp.n_rows)
+    b_exact, scales, rhs = [], [], []
     cols_exact = [dict() for _ in range(n)]
-    slacks = []
     e_rows, e_cols, e_vals = [], [], []
-    for r, ((coeffs, rel, b), (ints, scale)) in enumerate(zip(rows, lp.scaled_rows)):
-        sign = -1 if b < 0 else 1
-        if sign < 0:
-            rel = {"<=": ">=", ">=": "<=", "==": "=="}[rel]
-            ints = [-v for v in ints]
-        rels.append(rel)
-        signs.append(sign)
+    for r, ((coeffs, _rel, _b), (ints, scale)) in enumerate(zip(rows, lp.scaled_rows)):
         scales.append(scale)
         b_exact.append(ints[-1])
         rhs.append(ints[-1] / scale)
@@ -262,17 +252,12 @@ def _standard_form(lp: LinearProgram) -> _StandardForm:
         e_vals += [a_int / scale for a_int in ints[:-1]]
         for k, a_int in zip(coeffs, ints):
             cols_exact[k][r] = a_int
-        if rel == "==":
-            slack.append(-1)
-        else:
-            slack.append(n + len(slacks))
-            slacks.append({r: scale if rel == "<=" else -scale})
     rhs = np.array(rhs, dtype=float)
     entries = (np.array(e_rows, dtype=np.intp), np.array(e_cols, dtype=np.intp),
                np.array(e_vals, dtype=float))
     owner = np.array([-1 if k is None else k for k in owner], dtype=np.intp)
-    return _StandardForm(rels, signs, entries, cols_exact + slacks, b_exact, scales,
-                         n + len(slacks), rhs, np.array(slack, dtype=np.intp), owner,
+    return _StandardForm(entries, cols_exact + [{r: scale} for r, scale in enumerate(scales)],
+                         b_exact, scales, n + m, rhs, n + np.arange(m, dtype=np.intp), owner,
                          (rhs > 0) & (owner < 0))
 
 
@@ -300,27 +285,14 @@ def _pivot(T, basis, row, col):
     basis[row] = col
 
 
-def _obj_row(T, basis, c):
-    """Bottom row holding z_j - c_j, with z itself in the rhs slot."""
-    r = np.zeros(T.shape[1])
-    r[: len(c)] = -c
-    for i, bcol in enumerate(basis):
-        cb = c[bcol]
-        if cb != 0.0:
-            r += cb * T[i]
-    return r
-
-
-def _simplex_phase(T, basis, barred, tol, max_iter, bland_after, start_iter=0):
+def _simplex_phase(T, basis, tol, max_iter, bland_after, start_iter=0):
     """Dantzig's rule (most negative reduced cost, lowest column on ties)
     until ``bland_after`` pivots, then Bland's rule; the ratio test breaks
     ties on the lowest basic column."""
     m = T.shape[0] - 1
-    barred = np.fromiter(barred, dtype=np.intp)
     it = start_iter
     while True:
-        obj = T[-1, :-1].copy()
-        obj[barred] = np.inf
+        obj = T[-1, :-1]
         candidates = np.flatnonzero(obj < -tol)
         if not candidates.size:
             return OPTIMAL, it
@@ -344,32 +316,24 @@ class _RestrictedTableau:
     """The float tableau of the standard form over a subset of its
     structural columns and the rows they leave present: every unowned row
     and the owned rows of the present columns.  Columns are the present
-    structurals, the slacks of the present rows and one artificial per
-    >=/== row, in that order at the start, with the columns of each
-    admission appended after them; b is the last column and the objective
-    the last row.  ``rows`` and ``cols`` map each tableau row and column to
-    its row and column in the full standard form (artificials numbered from
-    ``form.ncols`` on), and ``units[i]`` is the column that held row i's
-    unit vector at the start, so ``T[:m, units]`` is the inverse of the
-    current basis.  The counters sum over both phases."""
+    structurals and the slacks of the present rows, in that order at the
+    start, with the columns of each admission appended after them; b is the
+    last column and the objective row of the costs ``c`` (over the standard
+    form's columns) the last row.  ``rows`` and ``cols`` map each tableau
+    row and column to its row and column in the full standard form, and
+    ``units[i]`` is the slack that held row i's unit vector at the start,
+    so ``T[:m, units]`` is the inverse of the current basis."""
 
-    def __init__(self, form: _StandardForm, present):
-        self.form = form
-        self.present = present
+    def __init__(self, form: _StandardForm, present, c):
+        self.form, self.present, self.c = form, present, c
         self.iterations, self.rounds, self.columns = 0, 1, 0
         # an unowned row (owner -1) reads the True appended to present
         rows = np.flatnonzero(np.append(present, True)[form.owner])
         self.rows = rows
-        self.row_pos = np.full(len(form.rels), -1, dtype=np.intp)
+        self.row_pos = np.full(form.rhs.size, -1, dtype=np.intp)
         self.row_pos[rows] = np.arange(rows.size)
-        rels = [form.rels[r] for r in rows]
-        slack = [int(form.slack[r]) for r in rows if form.rels[r] != "=="]
-        art_rows = [i for i, rel in enumerate(rels) if rel != "<="]
-        # artificials are numbered in row order from form.ncols on
-        art = np.cumsum([rel != "<=" for rel in form.rels], dtype=np.intp) + form.ncols - 1
-        self.cols = np.concatenate([np.flatnonzero(present),
-                                    np.array(slack, dtype=np.intp), art[rows[art_rows]]])
-        self.col_pos = np.full(form.ncols + len(form.rels), -1, dtype=np.intp)
+        self.cols = np.concatenate([np.flatnonzero(present), form.slack[rows]])
+        self.col_pos = np.full(form.ncols, -1, dtype=np.intp)
         self.col_pos[self.cols] = np.arange(self.cols.size)
         m, width = rows.size, self.cols.size + 1
         T = np.zeros((m + 1, width))
@@ -377,38 +341,28 @@ class _RestrictedTableau:
         keep = (self.row_pos[e_rows] >= 0) & present[e_cols]
         T[self.row_pos[e_rows[keep]], self.col_pos[e_cols[keep]]] = e_vals[keep]
         T[:m, -1] = form.rhs[rows]
-        basis = [None] * m
-        for i, r in enumerate(rows):
-            if form.rels[r] != "==":
-                j = self.col_pos[form.slack[r]]
-                T[i, j] = 1.0 if form.rels[r] == "<=" else -1.0
-                if form.rels[r] == "<=":
-                    basis[i] = int(j)
-        self.art_cols = set()
-        for i in art_rows:
-            j = int(self.col_pos[art[rows[i]]])
-            T[i, j] = 1.0
-            basis[i] = j
-            self.art_cols.add(j)
+        basis = list(range(width - 1 - m, width - 1))
+        T[np.arange(m), basis] = 1.0
+        T[-1, :-1] = -c[self.cols]  # z_j - c_j with every slack at cost 0
         self.T, self.basis, self.units = T, basis, list(basis)
 
-    def duals(self, c_full):
-        """y over the present rows from the objective row of phase costs
-        ``c_full``: the unit column of row i has reduced cost y_i - c."""
+    def duals(self):
+        """y over the present rows, read off the objective row: the unit
+        column of row i has reduced cost y_i - c."""
         units = np.array(self.units, dtype=np.intp)
-        return self.T[-1, units] + c_full[self.cols[units]]
+        return self.T[-1, units] + self.c[self.cols[units]]
 
-    def price(self, c_full):
+    def price(self):
         """The absent structural columns admitted this round: those with
         reduced cost c_j - y.a_j above ``PIVOT_TOL``, the best
         ``_CG_BATCH`` of each priced row and overall, ties to the lowest
         column."""
         form, present = self.form, self.present
         e_rows, e_cols, e_vals = form.entries
-        y = np.zeros(len(form.rels))  # absent rows have dual 0
-        y[self.rows] = self.duals(c_full)
+        y = np.zeros(form.rhs.size)  # absent rows have dual 0
+        y[self.rows] = self.duals()
         n = present.size
-        d = c_full[:n] - np.bincount(e_cols, weights=e_vals * y[e_rows], minlength=n)
+        d = self.c[:n] - np.bincount(e_cols, weights=e_vals * y[e_rows], minlength=n)
         cand = ~present & (d > PIVOT_TOL)
         best = np.flatnonzero(cand)
         admit = np.zeros(n, dtype=bool)
@@ -421,7 +375,7 @@ class _RestrictedTableau:
         admit[k[rank < _CG_BATCH]] = True
         return np.flatnonzero(admit)
 
-    def admit(self, new, c_full):
+    def admit(self, new):
         """Add the structural columns ``new`` and the rows they own.  A
         column enters as B^-1 a with reduced cost y.a - c, so the basis and
         its values stay as they were; each new row enters with its slack
@@ -448,7 +402,7 @@ class _RestrictedTableau:
         T2[:m, -1] = T[:m, -1]
         T2[-1, :width - 1] = T[-1, :-1]
         T2[-1, width - 1:width - 1 + k] = np.bincount(
-            ci, weights=self.duals(c_full)[ri] * vals, minlength=k) - c_full[new]
+            ci, weights=self.duals()[ri] * vals, minlength=k) - self.c[new]
         T2[-1, -1] = T[-1, -1]
         self.present[new] = True
         self.cols = np.concatenate([self.cols, new, form.slack[new_rows]])
@@ -471,22 +425,20 @@ class _RestrictedTableau:
         self.basis += slacks.tolist()
         self.units += slacks.tolist()
 
-    def solve_phase(self, c_full, barred, max_iter, bland_after):
-        """Optimize the phase costs ``c_full`` over the present columns,
-        price, admit, and go on from the same basis until no absent column
-        prices in; returns OPTIMAL, or UNBOUNDED, which a restricted LP
-        shares with the full one."""
-        self.T[-1] = _obj_row(self.T, self.basis, c_full[self.cols])
+    def solve(self, max_iter, bland_after):
+        """Optimize over the present columns, price, admit, and go on from
+        the same basis until no absent column prices in; returns OPTIMAL,
+        or UNBOUNDED, which a restricted LP shares with the full one."""
         while True:
             status, self.iterations = _simplex_phase(
-                self.T, self.basis, barred, PIVOT_TOL, max_iter, bland_after,
+                self.T, self.basis, PIVOT_TOL, max_iter, bland_after,
                 start_iter=self.iterations)
             if status != OPTIMAL:
                 return status
-            new = self.price(c_full)
+            new = self.price()
             if not new.size:
                 return OPTIMAL
-            self.admit(new, c_full)
+            self.admit(new)
             self.rounds += 1
             self.columns += int(new.size)
 
@@ -500,42 +452,21 @@ class _RestrictedTableau:
 
 
 def _float_solve(lp: LinearProgram):
-    """Two-phase float simplex by delayed column generation: start from the
-    columns that own no row, and after each phase's optimum price every
-    absent column at once and admit the best; a phase ends when none
-    prices in.  Returns (status, basis of the full standard form,
-    iterations, the standard form, rounds, columns admitted)."""
+    """Float simplex by delayed column generation from the slack basis:
+    start from the columns that own no row, and at each optimum price
+    every absent column at once and admit the best, until none prices in.
+    Returns (status, basis of the full standard form, iterations, the
+    standard form, rounds, columns admitted)."""
     form = _standard_form(lp)
     n = lp.n_vars
     present = np.ones(n, dtype=bool)
     present[form.owner[form.owner >= 0]] = False
-    tab = _RestrictedTableau(form, present)
-    n_art = sum(rel != "<=" for rel in form.rels)
-    total = form.ncols + n_art
-    m = len(form.rels)
-    limits = (max(2000, 60 * (m + total)), 10 * (m + total))  # max_iter, bland_after
-
-    def result(status):
-        return status, tab.full_basis(), tab.iterations, form, tab.rounds, tab.columns
-
-    if n_art:
-        c1 = np.zeros(total)
-        c1[form.ncols:] = -1.0
-        if tab.solve_phase(c1, set(), *limits) != OPTIMAL:
-            raise NumericalFailure("phase 1 did not terminate at an optimum")
-        T = tab.T
-        if -T[-1, -1] > 1e-7:
-            return result(INFEASIBLE)
-        for i in range(T.shape[0] - 1):
-            if tab.basis[i] in tab.art_cols and T[i, -1] <= 1e-9:
-                for j in range(T.shape[1] - 1):
-                    if j not in tab.art_cols and abs(T[i, j]) > 1e-8:
-                        _pivot(T, tab.basis, i, j)
-                        break
-
-    c2 = np.zeros(total)
-    c2[:n] = [float(c) for c in lp.objective]
-    return result(tab.solve_phase(c2, tab.art_cols, *limits))
+    c = np.zeros(form.ncols)
+    c[:n] = [float(v) for v in lp.objective]
+    tab = _RestrictedTableau(form, present, c)
+    size = form.rhs.size + form.ncols
+    status = tab.solve(max(2000, 60 * size), 10 * size)
+    return status, tab.full_basis(), tab.iterations, form, tab.rounds, tab.columns
 
 
 # ---------------------------------------------------------------------------
@@ -613,7 +544,7 @@ def _solve_sparse(cols, rhs):
 
 class _PeeledBasis:
     """A basis B of ``cols`` split for exact solves.  Each singleton column
-    (one nonzero: a slack, an artificial or a one-entry structural) claims
+    (one nonzero: a slack or a one-entry structural) claims
     the row of its nonzero; the kernel is the other columns over the
     unclaimed rows, so it is square.  With claimed rows and singletons
     first, B is block upper triangular, [[D, C], [0, K]] with D diagonal,
@@ -692,7 +623,7 @@ class _PeeledBasis:
         return y
 
 
-def _exact_revised_simplex(cols, b, c, basis, barred, max_pivots=2000):
+def _exact_revised_simplex(cols, b, c, basis, max_pivots=2000):
     """Exact revised simplex with Bland's rule from a starting basis.
 
     Each iteration peels the basis (``_PeeledBasis``) and factors only its
@@ -734,7 +665,7 @@ def _exact_revised_simplex(cols, b, c, basis, barred, max_pivots=2000):
             for j, v in rows[r]:
                 ya[j] += w * v
         entering = next((j for j, ((num, dnm), s) in enumerate(zip(c_ints, ya))
-                         if num * den > dnm * s and j not in barred), None)
+                         if num * den > dnm * s), None)
         if entering is None:
             return OPTIMAL, basis, xB, y
         if pivots == max_pivots:
@@ -759,39 +690,6 @@ def _col_dense(col, m):
     return out
 
 
-def _exact_from_scratch(cols, b, scales, c, barred):
-    """Exact two-phase solve: artificial columns appended to a copy of
-    ``cols``, driven out, then the real objective optimized with artificials
-    barred.  Row r's artificial has coefficient scales[r], which is 1 in
-    the unscaled row."""
-    m = len(b)
-    cols = list(cols)
-    total = len(cols)
-    c1 = [Fraction(0)] * total
-    basis = []
-    for r in range(m):
-        cols.append({r: scales[r]})
-        c1.append(Fraction(-1))
-        basis.append(total + r)
-    c_full = list(c) + [Fraction(0)] * m
-    status, basis, xB, _y = _exact_revised_simplex(
-        cols, b, c1, basis, barred=set(barred), max_pivots=5000
-    )
-    if status != OPTIMAL:
-        raise NumericalFailure(f"exact phase 1 failed: {status}")
-    art_cols = set(range(total, total + m))
-    if any(xB[i] > 0 and basis[i] in art_cols for i in range(m)):
-        return INFEASIBLE, basis, None, None
-    status, basis, xB, y = _exact_revised_simplex(
-        cols, b, c_full, basis, barred=set(barred) | art_cols, max_pivots=5000
-    )
-    if status == UNBOUNDED:
-        return UNBOUNDED, basis, None, None
-    if status != OPTIMAL:
-        raise NumericalFailure(f"exact phase 2 failed: {status}")
-    return OPTIMAL, basis, xB, y
-
-
 def solve_lp(lp: LinearProgram) -> LpSolution:
     """Solve a maximization LP.
 
@@ -800,39 +698,33 @@ def solve_lp(lp: LinearProgram) -> LpSolution:
     slacks of the rows no admitted column owns, is re-derived and priced
     exactly over every column of the LP, populating ``exact_values``,
     ``exact_objective`` and ``exact_duals``, and then checked against the
-    LP's own rows and columns.
+    LP's own rows and columns.  A basis that is singular or infeasible in
+    exact arithmetic is dropped for the slack basis, which is feasible
+    because b >= 0, and the exact simplex gets 5000 pivots from there.
+    ``status`` is OPTIMAL or UNBOUNDED.
     """
     n = lp.n_vars
     status, basis, iters, form, rounds, columns = _float_solve(lp)
     counters = {"iterations": iters, "rounds": rounds, "columns": columns}
-    if status in (INFEASIBLE, UNBOUNDED):
+    if status == UNBOUNDED:
         return LpSolution(status=status, **counters)
-
-    cols_exact, b_exact, ncols = form.cols_exact, form.b_exact, form.ncols
-    c_exact = lp.objective + [Fraction(0)] * (ncols - n)
-    st = "restart"
-    if all(col < ncols for col in basis):
-        st, eb, xB, y = _exact_revised_simplex(cols_exact, b_exact, c_exact, basis, barred=set())
-    if st in ("singular", "infeasible-basis", "restart"):
-        st, eb, xB, y = _exact_from_scratch(cols_exact, b_exact, form.scales, c_exact,
-                                            barred=set())
-    if st in (INFEASIBLE, UNBOUNDED):
+    c_exact = lp.objective + [Fraction(0)] * (form.ncols - n)
+    args = (form.cols_exact, form.b_exact, c_exact)
+    st, eb, xB, y = _exact_revised_simplex(*args, basis)
+    if st in ("singular", "infeasible-basis"):
+        st, eb, xB, y = _exact_revised_simplex(*args, form.slack.tolist(), max_pivots=5000)
+    if st == UNBOUNDED:
         return LpSolution(status=st, **counters)
-    if st != OPTIMAL:
-        raise NumericalFailure(f"exact layer failed: {st}")
-    full = [Fraction(0)] * (max(eb) + 1 if eb else 0)
-    for i, col in enumerate(eb):
-        full[col] = xB[i]
-    exact_values = (full + [Fraction(0)] * n)[:n]
+    exact_values = [Fraction(0)] * n
+    for col, v in zip(eb, xB):
+        if col < n:
+            exact_values[col] = v
     exact_obj = sum((c * v for c, v in zip(lp.objective, exact_values) if v), Fraction(0))
-    # y is per scaled, normalized row; the dual of the LP's own row undoes both
-    exact_duals = [sign * scale * v if v else v
-                   for sign, scale, v in zip(form.signs, form.scales, y)]
+    # y is per scaled row; the dual of the LP's own row undoes the scale
+    exact_duals = [scale * v if v else v for scale, v in zip(form.scales, y)]
     _verify_exact(lp, exact_values, exact_duals)
     return LpSolution(
         status=OPTIMAL,
-        values=[float(v) for v in exact_values],
-        objective=float(exact_obj),
         exact_values=exact_values,
         exact_objective=exact_obj,
         exact_duals=exact_duals,
@@ -844,11 +736,10 @@ def solve_lp(lp: LinearProgram) -> LpSolution:
 def _verify_exact(lp, xs, ys):
     """Check the primal x and the dual y against ``lp`` itself, never the
     standard form they came from.  x: x >= 0 and every row, each upper
-    bound read as a row x_k <= u.  y, one per row and then per bound: y >= 0
-    on <= rows and bounds, y <= 0 on >= rows, A^T y >= c on every column
-    and b.y == c.x, which proves x optimal.  Rows are read in ints, each
-    row times the lcm of its own denominators (lp.scaled_rows, of the
-    LP's rows as given, not negated), with x and the row duals divided by
+    bound read as a row x_k <= u.  y, one per row and then per bound:
+    y >= 0, A^T y >= c on every column and b.y == c.x, which proves x
+    optimal.  Rows are read in ints, each row times the lcm of its own
+    denominators (lp.scaled_rows), with x and the row duals divided by
     those lcms each over one common denominator."""
     if any(v < 0 for v in xs):
         raise NumericalFailure("exact vertex has a negative coordinate")
@@ -857,16 +748,10 @@ def _verify_exact(lp, xs, ys):
         raise NumericalFailure("exact dual has the wrong length")
     X, den = _common_denominator(xs)
     scaled = []
-    for (coeffs, rel, rhs), (ints, scale), y in zip(rows, lp.scaled_rows, ys):
-        lhs = sum(a * X[k] for k, a in zip(coeffs, ints))
-        rhs = ints[-1] * den
-        if (
-            (rel == "<=" and lhs > rhs)
-            or (rel == ">=" and lhs < rhs)
-            or (rel == "==" and lhs != rhs)
-        ):
+    for (coeffs, _rel, _rhs), (ints, scale), y in zip(rows, lp.scaled_rows, ys):
+        if sum(a * X[k] for k, a in zip(coeffs, ints)) > ints[-1] * den:
             raise NumericalFailure("exact vertex violates a row")
-        if (rel == "<=" and y < 0) or (rel == ">=" and y > 0):
+        if y < 0:
             raise NumericalFailure("exact dual has the wrong sign")
         if y:
             scaled.append((coeffs, ints, Fraction(y) / scale))
@@ -896,12 +781,11 @@ def lp_to_text(lp: LinearProgram) -> str:
     )
     out.append(f" obj: {terms if terms else '0'}")
     out.append("Subject To")
-    relmap = {"<=": "<=", ">=": ">=", "==": "="}
-    for r, (coeffs, rel, rhs) in enumerate(lp.rows):
+    for r, (coeffs, _rel, rhs) in enumerate(lp.rows):
         terms = " + ".join(
             f"{num(a)} {lp.names[k]}" for k, a in coeffs.items() if float(a) != 0
         )
-        out.append(f" c{r}: {terms if terms else '0'} {relmap[rel]} {num(rhs)}")
+        out.append(f" c{r}: {terms if terms else '0'} <= {num(rhs)}")
     out.append("Bounds")
     for k in range(lp.n_vars):
         ub = None if lp.upper_bounds is None else lp.upper_bounds[k]

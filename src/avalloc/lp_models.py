@@ -57,9 +57,9 @@ class IidModel:
 
     The valuation over the types is self.inst, an Instance whose items are
     the types, built once and checked like any instance; a type's missing
-    cost is read as 1.  probs must sum to 1 exactly.  costs is only
-    populated by the structural hardness generator; the online rounding
-    algorithms require plain mode.
+    cost is read as 1.  probs must sum to 1 exactly.  costs come only from
+    a model document's type entries, and put the model in cost mode; the
+    online rounding algorithms require plain mode.
     """
 
     types: tuple
@@ -117,7 +117,9 @@ class BundleLpSolution:
 
     @classmethod
     def from_lp(cls, lp: LinearProgram, sol: LpSolution) -> "BundleLpSolution":
-        return cls(x=sol.value_map(lp), objective=sol.exact_objective)
+        if lp.var_keys is None:
+            raise ValueError("LP carries no variable keys")
+        return cls(x=dict(zip(lp.var_keys, sol.exact_values)), objective=sol.exact_objective)
 
 
 # ---------------------------------------------------------------------------

@@ -463,15 +463,6 @@ def round_offline(inst: Instance, x: BundleLpSolution, params: RoundingParams) -
     return plan.to_bundled(plan.run(params.seed)[0])
 
 
-def round_offline_budgeted(inst: Instance, x: BundleLpSolution,
-                           params: RoundingParams) -> BundledAllocation:
-    """Budget-aware offline rounding; a bundle opens, and an N-item joins
-    it, only when every configured budget of the receiving buyer survives.
-    With alpha=None the default is 1/(3K) for K budget resources."""
-    plan = OfflinePlan(inst, x, params.alpha, budgeted=True)
-    return plan.to_bundled(plan.run(params.seed)[0])
-
-
 # ---------------------------------------------------------------------------
 # online rounding
 

@@ -7,7 +7,6 @@ from avalloc.errors import BadEps
 from avalloc.generators import (
     gen_adversarial_T,
     gen_genava_clique,
-    gen_genava_clique_iid,
     gen_iid_lower_bound,
     gen_integrality_gap,
     gen_max_coverage,
@@ -99,25 +98,11 @@ def test_genava_clique_edge_classes():
     assert all(tri.is_p_edge(i, j) for (i, j) in tri.edges() if i.startswith("e:"))
 
 
-def test_genava_clique_iid_structure():
-    model = gen_genava_clique_iid(
-        ["a", "b", "c"], [("a", "b"), ("b", "c"), ("a", "c")], eps=Fraction(1, 2)
-    )
-    assert sum(model.probs.values()) == 1
-    assert model.costs is not None
-    assert len(model.types) == 6
-    assert model.horizon >= 2
-    r = model.metadata["R"]
-    assert model.costs[("v:b", "j:b")] == Fraction(6) + 2 * r
-
-
 def test_clique_generators_reject_a_bad_graph():
     # a loop, a repeated edge and an edge to an unknown vertex
     for edges in ([("a", "a")], [("a", "c"), ("c", "a")], [("a", "b")]):
         with pytest.raises(BadEps):
             gen_genava_clique(["a", "c"], edges)
-        with pytest.raises(BadEps):
-            gen_genava_clique_iid(["a", "c"], edges, Fraction(1, 2))
 
 
 def test_iid_lower_bound():

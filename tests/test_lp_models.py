@@ -17,7 +17,6 @@ from avalloc.errors import (
 from avalloc.generators import (
     gen_adversarial_T,
     gen_genava_clique,
-    gen_genava_clique_iid,
     gen_integrality_gap,
     gen_iid_lower_bound,
     gen_max_coverage,
@@ -88,8 +87,6 @@ LAYOUT_INPUTS = [
     ("tightness", lambda: gen_tightness_example(Fraction(1, 5))),
     ("max-coverage", lambda: gen_max_coverage([["e1", "e2"], ["e3", "e4"]], 2, Fraction(1, 10))),
     ("genava-clique", lambda: gen_genava_clique(["a", "b", "c"], [("a", "b"), ("b", "c")])),
-    ("genava-clique-iid",
-     lambda: gen_genava_clique_iid(["a", "b", "c"], [("a", "b"), ("b", "c")], Fraction(1, 2))),
     ("iid-lower-bound", lambda: gen_iid_lower_bound(6)),
     ("adversarial", lambda: gen_adversarial_T(4, Fraction(1, 10))[0]),
     ("random-ambiguous", lambda: gen_random(9, 4, 5)),

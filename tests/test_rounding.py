@@ -44,7 +44,6 @@ from avalloc.rounding import (
     gamma_offline,
     gamma_online,
     round_offline,
-    round_offline_budgeted,
     round_online,
     sample_stream,
     stream_instance,
@@ -428,11 +427,16 @@ def test_offline_small_deficit_allocation_rate():
         assert rate >= gamma * 1.0 - 3 * sigma
 
 
+def _round_budgeted(inst, x, params):
+    plan = OfflinePlan(inst, x, params.alpha, budgeted=True)
+    return plan.to_bundled(plan.run(params.seed)[0])
+
+
 def test_budgeted_matches_plain_when_no_budgets_bind():
     inst = gen_random(6, 3, seed=31, unambiguous=True)
     x = solve_model_lp(build_bundle_lp(inst))
     params = RoundingParams(alpha=0.3, seed=77)
-    assert round_offline(inst, x, params) == round_offline_budgeted(inst, x, params)
+    assert round_offline(inst, x, params) == _round_budgeted(inst, x, params)
 
     huge = gen_random(6, 3, seed=31, unambiguous=True, budget_resources=1)
     relaxed = unit_instance(
@@ -442,9 +446,7 @@ def test_budgeted_matches_plain_when_no_budgets_bind():
         rcosts=dict(huge.resource_costs),
     )
     xb = solve_model_lp(build_bundle_lp(relaxed))
-    assert round_offline(relaxed, xb, params) == round_offline_budgeted(
-        relaxed, xb, params
-    )
+    assert round_offline(relaxed, xb, params) == _round_budgeted(relaxed, xb, params)
 
 
 def test_budgeted_default_alpha_is_one_third_per_resource():
