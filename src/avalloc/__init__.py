@@ -16,10 +16,8 @@ from .bundling import (
 )
 from .core import (
     Allocation,
-    EdgeClass,
     Instance,
     allocation_value,
-    classify_edge,
     dump_instance,
     is_feasible,
     load_instance,

@@ -18,7 +18,6 @@ decisions at zero excess are exact.
 from __future__ import annotations
 
 import contextlib
-import enum
 import json
 import math
 import sys
@@ -80,26 +79,6 @@ def number_from_json(x) -> Fraction:
 
 # the columns of the bundle LP, as Instance.bundle_layout builds them
 BundleLayout = namedtuple("BundleLayout", "keys col bundles item bundle opener excess")
-
-
-class EdgeClass(enum.Enum):
-    P = "P"
-    N = "N"
-
-
-def classify_edge(v, rho, c=1) -> EdgeClass:
-    """Classify an edge by the sign of its excess v - rho*c.
-
-    Zero excess counts as P.  In plain mode c is 1 and the excess is v - rho.
-    """
-    v, rho, c = to_fraction(v), to_fraction(rho), to_fraction(c)
-    if rho <= 0:
-        raise ValueError(f"threshold must be positive, got {rho}")
-    if v < 0:
-        raise ValueError(f"value must be nonnegative, got {v}")
-    if c < 0:
-        raise ValueError(f"cost must be nonnegative, got {c}")
-    return EdgeClass.P if v - rho * c >= 0 else EdgeClass.N
 
 
 @dataclass(frozen=True)
@@ -274,9 +253,6 @@ class Instance:
     def excess(self, i, j) -> Fraction:
         """v_ij - rho_j * c_ij; nonnegative exactly on P-edges."""
         return self._excess[(i, j)]
-
-    def edge_class(self, i, j) -> EdgeClass:
-        return EdgeClass.P if self.excess(i, j) >= 0 else EdgeClass.N
 
     def is_p_edge(self, i, j) -> bool:
         return self.excess(i, j) >= 0

@@ -196,9 +196,9 @@ def run_online_trials(
     counts = {f"{model.buyers[k % nb]}|{model.types[k // nb % nt]}|{k // (nb * nt) + 1}": c
               for k, c in zip(opened.tolist(), open_counts[opened].tolist())}
     T = model.horizon
-    openers = [(j, p, float(v)) for (i, j, p), v in x.x.items() if i == p]
+    openers = [(x.keys[c], float(v)) for c, v in x.x.items()]
     expected = {f"{j}|{p}|{t_open}": f / T
-                for j, p, f in openers if f > 0 for t_open in range(1, half + 1)}
+                for (i, j, p), f in openers if i == p and f > 0 for t_open in range(1, half + 1)}
     return _trial_report(
         "online", x, plan.alpha, beta, gamma_online(plan.alpha, beta), seed, values,
         counts, expected,

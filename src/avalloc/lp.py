@@ -96,7 +96,8 @@ class LinearProgram:
     """objective: coefficients to maximize; rows: (coeffs, "<=", rhs) with
     coeffs a {column: coefficient} mapping and rhs >= 0; upper_bounds:
     optional per-variable caps >= 0 (None entries = unbounded); var_keys:
-    opaque builder metadata identifying each column; row_owner: optional
+    optional builder metadata identifying each column, a tuple each, which
+    also names it in lp_to_text; row_owner: optional
     per-row owning column (None entries = unowned).  Any other relation, a
     negative rhs or a negative cap raises ValueError, so x = 0 is always
     feasible.  A column that owns a row is left out of the solve, with its
@@ -112,7 +113,6 @@ class LinearProgram:
     objective: list
     rows: list
     upper_bounds: list | None = None
-    names: list | None = None
     var_keys: list | None = None
     row_owner: list | None = None
 
@@ -142,8 +142,6 @@ class LinearProgram:
             ]
             if any(u is not None and u < 0 for u in self.upper_bounds):
                 raise ValueError("a packing LP takes only upper bounds >= 0")
-        if self.names is None:
-            self.names = [f"x{k}" for k in range(n)]
         if self.row_owner is not None:
             if len(self.row_owner) != len(rows):
                 raise ValueError("row owner vector has wrong length")
@@ -775,23 +773,27 @@ def lp_to_text(lp: LinearProgram) -> str:
     def num(v):
         return repr(float(v))
 
+    if lp.var_keys is None:
+        names = [f"x{k}" for k in range(lp.n_vars)]
+    else:
+        names = [f"x[{','.join(map(str, key))}]" for key in lp.var_keys]
     out = ["Maximize"]
     terms = " + ".join(
-        f"{num(c)} {lp.names[k]}" for k, c in enumerate(lp.objective) if float(c) != 0
+        f"{num(c)} {names[k]}" for k, c in enumerate(lp.objective) if float(c) != 0
     )
     out.append(f" obj: {terms if terms else '0'}")
     out.append("Subject To")
     for r, (coeffs, _rel, rhs) in enumerate(lp.rows):
         terms = " + ".join(
-            f"{num(a)} {lp.names[k]}" for k, a in coeffs.items() if float(a) != 0
+            f"{num(a)} {names[k]}" for k, a in coeffs.items() if float(a) != 0
         )
         out.append(f" c{r}: {terms if terms else '0'} <= {num(rhs)}")
     out.append("Bounds")
     for k in range(lp.n_vars):
         ub = None if lp.upper_bounds is None else lp.upper_bounds[k]
         if ub is None:
-            out.append(f" 0 <= {lp.names[k]}")
+            out.append(f" 0 <= {names[k]}")
         else:
-            out.append(f" 0 <= {lp.names[k]} <= {num(ub)}")
+            out.append(f" 0 <= {names[k]} <= {num(ub)}")
     out.append("End")
     return "\n".join(out) + "\n"

@@ -110,8 +110,11 @@ class IidModel:
 
 @dataclass
 class BundleLpSolution:
-    """Bundle-variable solution: x maps (item, buyer, p_item) to a value."""
+    """Solution of an LP over the key list keys (a bundle LP's are its
+    instance's bundle_layout.keys): x maps each nonzero column, in
+    increasing order, to its value."""
 
+    keys: list
     x: dict
     objective: object
 
@@ -119,7 +122,8 @@ class BundleLpSolution:
     def from_lp(cls, lp: LinearProgram, sol: LpSolution) -> "BundleLpSolution":
         if lp.var_keys is None:
             raise ValueError("LP carries no variable keys")
-        return cls(x=dict(zip(lp.var_keys, sol.exact_values)), objective=sol.exact_objective)
+        return cls(lp.var_keys, {c: v for c, v in enumerate(sol.exact_values) if v},
+                   sol.exact_objective)
 
 
 # ---------------------------------------------------------------------------
@@ -150,8 +154,7 @@ def build_naive_lp(inst: Instance) -> LinearProgram:
         objective=objective,
         rows=rows,
         upper_bounds=[Fraction(1)] * n,
-        names=[f"x[{i},{j}]" for i, j in edges],
-        var_keys=list(edges),
+        var_keys=edges,
     )
 
 
@@ -189,8 +192,7 @@ def _bundle_lp(inst: Instance, item_cap, member_cap, extra_rows=()) -> LinearPro
     return LinearProgram(
         objective=[inst.values[(i, j)] for (i, j, _p) in keys],
         rows=rows,
-        names=[f"x[{i},{j},{p}]" for i, j, p in keys],
-        var_keys=list(keys),
+        var_keys=keys,
         row_owner=owner,
     )
 

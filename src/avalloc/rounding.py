@@ -45,7 +45,6 @@ trial turned into Python objects.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -230,53 +229,46 @@ def _check_stream(model: IidModel, stream):
 # fractional-solution checks
 
 
-def _entry_fault(inst: Instance, key, v) -> str:
-    """The first per-entry check of check_fractional that x[key] = v fails."""
-    (i, j, p), fv = key, float(v)
-    if not math.isfinite(fv):
-        return f"non-finite value at {(i, j, p)}"
-    if fv < -FRACTIONAL_TOL:
-        return f"negative value at {(i, j, p)}"
-    if (i, j) not in inst.values or (p, j) not in inst.values or not inst.is_p_edge(p, j):
-        return f"variable {(i, j, p)} outside the bundle LP"
-    if i != p and inst.is_p_edge(i, j):
-        return f"P-edge ({i!r}, {j!r}) used as a member"
-    return f"x[{i},{j},{p}] exceeds its opener cap"
-
-
 def check_fractional(inst: Instance, x: BundleLpSolution, item_cap, member_cap):
-    """Raise InfeasibleFractional, naming the first failing entry of x.x, else
-    item, else bundle in x.x order, unless x is finite and satisfies, within
-    FRACTIONAL_TOL, the bundle LP over inst of the shape (item_cap, member_cap).
-    Returns the sorted inst.bundle_layout columns of the nonzeros, and their floats."""
+    """Raise InfeasibleFractional unless x is over inst.bundle_layout, with
+    increasing columns, and is finite and satisfies, within FRACTIONAL_TOL,
+    the bundle LP over inst of the shape (item_cap, member_cap); a fault is
+    named at its first column, else item, else bundle.  Returns the columns
+    of x and their floats."""
     layout = inst.bundle_layout
-    cols = np.array([layout.col.get(k, -1) for k in x.x], dtype=np.int64)
-    nonzero = [n for n, v in enumerate(x.x.values()) if v]
-    fv = np.zeros(len(cols))
-    fv[nonzero] = [float(v) for v in x.x.values() if v]
-    xv = np.bincount(cols[cols >= 0], fv[cols >= 0], len(layout.keys))
-    # the entries up to the first key outside the layout, which fails
-    end = np.append(np.flatnonzero(cols < 0), len(cols))[0]
-    c, fv = cols[:end], fv[:end]
+    if x.keys is not layout.keys and x.keys != layout.keys:
+        raise InfeasibleFractional("solution is not over the instance's bundle layout")
+    c = list(x.x)
+    if any(type(k) is not int for k in c) or c != sorted(set(c)) or (
+            c and not 0 <= c[0] <= c[-1] < len(layout.keys)):
+        raise InfeasibleFractional("solution columns are not increasing layout columns")
+    c = np.array(c, dtype=np.int64)
+    fv = np.array([float(v) for v in x.x.values()])
+    xv = np.zeros(len(layout.keys))
+    xv[c] = fv
     opener, item = layout.opener[c], layout.item[c]
     member_caps = np.array([float(member_cap(i)) for i in inst.items])
     bad = ~np.isfinite(fv) | (fv < -FRACTIONAL_TOL) | (
         (opener != c) & (fv > xv[opener] * member_caps[item] + FRACTIONAL_TOL))
-    at = np.append(np.flatnonzero(bad), end)[0]
-    if at < len(cols):
-        raise InfeasibleFractional(_entry_fault(inst, *list(x.x.items())[at]))
+    if bad.any():
+        v, (i, j, p) = fv[bad][0], layout.keys[c[bad][0]]
+        raise InfeasibleFractional(
+            f"non-finite value at {(i, j, p)}" if not np.isfinite(v)
+            else f"negative value at {(i, j, p)}" if v < -FRACTIONAL_TOL
+            else f"x[{i},{j},{p}] exceeds its opener cap")
     mass = np.bincount(item, fv, len(inst.items))
     over = np.flatnonzero(mass > [float(item_cap(i)) + FRACTIONAL_TOL for i in inst.items])
     if over.size:
         i = over[0]
         raise InfeasibleFractional(f"item {inst.items[i]!r} mass {float(mass[i])} exceeds its cap")
-    av = np.bincount(layout.bundle[c], -(fv * layout.excess[c]), len(layout.bundles))
-    if (av > FRACTIONAL_TOL).any():
-        b = next(b for b in dict.fromkeys(layout.bundle[c].tolist()) if av[b] > FRACTIONAL_TOL)
+    bundle = layout.bundle[c]
+    av = np.bincount(bundle, -(fv * layout.excess[c]), len(layout.bundles))
+    violated = bundle[av[bundle] > FRACTIONAL_TOL]
+    if violated.size:
+        b = violated[0]
         raise InfeasibleFractional(
             f"bundle {layout.bundles[b]} violates its value row by {float(av[b])}")
-    order = np.argsort(c[nonzero])
-    return c[nonzero][order], fv[nonzero][order]
+    return c, fv
 
 
 # ---------------------------------------------------------------------------
@@ -332,7 +324,7 @@ class OfflinePlan:
                 self.coin_items.append(i)
                 starts.append(len(coins))
             coins.append((b, inst.item_index(i), inst.buyer_index(j), inst.item_index(p),
-                          self.alpha * _ratio(x.x[(i, j, p)], x.x[(p, j, p)]), -excess[(i, j)],
+                          self.alpha * _ratio(x.x[c], x.x[int(opens[b])]), -excess[(i, j)],
                           values[(i, j)], rc(i, j)))
         caps = [[budgets.get((res, j)) for res in self.resources] for j in inst.buyers]
 
@@ -515,17 +507,18 @@ class OnlinePlan:
         qT = [float(model.probs[i] * T) for i in model.types]
         open_cum = [[] for _ in model.types]
         self.join_prob = np.zeros((nt, nt, nb))
-        for col, m in zip(cols.tolist(), mass.tolist()):
-            i, j, p = inst.bundle_layout.keys[col]
+        layout = inst.bundle_layout
+        for col, o, m in zip(cols.tolist(), layout.opener[cols].tolist(), mass.tolist()):
+            i, j, p = layout.keys[col]
             t, jdx = inst.item_index(i), inst.buyer_index(j)
-            if qT[t] <= 0 or not x.x.get((p, j, p)):  # no coin without an opener
+            if qT[t] <= 0 or not x.x.get(o):  # no coin without an opener
                 continue
             if i == p:
                 cum = open_cum[t]
                 cum.append(((cum[-1][0] if cum else 0.0) + m / qT[t], jdx))
             else:
                 self.join_prob[t, inst.item_index(p), jdx] = (
-                    self.alpha * _ratio(x.x[(i, j, p)], x.x[(p, j, p)]) / qT[t])
+                    self.alpha * _ratio(x.x[col], x.x[o]) / qT[t])
         self.open_acc, self.open_buyer = _draw_table(open_cum)
         # per type i, the classes c = p * nb + j of the open bundles (p, j) it
         # may join and their coin probabilities, in entries join_start[i] ..

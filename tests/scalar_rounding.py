@@ -24,6 +24,7 @@ from avalloc.rounding import (
 class ScalarOfflinePlan:
     def __init__(self, inst, x, alpha, budgeted=False):
         self.inst = inst
+        x = {x.keys[c]: v for c, v in x.x.items()}
         values, excess, rcosts, budgets = inst.scaled
         self.resources = inst.resources() if budgeted else []
         self.alpha = alpha if alpha is not None else 1.0 / (3 * max(len(self.resources), 1))
@@ -33,7 +34,7 @@ class ScalarOfflinePlan:
             if inst.item_class(p) != "P":
                 continue
             for j in inst.buyers:
-                if x.x.get((p, j, p)):
+                if x.get((p, j, p)):
                     bundle_idx[(j, p)] = len(self.bundles)
                     self.bundles.append((
                         j, p, excess[(p, j)], values[(p, j)],
@@ -46,7 +47,7 @@ class ScalarOfflinePlan:
             acc = 0.0
             cum = []
             for j in inst.buyers:
-                v = x.x.get((p, j, p))
+                v = x.get((p, j, p))
                 if v:
                     acc += float(v)
                     cum.append((acc, bundle_idx[(j, p)]))
@@ -57,10 +58,10 @@ class ScalarOfflinePlan:
                 continue
             cands = []
             for (j, p), b in bundle_idx.items():
-                v = x.x.get((i, j, p))
+                v = x.get((i, j, p))
                 if not v:
                     continue
-                xp = x.x[(p, j, p)]
+                xp = x[(p, j, p)]
                 ratio = float(Fraction(v) / Fraction(xp)) if isinstance(v, Fraction) else v / xp
                 cands.append((
                     b, inst.buyer_index(j), inst.item_index(p), self.alpha * ratio,
@@ -138,6 +139,7 @@ class ScalarOfflinePlan:
 class ScalarOnlinePlan:
     def __init__(self, model, x, alpha):
         self.model = model
+        x = {x.keys[c]: v for c, v in x.x.items()}
         self.alpha = 0.64 if alpha is None else alpha
         T = model.horizon
         self.half = T // 2
@@ -151,7 +153,7 @@ class ScalarOnlinePlan:
             acc = 0.0
             cum = []
             for j in model.buyers:
-                v = x.x.get((p, j, p))
+                v = x.get((p, j, p))
                 if v:
                     acc += float(v) / qT
                     cum.append((acc, j))
@@ -173,10 +175,10 @@ class ScalarOnlinePlan:
                 for (p, jj) in p_edges:
                     if jj != j:
                         continue
-                    v = x.x.get((i, j, p))
+                    v = x.get((i, j, p))
                     if not v:
                         continue
-                    xp = x.x[(p, j, p)]
+                    xp = x[(p, j, p)]
                     ratio = float(Fraction(v) / Fraction(xp)) if isinstance(v, Fraction) else v / xp
                     self.joiners.setdefault((p, j), []).append((i, self.alpha * ratio / qT))
                 self.member_deficit[(i, j)] = -excess[(i, j)]

@@ -1,6 +1,7 @@
 """The batched rounding runs against the one-trial-at-a-time reference in
 scalar_rounding.py, trial by trial, and reports against the block size."""
 
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -12,7 +13,6 @@ from avalloc import IidModel, Instance, rounding
 from avalloc.generators import gen_random, gen_random_iid_model
 from avalloc.harness import run_offline_trials, run_online_trials
 from avalloc.lp_models import (
-    BundleLpSolution,
     build_bundle_lp,
     build_bundle_lp_budgeted,
     build_opton_lp,
@@ -21,7 +21,7 @@ from avalloc.lp_models import (
 from avalloc.rounding import OfflinePlan, OnlinePlan, derive_trial_seed, sample_stream
 from dense_candidates import dense_coin_candidates
 from scalar_rounding import ScalarOfflinePlan, ScalarOnlinePlan
-from util import dense_coin_model
+from util import dense_coin_model, solution
 
 
 def _check_offline(inst, x, alpha, budgeted, seed, trials):
@@ -240,7 +240,7 @@ def _contested_model():
          ("n2", "b2", "p1"): Fraction(1, 2), ("n3", "b2", "p1"): 1}
     x = {k: Fraction(v) for k, v in x.items()}
     objective = sum(v * model.values[(i, j)] for (i, j, _p), v in x.items())
-    return model, BundleLpSolution(x=x, objective=objective)
+    return model, solution(model.inst, x, objective)
 
 
 def test_contested_bundles_match_scalar_reference():
@@ -318,3 +318,20 @@ def test_dense_coin_blocks_split_within_the_budget(monkeypatch):
         assert sum(n for n, _coins in ran) == 300
         assert all(n == 1 or coins <= block for n, coins in ran)
         assert (len(ran) < len(blocks)) == (block > 1)
+
+
+def test_online_rounding_memory_bound():
+    # the dense-coin model at T=400: up to 40,000 coins a trial, about
+    # 10,000 drawn, against a block of 40 trials sized by the plan's widths.
+    # A block over rounding._BLOCK coins splits, so the traced peak stays
+    # under 8 MiB (5.2 MiB measured with numpy 2.4; 34 MiB with the split
+    # taken out)
+    model, x = dense_coin_model(400)
+    tracemalloc.start()
+    try:
+        report = run_online_trials(model, x, None, 0.0766, 0, 50)
+        peak = tracemalloc.get_traced_memory()[1] / 2**20
+    finally:
+        tracemalloc.stop()
+    assert report.feasible_count == 50
+    assert peak < 8

@@ -7,10 +7,8 @@ import pytest
 
 from avalloc import (
     Allocation,
-    EdgeClass,
     Instance,
     allocation_value,
-    classify_edge,
     is_feasible,
     to_fraction,
 )
@@ -34,24 +32,28 @@ def test_to_fraction_reads_floats_as_decimals():
 @pytest.mark.parametrize(
     "v,rho,c,expected",
     [
-        (1.5, 1, 1, EdgeClass.P),
-        (1.0, 1, 1, EdgeClass.P),  # zero excess counts as P
-        (0.9, 1, 1, EdgeClass.N),
-        (2, 1, 3, EdgeClass.N),  # cost mode: 2 - 1*3 < 0
-        (3, 1, 3, EdgeClass.P),
+        (1.5, 1, 1, True),
+        (1.0, 1, 1, True),  # zero excess counts as P
+        (0.9, 1, 1, False),
+        (2, 1, 3, False),  # cost mode: 2 - 1*3 < 0
+        (3, 1, 3, True),
     ],
 )
-def test_classify_edge(v, rho, c, expected):
-    assert classify_edge(v, rho, c) is expected
+def test_is_p_edge(v, rho, c, expected):
+    # a unit cost is read in plain mode, any other in cost mode
+    inst = Instance(items=["i"], buyers=["b"], values={("i", "b"): v}, thresholds={"b": rho},
+                    costs=None if c == 1 else {("i", "b"): c})
+    assert inst.is_p_edge("i", "b") is expected
+    assert inst.item_class("i") == ("P" if expected else "N")
 
 
 def test_classify_edge_rejects_bad_arguments():
-    with pytest.raises(ValueError):
-        classify_edge(1, 0, 1)
-    with pytest.raises(ValueError):
-        classify_edge(-1, 1, 1)
-    with pytest.raises(ValueError):
-        classify_edge(1, 1, -2)
+    # an edge is classified only on a valid instance: zero threshold, negative value
+    # and negative cost are rejected when the one-edge instance is built
+    for v, rho, c in [(1, 0, 1), (-1, 1, 1), (1, 1, -2)]:
+        with pytest.raises(InvalidInstance):
+            Instance(items=["i"], buyers=["b"], values={("i", "b"): v}, thresholds={"b": rho},
+                     costs=None if c == 1 else {("i", "b"): c})
 
 
 def test_is_feasible_examples():

@@ -2,7 +2,6 @@ from fractions import Fraction
 
 import pytest
 
-from avalloc import EdgeClass
 from avalloc.errors import BadEps
 from avalloc.generators import (
     gen_adversarial_T,
@@ -21,8 +20,8 @@ from avalloc.oracles import exact_opt
 def test_integrality_gap_structure():
     inst = gen_integrality_gap(3, Fraction(1, 10))
     assert len(inst.items) == 4 and len(inst.buyers) == 3
-    classes = [inst.edge_class(i, j) for (i, j) in inst.edges()]
-    assert classes.count(EdgeClass.P) == 3 and classes.count(EdgeClass.N) == 3
+    p_edges = [inst.is_p_edge(i, j) for (i, j) in inst.edges()]
+    assert p_edges.count(True) == 3 and p_edges.count(False) == 3
     assert inst.values[("p", "b1")] == Fraction(13, 10)
     with pytest.raises(BadEps):
         gen_integrality_gap(3, Fraction(1, 2))

@@ -45,7 +45,7 @@ from avalloc.rounding import (
     stream_instance,
 )
 from reference_replay import reference_replay_prefix
-from util import unit_instance
+from util import entries, unit_instance
 
 
 @pytest.fixture(scope="module")
@@ -376,7 +376,7 @@ def test_online_trials_with_a_zero_excess_opener():
         horizon=6,
     )
     assert model.inst.excess("z", "b1") == 0
-    assert solve_model_lp(build_opton_lp(model)).x[("z", "b1", "z")] > 0
+    assert entries(solve_model_lp(build_opton_lp(model)))[("z", "b1", "z")] > 0
     for seed in range(4):
         _check_online_runs(model, seed)
 

@@ -208,16 +208,19 @@ def test_lp_text_export():
         objective=[F(1), F(2)],
         rows=[({0: F(1), 1: F(1)}, "<=", F(3)), ({0: F(1), 1: F(-1)}, "<=", F(0))],
         upper_bounds=[F(1), None],
-        names=["a", "b"],
     )
     text = lp_to_text(lp)
     assert text.startswith("Maximize")
-    assert " obj: 1.0 a + 2.0 b" in text
+    assert " obj: 1.0 x0 + 2.0 x1" in text
     assert "Subject To" in text
-    assert " c0: 1.0 a + 1.0 b <= 3.0" in text
-    assert " c1: 1.0 a + -1.0 b <= 0.0" in text
-    assert " 0 <= a <= 1.0" in text
+    assert " c0: 1.0 x0 + 1.0 x1 <= 3.0" in text
+    assert " c1: 1.0 x0 + -1.0 x1 <= 0.0" in text
+    assert " 0 <= x0 <= 1.0" in text
+    assert " 0 <= x1\n" in text
     assert text.rstrip().endswith("End")
+    # a column with a key tuple is named by it
+    keyed = LinearProgram(objective=[F(1)], rows=[], var_keys=[("i", "b", "p")])
+    assert " obj: 1.0 x[i,b,p]" in lp_to_text(keyed)
 
 
 def test_against_external_solver_on_random_lps():

@@ -6,7 +6,7 @@ from fractions import Fraction
 
 import pytest
 
-from avalloc import EdgeClass, IidModel, Instance, allocation_value
+from avalloc import IidModel, Instance, allocation_value
 from avalloc.errors import (
     AmbiguousInstance,
     DomainError,
@@ -106,9 +106,9 @@ def test_bundle_layout_and_item_classes_match_the_edges(make):
     model = made if isinstance(made, IidModel) else None
     inst = model.inst if model else made
     for i in inst.items:
-        classes = {inst.edge_class(i, j) for j in inst.edges_of_item(i)}
-        want = ("isolated" if not classes else "P" if classes == {EdgeClass.P}
-                else "N" if classes == {EdgeClass.N} else "ambiguous")
+        classes = {inst.is_p_edge(i, j) for j in inst.edges_of_item(i)}
+        want = ("isolated" if not classes else "P" if classes == {True}
+                else "N" if classes == {False} else "ambiguous")
         assert inst.item_class(i) == want
     p_edges = [(p, j) for p, j in inst.edges() if inst.excess(p, j) >= 0]
     keys = []

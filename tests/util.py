@@ -2,7 +2,7 @@
 
 from fractions import Fraction
 
-from avalloc import Allocation, IidModel, Instance
+from avalloc import Allocation, BundleLpSolution, IidModel, Instance
 from avalloc.lp_models import build_opton_lp, solve_model_lp
 
 
@@ -20,6 +20,20 @@ def unit_instance(values, buyers=None, costs=None, budgets=None, rcosts=None):
         budgets=budgets,
         resource_costs=rcosts,
     )
+
+
+def solution(inst, entries, objective=0):
+    """The BundleLpSolution over inst's bundle layout that holds the truthy
+    values of entries, a {(item, buyer, p_item): value} dict, as from_lp
+    keeps only the nonzero ones."""
+    layout = inst.bundle_layout
+    x = {layout.col[k]: v for k, v in entries.items() if v}
+    return BundleLpSolution(layout.keys, dict(sorted(x.items())), objective)
+
+
+def entries(x):
+    """A BundleLpSolution's values keyed by (item, buyer, p_item)."""
+    return {x.keys[c]: v for c, v in x.x.items()}
 
 
 def random_feasible_allocation(inst, rng):
