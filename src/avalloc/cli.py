@@ -237,6 +237,7 @@ def _cmd_lp(args) -> int:
     sol = solve_lp(lp)
     doc = {"which": args.which, "status": sol.status,
            "n_vars": lp.n_vars, "n_rows": lp.n_rows, "iterations": sol.iterations,
+           "exact_pivots": sol.exact_pivots, "restarted": sol.restarted,
            "rounds": sol.rounds, "columns": sol.columns}
     if sol.status == "optimal":
         doc.update(_frac_fields(sol.exact_objective))

@@ -9,9 +9,10 @@ positive coefficient is on its owner, so that the owner at 0 satisfies
 it.  The bundle builders own each membership row x_ijp <= cap * x_pjp by
 its member x_ijp.
 
-The float phase is a tableau simplex (largest-coefficient pivoting,
-Bland's rule after 10*(rows+cols) pivots) run by delayed column
-generation (Gilmore & Gomory, OR 1961).  It starts from the slack basis
+The float phase is a tableau simplex (largest-coefficient pivoting with
+Harris's ratio test, then Bland's rule with the textbook one after
+10*(rows+cols) pivots) run by delayed column generation (Gilmore &
+Gomory, OR 1961).  It starts from the slack basis
 over the columns that own no row and every unowned row.  At each optimum
 it prices every absent column at once, c - A^T y in numpy with y read off
 the objective row at the slack columns, and admits the best ``_CG_BATCH``
@@ -48,15 +49,17 @@ each, so the work follows the structural part of the basis and not the
 row count.  Pricing sums A^T y in ints over the rows whose dual is
 nonzero, with y over one common denominator.
 
-On a 2-core Xeon, the bundle LP of 32 items and 8 buyers (1271 columns,
-1303 rows) solves in 7 rounds that admit 145 of its 1175 members; its
-tableau reaches 274 x 515 entries, against 1304 x 2575 (27 MB) for all
-columns, and the certified solve takes about 0.13 s of CPU, 0.03 s of it
-in 283 pivots.  Its final basis has 114 structural columns, so the exact
-layer factors a kernel of 114 of the 1303 rows.  At 64 items (4934
-columns, 4998 rows) it takes 10 rounds and 0.8-1.0 s; with P-edge density
-0.2 (3797 columns, a fractional optimum) 1.6-2.1 s, three quarters of it
-pivoting a tableau of at most 719 x 1373 that fill-in leaves mostly dense.
+On a 2-core Xeon (CPU, best of three), the bundle LP of 32 items and 8
+buyers (1271 columns, 1303 rows) solves in 12 rounds that admit 141 of
+its 1175 members; its tableau reaches 270 x 507 entries, against
+1304 x 2575 (27 MB) for all columns, and the certified solve takes about
+0.04 s, 0.004 s of it in 143 pivots (283 pivots and 0.017 s under the
+textbook ratio test).  Its final basis has 122 structural columns, so the
+exact layer factors a kernel of at most 122 of the 1303 rows.  At 64
+items (4934 columns, 4998 rows) it takes 40 rounds and 0.14 s; with
+P-edge density 0.2 (3797 columns, a fractional optimum) 0.25 s, 0.16 s
+of it in 782 pivots on a tableau of at most 759 x 1453.  Under the
+textbook ratio test these took 0.47 s and 1.17 s on the same host.
 
 No step calls BLAS.  ``solve_lp`` is the seam to swap in an external
 solver.
@@ -193,6 +196,10 @@ class LpSolution:
     # restricted LPs solved, and columns admitted by pricing
     rounds: int = 0
     columns: int = 0
+    # pivots of the exact layer after the float phase, a restart's included,
+    # and whether the float basis was dropped for the slack basis
+    exact_pivots: int = 0
+    restarted: bool = False
 
 
 # ---------------------------------------------------------------------------
@@ -285,8 +292,12 @@ def _pivot(T, basis, row, col):
 
 def _simplex_phase(T, basis, tol, max_iter, bland_after, start_iter=0):
     """Dantzig's rule (most negative reduced cost, lowest column on ties)
-    until ``bland_after`` pivots, then Bland's rule; the ratio test breaks
-    ties on the lowest basic column."""
+    with Harris's ratio test (Math. Programming 1973) until ``bland_after``
+    pivots, then Bland's rule with the textbook one, so that a cycle ends.
+    Harris bounds the step by the least (max(b_i, 0) + tol) / a_i over the
+    rows with a_i > tol, then pivots on the largest a_i among the rows with
+    b_i / a_i within it, so a degenerate vertex yields a sizable pivot, not
+    the tiny one at the least ratio.  Ties go to the lowest basic column."""
     m = T.shape[0] - 1
     it = start_iter
     while True:
@@ -294,15 +305,18 @@ def _simplex_phase(T, basis, tol, max_iter, bland_after, start_iter=0):
         candidates = np.flatnonzero(obj < -tol)
         if not candidates.size:
             return OPTIMAL, it
-        if it - start_iter >= bland_after:
-            col = int(candidates[0])
-        else:
-            col = int(candidates[np.argmin(obj[candidates])])
+        bland = it - start_iter >= bland_after
+        col = int(candidates[0] if bland else candidates[np.argmin(obj[candidates])])
         rows = np.flatnonzero(T[:m, col] > tol)
         if not rows.size:
             return UNBOUNDED, it
-        ratios = T[rows, -1] / T[rows, col]
-        ties = rows[ratios == ratios.min()]
+        alpha, b = T[rows, col], T[rows, -1]
+        ratios = b / alpha
+        if bland:
+            ties = rows[ratios == ratios.min()]
+        else:
+            near = ratios <= ((np.maximum(b, 0.0) + tol) / alpha).min()
+            ties = rows[near][alpha[near] == alpha[near].max()]
         row = int(min(ties, key=lambda i: basis[i]))
         _pivot(T, basis, row, col)
         it += 1
@@ -632,12 +646,13 @@ def _exact_revised_simplex(cols, b, c, basis, max_pivots=2000):
     column with c_j > y.a_j; the ratio test breaks ties on the lowest
     basic column.
 
-    Returns (status, basis, x_basic, y) where x_basic aligns with basis
-    rows and y, the duals of the rows of ``b`` at an optimum, solves
-    B^T y = c_B on the last iteration; status may also be 'singular' or
-    'infeasible-basis' when the starting basis is unusable.  At most
-    ``max_pivots`` pivots are made; NumericalFailure is raised when the
-    basis after the last of them is not optimal."""
+    Returns (status, basis, x_basic, y, pivots) where x_basic aligns with
+    basis rows, y, the duals of the rows of ``b`` at an optimum, solves
+    B^T y = c_B on the last iteration, and pivots counts the pivots made;
+    status may also be 'singular' or 'infeasible-basis' when the starting
+    basis is unusable.  At most ``max_pivots`` pivots are made;
+    NumericalFailure is raised when the basis after the last of them is
+    not optimal."""
     m = len(b)
     basis = list(basis)
     rows = [[] for _ in range(m)]
@@ -649,9 +664,9 @@ def _exact_revised_simplex(cols, b, c, basis, max_pivots=2000):
         peel = _PeeledBasis(cols, basis, m)
         xB = None if peel.singular else peel.solve(b)
         if xB is None:
-            return "singular", basis, None, None
+            return "singular", basis, None, None, pivots
         if any(v.numerator < 0 for v in xB):
-            return "infeasible-basis", basis, None, None
+            return "infeasible-basis", basis, None, None, pivots
         y = peel.solve_transposed([c[j] for j in basis])
         # y = Y / den over the rows with y != 0; c_j - y.a_j > 0 iff c_j's
         # numerator * den exceeds c_j's denominator * Y.a_j, all in ints
@@ -665,7 +680,7 @@ def _exact_revised_simplex(cols, b, c, basis, max_pivots=2000):
         entering = next((j for j, ((num, dnm), s) in enumerate(zip(c_ints, ya))
                          if num * den > dnm * s), None)
         if entering is None:
-            return OPTIMAL, basis, xB, y
+            return OPTIMAL, basis, xB, y, pivots
         if pivots == max_pivots:
             break
         d = peel.solve(_col_dense(cols[entering], m))
@@ -676,7 +691,7 @@ def _exact_revised_simplex(cols, b, c, basis, max_pivots=2000):
                 if best is None or key < best[0]:
                     best = (key, i)
         if best is None:
-            return UNBOUNDED, basis, None, None
+            return UNBOUNDED, basis, None, None, pivots
         basis[best[1]] = entering
     raise NumericalFailure("exact pivot limit exceeded")
 
@@ -708,9 +723,14 @@ def solve_lp(lp: LinearProgram) -> LpSolution:
         return LpSolution(status=status, **counters)
     c_exact = lp.objective + [Fraction(0)] * (form.ncols - n)
     args = (form.cols_exact, form.b_exact, c_exact)
-    st, eb, xB, y = _exact_revised_simplex(*args, basis)
-    if st in ("singular", "infeasible-basis"):
-        st, eb, xB, y = _exact_revised_simplex(*args, form.slack.tolist(), max_pivots=5000)
+    st, eb, xB, y, pivots = _exact_revised_simplex(*args, basis)
+    # an unusable start is rejected before any pivot, so the restart's
+    # pivots are all the exact layer makes
+    restarted = st in ("singular", "infeasible-basis")
+    if restarted:
+        st, eb, xB, y, pivots = _exact_revised_simplex(*args, form.slack.tolist(),
+                                                       max_pivots=5000)
+    counters.update(exact_pivots=pivots, restarted=restarted)
     if st == UNBOUNDED:
         return LpSolution(status=st, **counters)
     exact_values = [Fraction(0)] * n

@@ -45,6 +45,7 @@ trial turned into Python objects.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -229,6 +230,15 @@ def _check_stream(model: IidModel, stream):
 # fractional-solution checks
 
 
+def _float(v) -> float:
+    """float(v), or the infinity of v's sign for a Fraction or int beyond
+    the float range, on which float() raises OverflowError."""
+    try:
+        return float(v)
+    except OverflowError:
+        return math.inf if v > 0 else -math.inf
+
+
 def check_fractional(inst: Instance, x: BundleLpSolution, item_cap, member_cap):
     """Raise InfeasibleFractional unless x is over inst.bundle_layout, with
     increasing columns, and is finite and satisfies, within FRACTIONAL_TOL,
@@ -243,7 +253,7 @@ def check_fractional(inst: Instance, x: BundleLpSolution, item_cap, member_cap):
             c and not 0 <= c[0] <= c[-1] < len(layout.keys)):
         raise InfeasibleFractional("solution columns are not increasing layout columns")
     c = np.array(c, dtype=np.int64)
-    fv = np.array([float(v) for v in x.x.values()])
+    fv = np.array([_float(v) for v in x.x.values()])
     xv = np.zeros(len(layout.keys))
     xv[c] = fv
     opener, item = layout.opener[c], layout.item[c]

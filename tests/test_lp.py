@@ -1,11 +1,12 @@
 import dataclasses
 import hashlib
+import time
 from fractions import Fraction
 from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
@@ -283,21 +284,21 @@ def test_exact_polish_handles_degenerate_float_stop():
 # rows and is solved in one round.
 PINNED_PIVOT_PATH = [
     ("bundle-12", lambda: build_bundle_lp(gen_random(12, 8, 1, unambiguous=True)),
-     81, 4, 52, "5628307327d29a830c6f0e73e03e54cc964a0168ddee841b4a35fc718567599c"),
+     41, 3, 44, "4fcbd65cd0ae1980c8759344563ee25548d8dcdb1f370f31b578899efffb19e2"),
     ("bundle-20", lambda: build_bundle_lp(gen_random(20, 8, 1, unambiguous=True)),
-     197, 6, 104, "9f205543a7144d33638eb18926d55fcc89268f8307bf2c5455bdb4f7ab8e7ff9"),
+     98, 6, 95, "8e84c34082c7ac90e3436c191b4905162a2514e535eacdb103489d309fdf0d7e"),
     ("bundle-32", lambda: build_bundle_lp(gen_random(32, 8, 1, unambiguous=True)),
-     283, 7, 145, "0930d9e563c2ee345b8214b7eb5fcb34870943c5809dd94f65698557ddaa378f"),
+     143, 12, 141, "1242a3105bcb0898361f6c17d5398b506d3e730799fb60bf3becbbd64524950f"),
     ("budgeted-20",
      lambda: build_bundle_lp_budgeted(
          gen_random(20, 6, 1, unambiguous=True, budget_resources=2)),
-     84, 4, 81, "866daa138608d57668a904b78665c8958ee7c777aa55fbfecf502b156a625e46"),
+     48, 4, 88, "5e7f16c973a716959721918f6082a2501af62ce4d19252d5393268867a3fe605"),
     ("naive-20", lambda: build_naive_lp(gen_random(20, 8, 1)),
      20, 1, 0, "ed13fa98b38995c0b528b167ab23801f0a4da1002b1236a7e6bde26b3416ca3a"),
     ("opton-40", lambda: build_opton_lp(gen_iid_lower_bound(40)),
-     79, 2, 39, "c7a427c409a7a8a9dba63c5175b0778629c80b07695161322352c1bc8d5fb252"),
+     41, 2, 39, "f2af8954edeb29ea15cba39464e1f6d8e7c391c438a77b8a479f2fa5b8c0d9b0"),
     ("optoff-40", lambda: build_optoff_lp(gen_iid_lower_bound(40), 1),
-     94, 2, 39, "d08cd712b2e9771027c3738d9613c0371dcf72e5c3ff9bf93583998d7d363e89"),
+     57, 2, 39, "246860f6ab98206be765520034fda322230025ec1807d713edaae7a59c144329"),
 ]
 
 
@@ -310,6 +311,93 @@ def test_pivot_path_is_pinned(make, iterations, rounds, columns, digest):
     assert (sol.iterations, sol.rounds, sol.columns) == (iterations, rounds, columns)
     path = repr(([int(j) for j in sol.basis], sol.exact_values))
     assert hashlib.sha256(path.encode()).hexdigest() == digest
+
+
+# -- Harris's ratio test and what it certifies -------------------------------------
+
+
+def test_harris_ratio_test_takes_the_large_pivot():
+    # x0 enters; row 0 has a = 1e-8 at b = 0 and row 1 has a = 1 at
+    # b = 1e-10.  The textbook test pivots on the least ratio, 0 on row 0.
+    # Harris's bound is (1e-10 + tol) / 1, which both ratios meet, and it
+    # pivots on the larger a, row 1 at ratio 1e-10
+    def tableau():
+        T = np.array([[1e-8, 1.0, 0.0, 0.0],
+                      [1.0, 0.0, 1.0, 1e-10],
+                      [-1.0, 0.0, 0.0, 0.0]])
+        return T, [1, 2]
+
+    T, basis = tableau()
+    assert lp_module._simplex_phase(T, basis, lp_module.PIVOT_TOL, 10, 10) == (OPTIMAL, 1)
+    assert basis == [1, 0]
+    # under Bland's rule the ratio test is the textbook one
+    T, basis = tableau()
+    assert lp_module._simplex_phase(T, basis, lp_module.PIVOT_TOL, 10, 0) == (OPTIMAL, 1)
+    assert basis == [0, 2]
+
+
+def _highs_objective(lp):
+    """HiGHS's optimum of ``lp``, through scipy's linprog over sparse rows."""
+    from scipy.optimize import linprog
+    from scipy.sparse import csr_matrix
+
+    r, k, a = zip(*[(r, k, float(a)) for r, (coeffs, _rel, _b) in enumerate(lp.rows)
+                    for k, a in coeffs.items()])
+    ref = linprog(
+        c=[-float(c) for c in lp.objective],
+        A_ub=csr_matrix((a, (r, k)), shape=(lp.n_rows, lp.n_vars)),
+        b_ub=[float(b) for _c, _r, b in lp.rows],
+        bounds=[(0, None if u is None else float(u))
+                for u in lp.upper_bounds or [None] * lp.n_vars],
+        method="highs",
+    )
+    assert ref.status == 0, ref.message
+    return -ref.fun
+
+
+def _assert_certified_as_highs(lp, sol):
+    assert sol.status == OPTIMAL and type(sol.exact_objective) is Fraction
+    ref = _highs_objective(lp)
+    assert abs(float(sol.exact_objective) - ref) <= 1e-9 * max(1.0, abs(ref))
+
+
+# Under the textbook ratio test the float basis of each was singular in
+# exact arithmetic, and the exact simplex ran past its 5000 pivots from
+# the slack basis
+@pytest.mark.parametrize("seed, p_density", [(5, 0.2), (2, 0.4)])
+def test_budgeted_32_item_lps_certify_from_the_float_basis(seed, p_density):
+    lp = build_bundle_lp_budgeted(gen_random(32, 6, seed, unambiguous=True,
+                                             p_density=p_density, budget_resources=2))
+    start = time.process_time()
+    sol = solve_lp(lp)
+    assert time.process_time() - start < 10.0
+    _assert_certified_as_highs(lp, sol)
+    assert (sol.exact_pivots, sol.restarted) == (0, False)
+
+
+@settings(max_examples=48, derandomize=True, database=None, deadline=None)
+@given(st.sampled_from(["bundle", "budgeted"]), st.integers(8, 32), st.integers(0, 11),
+       st.sampled_from([0.2, 0.4]))
+@example("budgeted", 28, 10, 0.2)  # its float basis was singular under the textbook test
+def test_generated_bundle_lps_certify_without_a_restart(kind, n, seed, p_density):
+    inst = gen_random(n, 6, seed, unambiguous=True, p_density=p_density,
+                      budget_resources=2 if kind == "budgeted" else 0)
+    lp = build_bundle_lp(inst) if kind == "bundle" else build_bundle_lp_budgeted(inst)
+    sol = solve_lp(lp)
+    assert sol.status == OPTIMAL and not sol.restarted
+
+
+def test_64_item_bundle_lps_certify_within_the_cpu_bound():
+    # 4934 columns, and 3797 at P-edge density 0.2, whose optimum is
+    # fractional; each is solved by column generation and certified over
+    # all of its columns
+    for p_density, optimum in ((0.4, Fraction(8467, 100)), (0.2, Fraction(389491, 5250))):
+        lp = build_bundle_lp(gen_random(64, 8, 1, unambiguous=True, p_density=p_density))
+        start = time.process_time()
+        sol = solve_lp(lp)
+        assert time.process_time() - start < 10.0, p_density
+        _assert_certified_as_highs(lp, sol)
+        assert sol.exact_objective == optimum
 
 
 # -- kernel properties -----------------------------------------------------------
@@ -419,7 +507,10 @@ def test_sparse_pivot_matches_dense_update(case):
 
 
 def _loop_simplex_phase(T, basis, tol, max_iter, bland_after, start_iter=0):
-    """Reference simplex phase: per-entry scans and the dense pivot."""
+    """Reference simplex phase: per-entry scans and the dense pivot.  Under
+    Dantzig's rule the ratio test is Harris's: the bound is the least
+    (max(b, 0) + tol) / a, and the pivot the largest a among the rows whose
+    ratio b / a is within it; under Bland's rule it is the least ratio."""
     m = T.shape[0] - 1
     it = start_iter
     while True:
@@ -427,7 +518,8 @@ def _loop_simplex_phase(T, basis, tol, max_iter, bland_after, start_iter=0):
         candidates = list(np.where(obj < -tol)[0])
         if not candidates:
             return OPTIMAL, it
-        if it - start_iter >= bland_after:
+        bland = it - start_iter >= bland_after
+        if bland:
             col = min(candidates)
         else:
             col = min(candidates, key=lambda j: (obj[j], j))
@@ -435,10 +527,15 @@ def _loop_simplex_phase(T, basis, tol, max_iter, bland_after, start_iter=0):
         for i in range(m):
             a = T[i, col]
             if a > tol:
-                ratios.append((T[i, -1] / a, basis[i], i))
+                ratios.append((T[i, -1] / a, basis[i], i, a, (max(T[i, -1], 0.0) + tol) / a))
         if not ratios:
             return lp_module.UNBOUNDED, it
-        _, _, row = min(ratios, key=lambda t: (t[0], t[1]))
+        if bland:
+            _, _, row, _, _ = min(ratios, key=lambda t: (t[0], t[1]))
+        else:
+            bound = min(t[4] for t in ratios)
+            _, _, row, _, _ = min((t for t in ratios if t[0] <= bound),
+                                  key=lambda t: (-t[3], t[1]))
         _dense_pivot(T, basis, row, col)
         it += 1
         if it - start_iter > max_iter:
@@ -542,8 +639,8 @@ def test_exact_simplex_matches_reference(start):
     # kind of starting basis, pivots included
     cols, b, c, basis = start
     got = lp_module._exact_revised_simplex(cols, b, c, basis)
-    assert got == reference_exact_revised_simplex(cols, b, c, basis, barred=set())
-    _assert_fractions(got)
+    assert got[:4] == reference_exact_revised_simplex(cols, b, c, basis, barred=set())
+    _assert_fractions(got[:4])
     # the kernel is square unless two singletons claim one row
     peel = lp_module._PeeledBasis(cols, basis, len(b))
     assert peel.singular or len(peel.kcols) == len(peel.rows)
@@ -555,9 +652,9 @@ def test_exact_pivot_limit_is_typed():
                        rows=[({0: F(1)}, "<=", F(1)), ({1: F(1)}, "<=", F(1))])
     form = lp_module._standard_form(lp)
     args = (form.cols_exact, form.b_exact, lp.objective + [F(0), F(0)], form.slack.tolist())
-    status, basis, xB, y = lp_module._exact_revised_simplex(*args)
-    assert (status, basis, xB, y) == (OPTIMAL, [0, 1], [F(1), F(1)], [F(1), F(1)])
-    assert lp_module._exact_revised_simplex(*args, max_pivots=2) == (status, basis, xB, y)
+    got = lp_module._exact_revised_simplex(*args)
+    assert got == (OPTIMAL, [0, 1], [F(1), F(1)], [F(1), F(1)], 2)
+    assert lp_module._exact_revised_simplex(*args, max_pivots=2) == got
     with pytest.raises(NumericalFailure, match="exact pivot limit exceeded"):
         lp_module._exact_revised_simplex(*args, max_pivots=1)
 
@@ -591,6 +688,7 @@ def test_singular_float_basis_restarts_from_the_slacks(make, objective):
     assert [status for _basis, status in starts] == ["singular", OPTIMAL]
     assert starts[1][0] == slack
     assert sol.status == OPTIMAL and sol.exact_objective == objective
+    assert sol.restarted and sol.exact_pivots > 0
     lp_module._verify_exact(lp, sol.exact_values, sol.exact_duals)
 
 

@@ -112,7 +112,7 @@ ONLINE_REPORT_DIGESTS = {
     5: "61554467f43b869ece262ae78505b72dda27ddc69b6fa6219b6873febd4a3d55",
 }
 OFFLINE_REPORT_DIGESTS = {
-    False: "430a2dcd3a0ed237f7b18db5f48c438dfbe8c885c4020a000b73e54c56e929c7",
+    False: "be4e9f97ba0a5a2b7c181a7213064794ff412056ccb3e12a380b723718c00936",
     True: "32b67142d571297de5217a607944d89e593f980c1d8b24d99b0436a598e05253",
 }
 STREAM_DIGEST = "7aabbe0c40e5bba33996ba64f065ba24054da0c613d6146ef9a113ccd717ba2c"
@@ -256,10 +256,11 @@ def test_offline_rejects_infeasible_fractional():
     with pytest.raises(InfeasibleFractional):
         round_offline(inst, bad, RoundingParams(alpha=0.3, seed=0))
     # a non-finite opener or member passes no comparison, so it is named
-    # as such; a NaN opener would otherwise never open its bundle
+    # as such; a NaN opener would otherwise never open its bundle.  A
+    # Fraction beyond the float range is infinite as a float
     random_inst = gen_random(7, 3, 3001, unambiguous=True)
     random_x = solve_model_lp(build_bundle_lp(random_inst))
-    for bad in (float("nan"), float("inf")):
+    for bad in (float("nan"), float("inf"), Fraction(10 ** 400)):
         for case, sol in ((inst, x), (random_inst, random_x)):
             for opener in (True, False):
                 key = next(k for k in entries(sol) if (k[0] == k[2]) == opener)
