@@ -26,7 +26,7 @@ from .core import (
     to_fraction,
     write_json,
 )
-from .errors import AvallocError, TooLarge
+from .errors import AvallocError, PivotLimit, TooLarge
 from .lp import lp_to_text, solve_lp
 from .lp_models import (
     IidModel,
@@ -382,7 +382,7 @@ def main(argv=None) -> int:
     args = ap.parse_args(argv)
     try:
         return args.fn(args)
-    except TooLarge as exc:
+    except (TooLarge, PivotLimit) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
     except (AvallocError, ValueError, KeyError, OSError) as exc:

@@ -75,3 +75,12 @@ class InfeasibleGapSolution(AvallocError, ValueError):
 
 class NumericalFailure(AvallocError, RuntimeError):
     """The LP solver could not certify a solution within tolerance."""
+
+
+class PivotLimit(NumericalFailure):
+    """A simplex made its pivot budget without reaching an optimum."""
+
+    def __init__(self, what, pivots, limit):
+        self.pivots = pivots
+        self.limit = limit
+        super().__init__(f"{what} limit exceeded: {pivots} pivots, limit {limit}")

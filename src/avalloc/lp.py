@@ -1,13 +1,15 @@
 """Packing linear programs and a self-contained, certified simplex solver.
 
 Maximization LPs over nonnegative variables with optional upper bounds
-u >= 0 and rows a.x <= b with b >= 0, each row stored sparse as its
-nonzero coefficients.  Every relaxation of the toolkit has this packing
-form, so x = 0 is feasible and the slack basis starts every simplex.  A
-row may be owned by a column (``LinearProgram.row_owner``): its only
-positive coefficient is on its owner, so that the owner at 0 satisfies
-it.  The bundle builders own each membership row x_ijp <= cap * x_pjp by
-its member x_ijp.
+u >= 0 and rows a.x <= b with b >= 0.  A row is stored once, as ints over
+a positive scale: (cols, ints, rhs, scale) reads sum ints[t]/scale *
+x[cols[t]] <= rhs/scale, its nonzeros only, the builders' rows in their
+instance's scaled integers.  Every relaxation of the toolkit has this
+packing form, so x = 0 is feasible and the slack basis starts every
+simplex.  A row may be owned by a column (``LinearProgram.row_owner``):
+its only positive coefficient is on its owner, so that the owner at 0
+satisfies it.  The bundle builders own each membership row
+x_ijp <= cap * x_pjp by its member x_ijp.
 
 The float phase is a tableau simplex (largest-coefficient pivoting with
 Harris's ratio test, then Bland's rule with the textbook one after
@@ -38,28 +40,23 @@ and columns with a nonzero in the pivot row, gathered and scattered
 through flat indices into the tableau, at most ``_PIVOT_BLOCK`` entries at
 a time.
 
-The exact layer works on each row multiplied by the lcm of its
-denominators, so its columns and rhs are Python ints.  Each iteration
-peels the basis first: a column with one nonzero (a slack, a one-entry
-structural) claims the row of that nonzero, and only the kernel, the
-other columns over the unclaimed rows, is eliminated, sparse and in
-Markowitz order with Fraction divisions (the bump of Suhl & Suhl, ORSA J.
-Computing 1990).  A claimed row's value and dual then take one division
-each, so the work follows the structural part of the basis and not the
-row count.  Pricing sums A^T y in ints over the rows whose dual is
-nonzero, with y over one common denominator.
+The exact layer works on the stored ints, each row times its scale, so
+its columns and rhs are Python ints.  Each iteration peels the basis
+first: a column with one nonzero (a slack, a one-entry structural) claims
+the row of that nonzero, and only the kernel, the other columns over the
+unclaimed rows, is eliminated, sparse and in Markowitz order with Fraction
+divisions (the bump of Suhl & Suhl, ORSA J. Computing 1990).  A claimed
+row's value and dual then take one division each, so the work follows the
+structural part of the basis and not the row count.  Pricing sums A^T y
+in ints over the rows whose dual is nonzero, with y over one common
+denominator.
 
-On a 2-core Xeon (CPU, best of three), the bundle LP of 32 items and 8
-buyers (1271 columns, 1303 rows) solves in 12 rounds that admit 141 of
-its 1175 members; its tableau reaches 270 x 507 entries, against
-1304 x 2575 (27 MB) for all columns, and the certified solve takes about
-0.04 s, 0.004 s of it in 143 pivots (283 pivots and 0.017 s under the
-textbook ratio test).  Its final basis has 122 structural columns, so the
-exact layer factors a kernel of at most 122 of the 1303 rows.  At 64
-items (4934 columns, 4998 rows) it takes 40 rounds and 0.14 s; with
-P-edge density 0.2 (3797 columns, a fractional optimum) 0.25 s, 0.16 s
-of it in 782 pivots on a tableau of at most 759 x 1453.  Under the
-textbook ratio test these took 0.47 s and 1.17 s on the same host.
+On a 2-core Xeon the bundle LP of 32 items and 8 buyers (1271 columns,
+1303 rows) solves in about 0.04 s of CPU: 12 rounds admit 141 of its 1175
+members, its tableau reaches 270 x 507 entries (1304 x 2575 for all
+columns) over 143 pivots, and the exact layer factors a kernel of at most
+122 rows.  At 64 items (4934 columns) it takes 0.14 s, and 0.25 s at
+P-edge density 0.2 (3797 columns, a fractional optimum).
 
 No step calls BLAS.  ``solve_lp`` is the seam to swap in an external
 solver.
@@ -69,15 +66,17 @@ from __future__ import annotations
 
 import heapq
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
+from itertools import chain
 from typing import NamedTuple
 
 import numpy as np
 
 from .core import to_fraction
-from .errors import NumericalFailure
+from .errors import NumericalFailure, PivotLimit
 
 OPTIMAL = "optimal"
 UNBOUNDED = "unbounded"
@@ -96,25 +95,22 @@ _CG_BATCH = 4
 
 @dataclass
 class LinearProgram:
-    """objective: coefficients to maximize; rows: (coeffs, "<=", rhs) with
-    coeffs a {column: coefficient} mapping and rhs >= 0; upper_bounds:
-    optional per-variable caps >= 0 (None entries = unbounded); var_keys:
-    optional builder metadata identifying each column, a tuple each, which
-    also names it in lp_to_text; row_owner: optional
-    per-row owning column (None entries = unowned).  Any other relation, a
-    negative rhs or a negative cap raises ValueError, so x = 0 is always
-    feasible.  A column that owns a row is left out of the solve, with its
-    rows, until pricing admits it, so an owned row must have its only
-    positive coefficient on its owner: x_owner = 0 then satisfies it
-    whatever the other columns hold.
-
-    Every number is converted with ``to_fraction``, so floats are read as
-    the decimals they print as.  Each stored row keeps only its nonzero
-    coefficients, in increasing column order.
+    """objective: coefficients to maximize; int_rows: one (cols, ints, rhs,
+    scale) per row, sum ints[t]/scale * x[cols[t]] <= rhs/scale, with cols
+    strictly increasing, ints nonzero and rhs >= 0, all Python ints, and
+    scale > 0; upper_bounds: optional per-variable caps >= 0 (None =
+    unbounded); var_keys: optional builder metadata, a tuple per column,
+    which also names it in lp_to_text; row_owner: optional per-row owning
+    column (None = unowned).  Any other row or cap raises ValueError, so
+    x = 0 is always feasible.  A column that owns a row is left out of the
+    solve, with its rows, until pricing admits it, so an owned row's only
+    positive coefficient is on its owner: x_owner = 0 then satisfies it.
+    The objective and the caps go through ``to_fraction``; ``from_rows``
+    converts rows of numbers.
     """
 
     objective: list
-    rows: list
+    int_rows: list
     upper_bounds: list | None = None
     var_keys: list | None = None
     row_owner: list | None = None
@@ -122,43 +118,51 @@ class LinearProgram:
     def __post_init__(self):
         n = len(self.objective)
         self.objective = [to_fraction(c) for c in self.objective]
-        rows = []
-        for r, (coeffs, rel, rhs) in enumerate(self.rows):
-            rhs = to_fraction(rhs)
-            if rel != "<=" or rhs < 0:
-                raise ValueError(f"row {r} is {rel} {rhs}; a packing LP takes only "
-                                 "<= rows with rhs >= 0")
-            row = {}
-            for k, a in sorted(coeffs.items()):
-                if not isinstance(k, int) or not 0 <= k < n:
-                    raise ValueError(f"column {k} out of range for {n} variables")
-                a = to_fraction(a)
-                if a:
-                    row[k] = a
-            rows.append((row, rel, rhs))
-        self.rows = rows
+        for r, (cols, ints, rhs, scale) in enumerate(self.int_rows):
+            if rhs < 0 or scale <= 0:
+                raise ValueError(f"row {r} has rhs {rhs} over scale {scale}; a packing LP "
+                                 "takes only rhs >= 0 over a positive scale")
+            if len(ints) != len(cols) or 0 in ints:
+                raise ValueError(f"row {r} needs one nonzero coefficient per column")
+            if cols and not (0 <= cols[0] and cols[-1] < n
+                             and all(map(operator.lt, cols, cols[1:]))):
+                raise ValueError(f"row {r}: columns {cols} are not increasing "
+                                 f"in range for {n} variables")
         if self.upper_bounds is not None:
             if len(self.upper_bounds) != n:
                 raise ValueError("upper bound vector has wrong length")
-            self.upper_bounds = [
-                None if u is None else to_fraction(u) for u in self.upper_bounds
-            ]
+            self.upper_bounds = [None if u is None else to_fraction(u) for u in self.upper_bounds]
             if any(u is not None and u < 0 for u in self.upper_bounds):
                 raise ValueError("a packing LP takes only upper bounds >= 0")
         if self.row_owner is not None:
-            if len(self.row_owner) != len(rows):
+            if len(self.row_owner) != len(self.int_rows):
                 raise ValueError("row owner vector has wrong length")
-            for r, ((coeffs, _rel, _rhs), k) in enumerate(zip(rows, self.row_owner)):
+            for r, (k, (cols, ints, *_)) in enumerate(zip(self.row_owner, self.int_rows)):
                 if k is None:
                     continue
                 if not isinstance(k, int) or not 0 <= k < n:
                     raise ValueError(f"row {r} owned by column {k}, out of range for {n} variables")
-                # each sign read off the numerator, which is much faster
-                # than comparing Fractions
-                if (coeffs.get(k, 0).numerator <= 0
-                        or any(a.numerator > 0 for kk, a in coeffs.items() if kk != k)):
+                # the owner's coefficient is the one positive int
+                if k not in cols or ints[cols.index(k)] < 0 or sum(map((0).__lt__, ints)) != 1:
                     raise ValueError(f"row {r} is not satisfied by x{k} = 0, so column {k} "
                                      "cannot own it")
+
+    @classmethod
+    def from_rows(cls, objective, rows, upper_bounds=None, var_keys=None, row_owner=None):
+        """The LP of rows (coeffs, "<=", rhs), coeffs a {column: number}
+        mapping.  Every number is converted with ``to_fraction``, so floats
+        are read as the decimals they print as, and each row is stored over
+        the lcm of its denominators, zeros dropped and columns sorted."""
+        int_rows = []
+        for r, (coeffs, rel, rhs) in enumerate(rows):
+            if rel != "<=" or not all(isinstance(k, int) for k in coeffs):
+                raise ValueError(f"row {r} is {rel} over columns {list(coeffs)}; a packing "
+                                 "LP takes only <= rows over int columns")
+            terms = [(k, a) for k, a in sorted((k, to_fraction(a)) for k, a in coeffs.items())
+                     if a]
+            ints, scale = _common_denominator([*(a for _k, a in terms), to_fraction(rhs)])
+            int_rows.append((tuple(k for k, _a in terms), tuple(ints[:-1]), ints[-1], scale))
+        return cls(objective, int_rows, upper_bounds, var_keys, row_owner)
 
     @property
     def n_vars(self) -> int:
@@ -166,22 +170,20 @@ class LinearProgram:
 
     @property
     def n_rows(self) -> int:
-        return len(self.rows)
-
-    def rows_with_bounds(self) -> list:
-        """self.rows, then one row x_k <= u per upper bound u, in column
-        order."""
-        return self.rows + [({k: Fraction(1)}, "<=", u)
-                            for k, u in enumerate(self.upper_bounds or []) if u is not None]
+        return len(self.int_rows)
 
     @cached_property
-    def scaled_rows(self) -> list:
-        """(ints, scale) per row of rows_with_bounds(): scale is the lcm
-        of the denominators of the row's coefficients and rhs, and ints are
-        those numbers times scale, the rhs last.  Taken once per LP, for
-        the standard form and for the exact certificate."""
-        return [_common_denominator([*coeffs.values(), rhs])
-                for coeffs, _rel, rhs in self.rows_with_bounds()]
+    def rows(self) -> list:
+        """int_rows as (coeffs, "<=", rhs), coeffs a {column: Fraction} dict
+        in column order: a view for readers, which the solver never builds."""
+        return [({k: Fraction(a, scale) for k, a in zip(cols, ints)}, "<=", Fraction(rhs, scale))
+                for cols, ints, rhs, scale in self.int_rows]
+
+    def rows_with_bounds(self) -> list:
+        """int_rows, then one row x_k <= u per upper bound u, in column
+        order, in the same stored form."""
+        return self.int_rows + [((k,), (u.denominator,), u.numerator, u.denominator)
+                                for k, u in enumerate(self.upper_bounds or []) if u is not None]
 
 
 @dataclass
@@ -208,10 +210,10 @@ class LpSolution:
 
 class _StandardForm(NamedTuple):
     """The LP's rows, then one row per upper bound, each with its slack:
-    row r's slack is column n + r.  The exact half holds each row times the
-    lcm of its denominators (``scales[r]``): sparse int columns, structural
-    then slack (``ncols`` in all), and the int rhs.  The float half holds
-    the structural nonzeros as (row, column, value) arrays and the rhs.
+    row r's slack is column n + r.  The exact half holds each row times its
+    stored scale (``scales[r]``): sparse int columns, structural then slack
+    (``ncols`` in all), and the int rhs.  The float half holds the
+    structural nonzeros as (row, column, value) arrays and the rhs.
     ``slack[r]`` is row r's slack column, ``owner[r]`` the column that owns
     row r, or -1, and ``priced`` marks the unowned rows with b > 0, the rows
     each pricing round draws from."""
@@ -235,31 +237,27 @@ def _common_denominator(values):
 
 
 def _standard_form(lp: LinearProgram) -> _StandardForm:
-    """The standard form of ``lp``, over all of its columns.
+    """The standard form of ``lp``, over all of its columns, read off its
+    stored rows; its lists are new, never the LP's own.
 
     Scaling rows leaves every basic solution, direction and reduced cost
     as it was and divides the row's dual by its scale.  Each float entry is
-    ``a_int / scale``, the correctly rounded unscaled coefficient, as
-    ``float(a)`` is."""
+    ``a_int / scale``, an int true division, so the correctly rounded
+    unscaled coefficient, as ``float(a)`` is."""
     n = lp.n_vars
     rows = lp.rows_with_bounds()
     m = len(rows)
     owner = list(lp.row_owner or [None] * lp.n_rows) + [None] * (m - lp.n_rows)
-    b_exact, scales, rhs = [], [], []
+    cols, ints, b_exact, scales = (list(t) for t in zip(*rows)) if rows else ([],) * 4
     cols_exact = [dict() for _ in range(n)]
-    e_rows, e_cols, e_vals = [], [], []
-    for r, ((coeffs, _rel, _b), (ints, scale)) in enumerate(zip(rows, lp.scaled_rows)):
-        scales.append(scale)
-        b_exact.append(ints[-1])
-        rhs.append(ints[-1] / scale)
-        e_rows += [r] * len(coeffs)
-        e_cols += coeffs
-        e_vals += [a_int / scale for a_int in ints[:-1]]
-        for k, a_int in zip(coeffs, ints):
-            cols_exact[k][r] = a_int
-    rhs = np.array(rhs, dtype=float)
-    entries = (np.array(e_rows, dtype=np.intp), np.array(e_cols, dtype=np.intp),
-               np.array(e_vals, dtype=float))
+    for r, (row_cols, row_ints) in enumerate(zip(cols, ints)):
+        for k, a in zip(row_cols, row_ints):
+            cols_exact[k][r] = a
+    rhs = np.array([b / scale for b, scale in zip(b_exact, scales)], dtype=float)
+    entries = (np.repeat(np.arange(m, dtype=np.intp), list(map(len, cols))),
+               np.fromiter(chain.from_iterable(cols), np.intp),
+               np.array([a / scale for row_ints, scale in zip(ints, scales) for a in row_ints],
+                        dtype=float))
     owner = np.array([-1 if k is None else k for k in owner], dtype=np.intp)
     return _StandardForm(entries, cols_exact + [{r: scale} for r, scale in enumerate(scales)],
                          b_exact, scales, n + m, rhs, n + np.arange(m, dtype=np.intp), owner,
@@ -321,7 +319,7 @@ def _simplex_phase(T, basis, tol, max_iter, bland_after, start_iter=0):
         _pivot(T, basis, row, col)
         it += 1
         if it - start_iter > max_iter:
-            raise NumericalFailure("pivot limit exceeded")
+            raise PivotLimit("pivot", it - start_iter, max_iter)
 
 
 class _RestrictedTableau:
@@ -651,8 +649,8 @@ def _exact_revised_simplex(cols, b, c, basis, max_pivots=2000):
     B^T y = c_B on the last iteration, and pivots counts the pivots made;
     status may also be 'singular' or 'infeasible-basis' when the starting
     basis is unusable.  At most ``max_pivots`` pivots are made;
-    NumericalFailure is raised when the basis after the last of them is
-    not optimal."""
+    PivotLimit is raised when the basis after the last of them is not
+    optimal."""
     m = len(b)
     basis = list(basis)
     rows = [[] for _ in range(m)]
@@ -693,7 +691,7 @@ def _exact_revised_simplex(cols, b, c, basis, max_pivots=2000):
         if best is None:
             return UNBOUNDED, basis, None, None, pivots
         basis[best[1]] = entering
-    raise NumericalFailure("exact pivot limit exceeded")
+    raise PivotLimit("exact pivot", max_pivots, max_pivots)
 
 
 def _col_dense(col, m):
@@ -713,8 +711,8 @@ def solve_lp(lp: LinearProgram) -> LpSolution:
     ``exact_objective`` and ``exact_duals``, and then checked against the
     LP's own rows and columns.  A basis that is singular or infeasible in
     exact arithmetic is dropped for the slack basis, which is feasible
-    because b >= 0, and the exact simplex gets 5000 pivots from there.
-    ``status`` is OPTIMAL or UNBOUNDED.
+    because b >= 0, and the exact simplex gets 5000 pivots from there
+    before ``PivotLimit``.  ``status`` is OPTIMAL or UNBOUNDED.
     """
     n = lp.n_vars
     status, basis, iters, form, rounds, columns = _float_solve(lp)
@@ -756,9 +754,8 @@ def _verify_exact(lp, xs, ys):
     standard form they came from.  x: x >= 0 and every row, each upper
     bound read as a row x_k <= u.  y, one per row and then per bound:
     y >= 0, A^T y >= c on every column and b.y == c.x, which proves x
-    optimal.  Rows are read in ints, each row times the lcm of its own
-    denominators (lp.scaled_rows), with x and the row duals divided by
-    those lcms each over one common denominator."""
+    optimal.  Rows are read in the LP's stored ints, with x and the row
+    duals divided by the rows' scales each over one common denominator."""
     if any(v < 0 for v in xs):
         raise NumericalFailure("exact vertex has a negative coordinate")
     rows = lp.rows_with_bounds()
@@ -766,20 +763,20 @@ def _verify_exact(lp, xs, ys):
         raise NumericalFailure("exact dual has the wrong length")
     X, den = _common_denominator(xs)
     scaled = []
-    for (coeffs, _rel, _rhs), (ints, scale), y in zip(rows, lp.scaled_rows, ys):
-        if sum(a * X[k] for k, a in zip(coeffs, ints)) > ints[-1] * den:
+    for (cols, ints, rhs, scale), y in zip(rows, ys):
+        if sum(a * X[k] for k, a in zip(cols, ints)) > rhs * den:
             raise NumericalFailure("exact vertex violates a row")
         if y < 0:
             raise NumericalFailure("exact dual has the wrong sign")
         if y:
-            scaled.append((coeffs, ints, Fraction(y) / scale))
-    W, wden = _common_denominator([w for _c, _i, w in scaled])
+            scaled.append((cols, ints, rhs, Fraction(y) / scale))
+    W, wden = _common_denominator([w for *_row, w in scaled])
     lhs = [0] * lp.n_vars  # (A^T y)_k * wden
     dual_obj = 0
-    for (coeffs, ints, _w), w in zip(scaled, W):
-        for k, a in zip(coeffs, ints):
+    for (cols, ints, rhs, _w), w in zip(scaled, W):
+        for k, a in zip(cols, ints):
             lhs[k] += a * w
-        dual_obj += ints[-1] * w
+        dual_obj += rhs * w
     if any(c.numerator * wden > c.denominator * s for c, s in zip(lp.objective, lhs)):
         raise NumericalFailure("exact dual violates a column")
     primal_obj = sum((c * v for c, v in zip(lp.objective, xs) if v), Fraction(0))
@@ -803,11 +800,11 @@ def lp_to_text(lp: LinearProgram) -> str:
     )
     out.append(f" obj: {terms if terms else '0'}")
     out.append("Subject To")
-    for r, (coeffs, _rel, rhs) in enumerate(lp.rows):
-        terms = " + ".join(
-            f"{num(a)} {names[k]}" for k, a in coeffs.items() if float(a) != 0
-        )
-        out.append(f" c{r}: {terms if terms else '0'} <= {num(rhs)}")
+    # a / scale is float(Fraction(a, scale)): both are int true divisions
+    for r, (cols, ints, rhs, scale) in enumerate(lp.int_rows):
+        terms = " + ".join(f"{num(a / scale)} {names[k]}"
+                           for k, a in zip(cols, ints) if a / scale != 0)
+        out.append(f" c{r}: {terms if terms else '0'} <= {num(rhs / scale)}")
     out.append("Bounds")
     for k in range(lp.n_vars):
         ub = None if lp.upper_bounds is None else lp.upper_bounds[k]

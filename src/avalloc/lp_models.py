@@ -130,32 +130,30 @@ class BundleLpSolution:
 
 
 def build_naive_lp(inst: Instance) -> LinearProgram:
-    """Fractional relaxation of the assignment ILP; plain mode only."""
+    """Fractional relaxation of the assignment ILP; plain mode only.  A
+    buyer's row is minus its scaled excesses over inst.scale."""
     if inst.has_costs:
         raise ValueError("naive LP is defined for plain (unit-cost) instances")
     edges = inst.edges()
     idx = {e: k for k, e in enumerate(edges)}
-    n = len(edges)
-    objective = [inst.values[e] for e in edges]
+    excess = inst.scaled[1]
     rows = []
     for j in inst.buyers:
-        row = {
-            idx[(i, j)]: inst.thresholds[j] - inst.values[(i, j)]
-            for i in inst.items
-            if (i, j) in idx
-        }
-        if row:
-            rows.append((row, "<=", Fraction(0)))
+        terms = [(idx[(i, j)], -excess[(i, j)]) for i in inst.items if (i, j) in idx]
+        if terms:
+            rows.append(_int_row([t for t in terms if t[1]], 0, inst.scale))
     for i in inst.items:
-        row = {idx[(i, j)]: Fraction(1) for j in inst.buyers if (i, j) in idx}
-        if row:
-            rows.append((row, "<=", Fraction(1)))
-    return LinearProgram(
-        objective=objective,
-        rows=rows,
-        upper_bounds=[Fraction(1)] * n,
-        var_keys=edges,
-    )
+        cols = tuple(idx[(i, j)] for j in inst.buyers if (i, j) in idx)
+        if cols:
+            rows.append((cols, (1,) * len(cols), 1, 1))
+    return LinearProgram(objective=[inst.values[e] for e in edges], int_rows=rows,
+                         upper_bounds=[Fraction(1)] * len(edges), var_keys=edges)
+
+
+def _int_row(terms, rhs, scale):
+    """The stored row of (column, int) terms in increasing column order."""
+    cols, ints = zip(*terms) if terms else ((), ())
+    return cols, ints, rhs, scale
 
 
 def _bundle_lp(inst: Instance, item_cap, member_cap, extra_rows=()) -> LinearProgram:
@@ -164,37 +162,40 @@ def _bundle_lp(inst: Instance, item_cap, member_cap, extra_rows=()) -> LinearPro
     Columns as in inst.bundle_layout: openers x_pjp per P-edge (p, j), members
     x_ijp per N-edge (i, j) and bundle (j, p).  item_cap(i) is the rhs of the
     row of item i; member_cap(i) multiplies x_pjp in the membership row of x_ijp.
-    ``extra_rows`` (unowned) follow the membership rows.
+    ``extra_rows`` (unowned, stored rows) follow the membership rows.  Value
+    rows are read off inst.scaled over inst.scale, item and membership rows
+    off their cap's numerator over its denominator.
     """
     layout = inst.bundle_layout
     keys = layout.keys
+    excess = inst.scaled[1]
     # per-bundle average-value rows: sum_i (rho_j c_ij - v_ij) x_ijp <= 0
-    value_rows = [{} for _ in layout.bundles]
+    value_rows = [[] for _ in layout.bundles]
     # per-item rows: the mass of item i over all bundles <= item_cap(i)
     item_rows = {}
     for pos, ((i, j, _p), b) in enumerate(zip(keys, layout.bundle.tolist())):
-        value_rows[b][pos] = -inst.excess(i, j)
-        item_rows.setdefault(i, {})[pos] = Fraction(1)
-    rows = [(row, "<=", Fraction(0)) for row in value_rows]
-    rows += [(row, "<=", item_cap(i)) for i, row in item_rows.items()]
+        if excess[(i, j)]:
+            value_rows[b].append((pos, -excess[(i, j)]))
+        item_rows.setdefault(i, []).append(pos)
+    rows = [_int_row(terms, 0, inst.scale) for terms in value_rows]
+    for i, cols in item_rows.items():
+        cap = item_cap(i)
+        rows.append((tuple(cols), (cap.denominator,) * len(cols), cap.numerator, cap.denominator))
     # membership rows: x_ijp <= member_cap(i) * x_pjp, each owned by its
     # member, which the solver leaves out with the row until it prices in
-    members = [
-        (pos, i, opener)
-        for pos, ((i, _j, _p), opener) in enumerate(zip(keys, layout.opener.tolist()))
-        if opener != pos
-    ]
-    owner = [None] * len(rows) + [pos for pos, _i, _opener in members]
-    rows += [({pos: Fraction(1), opener: -member_cap(i)}, "<=", Fraction(0))
-             for pos, i, opener in members]
+    owner = [None] * len(rows)
+    caps = {i: member_cap(i) for i in item_rows}
+    for pos, ((i, _j, _p), opener) in enumerate(zip(keys, layout.opener.tolist())):
+        if opener != pos:
+            a, den = -caps[i].numerator, caps[i].denominator
+            rows.append(((pos,), (den,), 0, den) if not a else
+                        ((opener, pos), (a, den), 0, den) if opener < pos else
+                        ((pos, opener), (den, a), 0, den))
+            owner.append(pos)
     rows += extra_rows
     owner += [None] * len(extra_rows)
-    return LinearProgram(
-        objective=[inst.values[(i, j)] for (i, j, _p) in keys],
-        rows=rows,
-        var_keys=keys,
-        row_owner=owner,
-    )
+    return LinearProgram(objective=[inst.values[(i, j)] for (i, j, _p) in keys],
+                         int_rows=rows, var_keys=keys, row_owner=owner)
 
 
 def _one(_item) -> Fraction:
@@ -232,26 +233,28 @@ def build_bundle_lp_budgeted(inst: Instance) -> LinearProgram:
     if not inst.budgets:
         raise MissingBudgets("instance carries no budgets")
     shape = bundle_lp_shape(inst)
-    keys, col = inst.bundle_layout.keys, inst.bundle_layout.col
+    layout = inst.bundle_layout
+    _values, _excess, rcosts, budgets = inst.scaled
+    members = [[] for _ in layout.bundles]  # the columns of each bundle
+    for pos, b in enumerate(layout.bundle.tolist()):
+        members[b].append(pos)
     rows = []
     for res in inst.resources():
         for j in inst.buyers:
-            cap = inst.budget(res, j)
+            cap = budgets.get((res, j))
             if cap is None:
                 continue
-            rcost = {
-                pos: inst.rcost(res, i, j) for pos, (i, jj, _p) in enumerate(keys) if jj == j
-            }
-            row = {pos: c for pos, c in rcost.items() if c}
-            if row:
-                rows.append((row, "<=", cap))
-            # one row per bundle (j, p), openers taken in bundle order
-            for (p, jj, pp) in keys:
-                if p != pp or jj != j:
-                    continue
-                row = {pos: c for pos, c in rcost.items() if keys[pos][2] == p}
-                row[col[(p, j, p)]] -= cap
-                rows.append((row, "<=", Fraction(0)))
+            rcost = {pos: rcosts.get((res, i, j), 0)
+                     for pos, (i, jj, _p) in enumerate(layout.keys) if jj == j}
+            terms = [(pos, c) for pos, c in rcost.items() if c]
+            if terms:
+                rows.append(_int_row(terms, cap, inst.scale))
+            # one row per bundle (j, p) in bundle order, the budget taken off its opener
+            for b, (jj, p) in enumerate(layout.bundles):
+                if jj == j:
+                    row = {pos: rcost[pos] for pos in members[b]}
+                    row[layout.col[(p, j, p)]] -= cap
+                    rows.append(_int_row([(pos, c) for pos, c in row.items() if c], 0, inst.scale))
     return _bundle_lp(inst, *shape, extra_rows=rows)
 
 

@@ -532,6 +532,42 @@ def test_cli_lp_which_variants(tmp_path, capsys):
     assert export.read_text().startswith("Maximize")
 
 
+def test_cli_pivot_limit_exits_3(tmp_path, capsys, monkeypatch):
+    # a float basis with a column repeated is singular, so the exact layer
+    # restarts from the slack basis; on a 1-pivot budget the restart is a
+    # typed refusal, exit 3 as for an oracle's state budget.  A failed
+    # certificate stays exit 2
+    from avalloc import lp as lp_module
+    from avalloc.errors import NumericalFailure
+
+    path = tmp_path / "gap3.json"
+    main(["gen", "integrality-gap", "-n", "3", "--eps", "0.1", "-o", str(path)])
+    float_solve, exact_simplex = lp_module._float_solve, lp_module._exact_revised_simplex
+
+    def repeated(lp):
+        status, basis, *rest = float_solve(lp)
+        basis[-1] = basis[0]
+        return (status, basis, *rest)
+
+    def one_pivot_restart(cols, b, c, basis, max_pivots=2000):
+        return exact_simplex(cols, b, c, basis, max_pivots=1 if max_pivots == 5000 else max_pivots)
+
+    monkeypatch.setattr(lp_module, "_float_solve", repeated)
+    assert main(["lp", str(path), "--which", "bundle"]) == 0
+    assert '"restarted": true' in capsys.readouterr().out
+    monkeypatch.setattr(lp_module, "_exact_revised_simplex", one_pivot_restart)
+    assert main(["lp", str(path), "--which", "bundle"]) == 3
+    assert "exact pivot limit exceeded" in capsys.readouterr().err
+
+    def no_certificate(lp, xs, ys):
+        raise NumericalFailure("exact vertex violates a row")
+
+    monkeypatch.undo()
+    monkeypatch.setattr(lp_module, "_verify_exact", no_certificate)
+    assert main(["lp", str(path), "--which", "bundle"]) == 2
+    assert "violates a row" in capsys.readouterr().err
+
+
 def test_cli_exit_codes(tmp_path, capsys):
     bad = tmp_path / "bad.json"
     bad.write_text('{"buyers": [], "items": [], "extra": 1}')

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from avalloc import lp as lp_module
-from avalloc.errors import NumericalFailure
+from avalloc.errors import NumericalFailure, PivotLimit
 from avalloc.generators import (
     gen_iid_lower_bound,
     gen_integrality_gap,
@@ -37,7 +37,7 @@ def F(x):
 
 
 def test_single_variable_box():
-    lp = LinearProgram(objective=[F(1)], rows=[({0: F(1)}, "<=", F(1))])
+    lp = LinearProgram.from_rows(objective=[F(1)], rows=[({0: F(1)}, "<=", F(1))])
     sol = solve_lp(lp)
     assert sol.status == OPTIMAL
     assert sol.exact_objective == 1
@@ -45,7 +45,8 @@ def test_single_variable_box():
 
 
 def test_degenerate_optimum_allowed():
-    lp = LinearProgram(objective=[F(1), F(1)], rows=[({0: F(1), 1: F(1)}, "<=", F(1))])
+    lp = LinearProgram.from_rows(objective=[F(1), F(1)],
+                                 rows=[({0: F(1), 1: F(1)}, "<=", F(1))])
     sol = solve_lp(lp)
     assert sol.status == OPTIMAL
     assert sol.exact_objective == 1
@@ -62,12 +63,12 @@ def test_bundle_lp_of_gap_instance_solves_to_eleven_fifths():
 
 
 def test_unbounded():
-    lp = LinearProgram(objective=[F(1)], rows=[({0: F(-1)}, "<=", F(1))])
+    lp = LinearProgram.from_rows(objective=[F(1)], rows=[({0: F(-1)}, "<=", F(1))])
     assert solve_lp(lp).status == UNBOUNDED
 
 
 def test_upper_bounds():
-    lp = LinearProgram(
+    lp = LinearProgram.from_rows(
         objective=[F(1), F(1)],
         rows=[({0: F(1), 1: F(1)}, "<=", F(10))],
         upper_bounds=[F(2), None],
@@ -79,7 +80,7 @@ def test_upper_bounds():
 
 def test_weak_duality_certificates():
     # max x + y s.t. x + 2y <= 4, 3x + y <= 6
-    lp = LinearProgram(
+    lp = LinearProgram.from_rows(
         objective=[F(1), F(1)],
         rows=[({0: F(1), 1: F(2)}, "<=", F(4)), ({0: F(3), 1: F(1)}, "<=", F(6))],
     )
@@ -94,9 +95,9 @@ def test_weak_duality_certificates():
 
 
 def test_verification_reads_the_lp_rows():
-    # the exact layer solves a copy of the LP with each row scaled to ints;
-    # a wrong rhs in that copy must be caught against lp.rows themselves
-    lp = LinearProgram(
+    # the exact layer solves the standard form, a copy of the LP's stored
+    # int rows; a wrong rhs in that copy must be caught against the LP's own
+    lp = LinearProgram.from_rows(
         objective=[F(1), F(1)],
         rows=[({0: Fraction(1, 2), 1: Fraction(1, 3)}, "<=", F(1)), ({0: F(1)}, "<=", F(1))],
     )
@@ -117,12 +118,12 @@ def test_verification_reads_the_lp_rows():
 
 
 def test_objective_scaling_preserves_argmax_face():
-    lp = LinearProgram(
+    lp = LinearProgram.from_rows(
         objective=[F(1), F(2)],
         rows=[({0: F(1), 1: F(1)}, "<=", F(3)), ({1: F(1)}, "<=", F(2))],
     )
     base = solve_lp(lp)
-    scaled = LinearProgram(
+    scaled = LinearProgram.from_rows(
         objective=[3 * c for c in lp.objective],
         rows=lp.rows,
     )
@@ -135,13 +136,13 @@ def test_objective_scaling_preserves_argmax_face():
 
 def test_zero_variable_lp():
     for rows in ([], [({}, "<=", F(0))], [({}, "<=", F(1))]):
-        sol = solve_lp(LinearProgram(objective=[], rows=rows))
+        sol = solve_lp(LinearProgram.from_rows(objective=[], rows=rows))
         assert sol.status == OPTIMAL
         assert sol.exact_values == [] and sol.exact_objective == 0
 
 
 def test_solution_objective_matches_dot_product():
-    lp = LinearProgram(
+    lp = LinearProgram.from_rows(
         objective=[F(3), F(5)],
         rows=[({0: F(1)}, "<=", F(4)), ({1: F(2)}, "<=", F(12)),
               ({0: F(3), 1: F(2)}, "<=", F(18))],
@@ -157,7 +158,7 @@ def test_solution_objective_matches_dot_product():
 
 def test_float_data_path_residuals():
     # floats are read as the decimals they print as, then solved exactly
-    lp = LinearProgram(objective=[1.0, 0.1], rows=[({0: 1.0, 1: 2.0}, "<=", 2.0)])
+    lp = LinearProgram.from_rows(objective=[1.0, 0.1], rows=[({0: 1.0, 1: 2.0}, "<=", 2.0)])
     assert lp.objective == [1, Fraction(1, 10)]
     assert lp.rows == [({0: 1, 1: 2}, "<=", 2)]
     sol = solve_lp(lp)
@@ -168,22 +169,56 @@ def test_float_data_path_residuals():
 
 def test_validation_of_dimensions():
     with pytest.raises(ValueError):
-        LinearProgram(objective=[F(1)], rows=[({0: F(1), 1: F(2)}, "<=", F(1))])
+        LinearProgram.from_rows(objective=[F(1)], rows=[({0: F(1), 1: F(2)}, "<=", F(1))])
     with pytest.raises(ValueError):
-        LinearProgram(objective=[F(1)], rows=[({-1: F(1)}, "<=", F(1))])
+        LinearProgram.from_rows(objective=[F(1)], rows=[({-1: F(1)}, "<=", F(1))])
     with pytest.raises(ValueError):
-        LinearProgram(objective=[F(1)], rows=[({0: F(1)}, "<<", F(1))])
+        LinearProgram.from_rows(objective=[F(1)], rows=[({0: F(1)}, "<<", F(1))])
     with pytest.raises(ValueError):
-        LinearProgram(objective=[F(1)], rows=[], upper_bounds=[F(1), F(2)])
+        LinearProgram.from_rows(objective=[F(1)], rows=[], upper_bounds=[F(1), F(2)])
     with pytest.raises(ValueError):
-        LinearProgram(objective=[float("inf")], rows=[])
+        LinearProgram.from_rows(objective=[float("inf")], rows=[])
     with pytest.raises(ValueError):
-        LinearProgram(objective=[F(1)], rows=[({0: float("nan")}, "<=", F(1))])
+        LinearProgram.from_rows(objective=[F(1)], rows=[({0: float("nan")}, "<=", F(1))])
+
+
+def test_stored_rows_are_validated():
+    # every check of the int constructor, on rows over 3 columns
+    def make(row, owner=None):
+        return LinearProgram(objective=[F(1)] * 3, int_rows=[row],
+                             row_owner=None if owner is None else [owner])
+
+    lp = make(((0, 2), (1, -3), 5, 2), owner=0)
+    assert lp.rows == [({0: Fraction(1, 2), 2: Fraction(-3, 2)}, "<=", Fraction(5, 2))]
+    make(((), (), 0, 1))
+    for row, owner, match in [
+        (((0,), (1,), -1, 1), None, "rhs >= 0"),               # negative rhs
+        (((0,), (1,), 1, 0), None, "positive scale"),          # zero scale
+        (((0,), (1,), 1, -2), None, "positive scale"),         # negative scale
+        (((3,), (1,), 1, 1), None, "not increasing"),          # column past the last
+        (((-1, 0), (1, 1), 1, 1), None, "not increasing"),     # negative column
+        (((1, 1), (1, 1), 1, 1), None, "not increasing"),      # repeated column
+        (((2, 1), (1, 1), 1, 1), None, "not increasing"),      # decreasing columns
+        (((0, 1), (1, 0), 1, 1), None, "nonzero coefficient"),  # stored zero
+        (((0, 1), (1,), 1, 1), None, "nonzero coefficient"),   # fewer ints than columns
+        (((0,), (1, 2), 1, 1), None, "nonzero coefficient"),   # more ints than columns
+        (((0, 1), (-1, -1), 0, 1), 0, "cannot own"),           # owner's coefficient < 0
+        (((0, 1), (1, -1), 0, 1), 2, "cannot own"),            # owner not in the row
+        (((0, 1), (1, 2), 0, 1), 0, "cannot own"),             # a second positive int
+        (((0, 1), (1, -1), 0, 1), 3, "out of range"),          # owner past the last column
+    ]:
+        with pytest.raises(ValueError, match=match):
+            make(row, owner)
+    # the converter takes only <= rows
+    with pytest.raises(ValueError, match="packing LP"):
+        LinearProgram.from_rows(objective=[F(1)], rows=[({0: F(1)}, ">=", F(1))])
+    with pytest.raises(ValueError, match="int columns"):
+        LinearProgram.from_rows(objective=[F(1)], rows=[({"0": F(1)}, "<=", F(1))])
 
 
 def test_only_packing_lps_are_accepted():
     # x = 0 must be feasible: <= rows with rhs >= 0 and upper bounds >= 0
-    LinearProgram(objective=[F(1)], rows=[({0: F(-1)}, "<=", F(0))], upper_bounds=[F(0)])
+    LinearProgram.from_rows(objective=[F(1)], rows=[({0: F(-1)}, "<=", F(0))], upper_bounds=[F(0)])
     for rows, upper_bounds in [
         ([({0: F(1)}, ">=", F(1))], None),
         ([({0: F(1)}, "==", F(1))], None),
@@ -191,11 +226,11 @@ def test_only_packing_lps_are_accepted():
         ([], [F(-1)]),
     ]:
         with pytest.raises(ValueError, match="packing LP"):
-            LinearProgram(objective=[F(1)], rows=rows, upper_bounds=upper_bounds)
+            LinearProgram.from_rows(objective=[F(1)], rows=rows, upper_bounds=upper_bounds)
 
 
 def test_rows_are_stored_sparse():
-    lp = LinearProgram(
+    lp = LinearProgram.from_rows(
         objective=[F(1), F(1), F(1)],
         rows=[({2: F(1), 0: F(-1), 1: F(0)}, "<=", 0)],
     )
@@ -205,7 +240,7 @@ def test_rows_are_stored_sparse():
 
 
 def test_lp_text_export():
-    lp = LinearProgram(
+    lp = LinearProgram.from_rows(
         objective=[F(1), F(2)],
         rows=[({0: F(1), 1: F(1)}, "<=", F(3)), ({0: F(1), 1: F(-1)}, "<=", F(0))],
         upper_bounds=[F(1), None],
@@ -220,7 +255,7 @@ def test_lp_text_export():
     assert " 0 <= x1\n" in text
     assert text.rstrip().endswith("End")
     # a column with a key tuple is named by it
-    keyed = LinearProgram(objective=[F(1)], rows=[], var_keys=[("i", "b", "p")])
+    keyed = LinearProgram.from_rows(objective=[F(1)], rows=[], var_keys=[("i", "b", "p")])
     assert " obj: 1.0 x[i,b,p]" in lp_to_text(keyed)
 
 
@@ -242,7 +277,7 @@ def test_against_external_solver_on_random_lps():
             rows.append((coeffs, "<=", Fraction(rng.randint(0, 12), rng.randint(1, 2))))
         sparse = [(dict(enumerate(coeffs)), rel, b) for coeffs, rel, b in rows]
         ubs = [Fraction(rng.randint(1, 6)) if rng.random() < 0.5 else None for _ in range(n)]
-        lp = LinearProgram(objective=obj, rows=sparse, upper_bounds=ubs)
+        lp = LinearProgram.from_rows(objective=obj, rows=sparse, upper_bounds=ubs)
         sol = solve_lp(lp)
         ref = linprog(
             c=np.array([-float(c) for c in obj]),
@@ -268,7 +303,7 @@ def test_exact_polish_handles_degenerate_float_stop():
         if k:
             coeffs[k - 1] = F(-1)
         rows.append((coeffs, "<=", F(0) if k else F(1)))
-    lp = LinearProgram(objective=[F(1)] * n, rows=rows)
+    lp = LinearProgram.from_rows(objective=[F(1)] * n, rows=rows)
     sol = solve_lp(lp)
     assert sol.status == OPTIMAL
     assert sol.exact_objective == n
@@ -306,7 +341,10 @@ PINNED_PIVOT_PATH = [
                          [case[1:] for case in PINNED_PIVOT_PATH],
                          ids=[case[0] for case in PINNED_PIVOT_PATH])
 def test_pivot_path_is_pinned(make, iterations, rounds, columns, digest):
-    sol = solve_lp(make())
+    lp = make()
+    sol = solve_lp(lp)
+    # neither the builder nor the solve reads the rows' Fraction view
+    assert "rows" not in lp.__dict__
     assert sol.status == OPTIMAL
     assert (sol.iterations, sol.rounds, sol.columns) == (iterations, rounds, columns)
     path = repr(([int(j) for j in sol.basis], sol.exact_values))
@@ -552,7 +590,7 @@ def _small_lps(draw):
         coeffs = {k: draw(coeff) for k in range(n)}
         rows.append((coeffs, "<=", draw(st.integers(0, 6))))
     ubs = [draw(st.sampled_from([None, 1, 3])) for _ in range(n)]
-    return LinearProgram(objective=obj, rows=rows, upper_bounds=ubs)
+    return LinearProgram.from_rows(objective=obj, rows=rows, upper_bounds=ubs)
 
 
 def _bland_after(phase, bland_after):
@@ -609,7 +647,7 @@ def _exact_starts(draw):
     elif kind == "infeasible":
         k = draw(st.integers(0, n - 1))
         rows = rows + [({k: F(1)}, "<=", F(2)), ({k: F(1)}, "<=", F(1))]
-    lp = LinearProgram(objective=lp.objective, rows=rows, upper_bounds=lp.upper_bounds)
+    lp = LinearProgram.from_rows(objective=lp.objective, rows=rows, upper_bounds=lp.upper_bounds)
     form = lp_module._standard_form(lp)
     m, ncols = len(form.b_exact), form.ncols
     basis = form.slack.tolist()
@@ -648,15 +686,26 @@ def test_exact_simplex_matches_reference(start):
 
 def test_exact_pivot_limit_is_typed():
     # max x0 + x1 with x0, x1 <= 1 takes two exact pivots from the slack basis
-    lp = LinearProgram(objective=[F(1), F(1)],
+    lp = LinearProgram.from_rows(objective=[F(1), F(1)],
                        rows=[({0: F(1)}, "<=", F(1)), ({1: F(1)}, "<=", F(1))])
     form = lp_module._standard_form(lp)
     args = (form.cols_exact, form.b_exact, lp.objective + [F(0), F(0)], form.slack.tolist())
     got = lp_module._exact_revised_simplex(*args)
     assert got == (OPTIMAL, [0, 1], [F(1), F(1)], [F(1), F(1)], 2)
     assert lp_module._exact_revised_simplex(*args, max_pivots=2) == got
-    with pytest.raises(NumericalFailure, match="exact pivot limit exceeded"):
+    with pytest.raises(PivotLimit, match="exact pivot limit exceeded") as err:
         lp_module._exact_revised_simplex(*args, max_pivots=1)
+    assert (err.value.pivots, err.value.limit) == (1, 1)
+    assert isinstance(err.value, NumericalFailure)
+
+
+def test_float_pivot_limit_is_typed():
+    # the tableau of test_harris_ratio_test_takes_the_large_pivot takes one
+    # pivot; a budget of none raises once that pivot is made
+    T = np.array([[1e-8, 1.0, 0.0, 0.0], [1.0, 0.0, 1.0, 1e-10], [-1.0, 0.0, 0.0, 0.0]])
+    with pytest.raises(PivotLimit, match="pivot limit exceeded") as err:
+        lp_module._simplex_phase(T, [1, 2], lp_module.PIVOT_TOL, 0, 10)
+    assert (err.value.pivots, err.value.limit) == (1, 0)
 
 
 @pytest.mark.parametrize("make, objective", [
@@ -695,14 +744,22 @@ def test_singular_float_basis_restarts_from_the_slacks(make, objective):
 @PROPERTY_SETTINGS
 @given(_small_lps())
 def test_scaled_rows_are_the_lp_rows(lp):
-    # each row's ints over its scale are the row's own Fractions, rhs last,
-    # bound rows included; taken once per LP
+    # the exact half of the standard form is the stored ints and scales,
+    # bound rows included, in new lists; the rows view reads each stored
+    # row over its scale, and is built once
     rows = lp.rows_with_bounds()
-    assert len(lp.scaled_rows) == len(rows) == len(lp_module._standard_form(lp).scales)
-    for (coeffs, _rel, rhs), (ints, scale) in zip(rows, lp.scaled_rows):
-        assert scale > 0 and all(type(v) is int for v in ints)
-        assert [Fraction(v, scale) for v in ints] == [*coeffs.values(), rhs]
-    assert lp.scaled_rows is lp.scaled_rows
+    form = lp_module._standard_form(lp)
+    assert form.b_exact == [rhs for _c, _i, rhs, _s in rows]
+    assert form.scales == [scale for _c, _i, _r, scale in rows]
+    for r, (cols, ints, rhs, scale) in enumerate(rows):
+        assert scale > 0 and all(type(v) is int for v in (*ints, rhs, scale))
+        assert [form.cols_exact[k][r] for k in cols] == list(ints)
+        assert form.cols_exact[lp.n_vars + r] == {r: scale}
+    assert sum(map(len, form.cols_exact)) == sum(len(cols) + 1 for cols, *_r in rows)
+    for (coeffs, _rel, rhs), (cols, ints, b, scale) in zip(lp.rows, lp.int_rows):
+        assert list(coeffs.items()) == [(k, Fraction(a, scale)) for k, a in zip(cols, ints)]
+        assert rhs == Fraction(b, scale)
+    assert lp.rows is lp.rows
 
 
 # -- exact dual certificate ----------------------------------------------------
@@ -716,7 +773,7 @@ def _dual_rows(lp):
 
 def _certified_lp():
     # max x + 2y + 2z  s.t.  x + y + z <= 6,  z - y <= 1,  x - y <= 0,  y <= 2
-    return LinearProgram(
+    return LinearProgram.from_rows(
         objective=[F(1), F(2), F(2)],
         rows=[({0: F(1), 1: F(1), 2: F(1)}, "<=", F(6)), ({1: F(-1), 2: F(1)}, "<=", F(1)),
               ({0: F(1), 1: F(-1)}, "<=", F(0))],
@@ -756,7 +813,7 @@ def test_tampered_certificates_fail():
 
 def test_each_dual_condition_is_checked_on_its_own():
     # max x  s.t.  x - y <= 0,  y <= 1: x = y = 1 with duals 1 and 1
-    lp = LinearProgram(objective=[F(1), F(0)],
+    lp = LinearProgram.from_rows(objective=[F(1), F(0)],
                        rows=[({0: F(1), 1: F(-1)}, "<=", F(0)), ({1: F(1)}, "<=", F(1))])
     sol = solve_lp(lp)
     assert sol.exact_values == [1, 1] and sol.exact_duals == [1, 1]
@@ -775,7 +832,7 @@ def test_each_dual_condition_is_checked_on_its_own():
 def test_dual_sign_follows_the_relation(rel, dual, ok):
     # an empty row with rhs 0 adds nothing to A^T y or to b.y, so only the
     # sign check can reject its dual
-    lp = LinearProgram(objective=[F(0)], rows=[({}, rel, F(0))])
+    lp = LinearProgram.from_rows(objective=[F(0)], rows=[({}, rel, F(0))])
     if ok:
         lp_module._verify_exact(lp, [F(0)], [F(dual)])
     else:
@@ -785,7 +842,7 @@ def test_dual_sign_follows_the_relation(rel, dual, ok):
 
 def test_upper_bound_dual_must_be_nonnegative():
     # x <= 0 with c = -1: y = -1 meets A^T y >= c and b.y == c.x, not the sign
-    lp = LinearProgram(objective=[F(-1)], rows=[], upper_bounds=[F(0)])
+    lp = LinearProgram.from_rows(objective=[F(-1)], rows=[], upper_bounds=[F(0)])
     lp_module._verify_exact(lp, [F(0)], [F(0)])
     with pytest.raises(NumericalFailure, match="wrong sign"):
         lp_module._verify_exact(lp, [F(0)], [F(-1)])
@@ -816,7 +873,7 @@ def test_exact_duals_are_a_certificate_on_random_lps(lp):
 
 def test_owned_rows_must_hold_at_a_zero_owner():
     def make(row, owner):
-        return LinearProgram(objective=[F(1), F(1)], rows=[row], row_owner=[owner])
+        return LinearProgram.from_rows(objective=[F(1), F(1)], rows=[row], row_owner=[owner])
 
     make(({0: F(1), 1: F(-2)}, "<=", F(0)), 0)
     make(({0: F(3)}, "<=", F(1)), 0)
@@ -832,7 +889,7 @@ def test_owned_rows_must_hold_at_a_zero_owner():
         with pytest.raises(ValueError):
             make(row, owner)
     with pytest.raises(ValueError, match="wrong length"):
-        LinearProgram(objective=[F(1)], rows=[], row_owner=[None])
+        LinearProgram.from_rows(objective=[F(1)], rows=[], row_owner=[None])
 
 
 @st.composite
@@ -879,7 +936,7 @@ def _lps_with_owned_rows(draw):
         row = {k: F(draw(st.sampled_from([0, 0, -1, Fraction(-1, 2), -3]))) for k in range(n)}
         row[owner] = F(draw(st.sampled_from([1, 2, Fraction(1, 3)])))
         owned.append((row, "<=", F(draw(st.sampled_from([0, 0, 1, 2])))))
-    return LinearProgram(objective=lp.objective, rows=lp.rows + owned,
+    return LinearProgram.from_rows(objective=lp.objective, rows=lp.rows + owned,
                          upper_bounds=lp.upper_bounds,
                          row_owner=[None] * lp.n_rows + [
                              next(k for k, a in row.items() if a > 0) for row, _r, _b in owned])

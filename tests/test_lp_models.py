@@ -1,10 +1,14 @@
+import dataclasses
 import hashlib
 import io
 import json
 import math
+import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from avalloc import IidModel, Instance, allocation_value
 from avalloc.errors import (
@@ -42,6 +46,7 @@ from avalloc.lp_models import (
 )
 from avalloc.oracles import exact_bundling_opt, exact_opt
 from avalloc.rounding import sample_stream, stream_instance
+import reference_lp_models as reference
 from util import unit_instance
 
 
@@ -74,8 +79,74 @@ PINNED_LP_TEXT = [
                          [case[1:] for case in PINNED_LP_TEXT],
                          ids=[case[0] for case in PINNED_LP_TEXT])
 def test_lp_text_is_pinned(builder, make, digest):
-    text = lp_to_text(builder(make()))
+    lp = builder(make())
+    text = lp_to_text(lp)
     assert hashlib.sha256(text.encode()).hexdigest() == digest
+    assert "rows" not in lp.__dict__  # the text reads the stored ints
+
+
+# -- the int-row builders against the Fraction-dict reference -----------------
+
+
+def _with_costs(inst, seed):
+    """inst in cost mode, with random costs that keep every edge's side: a
+    P-edge costs at most v/rho, an N-edge more than v/rho."""
+    rng = random.Random(seed)
+    costs = {}
+    for (i, j), v in inst.values.items():
+        ratio = v / inst.thresholds[j]
+        if inst.is_p_edge(i, j):
+            costs[(i, j)] = ratio * Fraction(rng.randint(0, 6), 6)
+        else:
+            costs[(i, j)] = ratio + Fraction(rng.randint(1, 5), rng.randint(2, 9))
+    return dataclasses.replace(inst, costs=costs)
+
+
+@st.composite
+def _builder_cases(draw):
+    """(name, input) of the naive, bundle, budgeted, V[ON] and V[OFF] LPs,
+    plain and in cost mode."""
+    name = draw(st.sampled_from(["naive", "bundle", "budgeted", "cost-bundle", "cost-budgeted",
+                                 "opton", "optoff"]))
+    seed = draw(st.integers(0, 10 ** 6))
+    if name in ("opton", "optoff"):
+        return name, gen_random_iid_model(draw(st.integers(1, 10)), draw(st.integers(1, 5)),
+                                          draw(st.integers(3, 40)), seed)
+    inst = gen_random(draw(st.integers(8, 32)), draw(st.integers(1, 8)), seed,
+                      unambiguous=name != "naive", p_density=draw(st.sampled_from([0.2, 0.4])),
+                      budget_resources=draw(st.integers(1, 2)) if "budgeted" in name else 0)
+    return name, _with_costs(inst, seed) if name.startswith("cost") else inst
+
+
+def _build(module, name, made):
+    if name == "optoff":
+        return module.build_optoff_lp(made, min(made.probs[i] * made.horizon for i in made.types))
+    kind = name.removeprefix("cost-")
+    return {"naive": module.build_naive_lp, "bundle": module.build_bundle_lp,
+            "budgeted": module.build_bundle_lp_budgeted,
+            "opton": module.build_opton_lp}[kind](made)
+
+
+@settings(max_examples=80, derandomize=True, database=None, deadline=None)
+@given(_builder_cases())
+@example(("budgeted", gen_random(32, 6, 5, unambiguous=True, p_density=0.2, budget_resources=2)))
+@example(("cost-bundle", _with_costs(gen_random(32, 8, 1, unambiguous=True, p_density=0.2), 1)))
+def test_int_row_builders_match_the_fraction_reference(case):
+    # the same LP as rationals, the same text, and the same solve: every
+    # counter, the basis, the values and the duals
+    import avalloc.lp_models as lp_models
+
+    name, made = case
+    lp, ref = _build(lp_models, name, made), _build(reference, name, made)
+    sol = solve_lp(lp)
+    assert "rows" not in lp.__dict__
+    assert sol == solve_lp(ref)
+    assert lp.objective == ref.objective
+    assert [(list(c.items()), rel, b) for c, rel, b in lp.rows] == \
+        [(list(c.items()), rel, b) for c, rel, b in ref.rows]
+    assert (lp.upper_bounds, lp.row_owner, lp.var_keys) == \
+        (ref.upper_bounds, ref.row_owner, ref.var_keys)
+    assert lp_to_text(lp) == lp_to_text(ref)
 
 
 # -- the cached bundle layout ------------------------------------------------
