@@ -36,9 +36,11 @@ of Applegate, Cook, Dash & Espinoza, ORL 2007), so an optimum like 11/5 is
 proven, not trusted.
 
 A pivot updates only the block of rows with a nonzero in the pivot column
-and columns with a nonzero in the pivot row, gathered and scattered
-through flat indices into the tableau, at most ``_PIVOT_BLOCK`` entries at
-a time.
+and columns with a nonzero in the pivot row, a few entries, so it costs
+what its numpy calls cost: one argmin (Dantzig) or first True (Bland)
+enters a column, a lone eligible row leaves without ratio arithmetic, and
+one copy of the pivot column gives the rows to update and their factors;
+the block goes through flat indices, ``_PIVOT_BLOCK`` entries at a time.
 
 The exact layer works on the stored ints, each row times its scale, so
 its columns and rhs are Python ints.  Each iteration peels the basis
@@ -48,15 +50,13 @@ unclaimed rows, is eliminated, sparse and in Markowitz order with Fraction
 divisions (the bump of Suhl & Suhl, ORSA J. Computing 1990).  A claimed
 row's value and dual then take one division each, so the work follows the
 structural part of the basis and not the row count.  Pricing sums A^T y
-in ints over the rows whose dual is nonzero, with y over one common
-denominator.
+in ints over the rows whose dual is nonzero, each the LP's stored row and
+its slack, with y over one common denominator.
 
 On a 2-core Xeon the bundle LP of 32 items and 8 buyers (1271 columns,
-1303 rows) solves in about 0.04 s of CPU: 12 rounds admit 141 of its 1175
-members, its tableau reaches 270 x 507 entries (1304 x 2575 for all
-columns) over 143 pivots, and the exact layer factors a kernel of at most
-122 rows.  At 64 items (4934 columns) it takes 0.14 s, and 0.25 s at
-P-edge density 0.2 (3797 columns, a fractional optimum).
+1303 rows) solves in about 0.03 s of CPU over 143 pivots in 12 rounds, on
+a tableau of at most 270 x 507 entries; at 64 items (4934 columns) in
+0.2 s, and 0.33 s at P-edge density 0.2 (3797 columns, fractional).
 
 No step calls BLAS.  ``solve_lp`` is the seam to swap in an external
 solver.
@@ -212,13 +212,15 @@ class _StandardForm(NamedTuple):
     """The LP's rows, then one row per upper bound, each with its slack:
     row r's slack is column n + r.  The exact half holds each row times its
     stored scale (``scales[r]``): sparse int columns, structural then slack
-    (``ncols`` in all), and the int rhs.  The float half holds the
+    (``ncols`` in all), and the int rhs; ``int_rows`` are the same rows
+    as the LP stores them, slacks left out.  The float half holds the
     structural nonzeros as (row, column, value) arrays and the rhs.
     ``slack[r]`` is row r's slack column, ``owner[r]`` the column that owns
     row r, or -1, and ``priced`` marks the unowned rows with b > 0, the rows
     each pricing round draws from."""
 
     entries: tuple
+    int_rows: list
     cols_exact: list
     b_exact: list
     scales: list
@@ -259,7 +261,8 @@ def _standard_form(lp: LinearProgram) -> _StandardForm:
                np.array([a / scale for row_ints, scale in zip(ints, scales) for a in row_ints],
                         dtype=float))
     owner = np.array([-1 if k is None else k for k in owner], dtype=np.intp)
-    return _StandardForm(entries, cols_exact + [{r: scale} for r, scale in enumerate(scales)],
+    return _StandardForm(entries, rows,
+                         cols_exact + [{r: scale} for r, scale in enumerate(scales)],
                          b_exact, scales, n + m, rhs, n + np.arange(m, dtype=np.intp), owner,
                          (rhs > 0) & (owner < 0))
 
@@ -269,20 +272,21 @@ def _pivot(T, basis, row, col):
     a nonzero in the pivot column and the columns with a nonzero in the
     pivot row.  Every skipped entry would have had f*0 or 0*r subtracted,
     so the stored values equal those of a full rank-one update up to the
-    sign of a zero, which no comparison in the solver sees.  The block is
-    gathered and scattered through flat indices into T, a chunk of rows
-    at a time; each entry x becomes x - f*r as in the full update."""
+    sign of a zero, which no comparison in the solver sees.  The factors f,
+    one copy of the pivot column zeroed at the pivot row, also give the
+    rows to update; each entry x of the block becomes x - f*r, a chunk of
+    rows at a time, through flat indices into T."""
     T[row] /= T[row, col]
-    rows = np.flatnonzero(T[:, col])
-    rows = rows[rows != row]
-    cols = np.flatnonzero(T[row])
+    f = T[:, col].copy()
+    f[row] = 0.0
+    rows, = f.nonzero()
+    cols, = T[row].nonzero()
     r = T[row, cols]
     flat = T.reshape(-1)
-    step = max(1, _PIVOT_BLOCK // max(cols.size, 1))
+    step = max(1, _PIVOT_BLOCK // cols.size)
     for start in range(0, rows.size, step):
         part = rows[start:start + step]
-        idx = (part * T.shape[1])[:, None] + cols
-        flat[idx] -= T[part, col][:, None] * r
+        flat[(part * T.shape[1])[:, None] + cols] -= f[part][:, None] * r
     T[:, col] = 0.0
     T[row, col] = 1.0
     basis[row] = col
@@ -295,31 +299,35 @@ def _simplex_phase(T, basis, tol, max_iter, bland_after, start_iter=0):
     Harris bounds the step by the least (max(b_i, 0) + tol) / a_i over the
     rows with a_i > tol, then pivots on the largest a_i among the rows with
     b_i / a_i within it, so a degenerate vertex yields a sizable pivot, not
-    the tiny one at the least ratio.  Ties go to the lowest basic column."""
+    the tiny one at the least ratio.  Ties go to the lowest basic column.
+    A lone eligible row is the pivot under either test."""
     m = T.shape[0] - 1
     it = start_iter
-    while True:
-        obj = T[-1, :-1]
-        candidates = np.flatnonzero(obj < -tol)
-        if not candidates.size:
-            return OPTIMAL, it
+    obj = T[-1, :-1]
+    while obj.size:
         bland = it - start_iter >= bland_after
-        col = int(candidates[0] if bland else candidates[np.argmin(obj[candidates])])
-        rows = np.flatnonzero(T[:m, col] > tol)
+        # Bland's column is the first True, Dantzig's the first minimum
+        col = int((obj < -tol).argmax() if bland else obj.argmin())
+        if not obj[col] < -tol:
+            break
+        rows, = (T[:m, col] > tol).nonzero()
         if not rows.size:
             return UNBOUNDED, it
-        alpha, b = T[rows, col], T[rows, -1]
-        ratios = b / alpha
-        if bland:
-            ties = rows[ratios == ratios.min()]
-        else:
-            near = ratios <= ((np.maximum(b, 0.0) + tol) / alpha).min()
-            ties = rows[near][alpha[near] == alpha[near].max()]
-        row = int(min(ties, key=lambda i: basis[i]))
+        row = int(rows[0])
+        if rows.size > 1:
+            alpha, b = T[rows, col], T[rows, -1]
+            ratios = b / alpha
+            if bland:
+                ties = rows[ratios == ratios.min()]
+            else:
+                near = ratios <= ((np.maximum(b, 0.0) + tol) / alpha).min()
+                ties = rows[near][alpha[near] == alpha[near].max()]
+            row = int(ties[0]) if ties.size == 1 else min(ties.tolist(), key=basis.__getitem__)
         _pivot(T, basis, row, col)
         it += 1
         if it - start_iter > max_iter:
             raise PivotLimit("pivot", it - start_iter, max_iter)
+    return OPTIMAL, it
 
 
 class _RestrictedTableau:
@@ -633,30 +641,28 @@ class _PeeledBasis:
         return y
 
 
-def _exact_revised_simplex(cols, b, c, basis, max_pivots=2000):
-    """Exact revised simplex with Bland's rule from a starting basis.
+def _exact_revised_simplex(form, c, basis, max_pivots=2000):
+    """Exact revised simplex with Bland's rule from a starting basis, over
+    the exact half of the standard form ``form`` with costs ``c``.
 
     Each iteration peels the basis (``_PeeledBasis``) and factors only its
     kernel, for x_B, for y and for the entering column's direction, so
     the work follows the structural part of the basis, not the row count.
-    Pricing sums A^T y in ints over the rows with y != 0 only, read
-    row-wise from ``cols`` once per call, and enters the lowest-index
+    Pricing sums A^T y in ints over the rows with y != 0 only, each read
+    from its stored row plus its slack, and enters the lowest-index
     column with c_j > y.a_j; the ratio test breaks ties on the lowest
     basic column.
 
     Returns (status, basis, x_basic, y, pivots) where x_basic aligns with
-    basis rows, y, the duals of the rows of ``b`` at an optimum, solves
-    B^T y = c_B on the last iteration, and pivots counts the pivots made;
-    status may also be 'singular' or 'infeasible-basis' when the starting
-    basis is unusable.  At most ``max_pivots`` pivots are made;
-    PivotLimit is raised when the basis after the last of them is not
-    optimal."""
-    m = len(b)
+    basis rows, y, the duals of the rows of ``form.b_exact`` at an
+    optimum, solves B^T y = c_B on the last iteration, and pivots counts
+    the pivots made; status may also be 'singular' or 'infeasible-basis'
+    when the starting basis is unusable.  At most ``max_pivots`` pivots
+    are made; PivotLimit is raised when the basis after the last of them
+    is not optimal."""
+    cols, b, rows = form.cols_exact, form.b_exact, form.int_rows
+    m, n = len(b), len(cols) - len(b)
     basis = list(basis)
-    rows = [[] for _ in range(m)]
-    for j, col in enumerate(cols):
-        for r, v in col.items():
-            rows[r].append((j, v))
     c_ints = [(cj.numerator, cj.denominator) for cj in c]
     for pivots in range(max_pivots + 1):
         peel = _PeeledBasis(cols, basis, m)
@@ -673,15 +679,17 @@ def _exact_revised_simplex(cols, b, c, basis, max_pivots=2000):
         Y, den = _common_denominator([y[r] for r in support])
         ya = [0] * len(cols)
         for r, w in zip(support, Y):
-            for j, v in rows[r]:
+            row_cols, row_ints, _rhs, scale = rows[r]
+            for j, v in zip(row_cols, row_ints):
                 ya[j] += w * v
+            ya[n + r] += w * scale
         entering = next((j for j, ((num, dnm), s) in enumerate(zip(c_ints, ya))
                          if num * den > dnm * s), None)
         if entering is None:
             return OPTIMAL, basis, xB, y, pivots
         if pivots == max_pivots:
             break
-        d = peel.solve(_col_dense(cols[entering], m))
+        d = peel.solve([cols[entering].get(r, 0) for r in range(m)])
         best = None
         for i in range(m):
             if d[i].numerator > 0:
@@ -692,13 +700,6 @@ def _exact_revised_simplex(cols, b, c, basis, max_pivots=2000):
             return UNBOUNDED, basis, None, None, pivots
         basis[best[1]] = entering
     raise PivotLimit("exact pivot", max_pivots, max_pivots)
-
-
-def _col_dense(col, m):
-    out = [0] * m
-    for r, v in col.items():
-        out[r] = v
-    return out
 
 
 def solve_lp(lp: LinearProgram) -> LpSolution:
@@ -720,13 +721,12 @@ def solve_lp(lp: LinearProgram) -> LpSolution:
     if status == UNBOUNDED:
         return LpSolution(status=status, **counters)
     c_exact = lp.objective + [Fraction(0)] * (form.ncols - n)
-    args = (form.cols_exact, form.b_exact, c_exact)
-    st, eb, xB, y, pivots = _exact_revised_simplex(*args, basis)
+    st, eb, xB, y, pivots = _exact_revised_simplex(form, c_exact, basis)
     # an unusable start is rejected before any pivot, so the restart's
     # pivots are all the exact layer makes
     restarted = st in ("singular", "infeasible-basis")
     if restarted:
-        st, eb, xB, y, pivots = _exact_revised_simplex(*args, form.slack.tolist(),
+        st, eb, xB, y, pivots = _exact_revised_simplex(form, c_exact, form.slack.tolist(),
                                                        max_pivots=5000)
     counters.update(exact_pivots=pivots, restarted=restarted)
     if st == UNBOUNDED:
@@ -756,7 +756,7 @@ def _verify_exact(lp, xs, ys):
     y >= 0, A^T y >= c on every column and b.y == c.x, which proves x
     optimal.  Rows are read in the LP's stored ints, with x and the row
     duals divided by the rows' scales each over one common denominator."""
-    if any(v < 0 for v in xs):
+    if any(v.numerator < 0 for v in xs):
         raise NumericalFailure("exact vertex has a negative coordinate")
     rows = lp.rows_with_bounds()
     if len(ys) != len(rows):
@@ -766,7 +766,7 @@ def _verify_exact(lp, xs, ys):
     for (cols, ints, rhs, scale), y in zip(rows, ys):
         if sum(a * X[k] for k, a in zip(cols, ints)) > rhs * den:
             raise NumericalFailure("exact vertex violates a row")
-        if y < 0:
+        if y.numerator < 0:
             raise NumericalFailure("exact dual has the wrong sign")
         if y:
             scaled.append((cols, ints, rhs, Fraction(y) / scale))

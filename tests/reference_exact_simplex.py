@@ -9,7 +9,14 @@ y, and solves B d = a for the entering column.
 """
 
 from avalloc.errors import NumericalFailure
-from avalloc.lp import OPTIMAL, UNBOUNDED, _col_dense, _common_denominator, _solve_sparse
+from avalloc.lp import OPTIMAL, UNBOUNDED, _common_denominator, _solve_sparse
+
+
+def _col_dense(col, m):
+    out = [0] * m
+    for r, v in col.items():
+        out[r] = v
+    return out
 
 
 def _transpose_cols(bcols, m):

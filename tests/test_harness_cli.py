@@ -549,8 +549,8 @@ def test_cli_pivot_limit_exits_3(tmp_path, capsys, monkeypatch):
         basis[-1] = basis[0]
         return (status, basis, *rest)
 
-    def one_pivot_restart(cols, b, c, basis, max_pivots=2000):
-        return exact_simplex(cols, b, c, basis, max_pivots=1 if max_pivots == 5000 else max_pivots)
+    def one_pivot_restart(form, c, basis, max_pivots=2000):
+        return exact_simplex(form, c, basis, max_pivots=1 if max_pivots == 5000 else max_pivots)
 
     monkeypatch.setattr(lp_module, "_float_solve", repeated)
     assert main(["lp", str(path), "--which", "bundle"]) == 0

@@ -372,13 +372,45 @@ def test_harris_ratio_test_takes_the_large_pivot():
     T, basis = tableau()
     assert lp_module._simplex_phase(T, basis, lp_module.PIVOT_TOL, 10, 0) == (OPTIMAL, 1)
     assert basis == [0, 2]
+    # ties: x0 and x1 price at -1 each, and Dantzig's rule enters x0, the
+    # lowest column; with x1 at -5 Bland's rule still enters x0 first, the
+    # first negative column, and Dantzig's enters x1
+    for obj, bland_after, pivots in (([-1.0, -1.0], 10, [(0, 0)]),
+                                     ([-1.0, -5.0], 0, [(0, 0), (0, 1)]),
+                                     ([-1.0, -5.0], 10, [(0, 1)])):
+        T = np.array([[1.0, 1.0, 1.0, 0.0, 1.0], [1.0, 0.0, 0.0, 1.0, 2.0],
+                      [*obj, 0.0, 0.0, 0.0]])
+        assert _pivots(T, [2, 3], bland_after) == (OPTIMAL, pivots)
+    # two rows at ratio 0 with a = 1 each: either test pivots on the row of
+    # the lower basic column, row 1, not on the first row
+    for bland_after in (10, 0):
+        T = np.array([[1.0, 0.0, 0.0, 1.0, 0.0], [1.0, 0.0, 1.0, 0.0, 0.0],
+                      [-1.0, 0.0, 0.0, 0.0, 0.0]])
+        assert _pivots(T, [3, 2], bland_after) == (OPTIMAL, [(1, 0)])
+
+
+def _pivots(T, basis, bland_after):
+    """The status of ``_simplex_phase`` on T and the (row, column) of each
+    pivot it makes."""
+    seen, pivot = [], lp_module._pivot
+
+    def spy(T, basis, row, col):
+        seen.append((row, col))
+        pivot(T, basis, row, col)
+
+    with mock.patch.object(lp_module, "_pivot", spy):
+        status, _it = lp_module._simplex_phase(T, basis, lp_module.PIVOT_TOL, 10, bland_after)
+    return status, seen
 
 
 def _highs_objective(lp):
-    """HiGHS's optimum of ``lp``, through scipy's linprog over sparse rows."""
+    """HiGHS's optimum of ``lp``, through scipy's linprog over sparse rows;
+    0 for an LP without columns, which linprog does not take."""
     from scipy.optimize import linprog
     from scipy.sparse import csr_matrix
 
+    if not lp.n_vars:
+        return 0.0
     r, k, a = zip(*[(r, k, float(a)) for r, (coeffs, _rel, _b) in enumerate(lp.rows)
                     for k, a in coeffs.items()])
     ref = linprog(
@@ -413,16 +445,23 @@ def test_budgeted_32_item_lps_certify_from_the_float_basis(seed, p_density):
     assert (sol.exact_pivots, sol.restarted) == (0, False)
 
 
-@settings(max_examples=48, derandomize=True, database=None, deadline=None)
-@given(st.sampled_from(["bundle", "budgeted"]), st.integers(8, 32), st.integers(0, 11),
-       st.sampled_from([0.2, 0.4]))
+@settings(max_examples=64, derandomize=True, database=None, deadline=None)
+@given(st.sampled_from(["bundle", "budgeted", "opton", "optoff"]), st.integers(8, 32),
+       st.integers(0, 11), st.sampled_from([0.2, 0.4]))
 @example("budgeted", 28, 10, 0.2)  # its float basis was singular under the textbook test
 def test_generated_bundle_lps_certify_without_a_restart(kind, n, seed, p_density):
-    inst = gen_random(n, 6, seed, unambiguous=True, p_density=p_density,
-                      budget_resources=2 if kind == "budgeted" else 0)
-    lp = build_bundle_lp(inst) if kind == "bundle" else build_bundle_lp_budgeted(inst)
+    if kind in ("opton", "optoff"):
+        # V[ON] and V[OFF] of n arrival types over a horizon of 2n
+        model = gen_random_iid_model(n, 6, 2 * n, seed)
+        floor = min(model.probs[i] * model.horizon for i in model.types)
+        lp = build_opton_lp(model) if kind == "opton" else build_optoff_lp(model, floor)
+    else:
+        inst = gen_random(n, 6, seed, unambiguous=True, p_density=p_density,
+                          budget_resources=2 if kind == "budgeted" else 0)
+        lp = build_bundle_lp(inst) if kind == "bundle" else build_bundle_lp_budgeted(inst)
     sol = solve_lp(lp)
-    assert sol.status == OPTIMAL and not sol.restarted
+    assert not sol.restarted
+    _assert_certified_as_highs(lp, sol)
 
 
 def test_64_item_bundle_lps_certify_within_the_cpu_bound():
@@ -602,11 +641,10 @@ def _bland_after(phase, bland_after):
     return run
 
 
-@PROPERTY_SETTINGS
-@given(_small_lps(), st.sampled_from([None, 0, 2]))
-def test_float_phase_matches_loop_reference(lp, bland_after):
-    # same status, basis and pivot count as per-entry scans with dense pivots,
-    # under Dantzig's rule, Bland's rule and a switch between them
+def _assert_float_phase_matches_loop_reference(lp, bland_after):
+    # same status, basis, pivot count, pricing rounds and admitted columns as
+    # per-entry scans with dense pivots, under Dantzig's rule, Bland's rule
+    # and a switch between them
     with mock.patch.object(lp_module, "_simplex_phase",
                            _bland_after(lp_module._simplex_phase, bland_after)):
         got = lp_module._float_solve(lp)
@@ -614,7 +652,26 @@ def test_float_phase_matches_loop_reference(lp, bland_after):
                            _bland_after(_loop_simplex_phase, bland_after)), \
             mock.patch.object(lp_module, "_pivot", _dense_pivot):
         ref = lp_module._float_solve(lp)
-    assert got[:3] == ref[:3]
+    assert got[:3] + got[4:] == ref[:3] + ref[4:]
+
+
+@PROPERTY_SETTINGS
+@given(_small_lps(), st.sampled_from([None, 0, 2]))
+def test_float_phase_matches_loop_reference(lp, bland_after):
+    _assert_float_phase_matches_loop_reference(lp, bland_after)
+
+
+@settings(max_examples=40, derandomize=True, database=None, deadline=None)
+@given(st.sampled_from(["bundle", "budgeted"]), st.integers(8, 14), st.integers(3, 8),
+       st.integers(0, 10 ** 6), st.sampled_from([0.2, 0.4]), st.sampled_from([None, 0, 2]))
+def test_float_phase_matches_loop_reference_on_builder_lps(kind, n, m, seed, p_density,
+                                                           bland_after):
+    # the builders' LPs own their membership rows, so pricing admits
+    # columns over several rounds
+    inst = gen_random(n, m, seed, unambiguous=True, p_density=p_density,
+                      budget_resources=2 if kind == "budgeted" else 0)
+    lp = build_bundle_lp(inst) if kind == "bundle" else build_bundle_lp_budgeted(inst)
+    _assert_float_phase_matches_loop_reference(lp, bland_after)
 
 
 # -- exact simplex against its reference ---------------------------------------
@@ -625,7 +682,7 @@ _EXACT_COSTS = st.sampled_from([0, 0, 1, -1, 2, Fraction(1, 2), Fraction(-5, 3)]
 
 @st.composite
 def _exact_starts(draw):
-    """(cols, b, c, basis) over the standard form of a random LP, from one
+    """(form, c, basis): the standard form of a random LP, costs and one
     of four kinds of starting basis:
 
     - slack: the slack basis, feasible, so the simplex pivots from it;
@@ -662,7 +719,7 @@ def _exact_starts(draw):
     c = lp.objective + [F(0)] * (ncols - n)
     if draw(st.booleans()):
         c = lp.objective + [F(draw(_EXACT_COSTS)) for _ in range(ncols - n)]
-    return form.cols_exact, form.b_exact, c, basis
+    return form, c, basis
 
 
 def _assert_fractions(result):
@@ -675,8 +732,9 @@ def _assert_fractions(result):
 def test_exact_simplex_matches_reference(start):
     # status, basis, x_B and y all equal the full-basis simplex's, for every
     # kind of starting basis, pivots included
-    cols, b, c, basis = start
-    got = lp_module._exact_revised_simplex(cols, b, c, basis)
+    form, c, basis = start
+    cols, b = form.cols_exact, form.b_exact
+    got = lp_module._exact_revised_simplex(form, c, basis)
     assert got[:4] == reference_exact_revised_simplex(cols, b, c, basis, barred=set())
     _assert_fractions(got[:4])
     # the kernel is square unless two singletons claim one row
@@ -689,7 +747,7 @@ def test_exact_pivot_limit_is_typed():
     lp = LinearProgram.from_rows(objective=[F(1), F(1)],
                        rows=[({0: F(1)}, "<=", F(1)), ({1: F(1)}, "<=", F(1))])
     form = lp_module._standard_form(lp)
-    args = (form.cols_exact, form.b_exact, lp.objective + [F(0), F(0)], form.slack.tolist())
+    args = (form, lp.objective + [F(0), F(0)], form.slack.tolist())
     got = lp_module._exact_revised_simplex(*args)
     assert got == (OPTIMAL, [0, 1], [F(1), F(1)], [F(1), F(1)], 2)
     assert lp_module._exact_revised_simplex(*args, max_pivots=2) == got
@@ -724,8 +782,8 @@ def test_singular_float_basis_restarts_from_the_slacks(make, objective):
         basis[-1] = basis[0]
         return (status, basis, *rest)
 
-    def spy(cols, b, c, basis, **kw):
-        result = exact_simplex(cols, b, c, basis, **kw)
+    def spy(form, c, basis, **kw):
+        result = exact_simplex(form, c, basis, **kw)
         starts.append((list(basis), result[0]))
         return result
 
