@@ -21,7 +21,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .core import Allocation, Instance, copy_items, restrict_edges
+from .core import Allocation, Instance, copy_items, id_order, restrict_edges
 from .errors import InfeasiblePrefix, InvalidBundling, UnknownEdge
 
 
@@ -40,7 +40,7 @@ class Bundle:
 
     def members(self):
         """All items of the bundle, P-item first, N-items in sorted order."""
-        return [self.p_item] + sorted(self.n_items)
+        return [self.p_item] + sorted(self.n_items, key=id_order)
 
     def validate(self, inst: Instance):
         """Raise InvalidBundling unless the bundle on its own is a valid
@@ -63,7 +63,7 @@ class BundledAllocation:
         """Raise InvalidBundling unless the bundling is valid for inst:
         invalid_bundling on a block of one row, every bundle open."""
         labels = [(b.buyer, b.p_item) for b in self.bundles]
-        members = [i for b in self.bundles for i in sorted(b.n_items)]
+        members = [i for b in self.bundles for i in sorted(b.n_items, key=id_order)]
         joined = [k for k, b in enumerate(self.bundles) for _i in b.n_items]
         fault = invalid_bundling(
             inst, labels, np.ones((1, len(labels)), dtype=bool), members,
@@ -198,7 +198,7 @@ def extract_bundling(inst: Instance, alloc: Allocation, arrival_order) -> Bundle
         raise ValueError("arrival order contains duplicates")
     missing = set(alloc.assignment) - set(order)
     if missing:
-        raise ValueError(f"arrival order misses allocated items: {sorted(missing)}")
+        raise ValueError(f"arrival order misses allocated items: {sorted(missing, key=id_order)}")
 
     # open[j] is a list of [p_item, member list, residual excess, opened_at]
     open_by_buyer = {j: [] for j in inst.buyers}

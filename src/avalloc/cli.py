@@ -20,6 +20,7 @@ from . import bundling, gap, generators, genava, harness, oracles, rounding
 from .core import (
     allocation_value,
     exact_text,
+    id_order,
     instance_to_dict,
     is_feasible,
     load_instance,
@@ -70,8 +71,13 @@ def _frac_fields(x) -> dict:
     return {"value": float(x), "value_exact": exact_text(x)}
 
 
+def _by_id(d: dict) -> dict:
+    """d with its keys, item or buyer ids, in id order."""
+    return dict(sorted(d.items(), key=lambda kv: id_order(kv[0])))
+
+
 def _bundles_doc(bundling) -> list:
-    return [{"buyer": b.buyer, "p_item": b.p_item, "n_items": sorted(b.n_items)}
+    return [{"buyer": b.buyer, "p_item": b.p_item, "n_items": sorted(b.n_items, key=id_order)}
             for b in bundling.bundles]
 
 
@@ -136,7 +142,7 @@ def _cmd_gen(args) -> int:
 def _allocation_doc(inst, alloc, extra=None) -> dict:
     value = allocation_value(inst, alloc)
     doc = {
-        "assignment": dict(sorted(alloc.assignment.items())),
+        "assignment": _by_id(alloc.assignment),
         "feasible": bool(is_feasible(inst, alloc)),
     }
     doc.update(_frac_fields(value))
@@ -149,15 +155,15 @@ def _cmd_solve(args) -> int:
     inst = load_instance(args.instance)
     seed = _seed(args)
     if args.algo in ("bundle-round", "bundle-round-budgeted"):
+        rounding.check_unit_interval("beta", args.beta)
         budgeted = args.algo == "bundle-round-budgeted"
         work = inst
         if not inst.is_unambiguous():
             work = bundling.make_unambiguous_random(inst, random.Random(seed))
         lp = build_bundle_lp_budgeted(work) if budgeted else build_bundle_lp(work)
         x = solve_model_lp(lp)
-        params = rounding.RoundingParams(alpha=args.alpha, beta=args.beta, seed=seed)
-        plan = rounding.OfflinePlan(work, x, params.alpha, budgeted=budgeted)
-        opened, _value = plan.run(params.seed)
+        plan = rounding.OfflinePlan(work, x, args.alpha, budgeted=budgeted)
+        opened, _value = plan.run(seed)
         out = plan.to_bundled(opened)
         doc = _allocation_doc(
             work,
@@ -181,9 +187,9 @@ def _cmd_solve(args) -> int:
         doc = {
             "algo": args.algo,
             "eps": float(to_fraction(args.eps)),
-            "assignment": dict(sorted(alloc.assignment.items())),
+            "assignment": _by_id(alloc.assignment),
             "cost_over_value": {
-                j: (None if r is None else float(r)) for j, r in sorted(ratios.items())
+                j: (None if r is None else float(r)) for j, r in _by_id(ratios).items()
             },
         }
         doc.update(_frac_fields(allocation_value(inst, alloc)))
@@ -202,7 +208,7 @@ def _cmd_solve(args) -> int:
 def _cmd_exact(args) -> int:
     inst = load_instance(args.instance)
     value, alloc = oracles.exact_opt(inst, max_states=args.limit)
-    doc = {"opt": _frac_fields(value), "assignment": dict(sorted(alloc.assignment.items()))}
+    doc = {"opt": _frac_fields(value), "assignment": _by_id(alloc.assignment)}
     if args.bundling:
         bval, bopt = oracles.exact_bundling_opt(inst, max_states=args.limit)
         doc["bundling_opt"] = _frac_fields(bval)
@@ -257,9 +263,7 @@ def _cmd_online(args) -> int:
     )
     if args.trace:
         stream = rounding.sample_stream(model, seed, 0)
-        params = rounding.RoundingParams(
-            alpha=args.alpha, beta=args.beta, seed=rounding.derive_trial_seed(seed, 0)
-        )
+        params = rounding.RoundingParams(alpha=args.alpha, seed=rounding.derive_trial_seed(seed, 0))
         _out, trace = rounding.round_online(model, x, params, stream)
         _write_text("".join(json.dumps(rec.to_json()) + "\n" for rec in trace), args.trace)
     _emit(report.to_json_dict(), args.output)

@@ -49,10 +49,11 @@ def to_fraction(x) -> Fraction:
         if not math.isfinite(x):
             raise ValueError(f"non-finite value {x!r}")
         return Fraction(Decimal(repr(x)))
-    if isinstance(x, str):
-        return Fraction(x)
-    if isinstance(x, Decimal):
-        return Fraction(x)
+    if isinstance(x, (str, Decimal)):
+        try:
+            return Fraction(x)
+        except ZeroDivisionError:
+            raise ValueError(f"zero denominator in {x!r}") from None
     raise TypeError(f"cannot convert {type(x).__name__} to Fraction")
 
 
@@ -64,13 +65,13 @@ _ZERO = Fraction(0)
 def number_from_json(x) -> Fraction:
     """``to_fraction`` for a number read from a JSON document.
 
-    A value that is not a number, or lies outside the float range, raises
-    InvalidInstance: the float simplex phase and the reports convert every
-    value to float.
+    A value that is not a number, a zero denominator included, or lies
+    outside the float range, raises InvalidInstance: the float simplex phase
+    and the reports convert every value to float.
     """
     try:
         v = to_fraction(x)
-    except TypeError as exc:
+    except (TypeError, ValueError) as exc:
         raise InvalidInstance(f"expected a number, got {x!r}") from exc
     if abs(v) > _FLOAT_MAX:
         raise InvalidInstance(f"number outside the float range |x| <= {sys.float_info.max:g}")
@@ -78,7 +79,7 @@ def number_from_json(x) -> Fraction:
 
 
 # the columns of the bundle LP, as Instance.bundle_layout builds them
-BundleLayout = namedtuple("BundleLayout", "keys col bundles item bundle opener excess")
+BundleLayout = namedtuple("BundleLayout", "keys col bundles item buyer bundle opener excess")
 
 
 @dataclass(frozen=True)
@@ -199,8 +200,8 @@ class Instance:
     def bundle_layout(self) -> BundleLayout:
         """The columns of every bundle-shaped LP: per edge (i, j), the opener
         (i, j, i) of a P-edge or a member (i, j, p) per bundle (j, p) of an
-        N-edge; per column, arrays of the index of i, of (j, p) in bundles (one
-        per P-edge (p, j)), the column of (p, j, p) and the float excess."""
+        N-edge; per column, arrays of the index of i, of j, of (j, p) in bundles
+        (one per P-edge (p, j)), the column of (p, j, p) and the float excess."""
         edges = self.edges()
         p_edge = [self._excess[e] >= 0 for e in edges]
         bundles = [(j, p) for (p, j), pe in zip(edges, p_edge) if pe]
@@ -213,6 +214,7 @@ class Instance:
         return BundleLayout(
             keys, col, bundles,
             item=np.array([self._item_index[i] for i, _j, _b in cols], dtype=np.int64),
+            buyer=np.array([self._buyer_index[j] for _i, j, _b in cols], dtype=np.int64),
             bundle=np.array([b for _i, _j, b in cols], dtype=np.int64),
             opener=np.array([col[(p, j, p)] for _i, j, p in keys], dtype=np.int64),
             excess=np.array([excess[(i, j)] for i, j, _b in cols]))
@@ -467,6 +469,12 @@ def id_from_json(x, where):
     return x
 
 
+def id_order(x):
+    """Sort key of an id: integers before strings, each in its own order,
+    so that a document may mix the two."""
+    return (isinstance(x, str), x)
+
+
 def required_field(d: dict, key, where):
     """d[key]; a missing key raises InvalidInstance naming where and key."""
     if key not in d:
@@ -571,7 +579,7 @@ def fraction_to_json(x: Fraction):
 def buyers_to_json(inst: Instance) -> list:
     """The buyer entries of inst, each with its budgets if it has any."""
     caps = {}
-    for (res, j), cap in sorted((inst.budgets or {}).items()):
+    for (res, j), cap in sorted((inst.budgets or {}).items(), key=lambda kv: kv[0][0]):
         caps.setdefault(j, {})[res] = fraction_to_json(cap)
     buyers = []
     for j in inst.buyers:
@@ -588,7 +596,8 @@ def items_to_json(inst: Instance, costs, probs=None) -> list:
     "prob" after its id."""
     costs = costs or {}
     byres = {}
-    for (res, i, j), c in sorted((inst.resource_costs or {}).items()):
+    for (res, i, j), c in sorted((inst.resource_costs or {}).items(),
+                                 key=lambda kv: (kv[0][0], id_order(kv[0][2]))):
         byres.setdefault(i, {}).setdefault(res, {})[j] = fraction_to_json(c)
     items = []
     for i in inst.items:

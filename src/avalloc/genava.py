@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .core import Allocation, Instance, to_fraction
+from .core import Allocation, Instance, id_order, to_fraction
 
 
 def _greedy(inst: Instance, admits) -> Allocation:
@@ -74,7 +74,7 @@ def _knapsack_2approx(entries, capacity: Fraction):
     chosen_greedy = []
     value_greedy = Fraction(0)
     room = capacity
-    order = sorted(entries, key=lambda e: (-(e[1] / e[2]), e[0]))
+    order = sorted(entries, key=lambda e: (-(e[1] / e[2]), id_order(e[0])))
     for item, value, weight in order:
         if weight <= room:
             chosen_greedy.append(item)

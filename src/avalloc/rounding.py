@@ -1,18 +1,17 @@
 """Randomized rounding of the bundle relaxations, offline and online.
 
-Offline: phase I opens at most one bundle per P-item p, picking buyer j with
-probability x_pjp (leftover mass opens nothing).  Phase II visits each
-N-item i, tosses an independent coin per open bundle jp with probability
-alpha * x_ijp / x_pjp, and allocates i only when exactly one coin came up
-heads and the hit bundle stays permissible.  The budget-aware variant also
-requires every configured per-buyer budget to survive each addition, the
-P-item that opens a bundle included.
-
-Online: a stream is the tuple of the arriving type ids, stream[t-1] the
-type at time t.  Arrivals in the first half of the horizon may only open
-bundles (buyer drawn with probability x_pjp / (q_p T)); arrivals in the
-second half may only join them, with per-open-bundle coin probability
-alpha * x_ijp / (x_pjp q_i T).  Decisions are immediate and irrevocable and
+Both roundings run one two-phase scheme, compiled from the LP solution by
+one step (_support).  Phase I opens at most one bundle per P-item p, or per
+first-half arrival of type p online, picking buyer j with probability x_pjp
+(online divided by q_p T; leftover mass opens nothing).  Phase II tosses,
+for each N-item i, or second-half arrival of type i online, an independent
+coin per open bundle jp with probability alpha * x_ijp / x_pjp (online
+divided by q_i T), and none for a bundle whose opener is absent or zero; i
+joins only when exactly one coin came up heads and the hit bundle stays
+permissible.  Offline, the budget-aware variant also requires every
+configured per-buyer budget to survive each addition, the P-item that opens
+a bundle included.  Online, a stream is the tuple of the arriving type ids,
+stream[t-1] the type at time t; decisions are immediate and irrevocable and
 every prefix of the run satisfies the buyers' constraints.
 
 All randomness comes from a counter-based generator keyed by
@@ -23,13 +22,16 @@ is hashed as a left fold, so a run hashes each shared prefix once (the
 for each coin.  The fold runs on a Python int or, elementwise, on a numpy
 uint64 array with the same result.
 
-A compiled plan runs a block of trials at once, each step for every trial
-of the block with numpy.  Offline, it loops over the items, since a budget
-is shared by all the bundles of a buyer.  Online, it does not walk the
-arrivals: an arrival's coins are looked up among the block's open bundles,
-sorted by (trial, class of opener type and buyer), in the classes its type
-may join; and since online bundles share no state, the joins run in
-rounds, round k taking each bundle's k-th hit in arrival order.
+A compiled plan keeps what the two roundings differ in: offline the
+budgets and the per-bundle and per-coin arrays, online the coins divided
+by q T and the values per (type, buyer).  It runs a block of trials at
+once, each step for every trial of the block with numpy.  Offline, it
+loops over the items, since a budget is shared by all the bundles of a
+buyer.  Online, it does not walk the arrivals: an arrival's coins are
+looked up among the block's open bundles, sorted by (trial, class of opener
+type and buyer), in the classes its type may join; and since online
+bundles share no state, the joins run in rounds, round k taking each
+bundle's k-th hit in arrival order.
 Residuals, budgets and values are kept in scaled integers: int64 arrays
 when a bound computed from the plan shows that no sum can reach 2**63,
 object arrays of Python ints otherwise.  A block holds about _BLOCK array
@@ -139,13 +141,16 @@ def _ragged(counts: np.ndarray) -> np.ndarray:
     return np.arange(counts.sum()) - np.repeat(ends - counts, counts)
 
 
-def _draw_table(rows):
-    """Phase-I draw table of rows of (cumulative probability, choice)
-    pairs: the arrays (acc, choice), one row each, padded with 0.0, which
-    no draw falls below."""
+def _draw_table(n_rows: int, entries):
+    """Phase-I draw table of (row, weight, choice) entries: the arrays (acc,
+    choice), one row each, of the row's running sums of weights, in entry
+    order, and its choices, padded with 0.0, which no draw falls below."""
+    rows = [[] for _ in range(n_rows)]
+    for r, w, c in entries:
+        rows[r].append(((rows[r][-1][0] if rows[r] else 0.0) + w, c))
     width = max(1, max(map(len, rows), default=0))
-    acc = np.zeros((len(rows), width))
-    choice = np.zeros((len(rows), width), dtype=np.int64)
+    acc = np.zeros((n_rows, width))
+    choice = np.zeros((n_rows, width), dtype=np.int64)
     for r, row in enumerate(rows):
         for k, (a, c) in enumerate(row):
             acc[r, k], choice[r, k] = a, c
@@ -166,17 +171,14 @@ def check_unit_interval(name: str, x: float):
 @dataclass(frozen=True)
 class RoundingParams:
     """alpha drives the phase-II coins (None picks the algorithm default);
-    beta only enters the reported guarantee factor gamma; seed fixes all
-    randomness."""
+    seed fixes all randomness."""
 
     alpha: float | None
-    beta: float = 0.156
     seed: int = 0
 
     def __post_init__(self):
         if self.alpha is not None:
             check_unit_interval("alpha", self.alpha)
-        check_unit_interval("beta", self.beta)
 
 
 def gamma_offline(alpha: float, beta: float) -> float:
@@ -281,6 +283,27 @@ def check_fractional(inst: Instance, x: BundleLpSolution, item_cap, member_cap):
     return c, fv
 
 
+def _support(inst: Instance, x: BundleLpSolution, shape, alpha: float):
+    """Check x (check_fractional, for the LP shape (item_cap, member_cap))
+    and alpha, and return what both roundings draw from, (opens, mass,
+    members, prob): the openers of nonzero value in column order and their
+    floats, and the members whose opener is in opens, in (item, opener
+    column) order, with their coin probabilities alpha * x_ijp / x_pjp, each
+    ratio taken exactly first."""
+    cols, mass = check_fractional(inst, x, *shape)
+    check_unit_interval("alpha", alpha)
+    layout = inst.bundle_layout
+    opener = layout.opener[cols]
+    nonzero = np.zeros(len(layout.keys), dtype=bool)
+    nonzero[cols] = [v != 0 for v in x.x.values()]
+    is_open = (opener == cols) & nonzero[cols]
+    members = cols[(opener != cols) & nonzero[opener]]
+    members = members[np.lexsort((layout.opener[members], layout.item[members]))]
+    prob = [alpha * _ratio(x.x[c], x.x[o])
+            for c, o in zip(members.tolist(), layout.opener[members].tolist())]
+    return cols[is_open], mass[is_open], members, prob
+
+
 # ---------------------------------------------------------------------------
 # offline rounding
 
@@ -297,76 +320,47 @@ class OfflinePlan:
 
     def __init__(self, inst: Instance, x: BundleLpSolution, alpha: float | None,
                  budgeted: bool = False):
-        cols, mass = check_fractional(inst, x, *bundle_lp_shape(inst))
         self.inst = inst
-        values, excess, rcosts, budgets = inst.scaled
         self.resources = inst.resources() if budgeted else []
         k = len(self.resources)
         self.alpha = alpha if alpha is not None else 1.0 / (3 * max(k, 1))
-        check_unit_interval("alpha", self.alpha)
         self.budgeted = budgeted
-
-        def rc(i, j):
-            return [rcosts.get((res, i, j), 0) for res in self.resources]
-
-        # bundles: the nonzero openers in column, that is (P-item, buyer), order
+        opens, self.b_mass, members, prob = _support(inst, x, bundle_lp_shape(inst), self.alpha)
         layout = inst.bundle_layout
-        is_opener = layout.opener[cols] == cols
-        opens, members = cols[is_opener], cols[~is_opener]
         self.bundles = [layout.bundles[b] for b in layout.bundle[opens].tolist()]
-        self.b_mass = mass[is_opener]
-        opener = []  # per bundle (buyer index, excess, value, resource costs)
-        draws = {}  # per P-item index, [(cumulative float, bundle id)]
-        for b, ((j, p), m) in enumerate(zip(self.bundles, self.b_mass.tolist())):
-            cum = draws.setdefault(inst.item_index(p), [])
-            cum.append(((cum[-1][0] if cum else 0.0) + m, b))
-            opener.append((inst.buyer_index(j), excess[(p, j)], values[(p, j)], rc(p, j)))
-        # coins of the opened bundles, by N-item and then bundle: (bundle, item
-        # index, buyer index, P-item index, prob, deficit, value, resource costs)
-        members = members[np.isin(layout.opener[members], opens)]
-        b_of = np.searchsorted(opens, layout.opener[members])
-        order = np.lexsort((b_of, layout.item[members]))
-        self.coin_items = []  # the N-items with at least one coin
-        coins, starts = [], []
-        for c, b in zip(members[order].tolist(), b_of[order].tolist()):
-            i, j, p = layout.keys[c]
-            if not self.coin_items or self.coin_items[-1] != i:
-                self.coin_items.append(i)
-                starts.append(len(coins))
-            coins.append((b, inst.item_index(i), inst.buyer_index(j), inst.item_index(p),
-                          self.alpha * _ratio(x.x[c], x.x[int(opens[b])]), -excess[(i, j)],
-                          values[(i, j)], rc(i, j)))
+        self.b_buyer = layout.buyer[opens]
+        # phase I: per P-item with a bundle, its cumulative probabilities and bundles
+        p_of = layout.item[opens].tolist()
+        p_row = {p: r for r, p in enumerate(dict.fromkeys(p_of))}
+        self.p_index = np.array(list(p_row), dtype=np.uint64)
+        self.p_acc, self.p_bundle = _draw_table(len(p_row), [
+            (p_row[p], m, b) for b, (p, m) in enumerate(zip(p_of, self.b_mass.tolist()))])
+        # phase II: one column per coin, the coins of an N-item contiguous
+        item, opener = layout.item[members], layout.opener[members]
+        self.c_bundle = np.searchsorted(opens, opener)
+        self.c_key = [a.astype(np.uint64) for a in (item, layout.buyer[members], layout.item[opener])]
+        self.c_prob = np.array(prob, dtype=np.float64)
+        self.c_start = np.flatnonzero(np.diff(item, prepend=-1))
+        self.coin_items = [inst.items[i] for i in item[self.c_start].tolist()]
+        # scaled excess, value and resource costs of each bundle's edge, then each coin's
+        values, excess, rcosts, budgets = inst.scaled
+        edges = [layout.keys[c][:2] for c in (*opens.tolist(), *members.tolist())]
+        exc, val = [excess[e] for e in edges], [values[e] for e in edges]
+        rc = [[rcosts.get((res, *e), 0) for res in self.resources] for e in edges]
         caps = [[budgets.get((res, j)) for res in self.resources] for j in inst.buyers]
-
         # every sum a run forms is bounded by the sum of these magnitudes,
         # which also stands in for an absent budget cap
-        bound = sum(abs(e) + abs(v) + sum(r) for _j, e, v, r in opener)
-        bound += sum(abs(d) + abs(v) + sum(r) for *_c, d, v, r in coins)
+        bound = sum(map(abs, exc)) + sum(map(abs, val)) + sum(map(sum, rc))
         bound += sum(c for row in caps for c in row if c is not None)
         self.dtype = dt = state_dtype(bound)
-
-        def column(rows, pos, dtype=dt):
-            return np.array([r[pos] for r in rows], dtype=dtype)
-
-        def costs(lists):
-            return np.array(lists, dtype=dt).reshape(len(lists), k)
-
-        self.b_buyer = column(opener, 0, np.int64)
-        self.b_excess, self.b_value = column(opener, 1), column(opener, 2)
-        self.b_rc = costs([r[-1] for r in opener])
-        self.caps = costs([[bound if c is None else c for c in row] for row in caps])
-        # phase I: per P-item its cumulative probabilities and bundles
-        self.p_index = np.array(list(draws), dtype=np.uint64)
-        self.p_acc, self.p_bundle = _draw_table(list(draws.values()))
-        # phase II: one column per coin, the coins of an N-item contiguous
-        self.c_bundle = column(coins, 0, np.int64)
-        self.c_key = [column(coins, pos, np.uint64) for pos in (1, 2, 3)]
-        self.c_prob = column(coins, 4, np.float64)
-        self.c_deficit, self.c_value = column(coins, 5), column(coins, 6)
-        self.c_rc = costs([r[-1] for r in coins])
-        self.c_start = np.array(starts, dtype=np.int64)
-        self.block_trials = _block_trials(
-            max(len(coins), self.p_acc.size, len(self.bundles), len(caps) * k))
+        n = len(opens)
+        exc, val = np.array(exc, dtype=dt), np.array(val, dtype=dt)
+        rc = np.array(rc, dtype=dt).reshape(len(edges), k)
+        self.b_excess, self.b_value, self.b_rc = exc[:n], val[:n], rc[:n]
+        self.c_deficit, self.c_value, self.c_rc = -exc[n:], val[n:], rc[n:]
+        self.caps = np.array([[bound if c is None else c for c in row] for row in caps],
+                             dtype=dt).reshape(len(caps), k)
+        self.block_trials = _block_trials(max(len(members), self.p_acc.size, n, len(caps) * k))
 
     def _within_caps(self, used, rows, b, cost):
         """Which (trial row, bundle b) pairs may add resource costs cost
@@ -504,39 +498,30 @@ class OnlinePlan:
             raise ValueError("online rounding requires a plain (unit-cost) model")
         if model.horizon % 2 != 0:
             raise ValueError("online rounding needs an even horizon")
-        cols, mass = check_fractional(model.inst, x, *opton_lp_shape(model))
+        if model.horizon > np.iinfo(np.intp).max:
+            raise ValueError(f"horizon {model.horizon} is too long for an array")
         self.model = model
         self.alpha = 0.64 if alpha is None else alpha
-        check_unit_interval("alpha", self.alpha)
+        opens, mass, members, prob = _support(model.inst, x, opton_lp_shape(model), self.alpha)
         T = model.horizon
         self.half = T // 2
         inst, nt, nb = model.inst, len(model.types), len(model.buyers)
-        # phase I: per type, cumulative opening probabilities over buyers;
-        # phase II: join_prob[i, p, j] is the coin probability of a type-i
-        # arrival against an open bundle (p, j); 0.0 where it has no coin
-        qT = [float(model.probs[i] * T) for i in model.types]
-        open_cum = [[] for _ in model.types]
-        self.join_prob = np.zeros((nt, nt, nb))
         layout = inst.bundle_layout
-        for col, o, m in zip(cols.tolist(), layout.opener[cols].tolist(), mass.tolist()):
-            i, j, p = layout.keys[col]
-            t, jdx = inst.item_index(i), inst.buyer_index(j)
-            if qT[t] <= 0 or not x.x.get(o):  # no coin without an opener
-                continue
-            if i == p:
-                cum = open_cum[t]
-                cum.append(((cum[-1][0] if cum else 0.0) + m / qT[t], jdx))
-            else:
-                self.join_prob[t, inst.item_index(p), jdx] = (
-                    self.alpha * _ratio(x.x[col], x.x[o]) / qT[t])
-        self.open_acc, self.open_buyer = _draw_table(open_cum)
-        # per type i, the classes c = p * nb + j of the open bundles (p, j) it
-        # may join and their coin probabilities, in entries join_start[i] ..
-        # join_start[i + 1] - 1 of join_class and join_coin
-        i, p, j = np.nonzero(self.join_prob > 0)
-        self.join_start = np.searchsorted(i, np.arange(nt + 1))
-        self.join_class = p * nb + j
-        self.join_coin = self.join_prob[i, p, j]
+        # phase I: per type, cumulative opening probabilities over buyers;
+        # no type of probability 0 opens or joins a bundle
+        qT = [float(model.probs[i] * T) for i in model.types]
+        t_of, j_of = layout.item[opens].tolist(), layout.buyer[opens].tolist()
+        self.open_acc, self.open_buyer = _draw_table(nt, [
+            (t, m / qT[t], j) for t, m, j in zip(t_of, mass.tolist(), j_of) if qT[t] > 0])
+        # phase II: per type i, the classes c = p * nb + j of the open
+        # bundles (p, j) it may join and their coin probabilities, in entries
+        # join_start[i] .. join_start[i + 1] - 1 of join_class and join_coin
+        i = layout.item[members]
+        coin = np.array([pr / qT[t] if qT[t] > 0 else 0.0 for t, pr in zip(i.tolist(), prob)])
+        has = coin > 0
+        self.join_start = np.searchsorted(i[has], np.arange(nt + 1))
+        self.join_class = (layout.item[layout.opener[members]] * nb + layout.buyer[members])[has]
+        self.join_coin = coin[has]
         # scaled value and excess of each (type, buyer), 0 on non-edges; a
         # run's value is at most T times the largest value, and a bundle's
         # residual lies between 0 and its opener's excess

@@ -207,7 +207,7 @@ def test_coin_candidates_of_a_model_without_coins():
         horizon=10,
     )
     plan = _check_online(model, solve_model_lp(build_opton_lp(model)), 0.9, 4, 40)
-    assert not (plan.join_prob > 0).any() and len(plan.join_class) == 0
+    assert not plan.join_start.any() and len(plan.join_class) == len(plan.join_coin) == 0
     arrivals = rounding.stream_arrivals(model, 4, np.arange(40, dtype=np.uint64))
     opener, hit, joined = plan.run_block(rounding.trial_seeds(4, np.arange(40, dtype=np.uint64)),
                                          arrivals)[:3]

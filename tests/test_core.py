@@ -206,8 +206,8 @@ def test_json_round_trip_integer_buyer_ids():
         values={("i", 1): 2, (7, 1): "0.5", (7, "b"): 3},
         thresholds={1: 1, "b": 2},
         costs={("i", 1): 1, (7, 1): 1, (7, "b"): "0.5"},
-        budgets={("cpu", 1): 1},
-        resource_costs={("cpu", "i", 1): "0.25"},
+        budgets={("cpu", 1): 1, ("cpu", "b"): 2},
+        resource_costs={("cpu", "i", 1): "0.25", ("cpu", 7, 1): "0.5", ("cpu", 7, "b"): 1},
     )
     buf = io.StringIO()
     dump_instance(inst, buf)

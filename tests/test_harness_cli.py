@@ -68,9 +68,7 @@ def test_single_trial_report_equals_single_run(gap_solution):
     from avalloc.rounding import RoundingParams, derive_trial_seed, round_offline
 
     rep = run_offline_trials(inst, x, alpha=0.3, beta=0.156, seed=9, trials=1)
-    out = round_offline(
-        inst, x, RoundingParams(alpha=0.3, beta=0.156, seed=derive_trial_seed(9, 0))
-    )
+    out = round_offline(inst, x, RoundingParams(alpha=0.3, seed=derive_trial_seed(9, 0)))
     assert rep.mean == float(out.value(inst))
     assert rep.stddev == 0.0
     assert rep.minimum == rep.mean

@@ -162,9 +162,7 @@ def test_online_streams_and_traces_are_pinned():
 
 def test_params_validation():
     with pytest.raises(ValueError):
-        RoundingParams(alpha=0, beta=0.5)
-    with pytest.raises(ValueError):
-        RoundingParams(alpha=0.5, beta=1)
+        RoundingParams(alpha=0)
 
 
 def test_gamma_formulas():
@@ -340,7 +338,34 @@ def test_online_rejects_infeasible_fractional():
     # a member within the tolerance of an absent or zero opener passes the
     # check and tosses no coin, as offline
     for x in ({("n", "b", "p"): 1e-12}, {("p", "b", "p"): 0, ("n", "b", "p"): 1e-12}):
-        assert not OnlinePlan(model, solution(model.inst, x), 0.64).join_prob.any()
+        plan = OnlinePlan(model, solution(model.inst, x), 0.64)
+        assert not plan.join_start.any() and len(plan.join_class) == len(plan.join_coin) == 0
+
+
+def test_zero_opener_tosses_no_coin_in_either_plan():
+    # an opener listed at 0 with a member at 1e-12 passes check_fractional;
+    # neither plan divides by the opener or tosses the member's coin
+    values = {("p", "b"): 2, ("n", "b"): "0.5"}
+
+    def listed(inst, opener, member):
+        col = inst.bundle_layout.col
+        return BundleLpSolution(inst.bundle_layout.keys,
+                                {col[("p", "b", "p")]: opener, col[("n", "b", "p")]: member}, 0)
+
+    inst = unit_instance(values)
+    plan = OfflinePlan(inst, listed(inst, 0, 1e-12), 0.3)
+    assert plan.bundles == [] and plan.coin_items == [] and len(plan.c_prob) == 0
+    report = run_offline_trials(inst, listed(inst, 0, 1e-12), 0.3, 0.156, seed=0, trials=20)
+    assert report.mean == 0 and report.feasible_count == 20
+    model = IidModel(types=["p", "n"], buyers=["b"], values=values, thresholds={"b": 1},
+                     probs={"p": Fraction(1, 2), "n": Fraction(1, 2)}, horizon=4)
+    x = listed(model.inst, 0, 1e-12)
+    plan = OnlinePlan(model, x, 0.64)
+    assert not plan.open_acc.any() and len(plan.join_coin) == 0
+    report = run_online_trials(model, x, 0.64, 0.0766, seed=0, trials=20)
+    assert report.mean == 0 and report.feasible_count == 20
+    # a member listed at 0 under an open bundle has no join entry either
+    assert len(OnlinePlan(model, listed(model.inst, 1, 0), 0.64).join_class) == 0
 
 
 def _tamper(inst, x, rng, kinds, item_cap, member_cap):
