@@ -4,8 +4,8 @@ Subcommands: gen (instance/model families), solve (rounding and greedy
 algorithms), exact (brute-force oracles), lp (build and solve any of the
 relaxations), online (Monte-Carlo of the online rounding), bench (named
 report suites), export-gap.  Exit codes: 0 success, 2 validation or usage
-error, 3 state budget exceeded.  The default seed comes from the
-AVALLOC_SEED environment variable when set.
+error, 3 an oracle's work budget, a pivot limit or memory exceeded.  The
+default seed comes from the AVALLOC_SEED environment variable when set.
 """
 
 from __future__ import annotations
@@ -342,7 +342,8 @@ def build_parser() -> argparse.ArgumentParser:
     e.add_argument("--bundling", action="store_true")
     e.add_argument("--gap", action="store_true")
     e.add_argument("--eps-gap", default="1")
-    e.add_argument("--limit", type=int, default=oracles.DEFAULT_STATE_LIMIT)
+    e.add_argument("--limit", type=int, default=oracles.DEFAULT_STATE_LIMIT,
+                   help="most (state, subset) pairs the oracles' DP may walk")
     e.add_argument("-o", "--output")
     e.set_defaults(fn=_cmd_exact)
 
@@ -388,6 +389,9 @@ def main(argv=None) -> int:
         return args.fn(args)
     except (TooLarge, PivotLimit) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 3
+    except MemoryError as exc:
+        print(f"error: out of memory: {exc}", file=sys.stderr)
         return 3
     except (AvallocError, ValueError, KeyError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -49,12 +49,14 @@ class GammaViolated(AvallocError, ValueError):
 
 
 class TooLarge(AvallocError):
-    """Exhaustive search would exceed the configured state budget."""
+    """Exhaustive search would exceed its work budget: state_count is the
+    work counted (for the allocation oracles, the (state, subset) pairs
+    their DP would walk) and limit the most allowed."""
 
     def __init__(self, state_count, limit):
         self.state_count = state_count
         self.limit = limit
-        super().__init__(f"state count {state_count} exceeds limit {limit}")
+        super().__init__(f"work {state_count} exceeds limit {limit}")
 
 
 class InfeasibleFractional(AvallocError, ValueError):

@@ -285,7 +285,7 @@ def bench_examples(trials: int = 10_000, seed: int = 0) -> dict:
 
     supply = gen_supply_example(3, Fraction(1, 100))
     base_opt, _ = exact_opt(supply)
-    dup_opt, _ = exact_opt(duplicate_supply(supply, 3), max_states=2 * 10 ** 7)
+    dup_opt, _ = exact_opt(duplicate_supply(supply, 3))
     report["supply"] = {"base_opt": float(base_opt), "dup3_opt": float(dup_opt)}
 
     off = run_offline_trials(

@@ -2,18 +2,18 @@
 
 exact_opt enumerates, per buyer, every feasible subset of that buyer's edge
 neighborhood and combines them by dynamic programming over the remaining
-item set, so correctness never relies on any structural shortcut.  The state
-budget is quoted as (buyers+1)^items, the size of the raw assignment space.
-The DP fills, for each buyer, only the item sets a later step reads: those
-holding every item that no earlier buyer can take.  With U the union of the
-earlier buyers' neighborhoods and E the buyer's own, that is 2^|U| states
-and 2^|U-E| * 3^|U&E| * 2^|E-U| (state, subset) pairs: 2^|E| for the first
-buyer and at most 3^items for any.  Whether a buyer may receive a subset is
-decided once per subset, into a table the DP reads.  exact_bundling_opt
-replaces per-buyer feasibility by "partitionable into permissible bundles"
-(tabulated over bitmask subsets), and exact_gap_opt searches bin-opening
-choices (one per partition group) times element packings with a
-value-bound prune.
+item set, so correctness never relies on any structural shortcut.  The DP
+fills, for each buyer, only the item sets a later step reads: those holding
+every item that no earlier buyer can take.  With U the union of the earlier
+buyers' neighborhoods and E the buyer's own, that is 2^|U| states and
+2^|U-E| * 3^|U&E| * 2^|E-U| (state, subset) pairs: 2^|E| for the first
+buyer and at most 3^items for any.  The work budget is the sum of these
+pairs over the buyers, counted before any table is built.  Whether a buyer
+may receive a subset is decided once per subset, into a table the DP reads.
+exact_bundling_opt replaces per-buyer feasibility by "partitionable into
+permissible bundles" (tabulated over bitmask subsets), and exact_gap_opt
+searches bin-opening choices (one per partition group) times element
+packings with a value-bound prune.
 
 exact_opt and exact_bundling_opt run on the instance's scaled integers
 (Instance.scaled: every number times one common denominator), which keeps
@@ -31,15 +31,21 @@ from .errors import TooLarge
 
 DEFAULT_STATE_LIMIT = 10_000_000
 _DP_MASK_LIMIT = 1 << 17  # memory guard for the subset tables
+_GAP_MAX_ELEMENTS = 10
+_GAP_MAX_BINS = 12
 
 
-def _check_budget(inst: Instance, max_states: int) -> None:
-    """ValueError for a limit below 1, TooLarge past (buyers+1)^items."""
+def _check_budget(edge_masks, max_states: int) -> None:
+    """ValueError for a limit below 1; TooLarge past the DP's (state, subset)
+    pairs over these neighborhoods in buyer order, 3^|U&E| * 2^|U^E| each."""
     if max_states < 1:
         raise ValueError(f"state limit must be at least 1, got {max_states}")
-    states = (len(inst.buyers) + 1) ** len(inst.items)
-    if states > max_states:
-        raise TooLarge(states, max_states)
+    work = seen = 0
+    for E in edge_masks:
+        work += 3 ** (seen & E).bit_count() << (seen ^ E).bit_count()
+        seen |= E
+    if work > max_states:
+        raise TooLarge(work, max_states)
 
 
 def _submasks(mask):
@@ -65,13 +71,12 @@ def _edge_mask(inst: Instance, j) -> int:
     return mask
 
 
-def _buyer_tables(inst: Instance, j):
-    """Tables over the submasks T of buyer j's edge neighborhood, each a
-    list indexed by T: the scaled value sum, the scaled excess sum, and
-    whether every budget of j holds.  Returns (edge_mask, val, exc,
+def _buyer_tables(inst: Instance, j, edge_mask: int):
+    """Tables over the submasks T of buyer j's edge neighborhood edge_mask,
+    each a list indexed by T: the scaled value sum, the scaled excess sum,
+    and whether every budget of j holds.  Returns (edge_mask, val, exc,
     in_budget); entries outside the neighborhood stay 0."""
     values, excess, rcosts, budgets = inst.scaled
-    edge_mask = _edge_mask(inst, j)
     size = 1 << len(inst.items)
     val = [0] * size
     exc = [0] * size
@@ -104,7 +109,8 @@ def _allocation_dp(inst: Instance, admissible, max_states: int):
     for which admissible(j, tables) -- a table over the submasks T of j's
     neighborhood, built once per buyer from _buyer_tables -- is truthy.
     Returns (value, chosen masks)."""
-    _check_budget(inst, max_states)
+    edge_masks = [_edge_mask(inst, j) for j in inst.buyers]
+    _check_budget(edge_masks, max_states)
     n = len(inst.items)
     if (1 << n) > _DP_MASK_LIMIT:
         raise TooLarge(1 << n, _DP_MASK_LIMIT)
@@ -114,12 +120,12 @@ def _allocation_dp(inst: Instance, admissible, max_states: int):
     # the earlier buyers' neighborhoods; no other entry is filled
     seen = [0] * m
     for jpos in range(1, m):
-        seen[jpos] = seen[jpos - 1] | _edge_mask(inst, inst.buyers[jpos - 1])
+        seen[jpos] = seen[jpos - 1] | edge_masks[jpos - 1]
     g_next = [0] * (full + 1)
     choice = [None] * m
     for jpos in range(m - 1, -1, -1):
         j = inst.buyers[jpos]
-        tables = _buyer_tables(inst, j)
+        tables = _buyer_tables(inst, j, edge_masks[jpos])
         edge_mask, val, _exc, _in_budget = tables
         adm = admissible(j, tables)
         g_cur = [0] * (full + 1)
@@ -156,10 +162,11 @@ def _allocation_dp(inst: Instance, admissible, max_states: int):
 
 def _single_buyer_dfs(inst: Instance, max_states: int):
     """Memoryless search for one buyer when the bitmask tables would not
-    fit; prunes on the remaining positive-value sum."""
-    _check_budget(inst, max_states)
-    values, excess, rcosts, budgets = inst.scaled
+    fit; prunes on the remaining positive-value sum.  Its work is the
+    2^|E| leaves of the search over the buyer's edges E."""
     j = inst.buyers[0]
+    _check_budget([_edge_mask(inst, j)], max_states)
+    values, excess, rcosts, budgets = inst.scaled
     edges = [i for i in inst.items if (i, j) in values]
     rest_value = [0] * (len(edges) + 1)
     for k in range(len(edges) - 1, -1, -1):
@@ -197,9 +204,10 @@ def exact_opt(inst: Instance, max_states: int = DEFAULT_STATE_LIMIT):
 
     Supports plain, cost-mode and budgeted instances.  Returns
     (value, Allocation); raises ValueError when max_states < 1,
-    TooLarge beyond the state budget, and TooLarge(2**items,
-    _DP_MASK_LIMIT) when the subset tables of an instance with several
-    buyers would pass that limit.
+    TooLarge(work, max_states) when the search's (state, subset) pairs
+    pass max_states, and TooLarge(2**items, _DP_MASK_LIMIT) when the
+    subset tables of an instance with several buyers would pass that
+    limit.
     """
     if len(inst.buyers) == 1 and (1 << len(inst.items)) > _DP_MASK_LIMIT:
         return _single_buyer_dfs(inst, max_states)
@@ -259,7 +267,14 @@ def _partition_tables(inst: Instance, j, tables):
 def exact_bundling_opt(inst: Instance, max_states: int = DEFAULT_STATE_LIMIT):
     """Optimal value over allocations partitionable into permissible
     bundles.  Returns (value, BundledAllocation); raises like exact_opt,
-    and TooLarge(2**items, _DP_MASK_LIMIT) for a single buyer too."""
+    and TooLarge(2**items, _DP_MASK_LIMIT) for a single buyer too.
+
+    The work budget is exact_opt's pair count.  The partition tables fill
+    2^|E| entries per buyer, at most that buyer's pairs; their search for
+    a first bundle is bounded by 3^|E|, which _DP_MASK_LIMIT caps.  The
+    worst case is one buyer with every edge at 17 items:
+    gen_random(17, 1, 0, edge_density=1.0, p_density=0.6) takes 3.7 CPU
+    seconds against 0.08 in exact_opt (Intel Xeon, Python 3.11)."""
     parters = {}
 
     def admissible(j, tables):
@@ -287,16 +302,17 @@ def exact_bundling_opt(inst: Instance, max_states: int = DEFAULT_STATE_LIMIT):
     return value, out
 
 
-def exact_gap_opt(gap, max_elements: int = 10, max_bins: int = 12) -> Fraction:
+def exact_gap_opt(gap) -> Fraction:
     """Exact optimum of a partition-matroid GAP instance.
 
     Opens at most one bin per group, packs elements into open bins within
-    unit capacity, maximizes total packed value.
+    unit capacity, maximizes total packed value.  Raises TooLarge past
+    _GAP_MAX_ELEMENTS elements or _GAP_MAX_BINS bins.
     """
-    if len(gap.elements) > max_elements:
-        raise TooLarge(len(gap.elements), max_elements)
-    if len(gap.bins) > max_bins:
-        raise TooLarge(len(gap.bins), max_bins)
+    if len(gap.elements) > _GAP_MAX_ELEMENTS:
+        raise TooLarge(len(gap.elements), _GAP_MAX_ELEMENTS)
+    if len(gap.bins) > _GAP_MAX_BINS:
+        raise TooLarge(len(gap.bins), _GAP_MAX_BINS)
     groups = list(gap.groups.values())
     elements = list(gap.elements)
     # optimistic per-element bound used for pruning

@@ -10,7 +10,7 @@ keeping the first strictly better one.
 
 from fractions import Fraction
 
-from avalloc.oracles import _buyer_tables
+from avalloc.oracles import _buyer_tables, _edge_mask
 
 
 def reference_allocation_dp(inst, admissible):
@@ -22,7 +22,7 @@ def reference_allocation_dp(inst, admissible):
     choice = [None] * m
     for jpos in range(m - 1, -1, -1):
         j = inst.buyers[jpos]
-        tables = _buyer_tables(inst, j)
+        tables = _buyer_tables(inst, j, _edge_mask(inst, j))
         edge_mask, val, _exc, _in_budget = tables
         adm = admissible(j, tables)
         g_cur = [0] * (full + 1)

@@ -135,13 +135,13 @@ def test_criterion_04_supply_growth():
     t0 = time.time()
     base = gen_supply_example(3, Fraction(1, 100))
     opt, _ = exact_opt(base)
-    dup_opt, _ = exact_opt(duplicate_supply(base, 3), max_states=2 * 10 ** 7)
+    dup_opt, _ = exact_opt(duplicate_supply(base, 3))
     assert opt == Fraction(101, 50)
     assert dup_opt == 12
     for k in (2, 3):
         inst = gen_supply_example(k, Fraction(1, 100))
         o, _ = exact_opt(inst)
-        od, _ = exact_opt(duplicate_supply(inst, k), max_states=2 * 10 ** 7)
+        od, _ = exact_opt(duplicate_supply(inst, k))
         assert k * o <= od <= (k * k + k) * o
     _passline(
         "criterion 4 (superlinear supply growth)", t0, 10.0,

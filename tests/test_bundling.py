@@ -318,7 +318,7 @@ def test_duplicate_supply_optimum_jump():
     inst = gen_supply_example(3, Fraction(1, 100))
     assert exact_opt(inst)[0] == Fraction(101, 50)
     dup = duplicate_supply(inst, 3)
-    assert exact_opt(dup, max_states=2 * 10 ** 7)[0] == 12
+    assert exact_opt(dup)[0] == 12
 
 
 def test_duplicate_supply_at_least_linear():
@@ -326,5 +326,5 @@ def test_duplicate_supply_at_least_linear():
         inst = gen_random(4, 2, seed=seed)
         opt, _ = exact_opt(inst)
         for k in (2, 3):
-            dup_opt, _ = exact_opt(duplicate_supply(inst, k), max_states=2 * 10 ** 7)
+            dup_opt, _ = exact_opt(duplicate_supply(inst, k))
             assert dup_opt >= k * opt

@@ -92,3 +92,8 @@ def test_cli_rejects_zero_denominators_long_horizons_and_bad_beta(tmp_path, caps
     model.write_text(json.dumps({**MODEL, "horizon": 10**30}))
     assert main(["online", "--model", str(model), "--trials", "3"]) == 2
     assert capsys.readouterr().err == f"error: horizon {10**30} is too long for an array\n"
+    # fits an array index, but no address space can map the trial arrays,
+    # so numpy refuses at once
+    model.write_text(json.dumps({**MODEL, "horizon": 10**15}))
+    assert main(["online", "--model", str(model), "--trials", "3"]) == 3
+    assert capsys.readouterr().err.startswith("error: out of memory: ")

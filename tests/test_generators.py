@@ -44,7 +44,7 @@ def test_supply_example_values():
     assert exact_opt(inst)[0] == Fraction(101, 50)
     from avalloc.bundling import duplicate_supply
 
-    dup3 = exact_opt(duplicate_supply(inst, 3), max_states=2 * 10 ** 7)[0]
+    dup3 = exact_opt(duplicate_supply(inst, 3))[0]
     assert dup3 == 12
     ratio = dup3 / Fraction(101, 50)
     assert abs(float(ratio) - 6) < 0.1  # about (k^2 + k) / 2 at k = 3

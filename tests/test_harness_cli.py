@@ -533,7 +533,7 @@ def test_cli_lp_which_variants(tmp_path, capsys):
 def test_cli_pivot_limit_exits_3(tmp_path, capsys, monkeypatch):
     # a float basis with a column repeated is singular, so the exact layer
     # restarts from the slack basis; on a 1-pivot budget the restart is a
-    # typed refusal, exit 3 as for an oracle's state budget.  A failed
+    # typed refusal, exit 3 as for an oracle's work budget.  A failed
     # certificate stays exit 2
     from avalloc import lp as lp_module
     from avalloc.errors import NumericalFailure

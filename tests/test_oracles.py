@@ -49,7 +49,7 @@ def test_exact_opt_supply_examples():
     assert is_feasible(base, alloc)
     assert allocation_value(base, alloc) == v
     dup = duplicate_supply(base, 3)
-    v3, alloc3 = exact_opt(dup, max_states=2 * 10 ** 7)
+    v3, alloc3 = exact_opt(dup)
     assert v3 == 12
     assert is_feasible(dup, alloc3)
 
@@ -64,7 +64,7 @@ def test_exact_opt_too_large():
     inst = gen_random(8, 3, seed=0)
     with pytest.raises(TooLarge) as err:
         exact_opt(inst, max_states=100)
-    assert err.value.state_count == 4 ** 8
+    assert err.value.state_count == 2948
 
 
 def test_exact_opt_cost_mode_and_budgets():
@@ -121,7 +121,7 @@ def test_supply_growth_bounds():
         inst = gen_random(4, 2, seed=seed)
         opt, _ = exact_opt(inst)
         for k in (2, 3):
-            dup_opt, _ = exact_opt(duplicate_supply(inst, k), max_states=2 * 10 ** 7)
+            dup_opt, _ = exact_opt(duplicate_supply(inst, k))
             assert k * opt <= dup_opt <= (k * k + k) * opt
 
 
@@ -200,8 +200,8 @@ def _oracle_cases():
 def _oracle_digest(inst) -> str:
     """sha256 of exact_opt's (value, sorted assignment) and
     exact_bundling_opt's (value, sorted bundles)."""
-    opt, alloc = exact_opt(inst, max_states=2 * 10 ** 7)
-    bopt, out = exact_bundling_opt(inst, max_states=2 * 10 ** 7)
+    opt, alloc = exact_opt(inst)
+    bopt, out = exact_bundling_opt(inst)
     doc = [
         str(opt),
         sorted([str(i), str(j)] for i, j in alloc.assignment.items()),
@@ -430,7 +430,7 @@ def random_instances(draw):
 @given(st.one_of(small_instances(10, 3), tie_instances(10, 3), random_instances()))
 def test_partition_tables_match_the_unpruned_reference(inst):
     for j in inst.buyers:
-        tables = oracles._buyer_tables(inst, j)
+        tables = oracles._buyer_tables(inst, j, oracles._edge_mask(inst, j))
         assert oracles._partition_tables(inst, j, tables) == reference_partition_tables(
             inst, j, tables)
 
@@ -461,3 +461,85 @@ def test_dp_reads_only_reachable_states():
     _adm, tables, _out = _dp_call(exact_opt, inst, _CountingTable)
     assert tables["b0"].reads < 2 ** 5
     assert tables["b1"].reads < 2 ** 5 * 2 ** 4
+
+
+@st.composite
+def uneven_instances(draw):
+    """Instances on up to 10 items and 4 buyers whose edge density is drawn
+    per buyer, 0 included, so that some buyers have no edges."""
+    n = draw(st.integers(1, 10))
+    m = draw(st.integers(1, 4))
+    rng = random.Random(draw(st.integers(0, 2 ** 32)))
+    items = [f"i{k}" for k in range(n)]
+    buyers = [f"b{k}" for k in range(m)]
+    values = {}
+    for j in buyers:
+        density = draw(st.sampled_from([0, 0.3, 0.7, 1]))
+        values.update({(i, j): rng.randint(0, 2) for i in items if rng.random() < density})
+    return Instance(items=items, buyers=buyers, values=values,
+                    thresholds={j: Fraction(1) for j in buyers})
+
+
+def _walked_pairs(inst):
+    """(pairs, states): the (S, T) pairs the allocation DP walks, one by
+    one.  For each buyer, S runs over the item sets holding every item
+    outside U, the earlier buyers' neighborhoods, and T over the subsets
+    of S's part of the buyer's neighborhood E, the empty set included."""
+    full = (1 << len(inst.items)) - 1
+    pairs = states = U = 0
+    for j in inst.buyers:
+        E = sum(1 << k for k, i in enumerate(inst.items) if (i, j) in inst.values)
+        for S in range(full + 1):
+            if (full ^ U) & ~S:
+                continue
+            states += 1
+            avail = T = S & E
+            pairs += 1
+            while T:
+                pairs += 1
+                T = (T - 1) & avail
+        U |= E
+    return pairs, states
+
+
+@settings(max_examples=80, derandomize=True, database=None, deadline=None)
+@given(uneven_instances())
+def test_budget_counts_the_pairs_the_dp_walks(inst):
+    pairs, states = _walked_pairs(inst)
+    for oracle in (exact_opt, exact_bundling_opt):
+        if pairs == 1:  # one buyer without edges fits any limit
+            oracle(inst, max_states=1)
+            continue
+        with pytest.raises(TooLarge) as err:
+            oracle(inst, max_states=1)
+        assert (err.value.state_count, err.value.limit) == (pairs, 1)
+    # each pair with T nonempty reads the buyer's admissible table once
+    _adm, tables, _out = _dp_call(exact_opt, inst, _CountingTable)
+    assert sum(table.reads for table in tables.values()) == pairs - states
+
+
+def test_single_buyer_search_counts_its_leaves(monkeypatch):
+    # 18 items, every third one without an edge
+    items = [f"i{k}" for k in range(18)]
+    inst = Instance(items=items, buyers=["b"], thresholds={"b": Fraction(1)},
+                    values={(i, "b"): k % 4 for k, i in enumerate(items) if k % 3})
+    assert (1 << 18) > _DP_MASK_LIMIT  # so exact_opt runs the search
+
+    def no_tables(*_args):
+        raise AssertionError("a subset table was built")
+
+    monkeypatch.setattr(oracles, "_buyer_tables", no_tables)
+    with pytest.raises(TooLarge) as err:
+        exact_opt(inst, max_states=1)
+    assert err.value.state_count == 2 ** 12
+    exact_opt(inst, max_states=2 ** 12)
+
+
+def test_oracles_run_fourteen_items_at_the_default_limit():
+    inst = gen_random(14, 4, 0, p_density=0.2)
+    with pytest.raises(TooLarge) as err:
+        exact_opt(inst, max_states=1)
+    assert err.value.state_count == 2_572_424 <= DEFAULT_STATE_LIMIT
+    # exact_opt and exact_bundling_opt are both 1757/100
+    assert _oracle_digest(inst) == (
+        "8ccfd0cf513ecd2fae25c3d55d95ce61c6d42d4f476ff03fe6d09754d8eeafce")
