@@ -4,15 +4,14 @@ Subcommands: gen (instance/model families), solve (rounding and greedy
 algorithms), exact (brute-force oracles), lp (build and solve any of the
 relaxations), online (Monte-Carlo of the online rounding), bench (named
 report suites), export-gap.  Exit codes: 0 success, 2 validation or usage
-error, 3 an oracle's work budget, a pivot limit or memory exceeded.  The
-default seed comes from the AVALLOC_SEED environment variable when set.
+error, 3 an oracle's size limit (work, subset table width, GAP elements or
+bins), a pivot limit or memory exceeded.  The default seed is 0.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import os
 import random
 import sys
 
@@ -40,13 +39,6 @@ from .lp_models import (
     model_to_dict,
     solve_model_lp,
 )
-
-
-def _seed(args) -> int:
-    """--seed when given, else the default seed."""
-    if args.seed is not None:
-        return args.seed
-    return int(os.environ.get(harness.SEED_ENV_VAR, "0"))
 
 
 def _to_stdout(path) -> bool:
@@ -121,7 +113,7 @@ def _cmd_gen(args) -> int:
         out = generators.gen_random(
             args.items,
             args.buyers,
-            seed=_seed(args),
+            seed=args.seed,
             edge_density=args.edge_density,
             p_density=args.p_density,
             unambiguous=args.unambiguous,
@@ -129,7 +121,7 @@ def _cmd_gen(args) -> int:
             bid_frac=args.bid_frac,
         )
     elif fam == "random-iid":
-        out = generators.gen_random_iid_model(args.types, args.buyers, args.T, seed=_seed(args))
+        out = generators.gen_random_iid_model(args.types, args.buyers, args.T, seed=args.seed)
     else:  # pragma: no cover - argparse restricts choices
         raise ValueError(f"unknown family {fam!r}")
     _emit(model_to_dict(out) if isinstance(out, IidModel) else instance_to_dict(out), args.output)
@@ -153,7 +145,7 @@ def _allocation_doc(inst, alloc, extra=None) -> dict:
 
 def _cmd_solve(args) -> int:
     inst = load_instance(args.instance)
-    seed = _seed(args)
+    seed = args.seed
     if args.algo in ("bundle-round", "bundle-round-budgeted"):
         rounding.check_unit_interval("beta", args.beta)
         budgeted = args.algo == "bundle-round-budgeted"
@@ -214,7 +206,7 @@ def _cmd_exact(args) -> int:
         doc["bundling_opt"] = _frac_fields(bval)
         doc["bundles"] = _bundles_doc(bopt)
     if args.gap:
-        gap_inst = gap.export_gap(inst, eps_gap=args.eps_gap)
+        gap_inst = gap.export_gap(inst)
         doc["gap_opt"] = _frac_fields(oracles.exact_gap_opt(gap_inst))
     _emit(doc, args.output)
     return 0
@@ -256,7 +248,7 @@ def _cmd_lp(args) -> int:
 
 def _cmd_online(args) -> int:
     model = load_model(args.model)
-    seed = _seed(args)
+    seed = args.seed
     x = solve_model_lp(build_opton_lp(model))
     report = harness.run_online_trials(
         model, x, alpha=args.alpha, beta=args.beta, seed=seed, trials=args.trials
@@ -275,8 +267,7 @@ def _cmd_online(args) -> int:
 
 def _cmd_bench(args) -> int:
     suite = harness.BENCH_SUITES[args.suite]
-    seed = _seed(args)
-    report = suite(trials=args.trials, seed=seed)
+    report = suite(trials=args.trials, seed=args.seed)
     _emit(report, args.output)
     if not _to_stdout(args.output):
         csv_path = args.output
@@ -287,7 +278,7 @@ def _cmd_bench(args) -> int:
 
 def _cmd_export_gap(args) -> int:
     inst = load_instance(args.instance)
-    gap_inst = gap.export_gap(inst, eps_gap=args.eps_gap)
+    gap_inst = gap.export_gap(inst)
     doc = gap.gap_to_dict(gap_inst)
     _emit(doc, args.output)
     return 0
@@ -308,7 +299,8 @@ def build_parser() -> argparse.ArgumentParser:
     g.add_argument("-n", type=int, default=3)
     g.add_argument("-k", type=int, default=2)
     g.add_argument("-T", type=int, default=10)
-    g.add_argument("--eps", default="0.1")
+    g.add_argument("--eps", default="0.1",
+                   help="the family's eps; for genava-clique, the exponent of M = 2|E|/n^eps")
     g.add_argument("--sets", default="e1,e2;e3,e4",
                    help="semicolon-separated element groups, e.g. 'e1,e2;e3,e4'")
     g.add_argument("--vertices", default="a,b,c")
@@ -316,7 +308,7 @@ def build_parser() -> argparse.ArgumentParser:
     g.add_argument("--items", type=int, default=6)
     g.add_argument("--buyers", type=int, default=3)
     g.add_argument("--types", type=int, default=4)
-    g.add_argument("--seed", type=int, default=None)
+    g.add_argument("--seed", type=int, default=0)
     g.add_argument("--edge-density", type=float, default=0.75)
     g.add_argument("--p-density", type=float, default=0.4)
     g.add_argument("--unambiguous", action="store_true")
@@ -333,7 +325,7 @@ def build_parser() -> argparse.ArgumentParser:
     s.add_argument("--alpha", type=float, default=None)
     s.add_argument("--beta", type=float, default=0.156)
     s.add_argument("--eps", default="0.1")
-    s.add_argument("--seed", type=int, default=None)
+    s.add_argument("--seed", type=int, default=0)
     s.add_argument("-o", "--output")
     s.set_defaults(fn=_cmd_solve)
 
@@ -341,7 +333,6 @@ def build_parser() -> argparse.ArgumentParser:
     e.add_argument("instance")
     e.add_argument("--bundling", action="store_true")
     e.add_argument("--gap", action="store_true")
-    e.add_argument("--eps-gap", default="1")
     e.add_argument("--limit", type=int, default=oracles.DEFAULT_STATE_LIMIT,
                    help="most (state, subset) pairs the oracles' DP may walk")
     e.add_argument("-o", "--output")
@@ -361,7 +352,7 @@ def build_parser() -> argparse.ArgumentParser:
     o.add_argument("--alpha", type=float, default=0.64)
     o.add_argument("--beta", type=float, default=0.0766)
     o.add_argument("--trials", type=int, default=1000)
-    o.add_argument("--seed", type=int, default=None)
+    o.add_argument("--seed", type=int, default=0)
     o.add_argument("--trace", help="write the first trial's decision records (JSONL)")
     o.add_argument("-o", "--output")
     o.set_defaults(fn=_cmd_online)
@@ -369,13 +360,12 @@ def build_parser() -> argparse.ArgumentParser:
     b = sub.add_parser("bench", help="run a named report suite")
     b.add_argument("--suite", default="examples", choices=sorted(harness.BENCH_SUITES))
     b.add_argument("--trials", type=int, default=10_000)
-    b.add_argument("--seed", type=int, default=None)
+    b.add_argument("--seed", type=int, default=0)
     b.add_argument("-o", "--output")
     b.set_defaults(fn=_cmd_bench)
 
     x = sub.add_parser("export-gap", help="write the partition-matroid GAP image")
     x.add_argument("instance")
-    x.add_argument("--eps-gap", default="1")
     x.add_argument("-o", "--output")
     x.set_defaults(fn=_cmd_export_gap)
 

@@ -22,7 +22,7 @@ import json
 import math
 import sys
 from collections import namedtuple
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from decimal import Decimal
 from fractions import Fraction
 from functools import cached_property
@@ -100,7 +100,6 @@ class Instance:
     costs: dict | None = None
     budgets: dict | None = None
     resource_costs: dict | None = None
-    metadata: dict = field(default_factory=dict, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "items", tuple(self.items))
@@ -368,7 +367,7 @@ def is_feasible(inst: Instance, alloc: Allocation) -> FeasibilityReport:
     return FeasibilityReport(ok=not violations, violations=tuple(violations))
 
 
-def copy_items(inst: Instance, copies, metadata=None) -> Instance:
+def copy_items(inst: Instance, copies) -> Instance:
     """Instance over the buyers, thresholds and budgets of inst whose items
     are copies of its items.  copies lists (new id, source item, buyers) in
     the new item order; each edge (new id, j) for j in buyers takes the
@@ -393,7 +392,6 @@ def copy_items(inst: Instance, copies, metadata=None) -> Instance:
         costs=costs if inst.costs is not None else None,
         budgets=inst.budgets,
         resource_costs=rcosts if inst.resource_costs is not None else None,
-        metadata=dict(metadata or {}),
     )
 
 
@@ -403,7 +401,6 @@ def restrict_edges(inst: Instance, keep) -> Instance:
     return copy_items(
         inst,
         [(i, i, [j for j in inst.edges_of_item(i) if (i, j) in keep]) for i in inst.items],
-        inst.metadata,
     )
 
 

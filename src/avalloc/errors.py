@@ -49,14 +49,15 @@ class GammaViolated(AvallocError, ValueError):
 
 
 class TooLarge(AvallocError):
-    """Exhaustive search would exceed its work budget: state_count is the
-    work counted (for the allocation oracles, the (state, subset) pairs
-    their DP would walk) and limit the most allowed."""
+    """Exhaustive search would exceed one of its size limits: what names the
+    quantity ("work", the (state, subset) pairs the allocation oracles' DP
+    would walk; "subset table width"; "GAP elements"; "GAP bins"),
+    state_count is its value and limit the most allowed."""
 
-    def __init__(self, state_count, limit):
+    def __init__(self, what, state_count, limit):
         self.state_count = state_count
         self.limit = limit
-        super().__init__(f"work {state_count} exceeds limit {limit}")
+        super().__init__(f"{what} {state_count} exceeds limit {limit}")
 
 
 class InfeasibleFractional(AvallocError, ValueError):

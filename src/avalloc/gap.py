@@ -2,7 +2,7 @@
 
 Bins are the pairs (p, j) over P-items p and their edges (p, j); at most
 one bin per P-item may be opened.  The P-item occupies zero space in its
-own bins and an inadmissible 1 + eps_gap in every other bin; an N-item i
+own bins and an inadmissible 1 + eps_gap = 2 in every other bin; an N-item i
 fits bin (p, j) with size -e_ij / e_pj, where e = v - rho*c is the excess,
 when the P-edge has positive excess.  Zero-excess bins admit no N-items,
 and non-edges are likewise blocked with oversize entries, so maximal
@@ -12,7 +12,7 @@ partitions.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 
 from .bundling import Bundle, BundledAllocation
@@ -23,7 +23,8 @@ from .errors import AmbiguousInstance, InfeasibleGapSolution, NotMaximal
 @dataclass(frozen=True)
 class GapInstance:
     """elements pack into unit-capacity bins; sizes/values keyed by
-    (element, bin); groups: at most one open bin per group key."""
+    (element, bin); groups: at most one open bin per group key; a blocked
+    entry has size 1 + eps_gap."""
 
     elements: tuple
     bins: tuple
@@ -31,7 +32,6 @@ class GapInstance:
     sizes: dict
     groups: dict
     eps_gap: Fraction = Fraction(1)
-    metadata: dict = field(default_factory=dict, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "elements", tuple(self.elements))
@@ -44,16 +44,13 @@ class GapInstance:
             object.__setattr__(self, "groups", {b: (b,) for b in self.bins})
 
 
-def export_gap(inst: Instance, eps_gap=1) -> GapInstance:
+def export_gap(inst: Instance) -> GapInstance:
     """Build the GAP image of an unambiguous instance."""
-    eps_gap = to_fraction(eps_gap)
-    if eps_gap <= 0:
-        raise ValueError("eps_gap must be positive")
     if not inst.is_unambiguous():
         raise AmbiguousInstance(f"ambiguous items: {inst.ambiguous_items()}")
     p_items = inst.p_items()
     n_items = inst.n_items()
-    blocked = 1 + eps_gap
+    blocked = 1 + GapInstance.eps_gap  # 2, which fits no unit bin
     bins = [(p, j) for p in p_items for j in inst.buyers if (p, j) in inst.values]
     values, sizes = {}, {}
     for p in p_items:
@@ -79,19 +76,13 @@ def export_gap(inst: Instance, eps_gap=1) -> GapInstance:
     groups = {}
     for b in bins:
         groups.setdefault(b[0], []).append(b)
-    gap = GapInstance(
+    return GapInstance(
         elements=list(inst.items),
         bins=bins,
         values=values,
         sizes=sizes,
         groups=groups,
-        eps_gap=eps_gap,
-        metadata={
-            "note": "bijection with bundle partitions holds for maximal solutions "
-            "(every P-item packed)"
-        },
     )
-    return gap
 
 
 def gap_solution_to_bundles(solution: dict, gap: GapInstance, inst: Instance) -> BundledAllocation:

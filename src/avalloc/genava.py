@@ -7,6 +7,8 @@ linear-time bicriteria greedy relaxes each buyer's constraint by a factor
 1/(1-eps) while keeping at least an eps fraction of the optimum value.  The
 strictly feasible single-buyer algorithm (all P-edges plus a 2-approximate
 knapsack over N-edges) is within a factor 2n of the optimum for n buyers.
+None of the three reads budgets, so each raises ValueError on an instance
+that carries them.
 """
 
 from __future__ import annotations
@@ -16,10 +18,16 @@ from fractions import Fraction
 from .core import Allocation, Instance, id_order, to_fraction
 
 
+def _check_no_budgets(inst: Instance):
+    if inst.budgets:
+        raise ValueError("the cost-mode baselines do not support budgets")
+
+
 def _greedy(inst: Instance, admits) -> Allocation:
     """Assign each item to the buyer of its highest-value edge (i, j) with
     admits(i, j), the earlier-declared buyer on a tie; leave it unallocated
     when no edge is admitted.  Each item is decided on its own."""
+    _check_no_budgets(inst)
     assignment = {}
     for i in inst.items:
         admitted = [j for j in inst.edges_of_item(i) if admits(i, j)]
@@ -93,6 +101,7 @@ def genava_single_buyer(inst: Instance) -> Allocation:
     """Best single-buyer allocation: every P-edge of the buyer plus a
     2-approximate knapsack of N-edges packed into the total P-excess.
     Strictly feasible; within 2n of the optimum over n buyers."""
+    _check_no_budgets(inst)
     best = None
     for j in inst.buyers:
         p_edges = [i for i in inst.items if (i, j) in inst.values and inst.is_p_edge(i, j)]

@@ -1,9 +1,9 @@
 """Construct the named instance families plus seeded random instances.
 
 Every generator is deterministic in its parameters (and seed, where one
-applies), emits exact rational data, and records its parameters in the
-instance metadata.  Random values are drawn on a 1/100 grid so that
-feasibility arithmetic stays exact and JSON round-trips losslessly.
+applies) and emits exact rational data.  Random values are drawn on a
+1/100 grid so that feasibility arithmetic stays exact and JSON round-trips
+losslessly.
 """
 
 from __future__ import annotations
@@ -41,9 +41,7 @@ def gen_integrality_gap(n: int, eps) -> Instance:
         raise BadEps("n must be at least 1")
     if not 0 < eps < Fraction(1, n):
         raise BadEps(f"eps must lie in (0, 1/{n})")
-    inst = _star_instance(n, eps, "b")
-    inst.metadata.update({"family": "integrality-gap", "n": n, "eps": str(eps)})
-    return inst
+    return _star_instance(n, eps, "b")
 
 
 def gen_supply_example(k: int, eps) -> Instance:
@@ -54,9 +52,7 @@ def gen_supply_example(k: int, eps) -> Instance:
         raise BadEps("k must be at least 1")
     if not 0 < eps < Fraction(1, k):
         raise BadEps(f"eps must lie in (0, 1/{k})")
-    inst = _star_instance(k, eps, "j")
-    inst.metadata.update({"family": "supply", "k": k, "eps": str(eps)})
-    return inst
+    return _star_instance(k, eps, "j")
 
 
 def gen_tightness_example(eps) -> Instance:
@@ -66,16 +62,8 @@ def gen_tightness_example(eps) -> Instance:
     eps = to_fraction(eps)
     if not 0 < eps < 1:
         raise BadEps("eps must lie in (0, 1)")
-    n_count_exact = 1 / eps
-    p_count_exact = 1 / (eps * (1 - eps))
-    n_count = math.floor(n_count_exact)
-    p_count = math.floor(p_count_exact)
-    warnings = []
-    if n_count != n_count_exact or p_count != p_count_exact:
-        warnings.append(
-            f"non-integral counts rounded down: N {n_count_exact} -> {n_count}, "
-            f"P {p_count_exact} -> {p_count}"
-        )
+    n_count = math.floor(1 / eps)
+    p_count = math.floor(1 / (eps * (1 - eps)))
     items = [f"n{k}" for k in range(1, n_count + 1)] + [
         f"p{k}" for k in range(1, p_count + 1)
     ]
@@ -84,9 +72,7 @@ def gen_tightness_example(eps) -> Instance:
         values[(f"n{k}", "b")] = 1 - eps
     for k in range(1, p_count + 1):
         values[(f"p{k}", "b")] = 1 + eps * (1 - eps)
-    inst = Instance(items=items, buyers=["b"], values=values, thresholds={"b": Fraction(1)})
-    inst.metadata.update({"family": "tightness", "eps": str(eps), "warnings": warnings})
-    return inst
+    return Instance(items=items, buyers=["b"], values=values, thresholds={"b": Fraction(1)})
 
 
 def gen_max_coverage(sets, k: int, eps) -> Instance:
@@ -119,14 +105,12 @@ def gen_max_coverage(sets, k: int, eps) -> Instance:
     for idx, s in enumerate(sets, start=1):
         for e in s:
             values[(f"e:{e}", f"s{idx}")] = element_value
-    inst = Instance(
+    return Instance(
         items=items,
         buyers=buyers,
         values=values,
         thresholds={j: Fraction(1) for j in buyers},
     )
-    inst.metadata.update({"family": "max-coverage", "k": k, "eps": str(eps), "n": n})
-    return inst
 
 
 def _graph(vertices, edges):
@@ -179,17 +163,13 @@ def gen_genava_clique(vertices, edges, eps_exponent=1) -> Instance:
         for w in (u, v):
             values[(iid, f"j:{w}")] = Fraction(1)
             costs[(iid, f"j:{w}")] = Fraction(0)
-    inst = Instance(
+    return Instance(
         items=items,
         buyers=buyers,
         values=values,
         thresholds={j: Fraction(1) for j in buyers},
         costs=costs,
     )
-    inst.metadata.update(
-        {"family": "genava-clique", "M": str(m_value), "eps_exponent": str(eps_exponent)}
-    )
-    return inst
 
 
 def gen_iid_lower_bound(T: int) -> IidModel:
@@ -207,7 +187,7 @@ def gen_iid_lower_bound(T: int) -> IidModel:
     for j in buyers:
         values[("p", j)] = 1 + eps * T
     probs = {i: Fraction(1, T) for i in types}
-    model = IidModel(
+    return IidModel(
         types=types,
         buyers=buyers,
         values=values,
@@ -215,8 +195,6 @@ def gen_iid_lower_bound(T: int) -> IidModel:
         probs=probs,
         horizon=T,
     )
-    model.metadata.update({"family": "iid-lower-bound", "T": T})
-    return model
 
 
 def gen_adversarial_T(T: int, eps):
@@ -242,7 +220,6 @@ def gen_adversarial_T(T: int, eps):
         values=values,
         thresholds={j: Fraction(1) for j in buyers},
     )
-    inst.metadata.update({"family": "adversarial", "T": T, "eps": str(eps)})
     return inst, list(items)
 
 
@@ -320,7 +297,7 @@ def gen_random(
                 budgets[(res, j)] = Fraction(1)
             for (i, j) in values:
                 rcosts[(res, i, j)] = _grid(rng, Fraction(0), bid_frac)
-    inst = Instance(
+    return Instance(
         items=items,
         buyers=buyers,
         values=values,
@@ -328,11 +305,6 @@ def gen_random(
         budgets=budgets,
         resource_costs=rcosts,
     )
-    inst.metadata.update(
-        {"family": "random", "seed": seed, "unambiguous": unambiguous,
-         "budget_resources": budget_resources}
-    )
-    return inst
 
 
 def gen_random_iid_model(
@@ -366,7 +338,7 @@ def gen_random_iid_model(
     weights = [rng.randint(1, 4) for _ in types]
     total = sum(weights)
     probs = {i: Fraction(w, total) for i, w in zip(types, weights)}
-    model = IidModel(
+    return IidModel(
         types=types,
         buyers=buyers,
         values=values,
@@ -374,5 +346,3 @@ def gen_random_iid_model(
         probs=probs,
         horizon=horizon,
     )
-    model.metadata.update({"family": "random-iid", "seed": seed})
-    return model

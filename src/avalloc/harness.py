@@ -34,8 +34,6 @@ from .rounding import (
     gamma_online,
 )
 
-SEED_ENV_VAR = "AVALLOC_SEED"
-
 
 @dataclass
 class TrialReport:

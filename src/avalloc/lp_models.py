@@ -69,7 +69,6 @@ class IidModel:
     probs: dict
     horizon: int
     costs: dict | None = None
-    metadata: dict = field(default_factory=dict, compare=False)
     inst: Instance = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):

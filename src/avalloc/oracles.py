@@ -45,7 +45,7 @@ def _check_budget(edge_masks, max_states: int) -> None:
         work += 3 ** (seen & E).bit_count() << (seen ^ E).bit_count()
         seen |= E
     if work > max_states:
-        raise TooLarge(work, max_states)
+        raise TooLarge("work", work, max_states)
 
 
 def _submasks(mask):
@@ -113,7 +113,7 @@ def _allocation_dp(inst: Instance, admissible, max_states: int):
     _check_budget(edge_masks, max_states)
     n = len(inst.items)
     if (1 << n) > _DP_MASK_LIMIT:
-        raise TooLarge(1 << n, _DP_MASK_LIMIT)
+        raise TooLarge("subset table width", 1 << n, _DP_MASK_LIMIT)
     full = (1 << n) - 1
     m = len(inst.buyers)
     # buyer jpos is read only at sets holding every item outside seen[jpos],
@@ -204,10 +204,10 @@ def exact_opt(inst: Instance, max_states: int = DEFAULT_STATE_LIMIT):
 
     Supports plain, cost-mode and budgeted instances.  Returns
     (value, Allocation); raises ValueError when max_states < 1,
-    TooLarge(work, max_states) when the search's (state, subset) pairs
-    pass max_states, and TooLarge(2**items, _DP_MASK_LIMIT) when the
-    subset tables of an instance with several buyers would pass that
-    limit.
+    TooLarge("work", pairs, max_states) when the search's (state, subset)
+    pairs pass max_states, and TooLarge("subset table width", 2**items,
+    _DP_MASK_LIMIT) when the subset tables of an instance with several
+    buyers would pass that limit.
     """
     if len(inst.buyers) == 1 and (1 << len(inst.items)) > _DP_MASK_LIMIT:
         return _single_buyer_dfs(inst, max_states)
@@ -267,7 +267,8 @@ def _partition_tables(inst: Instance, j, tables):
 def exact_bundling_opt(inst: Instance, max_states: int = DEFAULT_STATE_LIMIT):
     """Optimal value over allocations partitionable into permissible
     bundles.  Returns (value, BundledAllocation); raises like exact_opt,
-    and TooLarge(2**items, _DP_MASK_LIMIT) for a single buyer too.
+    and TooLarge("subset table width", 2**items, _DP_MASK_LIMIT) for a
+    single buyer too.
 
     The work budget is exact_opt's pair count.  The partition tables fill
     2^|E| entries per buyer, at most that buyer's pairs; their search for
@@ -310,9 +311,9 @@ def exact_gap_opt(gap) -> Fraction:
     _GAP_MAX_ELEMENTS elements or _GAP_MAX_BINS bins.
     """
     if len(gap.elements) > _GAP_MAX_ELEMENTS:
-        raise TooLarge(len(gap.elements), _GAP_MAX_ELEMENTS)
+        raise TooLarge("GAP elements", len(gap.elements), _GAP_MAX_ELEMENTS)
     if len(gap.bins) > _GAP_MAX_BINS:
-        raise TooLarge(len(gap.bins), _GAP_MAX_BINS)
+        raise TooLarge("GAP bins", len(gap.bins), _GAP_MAX_BINS)
     groups = list(gap.groups.values())
     elements = list(gap.elements)
     # optimistic per-element bound used for pruning

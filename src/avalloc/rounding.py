@@ -324,7 +324,6 @@ class OfflinePlan:
         self.resources = inst.resources() if budgeted else []
         k = len(self.resources)
         self.alpha = alpha if alpha is not None else 1.0 / (3 * max(k, 1))
-        self.budgeted = budgeted
         opens, self.b_mass, members, prob = _support(inst, x, bundle_lp_shape(inst), self.alpha)
         layout = inst.bundle_layout
         self.bundles = [layout.bundles[b] for b in layout.bundle[opens].tolist()]

@@ -271,7 +271,7 @@ def test_deterministic_unambiguous_random_sweep():
         assert is_feasible(out_inst, out.to_allocation())
 
 
-def test_copies_carry_costs_resource_costs_and_metadata():
+def test_copies_carry_costs_and_resource_costs():
     # i is ambiguous in cost mode: excess 3/10 for b1 and -1/10 for b2
     values = {("i", "b1"): "1.3", ("i", "b2"): "0.9", ("k", "b1"): "0.5"}
     inst = unit_instance(
@@ -280,7 +280,6 @@ def test_copies_carry_costs_resource_costs_and_metadata():
         rcosts={("cpu", "i", "b1"): "0.25", ("cpu", "i", "b2"): "0.5",
                 ("cpu", "k", "b1"): "0.1"},
     )
-    inst.metadata["family"] = "copies"
     split, orig = split_ambiguous(inst)
     assert split.items == ("i+", "i-", "k") and orig == {"i+": "i", "i-": "i"}
     assert split.costs == {("i+", "b1"): 1, ("i-", "b2"): 1, ("k", "b1"): 1}
@@ -293,7 +292,7 @@ def test_copies_carry_costs_resource_costs_and_metadata():
     assert dup.resource_costs[("cpu", "k@2", "b1")] == Fraction(1, 10)
     assert len(dup.resource_costs) == 6 and len(dup.costs) == 6
     kept = restrict_edges(inst, [("i", "b1")])
-    assert kept.items == inst.items and kept.metadata == {"family": "copies"}
+    assert kept.items == inst.items
     assert kept.costs == {("i", "b1"): 1}
     assert kept.resource_costs == {("cpu", "i", "b1"): Fraction(1, 4)}
     with pytest.raises(InvalidBundling, match="collides"):

@@ -85,7 +85,8 @@ def test_cli_rejects_zero_denominators_long_horizons_and_bad_beta(tmp_path, caps
     assert main(["lp", str(inst), "--which", "naive"]) == 2
     assert capsys.readouterr().err == "error: expected a number, got '1/0'\n"
     inst.write_text(json.dumps(INSTANCE))
-    assert main(["export-gap", str(inst), "--eps-gap", "1/0"]) == 2
+    model.write_text(json.dumps(MODEL))
+    assert main(["lp", str(model), "--which", "optoff", "--gamma-floor", "1/0"]) == 2
     assert capsys.readouterr().err == "error: zero denominator in '1/0'\n"
     assert main(["solve", str(inst), "--algo", "bundle-round", "--beta", "1"]) == 2
     assert capsys.readouterr().err == "error: beta must lie in (0, 1)\n"

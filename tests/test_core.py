@@ -14,6 +14,7 @@ from avalloc import (
 )
 from avalloc.core import dump_instance, instance_from_dict, instance_to_dict, load_instance
 from avalloc.errors import InvalidInstance, UnknownEdge
+from avalloc.generators import gen_genava_clique, gen_random
 from util import unit_instance
 
 
@@ -188,15 +189,21 @@ def test_json_round_trip_exact():
         budgets={("cpu", "b1"): Fraction(2)},
         resource_costs={("cpu", "i1", "b1"): Fraction(1, 7)},
     )
-    buf = io.StringIO()
-    dump_instance(inst, buf)
-    buf.seek(0)
-    back = load_instance(buf)
-    assert back.values == inst.values
-    assert back.thresholds == inst.thresholds
-    assert back.costs == inst.costs
-    assert back.budgets == inst.budgets
-    assert back.resource_costs == inst.resource_costs
+    # plain and budgeted random instances, and cost-mode clique reductions,
+    # whose M = 2|E|/n^eps is a binary fraction when eps is not 1
+    cases = [inst, *(gen_random(8, 3, seed, budget_resources=r)
+                     for seed in range(20) for r in (0, 2))]
+    for seed in range(15):
+        rng = random.Random(seed)
+        vertices = [f"v{k}" for k in range(rng.randint(3, 6))]
+        edges = [(u, v) for k, u in enumerate(vertices) for v in vertices[k + 1:]
+                 if rng.random() < 0.6] or [tuple(vertices[:2])]
+        cases.append(gen_genava_clique(vertices, edges, rng.choice([1, "1/2"])))
+    for case in cases:
+        buf = io.StringIO()
+        dump_instance(case, buf)
+        buf.seek(0)
+        assert load_instance(buf) == case
 
 
 def test_json_round_trip_integer_buyer_ids():

@@ -28,13 +28,13 @@ def _simple_instance():
 
 def test_export_sizes_and_values():
     inst = _simple_instance()
-    g = export_gap(inst, eps_gap=1)
+    g = export_gap(inst)
     bin_pb = ("p", "b")
     assert g.sizes[("p", bin_pb)] == 0
     assert g.values[("p", bin_pb)] == Fraction(13, 10)
     assert g.sizes[("n", bin_pb)] == Fraction(1, 3)  # 0.1 / 0.3
     assert g.values[("n", bin_pb)] == Fraction(9, 10)
-    # a P-item in another P-item's bin is blocked with size 1 + eps_gap
+    # a P-item in another P-item's bin is blocked with size 1 + eps_gap = 2
     assert g.sizes[("q", bin_pb)] == 2
     assert g.values[("q", bin_pb)] == 0
 

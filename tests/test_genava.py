@@ -8,6 +8,7 @@ from avalloc.genava import (
     bicriteria_cost_ratio,
     genava_bicriteria_greedy,
     genava_single_buyer,
+    greedy_p_only,
 )
 from avalloc.generators import gen_genava_clique, gen_random
 from avalloc.oracles import exact_opt
@@ -92,6 +93,19 @@ def test_single_buyer_always_feasible_sweep():
         inst = gen_random(7, 3, seed=2100 + seed)
         alloc = genava_single_buyer(inst)
         assert is_feasible(inst, alloc)
+
+
+@pytest.mark.parametrize("algo", [
+    greedy_p_only,
+    genava_single_buyer,
+    lambda inst: genava_bicriteria_greedy(inst, Fraction(1, 10)),
+], ids=["greedy-p", "single-buyer", "bicriteria"])
+def test_baselines_refuse_budgets(algo):
+    # this instance's budgets bind: read without them, single-buyer's
+    # allocation is infeasible and worth 911/100, above the optimum 357/50
+    inst = gen_random(10, 2, 3, budget_resources=1, bid_frac="0.6")
+    with pytest.raises(ValueError, match="do not support budgets"):
+        algo(inst)
 
 
 def test_knapsack_two_approx():

@@ -53,10 +53,9 @@ def test_supply_example_values():
 def test_tightness_counts_and_warning():
     inst = gen_tightness_example(Fraction(1, 2))
     assert len(inst.n_items()) == 2 and len(inst.p_items()) == 4
-    assert not inst.metadata["warnings"]
     rounded = gen_tightness_example(Fraction(1, 5))
+    # 1/(eps(1-eps)) = 6.25 rounded down
     assert len(rounded.n_items()) == 5 and len(rounded.p_items()) == 6
-    assert rounded.metadata["warnings"]  # 1/(eps(1-eps)) = 6.25 rounded down
 
 
 def test_tightness_full_allocation_feasible_at_half():
@@ -83,7 +82,7 @@ def test_max_coverage_yes_and_no():
 def test_genava_clique_values():
     tri = gen_genava_clique(["a", "b", "c"], [("a", "b"), ("b", "c"), ("a", "c")])
     assert tri.has_costs
-    assert tri.metadata["M"] == "2"
+    assert tri.values[("v:a", "j:a")] == 2  # M = 2|E|/n
     assert exact_opt(tri)[0] == 5  # alpha(K3) * M + |E| = 2 + 3
     p3 = gen_genava_clique(["a", "b", "c"], [("a", "b"), ("b", "c")])
     assert exact_opt(p3)[0] == Fraction(14, 3)  # alpha(P3) * 4/3 + 2

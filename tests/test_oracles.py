@@ -65,6 +65,7 @@ def test_exact_opt_too_large():
     with pytest.raises(TooLarge) as err:
         exact_opt(inst, max_states=100)
     assert err.value.state_count == 2948
+    assert str(err.value) == "work 2948 exceeds limit 100"
 
 
 def test_exact_opt_cost_mode_and_budgets():
@@ -152,8 +153,12 @@ def test_exact_gap_opt_guards():
         sizes={},
         groups={},
     )
-    with pytest.raises(TooLarge):
+    with pytest.raises(TooLarge, match="^GAP elements 11 exceeds limit 10$"):
         exact_gap_opt(big)
+    wide = GapInstance(elements=["e"], bins=[("p", f"b{k}") for k in range(13)],
+                       values={}, sizes={}, groups={})
+    with pytest.raises(TooLarge, match="^GAP bins 13 exceeds limit 12$"):
+        exact_gap_opt(wide)
 
 
 def _with_costs(inst, seed):
@@ -354,6 +359,7 @@ def test_mask_limit_refuses_before_building_tables(oracle, monkeypatch):
     # the refusal names the subset-table size and its limit, not the state
     # count, which is within max_states
     assert (err.value.state_count, err.value.limit) == (1 << 18, _DP_MASK_LIMIT)
+    assert str(err.value) == f"subset table width {1 << 18} exceeds limit {_DP_MASK_LIMIT}"
 
 
 @pytest.mark.parametrize("oracle", [exact_opt, exact_bundling_opt])
