@@ -41,7 +41,6 @@ from .lp_models import (
 )
 from .oracles import exact_bundling_opt, exact_gap_opt, exact_opt
 from .rounding import (
-    RoundingParams,
     gamma_offline,
     gamma_online,
     round_offline,

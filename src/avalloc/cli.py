@@ -91,24 +91,24 @@ def _parse_edges(spec: str):
 
 
 def _cmd_gen(args) -> int:
-    fam = args.family
+    fam, eps = args.family, "0.1" if args.eps is None else args.eps
     if fam == "integrality-gap":
-        out = generators.gen_integrality_gap(args.n, args.eps)
+        out = generators.gen_integrality_gap(args.n, eps)
     elif fam == "supply":
-        out = generators.gen_supply_example(args.k, args.eps)
+        out = generators.gen_supply_example(args.k, eps)
     elif fam == "tightness":
-        out = generators.gen_tightness_example(args.eps)
+        out = generators.gen_tightness_example(eps)
     elif fam == "max-coverage":
-        out = generators.gen_max_coverage(_parse_sets(args.sets), args.k, args.eps)
+        out = generators.gen_max_coverage(_parse_sets(args.sets), args.k, eps)
     elif fam == "genava-clique":
-        out = generators.gen_genava_clique(
-            args.vertices.split(","), _parse_edges(args.edges), args.eps
-        )
+        # the generator's own exponent unless --eps is given
+        out = generators.gen_genava_clique(args.vertices.split(","), _parse_edges(args.edges),
+                                           *(() if args.eps is None else (args.eps,)))
     elif fam == "iid-lower-bound":
         out = generators.gen_iid_lower_bound(args.T)
     elif fam == "adversarial":
         # declaration order is the arrival order
-        out, _order = generators.gen_adversarial_T(args.T, args.eps)
+        out, _order = generators.gen_adversarial_T(args.T, eps)
     elif fam == "random":
         out = generators.gen_random(
             args.items,
@@ -255,8 +255,8 @@ def _cmd_online(args) -> int:
     )
     if args.trace:
         stream = rounding.sample_stream(model, seed, 0)
-        params = rounding.RoundingParams(alpha=args.alpha, seed=rounding.derive_trial_seed(seed, 0))
-        _out, trace = rounding.round_online(model, x, params, stream)
+        _out, trace = rounding.round_online(
+            model, x, args.alpha, rounding.derive_trial_seed(seed, 0), stream)
         _write_text("".join(json.dumps(rec.to_json()) + "\n" for rec in trace), args.trace)
     _emit(report.to_json_dict(), args.output)
     return 0
@@ -299,8 +299,8 @@ def build_parser() -> argparse.ArgumentParser:
     g.add_argument("-n", type=int, default=3)
     g.add_argument("-k", type=int, default=2)
     g.add_argument("-T", type=int, default=10)
-    g.add_argument("--eps", default="0.1",
-                   help="the family's eps; for genava-clique, the exponent of M = 2|E|/n^eps")
+    g.add_argument("--eps", help="the family's eps (default 0.1); for genava-clique, the "
+                   "exponent of M = 2|E|/n^eps (default 1)")
     g.add_argument("--sets", default="e1,e2;e3,e4",
                    help="semicolon-separated element groups, e.g. 'e1,e2;e3,e4'")
     g.add_argument("--vertices", default="a,b,c")

@@ -26,6 +26,7 @@ from dataclasses import dataclass
 from decimal import Decimal
 from fractions import Fraction
 from functools import cached_property
+from types import MappingProxyType
 
 import numpy as np
 
@@ -104,26 +105,11 @@ class Instance:
     def __post_init__(self):
         object.__setattr__(self, "items", tuple(self.items))
         object.__setattr__(self, "buyers", tuple(self.buyers))
-        object.__setattr__(
-            self, "values", {k: to_fraction(v) for k, v in self.values.items()}
-        )
-        object.__setattr__(
-            self, "thresholds", {k: to_fraction(v) for k, v in self.thresholds.items()}
-        )
-        if self.costs is not None:
-            object.__setattr__(
-                self, "costs", {k: to_fraction(v) for k, v in self.costs.items()}
-            )
-        if self.budgets is not None:
-            object.__setattr__(
-                self, "budgets", {k: to_fraction(v) for k, v in self.budgets.items()}
-            )
-        if self.resource_costs is not None:
-            object.__setattr__(
-                self,
-                "resource_costs",
-                {k: to_fraction(v) for k, v in self.resource_costs.items()},
-            )
+        for name in ("values", "thresholds", "costs", "budgets", "resource_costs"):
+            d = getattr(self, name)
+            if d is not None:
+                object.__setattr__(self, name, MappingProxyType(
+                    {k: to_fraction(v) for k, v in d.items()}))
         self._validate()
         object.__setattr__(self, "_item_index", {i: k for k, i in enumerate(self.items)})
         object.__setattr__(self, "_buyer_index", {j: k for k, j in enumerate(self.buyers)})
@@ -303,7 +289,7 @@ class Allocation:
     assignment: dict
 
     def __post_init__(self):
-        object.__setattr__(self, "assignment", dict(self.assignment))
+        object.__setattr__(self, "assignment", MappingProxyType(dict(self.assignment)))
 
     def items_of(self, j):
         return [i for i, jj in self.assignment.items() if jj == j]

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from types import MappingProxyType
 
 from .bundling import Bundle, BundledAllocation
 from .core import Instance, fraction_to_json, to_fraction, write_json
@@ -36,12 +37,12 @@ class GapInstance:
     def __post_init__(self):
         object.__setattr__(self, "elements", tuple(self.elements))
         object.__setattr__(self, "bins", tuple(self.bins))
-        object.__setattr__(self, "values", {k: to_fraction(v) for k, v in self.values.items()})
-        object.__setattr__(self, "sizes", {k: to_fraction(v) for k, v in self.sizes.items()})
-        if self.groups:
-            object.__setattr__(self, "groups", {g: tuple(bs) for g, bs in self.groups.items()})
-        else:
-            object.__setattr__(self, "groups", {b: (b,) for b in self.bins})
+        groups = self.groups or {b: (b,) for b in self.bins}
+        for name, d in (("values", self.values), ("sizes", self.sizes)):
+            object.__setattr__(self, name, MappingProxyType(
+                {k: to_fraction(v) for k, v in d.items()}))
+        object.__setattr__(self, "groups", MappingProxyType(
+            {g: tuple(bs) for g, bs in groups.items()}))
 
 
 def export_gap(inst: Instance) -> GapInstance:

@@ -2,16 +2,12 @@
 
 Every report is a pure function of (inputs, seed): trial t runs on the
 substream seed derive_trial_seed(seed, t), so results do not depend on
-scheduling, and every trial's output is re-verified in exact arithmetic,
-a block of trials at a time from the plan's arrays and the instance's
-scaled integers alone: offline by bundling.invalid_bundling (permissible
-bundles, each item used once, every configured budget held), online by
-replaying every prefix of the decisions, one running sum in time order
-for each buyer that takes a negative step (_replay_prefix).  One invalid
-trial aborts the run, naming the lowest such trial; this is a hard
-invariant, not a statistic.  Reports carry mean, sample stddev, the normal
-95% CI mean +/- 1.96 s/sqrt(N), the minimum, the LP benchmark and the
-per-bundle opening rates used by the marginal checks.
+scheduling.  The plans check every block of trials they return
+(OfflinePlan.check, OnlinePlan.check), and one invalid trial aborts the
+run; this is a hard invariant, not a statistic.  The harness only
+aggregates: reports carry mean, sample stddev, the normal 95% CI
+mean +/- 1.96 s/sqrt(N), the minimum, the LP benchmark and the per-bundle
+opening rates used by the marginal checks.
 """
 
 from __future__ import annotations
@@ -22,7 +18,6 @@ from fractions import Fraction
 
 import numpy as np
 
-from .bundling import invalid_bundling, state_dtype
 from .core import Instance, allocation_value, exact_text
 from .genava import greedy_p_only
 from .lp_models import BundleLpSolution, IidModel
@@ -109,11 +104,7 @@ def run_offline_trials(
     _check_run(beta, trials)
     plan = OfflinePlan(inst, x, alpha, budgeted=budgeted)
     values, open_counts = [], np.zeros(len(plan.bundles), dtype=np.int64)
-    for start, (opened, joined, value) in plan.run_trials(seed, trials):
-        fault = invalid_bundling(inst, plan.bundles, opened, plan.coin_items, joined)
-        if fault is not None:
-            row, reason = fault
-            raise RuntimeError(f"trial {start + row} gave an invalid bundling: {reason}")
+    for _start, (opened, _joined, value) in plan.run_trials(seed, trials):
         values += [v / inst.scale for v in value.tolist()]
         open_counts += opened.sum(0)
     counts = {f"{j}|{p}": c for (j, p), c in zip(plan.bundles, open_counts.tolist()) if c}
@@ -122,45 +113,6 @@ def run_offline_trials(
         "offline-budgeted" if budgeted else "offline", x, plan.alpha, beta,
         gamma_offline(plan.alpha, beta), seed, values, counts, expected,
     )
-
-
-def _replay_prefix(model: IidModel, buyer: np.ndarray, types: np.ndarray):
-    """The lowest row of a block of decision sequences in which a prefix
-    breaks a buyer's constraint, or None when no row does.
-
-    In row r, arrival k has the type model.types[types[r, k]] and went to
-    the buyer model.buyers[buyer[r, k]], or to none when that is -1; a
-    prefix holds when each buyer's sum of scaled excesses (Instance.scaled
-    of model.inst) is >= 0.  An arrival along a non-edge, or to the index
-    past the last buyer, breaks its row.  Each buyer's running sum runs
-    along the rows in time order, in int64, or in Python ints when a bound
-    computed from the model reaches 2**63."""
-    excess, nb, width = model.inst.scaled[1], len(model.buyers), max(buyer.shape[1], 1)
-    # a broken arrival steps below anything the rest of its row can make up;
-    # every entry, and every sum of up to width of them, lies within width * -low
-    low = -width * max(map(abs, excess.values()), default=0) - 1
-    table = np.array([[excess.get((i, j), low) for j in model.buyers] + [low, 0]
-                      for i in model.types], dtype=state_dtype(width * -low))
-    to = np.where(buyer < 0, nb + 1, np.minimum(buyer, nb))
-    step = table.ravel()[types * (nb + 2) + to]
-    # a running sum from 0 falls below 0 only at a negative step, so only
-    # the buyers (index nb included) that take one are summed
-    bad = np.zeros(len(to), dtype=bool)
-    for j in np.flatnonzero(np.bincount(to[step < 0], minlength=nb + 2)):
-        bad |= (np.cumsum(np.where(to == j, step, 0), axis=1) < 0).any(1)
-    bad = np.flatnonzero(bad)
-    return int(bad[0]) if len(bad) else None
-
-
-def verify_prefix_feasibility(model: IidModel, trace) -> bool:
-    """Exact check that every decision kept every buyer's constraint: the
-    prefix replay of a block of one row."""
-    buyers, types = list(model.buyers), list(model.types)
-    kept = np.array([(buyers.index(rec.bundle[0]) if rec.bundle[0] in buyers else len(buyers),
-                      types.index(rec.type))
-                     for rec in trace if rec.reason in ("opened", "singleton+permissible")],
-                    dtype=np.int64).reshape(-1, 2).T
-    return _replay_prefix(model, kept[:1], kept[1:]) is None
 
 
 def run_online_trials(
@@ -177,14 +129,7 @@ def run_online_trials(
     plan = OnlinePlan(model, x, alpha)
     nt, nb, half = len(model.types), len(model.buyers), plan.half
     values, open_counts = [], np.zeros(half * nt * nb, dtype=np.int64)
-    for start, (opener, hit, joined, value, arrivals) in plan.run_trials(seed, trials):
-        # the buyer of each arrival; a join to no open bundle goes to the
-        # index nb, which the replay rejects
-        joiner = np.take_along_axis(opener, np.maximum(hit, 0), 1)
-        joiner[(hit < 0) | (joiner < 0)] = nb
-        row = _replay_prefix(model, np.hstack([opener, np.where(joined, joiner, -1)]), arrivals)
-        if row is not None:
-            raise RuntimeError(f"trial {start + row} violated a prefix constraint")
+    for _start, (opener, _hit, _joined, value, arrivals) in plan.run_trials(seed, trials):
         values += [v / model.inst.scale for v in value.tolist()]
         rows, slots = np.nonzero(opener >= 0)
         code = (slots * nt + arrivals[rows, slots]) * nb + opener[rows, slots]

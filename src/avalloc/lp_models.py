@@ -26,6 +26,7 @@ import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
+from types import MappingProxyType
 
 from .core import (
     Instance,
@@ -74,7 +75,7 @@ class IidModel:
     def __post_init__(self):
         costs = self.costs
         if costs is not None:
-            costs = {k: to_fraction(v) for k, v in costs.items()}
+            costs = MappingProxyType({k: to_fraction(v) for k, v in costs.items()})
             object.__setattr__(self, "costs", costs)
             costs = {**{e: Fraction(1) for e in self.values}, **costs}
         inst = Instance(items=self.types, buyers=self.buyers, values=self.values,
@@ -84,7 +85,8 @@ class IidModel:
         object.__setattr__(self, "buyers", inst.buyers)
         object.__setattr__(self, "values", inst.values)
         object.__setattr__(self, "thresholds", inst.thresholds)
-        object.__setattr__(self, "probs", {k: to_fraction(v) for k, v in self.probs.items()})
+        object.__setattr__(self, "probs", MappingProxyType(
+            {k: to_fraction(v) for k, v in self.probs.items()}))
         if self.horizon < 2:
             raise ValueError("horizon must be at least 2")
         if set(self.probs) != set(self.types):

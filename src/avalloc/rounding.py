@@ -36,8 +36,11 @@ Residuals, budgets and values are kept in scaled integers: int64 arrays
 when a bound computed from the plan shows that no sum can reach 2**63,
 object arrays of Python ints otherwise.  A block holds about _BLOCK array
 elements and is returned as arrays, one row per trial, with no Python
-object per trial; the harness checks those arrays
-(bundling.invalid_bundling, harness._replay_prefix).  An online block is
+object per trial.  Each plan checks every block that run_trials or run
+returns, from the instance or model and its labels alone, and raises
+RuntimeError naming the lowest invalid trial: offline by
+bundling.invalid_bundling, online by replaying every prefix of the
+decisions (_replay_prefix).  An online block is
 sized by the arrays every trial holds, not by its coins, which are far
 fewer than the (T/2)**2 of every second-half arrival against every
 first-half bundle; a block of more than one trial whose coins would pass
@@ -53,7 +56,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .bundling import Bundle, BundledAllocation, state_dtype
+from .bundling import Bundle, BundledAllocation, invalid_bundling, state_dtype
 from .core import Instance, copy_items
 from .errors import InfeasibleFractional, StreamModelMismatch
 from .lp_models import BundleLpSolution, IidModel, bundle_lp_shape, opton_lp_shape
@@ -166,19 +169,6 @@ def check_unit_interval(name: str, x: float):
     """Raise ValueError unless 0 < x < 1; a NaN is rejected too."""
     if not 0 < x < 1:
         raise ValueError(f"{name} must lie in (0, 1)")
-
-
-@dataclass(frozen=True)
-class RoundingParams:
-    """alpha drives the phase-II coins (None picks the algorithm default);
-    seed fixes all randomness."""
-
-    alpha: float | None
-    seed: int = 0
-
-    def __post_init__(self):
-        if self.alpha is not None:
-            check_unit_interval("alpha", self.alpha)
 
 
 def gamma_offline(alpha: float, beta: float) -> float:
@@ -315,11 +305,15 @@ class OfflinePlan:
     floats and the instance's scaled integers (Instance.scaled), held in
     arrays of self.dtype, and turns its value into a Fraction once at the
     end.  Bundle b is self.bundles[b] = (buyer, P-item), in canonical
-    (P-item, buyer) order, with the float x_pjp in self.b_mass[b].
+    (P-item, buyer) order, with the float x_pjp in self.b_mass[b].  A
+    plain plan (budgeted False) ignores budgets, so it refuses an instance
+    that carries them.
     """
 
     def __init__(self, inst: Instance, x: BundleLpSolution, alpha: float | None,
                  budgeted: bool = False):
+        if inst.budgets and not budgeted:
+            raise ValueError("the plain rounding does not support budgets")
         self.inst = inst
         self.resources = inst.resources() if budgeted else []
         k = len(self.resources)
@@ -427,19 +421,33 @@ class OfflinePlan:
                 trial[b].append(item)
         return trial, int(value[r])
 
+    def check(self, block, start: int = 0):
+        """Raise RuntimeError, naming trial start + r, at the lowest row r
+        of a run_block result that is not a valid bundling of the instance
+        (bundling.invalid_bundling on the bundles' labels and coin_items)."""
+        opened, joined, _value = block
+        fault = invalid_bundling(self.inst, self.bundles, opened, self.coin_items, joined)
+        if fault is not None:
+            row, reason = fault
+            raise RuntimeError(f"trial {start + row} gave an invalid bundling: {reason}")
+
     def run_trials(self, seed: int, trials: int):
         """Yield (start, run_block result) for trials t = 0 .. trials-1,
-        each seeded by derive_trial_seed(seed, t), one block of at most
-        self.block_trials trials at a time; row r of a block is trial
+        each seeded by derive_trial_seed(seed, t), one checked block of at
+        most self.block_trials trials at a time; row r of a block is trial
         start + r."""
         for start in range(0, trials, self.block_trials):
-            block = np.arange(start, min(trials, start + self.block_trials), dtype=np.uint64)
-            yield start, self.run_block(trial_seeds(seed, block))
+            ts = np.arange(start, min(trials, start + self.block_trials), dtype=np.uint64)
+            block = self.run_block(trial_seeds(seed, ts))
+            self.check(block, start)
+            yield start, block
 
     def run(self, seed: int):
-        """One rounding pass.  Returns (opened bundle ids mapped to their
-        member N-items, total value as a Fraction)."""
-        opened, value = self.outcome(self.run_block(np.array([seed & _MASK], dtype=np.uint64)), 0)
+        """One checked rounding pass.  Returns (opened bundle ids mapped to
+        their member N-items, total value as a Fraction)."""
+        block = self.run_block(np.array([seed & _MASK], dtype=np.uint64))
+        self.check(block)
+        opened, value = self.outcome(block, 0)
         return opened, Fraction(value, self.inst.scale)
 
     def to_bundled(self, opened) -> BundledAllocation:
@@ -451,11 +459,12 @@ class OfflinePlan:
         return BundledAllocation(bundles)
 
 
-def round_offline(inst: Instance, x: BundleLpSolution, params: RoundingParams) -> BundledAllocation:
-    """Round a bundle-LP solution offline; output is feasible with
-    probability 1 and deterministic given the seed."""
-    plan = OfflinePlan(inst, x, params.alpha, budgeted=False)
-    return plan.to_bundled(plan.run(params.seed)[0])
+def round_offline(inst: Instance, x: BundleLpSolution, alpha: float | None,
+                  seed: int = 0) -> BundledAllocation:
+    """Round a bundle-LP solution offline (alpha None picks the plan's
+    default); the output is checked, and deterministic given the seed."""
+    plan = OfflinePlan(inst, x, alpha)
+    return plan.to_bundled(plan.run(seed)[0])
 
 
 # ---------------------------------------------------------------------------
@@ -482,6 +491,34 @@ class TraceRecord:
             "bundle": None if self.bundle is None else "|".join(str(b) for b in self.bundle),
             "reason": self.reason,
         }
+
+
+def _replay_prefix(model: IidModel, buyer: np.ndarray, types: np.ndarray):
+    """The lowest row of a block of decision sequences in which a prefix
+    breaks a buyer's constraint, or None when no row does.
+
+    In row r, arrival k has the type model.types[types[r, k]] and went to
+    the buyer model.buyers[buyer[r, k]], or to none when that is -1; a
+    prefix holds when each buyer's sum of scaled excesses (Instance.scaled
+    of model.inst) is >= 0.  An arrival along a non-edge, or to the index
+    past the last buyer, breaks its row.  Each buyer's running sum runs
+    along the rows in time order, in int64, or in Python ints when a bound
+    computed from the model reaches 2**63."""
+    excess, nb, width = model.inst.scaled[1], len(model.buyers), max(buyer.shape[1], 1)
+    # a broken arrival steps below anything the rest of its row can make up;
+    # every entry, and every sum of up to width of them, lies within width * -low
+    low = -width * max(map(abs, excess.values()), default=0) - 1
+    table = np.array([[excess.get((i, j), low) for j in model.buyers] + [low, 0]
+                      for i in model.types], dtype=state_dtype(width * -low))
+    to = np.where(buyer < 0, nb + 1, np.minimum(buyer, nb))
+    step = table.ravel()[types * (nb + 2) + to]
+    # a running sum from 0 falls below 0 only at a negative step, so only
+    # the buyers (index nb included) that take one are summed
+    bad = np.zeros(len(to), dtype=bool)
+    for j in np.flatnonzero(np.bincount(to[step < 0], minlength=nb + 2)):
+        bad |= (np.cumsum(np.where(to == j, step, 0), axis=1) < 0).any(1)
+    bad = np.flatnonzero(bad)
+    return int(bad[0]) if len(bad) else None
 
 
 class OnlinePlan:
@@ -655,37 +692,54 @@ class OnlinePlan:
             trace.append(TraceRecord(t, f"t{t}", types[arrivals[t - 1]], key, reason))
         return opened, members, value, trace
 
+    def check(self, block, start: int = 0):
+        """Raise RuntimeError, naming trial start + r, at the lowest row r
+        of a run_block result in which a prefix of the decisions breaks a
+        buyer's constraint (_replay_prefix on the model)."""
+        opener, hit, joined, _value, arrivals = block
+        # the buyer of each arrival; a join to no open bundle goes to the
+        # index past the last buyer, which the replay rejects
+        joiner = np.take_along_axis(opener, np.maximum(hit, 0), 1)
+        joiner[(hit < 0) | (joiner < 0)] = len(self.model.buyers)
+        row = _replay_prefix(self.model, np.hstack([opener, np.where(joined, joiner, -1)]),
+                             arrivals)
+        if row is not None:
+            raise RuntimeError(f"trial {start + row} violated a prefix constraint")
+
     def run_trials(self, seed: int, trials: int):
         """Yield (start, run_block result) for trials t = 0 .. trials-1,
         each seeded by derive_trial_seed(seed, t) on the stream
-        sample_stream(model, seed, t), one block of at most
+        sample_stream(model, seed, t), one checked block of at most
         self.block_trials trials at a time; row r of a block is trial
         start + r."""
         for start in range(0, trials, self.block_trials):
-            block = np.arange(start, min(trials, start + self.block_trials), dtype=np.uint64)
-            arrivals = stream_arrivals(self.model, seed, block)
-            yield start, self.run_block(trial_seeds(seed, block), arrivals)
+            ts = np.arange(start, min(trials, start + self.block_trials), dtype=np.uint64)
+            block = self.run_block(trial_seeds(seed, ts), stream_arrivals(self.model, seed, ts))
+            self.check(block, start)
+            yield start, block
 
     def run(self, seed: int, stream):
-        """One online pass against a stream of type ids.  Returns (opened
-        keys, members per key, value, trace).  opened keys are (buyer,
-        type, time)."""
+        """One checked online pass against a stream of type ids.  Returns
+        (opened keys, members per key, value, trace).  opened keys are
+        (buyer, type, time)."""
         _check_stream(self.model, stream)
         arrivals = np.array([list(map(self.model.inst.item_index, stream))], dtype=np.int64)
         block = self.run_block(np.array([seed & _MASK], dtype=np.uint64), arrivals)
+        self.check(block)
         opened, members, value, trace = self.outcome(block, 0)
         return opened, members, Fraction(value, self.model.inst.scale), trace
 
 
-def round_online(model: IidModel, x: BundleLpSolution, params: RoundingParams, stream):
-    """Round an online-LP solution against a realized stream of type ids.
+def round_online(model: IidModel, x: BundleLpSolution, alpha: float | None, seed: int, stream):
+    """Round an online-LP solution against a realized stream of type ids
+    (alpha None picks the plan's default); the run is checked.
 
     Returns (BundledAllocation over the stream instance, decision trace).
     Bundles are labelled (buyer, type, opening time); items carry the
     timestep ids of stream_instance.
     """
-    plan = OnlinePlan(model, x, params.alpha)
-    opened, members, _value, trace = plan.run(params.seed, stream)
+    plan = OnlinePlan(model, x, alpha)
+    opened, members, _value, trace = plan.run(seed, stream)
     bundles = [
         Bundle(
             buyer=key[0],

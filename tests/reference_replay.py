@@ -1,4 +1,4 @@
-"""The prefix replay that harness._replay_prefix ran before it summed each
+"""The prefix replay as it ran before rounding._replay_prefix summed each
 buyer's steps in place: the reference the replay is compared with.
 
 It sorts each row's arrivals stably by buyer, so every buyer's arrivals
@@ -14,7 +14,7 @@ from avalloc.bundling import state_dtype
 def reference_replay_prefix(model, buyer, types):
     """The lowest row of a block of decision sequences in which a prefix
     breaks a buyer's constraint, or None when no row does; the contract of
-    harness._replay_prefix."""
+    rounding._replay_prefix."""
     excess, nb, width = model.inst.scaled[1], len(model.buyers), buyer.shape[1]
     # a broken arrival steps below anything the rest of its row can make up
     low = -width * max(map(abs, excess.values()), default=0) - 1

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from avalloc import IidModel, Instance, rounding
+from avalloc import IidModel, rounding
 from avalloc.generators import gen_random, gen_random_iid_model
 from avalloc.harness import run_offline_trials, run_online_trials
 from avalloc.lp_models import (
@@ -21,7 +21,7 @@ from avalloc.lp_models import (
 from avalloc.rounding import OfflinePlan, OnlinePlan, derive_trial_seed, sample_stream
 from dense_candidates import dense_coin_candidates
 from scalar_rounding import ScalarOfflinePlan, ScalarOnlinePlan
-from util import dense_coin_model, solution
+from util import BIG_P, BIG_Q, dense_coin_model, huge_scale_instance, solution
 
 
 def _check_offline(inst, x, alpha, budgeted, seed, trials):
@@ -89,33 +89,9 @@ def test_online_runs_and_traces_match_scalar_reference(n_types, n_buyers, half, 
     assert plan.dtype is np.int64
 
 
-# two coprime denominators near 2**40: the common scale passes 2**63
-_P, _Q = 1099511627791, 1099511627689
-
-
-def _huge_scale_instance(budgeted):
-    values = {
-        ("p1", "b1"): 2 + Fraction(1, _P), ("p2", "b2"): Fraction(3, 2),
-        ("p3", "b1"): Fraction(5, 4),
-        ("n1", "b1"): 1 - Fraction(1, _Q), ("n1", "b2"): Fraction(1, 2),
-        ("n2", "b1"): Fraction(3, 5), ("n2", "b2"): Fraction(4, 5),
-        ("n3", "b1"): Fraction(9, 10), ("n3", "b2"): Fraction(7, 10) + Fraction(1, _P),
-    }
-    buyers = ["b1", "b2"]
-    budgets = rcosts = None
-    if budgeted:  # any three items overspend a buyer's budget
-        budgets = {("r", j): Fraction(1) for j in buyers}
-        rcosts = {("r", i, j): Fraction(1, 3) + Fraction(k, _Q)
-                  for k, (i, j) in enumerate(values)}
-    return Instance(
-        items=list(dict.fromkeys(i for i, _j in values)), buyers=buyers, values=values,
-        thresholds={j: Fraction(1) for j in buyers}, budgets=budgets, resource_costs=rcosts,
-    )
-
-
 @pytest.mark.parametrize("budgeted", [False, True])
 def test_object_dtype_offline_matches_scalar_reference(budgeted):
-    inst = _huge_scale_instance(budgeted)
+    inst = huge_scale_instance(budgeted)
     assert inst.scale > 2 ** 63
     build = build_bundle_lp_budgeted if budgeted else build_bundle_lp
     x = solve_model_lp(build(inst))
@@ -128,9 +104,9 @@ def test_object_dtype_offline_matches_scalar_reference(budgeted):
 def test_object_dtype_online_matches_scalar_reference():
     model = IidModel(
         types=["p", "q", "n", "m"], buyers=["b1", "b2"],
-        values={("p", "b1"): 2 + Fraction(1, _P), ("q", "b2"): Fraction(5, 2),
-                ("n", "b1"): 1 - Fraction(1, _Q), ("n", "b2"): Fraction(1, 2),
-                ("m", "b2"): Fraction(3, 4) + Fraction(1, _P), ("q", "b1"): Fraction(1, 3)},
+        values={("p", "b1"): 2 + Fraction(1, BIG_P), ("q", "b2"): Fraction(5, 2),
+                ("n", "b1"): 1 - Fraction(1, BIG_Q), ("n", "b2"): Fraction(1, 2),
+                ("m", "b2"): Fraction(3, 4) + Fraction(1, BIG_P), ("q", "b1"): Fraction(1, 3)},
         thresholds={"b1": 1, "b2": 1},
         probs={"p": Fraction(1, 4), "q": Fraction(1, 4), "n": Fraction(1, 4),
                "m": Fraction(1, 4)},

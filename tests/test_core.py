@@ -14,7 +14,14 @@ from avalloc import (
 )
 from avalloc.core import dump_instance, instance_from_dict, instance_to_dict, load_instance
 from avalloc.errors import InvalidInstance, UnknownEdge
-from avalloc.generators import gen_genava_clique, gen_random
+from avalloc.gap import export_gap
+from avalloc.generators import (
+    gen_genava_clique,
+    gen_iid_lower_bound,
+    gen_integrality_gap,
+    gen_random,
+)
+from avalloc.oracles import exact_opt
 from util import unit_instance
 
 
@@ -287,3 +294,16 @@ def test_loader_rejects_malformed_shapes(path, value):
         doc = value
     with pytest.raises(InvalidInstance):
         instance_from_dict(doc)
+
+
+def test_maps_are_read_only():
+    # a write to a map would leave the cached scaled integers stale
+    inst = gen_integrality_gap(3, Fraction(1, 10))
+    with pytest.raises(TypeError):
+        inst.values[("p", "b1")] = 100
+    assert exact_opt(inst)[0] == Fraction(11, 5)
+    gap = export_gap(inst)
+    for maps in (inst.thresholds, gen_iid_lower_bound(4).probs, gap.values, gap.sizes,
+                 gap.groups, Allocation({"p": "b1"}).assignment):
+        with pytest.raises(TypeError):
+            maps["x"] = 1

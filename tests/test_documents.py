@@ -42,7 +42,7 @@ GEN_DIGESTS = {
     "supply": "8c7d40b4eb1d313d69789d8fa428831b2b6d6e204822d7c18f1bf52eec6881e7",
     "tightness": "849c600dd05352bd51bea298bc00f5d2538bb98781e472b7f812ba3b68d23ec1",
     "max-coverage": "e5ed61bc8acb27b25ead218974631b1895b0646a5b2b896a90ed76dce0e30b18",
-    "genava-clique": "2142522ecad1a66f5cc4c2ff833f3961bfed8f86857e76c5584bd9e05c05f9d8",
+    "genava-clique": "f5bd42a6ea2319a4e94aef53422b0d971f03c072491be2be4f47c425ffa7f30d",
     "iid-lower-bound": "34fd1105243e0b36df248beb997ca7497ea87c7945a8c6be440a61c2827e0fec",
     "adversarial": "fad8b76e379c74e76eb786d898eb2d034d4629fd1e890a2590b97c738ffd9912",
     "random": "767d77c82bce4c3adfb85f5148430441c2145bc3d775ff0029ac2ae69d73657e",

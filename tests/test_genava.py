@@ -1,8 +1,10 @@
+import json
 from fractions import Fraction
 
 import pytest
 
 from avalloc import allocation_value, is_feasible
+from avalloc.cli import main
 from avalloc.genava import (
     _knapsack_2approx,
     bicriteria_cost_ratio,
@@ -106,6 +108,18 @@ def test_baselines_refuse_budgets(algo):
     inst = gen_random(10, 2, 3, budget_resources=1, bid_frac="0.6")
     with pytest.raises(ValueError, match="do not support budgets"):
         algo(inst)
+
+
+def test_plain_bundle_round_refuses_budgets(tmp_path, capsys):
+    # budgets bind here: the plain rounding, which ignores them, printed
+    # "feasible": false for each of seeds 0-7; the budgeted one keeps them
+    path = tmp_path / "bud.json"
+    main(["gen", "random", "--items", "12", "--buyers", "3", "--seed", "4", "--unambiguous",
+          "--budget-resources", "1", "--bid-frac", "0.6", "-o", str(path)])
+    assert main(["solve", str(path), "--algo", "bundle-round", "--alpha", "0.9"]) == 2
+    assert "plain rounding does not support budgets" in capsys.readouterr().err
+    assert main(["solve", str(path), "--algo", "bundle-round-budgeted", "--alpha", "0.9"]) == 0
+    assert json.loads(capsys.readouterr().out)["feasible"] is True
 
 
 def test_knapsack_two_approx():

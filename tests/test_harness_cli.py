@@ -22,11 +22,9 @@ from avalloc.generators import (
     gen_random_iid_model,
 )
 from avalloc.harness import (
-    _replay_prefix,
     bench_examples,
     run_offline_trials,
     run_online_trials,
-    verify_prefix_feasibility,
     write_report_csv,
 )
 from avalloc.lp_models import (
@@ -38,8 +36,9 @@ from avalloc.lp_models import (
 from avalloc.rounding import (
     OfflinePlan,
     OnlinePlan,
-    RoundingParams,
+    _replay_prefix,
     derive_trial_seed,
+    round_offline,
     round_online,
     sample_stream,
     stream_instance,
@@ -65,10 +64,8 @@ def test_reports_are_reproducible(gap_solution):
 
 def test_single_trial_report_equals_single_run(gap_solution):
     inst, x = gap_solution
-    from avalloc.rounding import RoundingParams, derive_trial_seed, round_offline
-
     rep = run_offline_trials(inst, x, alpha=0.3, beta=0.156, seed=9, trials=1)
-    out = round_offline(inst, x, RoundingParams(alpha=0.3, seed=derive_trial_seed(9, 0)))
+    out = round_offline(inst, x, 0.3, derive_trial_seed(9, 0))
     assert rep.mean == float(out.value(inst))
     assert rep.stddev == 0.0
     assert rep.minimum == rep.mean
@@ -140,10 +137,16 @@ def test_offline_check_reads_budgets_from_the_instance(monkeypatch, binding_budg
     _tamper_plans(monkeypatch, OfflinePlan, double_caps)
     with pytest.raises(RuntimeError, match="budget 'r1' of buyer"):
         run_offline_trials(inst, x, 0.9, 0.156, seed=0, trials=200, budgeted=True)
+    # a single run checks its one-row block the same way, naming its row 0
+    with pytest.raises(RuntimeError, match="trial 0 gave an invalid bundling: budget 'r1'"):
+        OfflinePlan(inst, x, 0.9, budgeted=True).run(1)
 
 
 def test_offline_check_reads_members_from_the_instance(monkeypatch, binding_budgets):
     inst, x = binding_budgets
+    plain = gen_random(12, 3, 4, unambiguous=True)
+    xp = solve_model_lp(build_bundle_lp(plain))
+    round_offline(plain, xp, 0.9, 0)
 
     def reroute(plan):
         # each coin's bundle moves to the next bundle of another buyer, so
@@ -156,6 +159,8 @@ def test_offline_check_reads_members_from_the_instance(monkeypatch, binding_budg
     _tamper_plans(monkeypatch, OfflinePlan, reroute)
     with pytest.raises(RuntimeError, match="gave an invalid bundling"):
         run_offline_trials(inst, x, 0.9, 0.156, seed=0, trials=200, budgeted=True)
+    with pytest.raises(RuntimeError, match="trial 0 gave an invalid bundling: bundle uses"):
+        round_offline(plain, xp, 0.9, 0)
 
 
 def test_online_replay_reads_excesses_from_the_model(monkeypatch):
@@ -166,6 +171,9 @@ def test_online_replay_reads_excesses_from_the_model(monkeypatch):
     )
     x = solve_model_lp(build_opton_lp(model))
     run_online_trials(model, x, 0.9, 0.0766, seed=6, trials=300)
+    # trial 3 is one the tampered plan below runs into a broken prefix
+    seed, stream = derive_trial_seed(6, 3), sample_stream(model, 6, 3)
+    round_online(model, x, 0.9, seed, stream)
 
     def free_joins(plan):
         plan.deficit = plan.deficit * 0
@@ -173,6 +181,11 @@ def test_online_replay_reads_excesses_from_the_model(monkeypatch):
     _tamper_plans(monkeypatch, OnlinePlan, free_joins)
     with pytest.raises(RuntimeError, match="violated a prefix constraint"):
         run_online_trials(model, x, 0.9, 0.0766, seed=6, trials=300)
+    # a single run checks its one-row block the same way, naming its row 0
+    with pytest.raises(RuntimeError, match="trial 0 violated a prefix constraint"):
+        OnlinePlan(model, x, 0.9).run(seed, stream)
+    with pytest.raises(RuntimeError, match="trial 0 violated a prefix constraint"):
+        round_online(model, x, 0.9, seed, stream)
 
 
 @settings(max_examples=30, derandomize=True, database=None, deadline=None)
@@ -315,22 +328,39 @@ def test_replay_matches_the_sorted_reference(block):
 
 def test_trial_runs_do_not_import_numpy_ma():
     # numpy.ma costs about 1.2 MiB of resident memory on its first import
-    # (np.unique pulls it in), so the trial loops must not reach it
+    # (np.unique pulls it in), so neither the trial loops nor the single
+    # runs, checks included, may reach it: plain and budgeted, in int64 and
+    # in object arrays, and online with blocks split in halves
     code = textwrap.dedent("""
         import sys
         import numpy
         print("numpy.ma" in sys.modules)
         from fractions import Fraction
-        from avalloc.generators import gen_integrality_gap, gen_random_iid_model
+        from avalloc import rounding
+        from avalloc.generators import gen_integrality_gap, gen_random, gen_random_iid_model
         from avalloc.harness import run_offline_trials, run_online_trials
-        from avalloc.lp_models import build_bundle_lp, build_opton_lp, solve_model_lp
+        from avalloc.lp_models import (
+            build_bundle_lp, build_bundle_lp_budgeted, build_opton_lp, solve_model_lp)
+        from util import dense_coin_model, huge_scale_instance
         inst = gen_integrality_gap(3, Fraction(1, 10))
-        run_offline_trials(inst, solve_model_lp(build_bundle_lp(inst)), 0.3, 0.156, 0, 20)
+        x = solve_model_lp(build_bundle_lp(inst))
+        run_offline_trials(inst, x, 0.3, 0.156, 0, 20)
+        rounding.OfflinePlan(inst, x, 0.3).run(0)
+        for inst in (gen_random(20, 6, 1, unambiguous=True, budget_resources=2),
+                     huge_scale_instance(True)):
+            x = solve_model_lp(build_bundle_lp_budgeted(inst))
+            run_offline_trials(inst, x, None, 0.156, 0, 20, budgeted=True)
+            rounding.OfflinePlan(inst, x, None, budgeted=True).run(0)
         model = gen_random_iid_model(4, 3, 10, 1)
-        run_online_trials(model, solve_model_lp(build_opton_lp(model)), 0.64, 0.0766, 0, 20)
+        x = solve_model_lp(build_opton_lp(model))
+        run_online_trials(model, x, 0.64, 0.0766, 0, 20)
+        rounding.OnlinePlan(model, x, 0.64).run(0, rounding.sample_stream(model, 0))
+        rounding._BLOCK = 1 << 10  # each block of 2 trials has too many coins and splits
+        run_online_trials(*dense_coin_model(100), 0.64, 0.0766, 0, 20)
         print("numpy.ma" in sys.modules)
     """)
-    env = {**os.environ, "PYTHONPATH": str(Path(avalloc.__file__).parents[1])}
+    src, tests = Path(avalloc.__file__).parents[1], Path(__file__).parent
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([str(src), str(tests)])}
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                          check=True, env=env)
     at_import, after_runs = out.stdout.split()
@@ -348,11 +378,8 @@ def _check_online_runs(model, seed):
     assert rep.feasible_count == rep.trials == 20
     for t in range(5):
         stream = sample_stream(model, seed, t)
-        out, trace = round_online(
-            model, x, RoundingParams(alpha=0.64, seed=derive_trial_seed(seed, t)), stream
-        )
+        out, _trace = round_online(model, x, 0.64, derive_trial_seed(seed, t), stream)
         out.validate(stream_instance(model, stream))
-        assert verify_prefix_feasibility(model, trace)
 
 
 @settings(max_examples=25, derandomize=True, database=None, deadline=None)

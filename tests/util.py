@@ -78,3 +78,29 @@ def dense_coin_model(horizon):
                      values={("p", "b"): 3, ("n", "b"): Fraction(1, 2)}, thresholds={"b": 1},
                      probs={"p": Fraction(1, 2), "n": Fraction(1, 2)}, horizon=horizon)
     return model, solve_model_lp(build_opton_lp(model))
+
+
+# two coprime denominators near 2**40: the common scale passes 2**63
+BIG_P, BIG_Q = 1099511627791, 1099511627689
+
+
+def huge_scale_instance(budgeted):
+    """A two-buyer instance whose scale passes 2**63, with a budget per
+    buyer when budgeted."""
+    values = {
+        ("p1", "b1"): 2 + Fraction(1, BIG_P), ("p2", "b2"): Fraction(3, 2),
+        ("p3", "b1"): Fraction(5, 4),
+        ("n1", "b1"): 1 - Fraction(1, BIG_Q), ("n1", "b2"): Fraction(1, 2),
+        ("n2", "b1"): Fraction(3, 5), ("n2", "b2"): Fraction(4, 5),
+        ("n3", "b1"): Fraction(9, 10), ("n3", "b2"): Fraction(7, 10) + Fraction(1, BIG_P),
+    }
+    buyers = ["b1", "b2"]
+    budgets = rcosts = None
+    if budgeted:  # any three items overspend a buyer's budget
+        budgets = {("r", j): Fraction(1) for j in buyers}
+        rcosts = {("r", i, j): Fraction(1, 3) + Fraction(k, BIG_Q)
+                  for k, (i, j) in enumerate(values)}
+    return Instance(
+        items=list(dict.fromkeys(i for i, _j in values)), buyers=buyers, values=values,
+        thresholds={j: Fraction(1) for j in buyers}, budgets=budgets, resource_costs=rcosts,
+    )
