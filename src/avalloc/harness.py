@@ -103,9 +103,9 @@ def run_offline_trials(
     output."""
     _check_run(beta, trials)
     plan = OfflinePlan(inst, x, alpha, budgeted=budgeted)
-    values, open_counts = [], np.zeros(len(plan.bundles), dtype=np.int64)
+    values, open_counts, scale = [], np.zeros(len(plan.bundles), dtype=np.int64), inst.scale
     for _start, (opened, _joined, value) in plan.run_trials(seed, trials):
-        values += [v / inst.scale for v in value.tolist()]
+        values += [v / scale for v in value.tolist()]
         open_counts += opened.sum(0)
     counts = {f"{j}|{p}": c for (j, p), c in zip(plan.bundles, open_counts.tolist()) if c}
     expected = {f"{j}|{p}": m for (j, p), m in zip(plan.bundles, plan.b_mass.tolist()) if m > 0}
@@ -128,9 +128,9 @@ def run_online_trials(
     _check_run(beta, trials)
     plan = OnlinePlan(model, x, alpha)
     nt, nb, half = len(model.types), len(model.buyers), plan.half
-    values, open_counts = [], np.zeros(half * nt * nb, dtype=np.int64)
+    values, open_counts, scale = [], np.zeros(half * nt * nb, dtype=np.int64), model.inst.scale
     for _start, (opener, _hit, _joined, value, arrivals) in plan.run_trials(seed, trials):
-        values += [v / model.inst.scale for v in value.tolist()]
+        values += [v / scale for v in value.tolist()]
         rows, slots = np.nonzero(opener >= 0)
         code = (slots * nt + arrivals[rows, slots]) * nb + opener[rows, slots]
         open_counts += np.bincount(code, minlength=open_counts.size)

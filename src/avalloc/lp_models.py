@@ -22,12 +22,16 @@ instances by using the excess v - rho*c wherever the plain mode uses v - rho.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
 from types import MappingProxyType
 
+import numpy as np
+
+from .bundling import state_dtype
 from .core import (
     Instance,
     buyers_from_json,
@@ -97,16 +101,44 @@ class IidModel:
             raise ValueError("arrival probabilities must sum to 1 exactly")
 
     @cached_property
-    def stream_cdf(self) -> list:
-        """The float of each exact cumulative arrival probability, in
-        declared type order.  An arrival drawn as u in [0, 1) is the first
-        type whose entry exceeds u, else the last type."""
-        cdf = []
-        acc = Fraction(0)
-        for i in self.types:
-            acc += self.probs[i]
-            cdf.append(float(acc))
-        return cdf
+    def stream_table(self) -> tuple:
+        """The arrival draw's arrays (cdf, guide, crowded).  An arrival
+        drawn as u in [0, 1) is the first type whose cumulative probability,
+        as the float of the exact sum in declared type order, exceeds u,
+        else the last type; cdf holds those floats with the last one
+        replaced by inf, so that the first entry above u is always that
+        type's.  For K the least power of two >= 4 * types, the guide table
+        (Chen & Asau, 1974) holds at g < K the count of cdf entries <= g / K,
+        and crowded[g] whether two or more entries lie strictly between g / K
+        and (g + 1) / K.  Those buckets hold at most 1/8 of the mass: the
+        others see at most one entry past guide[g]."""
+        cdf = np.array([float(q) for q in itertools.accumulate(
+            self.probs[i] for i in self.types)])
+        cdf[-1] = math.inf
+        k = 1 << (4 * len(cdf) - 1).bit_length()
+        bounds = np.arange(k + 1) / k
+        guide = np.searchsorted(cdf, bounds[:-1], side="right")
+        crowded = np.searchsorted(cdf, bounds[1:], side="left") - guide >= 2
+        return cdf, guide, crowded
+
+    @cached_property
+    def replay_table(self) -> tuple:
+        """The prefix replay's arrays (excess, edge, most): per type, the
+        scaled excess (Instance.scaled of inst) of each buyer, then 0 for
+        the index past the last buyer and 0 for no buyer; whether an
+        arrival of the type may step to that index, along an edge or to no
+        buyer; and the largest magnitude of an excess.  excess is int64,
+        or an object array of Python ints when most reaches 2**63."""
+        inst, nb = self.inst, len(self.buyers)
+        scaled = inst.scaled[1]
+        t = np.array([inst.item_index(i) for i, _j in scaled], dtype=np.intp)
+        b = np.array([inst.buyer_index(j) for _i, j in scaled], dtype=np.intp)
+        most = max(map(abs, scaled.values()), default=0)
+        excess = np.zeros((len(self.types), nb + 2), dtype=state_dtype(most))
+        excess[t, b] = list(scaled.values())
+        edge = np.zeros(excess.shape, dtype=bool)
+        edge[t, b] = edge[:, nb + 1] = True
+        return excess, edge, most
 
 
 @dataclass

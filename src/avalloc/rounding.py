@@ -18,9 +18,14 @@ All randomness comes from a counter-based generator keyed by
 (seed, stream tag, indices), so coin flips are independent across items and
 bundles and a run is reproducible regardless of evaluation order.  The key
 is hashed as a left fold, so a run hashes each shared prefix once (the
-(seed, tag) of a trial, then the item or timestep) and continues the fold
-for each coin.  The fold runs on a Python int or, elementwise, on a numpy
-uint64 array with the same result.
+(seed, tag) of a trial, then the item or timestep, and online the (buyer,
+opener type) of an arrival's coins against the open bundles of one class)
+and continues the fold for each coin.  The fold runs on a Python int or,
+elementwise, on a numpy uint64 array with the same result.  A stream's
+arrival is the type its uniform falls in, read off a guide table over the
+model's cumulative probabilities (IidModel.stream_table): one lookup and
+one compare, and a searchsorted only in the few buckets that hold two or
+more of them.
 
 A compiled plan keeps what the two roundings differ in: offline the
 budgets and the per-bundle and per-coin arrays, online the coins divided
@@ -181,14 +186,28 @@ def gamma_online(alpha: float, beta: float) -> float:
     return (alpha / 2) * (1 - alpha / 2) * (1 - alpha / (2 * (1 - beta)))
 
 
+def draw_types(model: IidModel, u: np.ndarray) -> np.ndarray:
+    """The type index of each arrival drawn as a uniform of u: the first
+    type whose cumulative probability exceeds it, else the last.  The guide
+    table of model.stream_table leaves one compare per uniform, and a
+    searchsorted for the uniforms in a crowded bucket."""
+    cdf, guide, crowded = model.stream_table
+    g = (u * len(guide)).astype(np.intp)
+    k = guide[g]
+    k += cdf[k] <= u
+    if crowded.any():
+        busy = crowded[g]
+        k[busy] = np.searchsorted(cdf, u[busy], side="right")
+    return k
+
+
 def stream_arrivals(model: IidModel, seed: int, trials: np.ndarray) -> np.ndarray:
     """Type indices of the streams of the trials in a uint64 array, one row
-    per trial: the type at time t is the first whose model.stream_cdf entry
-    exceeds counter_uniform(seed, stream tag, trial, t), else the last."""
+    per trial: the type at time t is drawn (draw_types) as
+    counter_uniform(seed, stream tag, trial, t)."""
     h = _mix_rows(_mix(seed, _TAG_STREAM), trials)
-    u = _unit(_mix_from(h[:, None], np.arange(1, model.horizon + 1, dtype=np.uint64)))
-    k = np.searchsorted(model.stream_cdf, u, side="right")
-    return np.minimum(k, len(model.types) - 1, out=k)
+    return draw_types(model, _unit(_mix_from(
+        h[:, None], np.arange(1, model.horizon + 1, dtype=np.uint64))))
 
 
 def sample_stream(model: IidModel, seed: int, trial: int = 0) -> tuple:
@@ -500,16 +519,17 @@ def _replay_prefix(model: IidModel, buyer: np.ndarray, types: np.ndarray):
     In row r, arrival k has the type model.types[types[r, k]] and went to
     the buyer model.buyers[buyer[r, k]], or to none when that is -1; a
     prefix holds when each buyer's sum of scaled excesses (Instance.scaled
-    of model.inst) is >= 0.  An arrival along a non-edge, or to the index
-    past the last buyer, breaks its row.  Each buyer's running sum runs
-    along the rows in time order, in int64, or in Python ints when a bound
-    computed from the model reaches 2**63."""
-    excess, nb, width = model.inst.scaled[1], len(model.buyers), max(buyer.shape[1], 1)
+    of model.inst, read from model.replay_table) is >= 0.  An arrival along
+    a non-edge, or to the index past the last buyer, breaks its row.  Each
+    buyer's running sum runs along the rows in time order, in int64, or in
+    Python ints when a bound computed from the model reaches 2**63."""
+    excess, edge, most = model.replay_table
+    nb, width = len(model.buyers), max(buyer.shape[1], 1)
     # a broken arrival steps below anything the rest of its row can make up;
     # every entry, and every sum of up to width of them, lies within width * -low
-    low = -width * max(map(abs, excess.values()), default=0) - 1
-    table = np.array([[excess.get((i, j), low) for j in model.buyers] + [low, 0]
-                      for i in model.types], dtype=state_dtype(width * -low))
+    low = -width * most - 1
+    dt = state_dtype(width * -low)
+    table = np.where(edge, excess.astype(dt, copy=False), low)
     to = np.where(buyer < 0, nb + 1, np.minimum(buyer, nb))
     step = table.ravel()[types * (nb + 2) + to]
     # a running sum from 0 falls below 0 only at a negative step, so only
@@ -577,13 +597,15 @@ class OnlinePlan:
 
     def coin_candidates(self, first, second, opener):
         """The coins of a block, one per second-half arrival and open bundle
-        it may join, as arrays (cells, entries, slots): the arrival's cell
-        r * (T - half) + c, the coin's entry of join_class and join_coin,
-        and the bundle's opening slot.  The open bundles are sorted by
-        (row, class) once, and each arrival looks up the run of open
-        bundles in each class its type may join.  None, before any coin
-        is materialized, when a block of more than one trial has more
-        than _BLOCK coins."""
+        it may join, in runs that share the arrival and the bundle's class:
+        arrays (cells, entries, counts, slots), per run the arrival's cell
+        r * (T - half) + c, the coins' entry of join_class and join_coin
+        and the number of coins, then per coin, run by run, the bundle's
+        opening slot.  The open bundles are sorted by (row, class) once,
+        and each arrival looks up the run of open bundles in each class its
+        type may join; empty runs are left out.  None, before any coin is
+        materialized, when a block of more than one trial has more than
+        _BLOCK coins."""
         m, (nt, nb) = second.shape[1], self.values.shape
         is_open = opener >= 0
         key = np.arange(len(opener))[:, None] * (nt * nb) + first * nb + opener
@@ -598,8 +620,10 @@ class OnlinePlan:
         count = np.searchsorted(key, want, side="right") - lo
         if len(second) > 1 and count.sum() > _BLOCK:
             return None
-        return (np.repeat(cells, count), np.repeat(e, count),
-                open_slot[np.repeat(lo, count) + _ragged(count)])
+        runs = np.flatnonzero(count)
+        count = count[runs]
+        return (cells[runs], e[runs], count,
+                open_slot[np.repeat(lo[runs], count) + _ragged(count)])
 
     def run_block(self, seeds: np.ndarray, arrivals: np.ndarray):
         """One online pass per seed of a uint64 array, against the stream
@@ -632,13 +656,15 @@ class OnlinePlan:
             halves = (self.run_block(seeds[:n // 2], arrivals[:n // 2]),
                       self.run_block(seeds[n // 2:], arrivals[n // 2:]))
             return tuple(np.concatenate(parts) for parts in zip(*halves))
-        cells, e, slots = coins
+        # a coin's key is (time, buyer, opener type, opening slot): the hash
+        # of its first three parts is folded once per run, the slot per coin
+        cells, e, count, slots = coins
         p, j = np.divmod(self.join_class[e], self.values.shape[1])
         h_t = _mix_from(keys, _TAG_COIN_ON, np.arange(half + 1, T + 1, dtype=np.uint64))
-        u = _unit(_mix_from(h_t.ravel()[cells], j.astype(np.uint64), p.astype(np.uint64),
-                            (slots + 1).astype(np.uint64)))
-        won = u < self.join_coin[e]
-        cells, slots = cells[won], slots[won]
+        h_run = _mix_from(h_t.ravel()[cells], j.astype(np.uint64), p.astype(np.uint64))
+        u = _unit(_mix_from(np.repeat(h_run, count), (slots + 1).astype(np.uint64)))
+        won = u < np.repeat(self.join_coin[e], count)
+        cells, slots = np.repeat(cells, count)[won], slots[won]
         one = np.bincount(cells, minlength=n * m)[cells] == 1
         hit = np.full(n * m, -1)
         hit[cells[one]] = slots[one]

@@ -120,6 +120,20 @@ def test_object_dtype_online_matches_scalar_reference():
     assert run_online_trials(model, x, 0.9, 0.0766, 2, 300).feasible_count == 300
 
 
+def test_online_mc_runs_match_scalar_reference():
+    # the online-mc benchmark's model and seed: an arrival's coins against
+    # the open bundles of one class, which share their hashed key prefix,
+    # come in runs of about 7.6 coins, up to 15
+    model = gen_random_iid_model(8, 5, 100, 1)
+    x = solve_model_lp(build_opton_lp(model))
+    plan = _check_online(model, x, 0.64, 11, 40)
+    trials = np.arange(40, dtype=np.uint64)
+    arrivals = rounding.stream_arrivals(model, 11, trials)
+    opener = plan.run_block(rounding.trial_seeds(11, trials), arrivals)[0]
+    counts = plan.coin_candidates(arrivals[:, :50], arrivals[:, 50:], opener)[2]
+    assert counts.sum() > 7 * len(counts) and counts.max() >= 10
+
+
 def test_online_exact_fits_match_scalar_reference():
     # an opener of excess 1 takes exactly two members of deficit 1/2: the
     # second join meets the threshold with equality
@@ -135,9 +149,12 @@ def test_online_exact_fits_match_scalar_reference():
 
 def _candidate_triples(plan, first, second, opener):
     """plan.coin_candidates as a set of (row, col, slot) triples, after
-    checking that each names the coin of its arrival's type against its
-    bundle's class, once."""
-    cells, entries, slots = plan.coin_candidates(first, second, opener)
+    checking that its runs are not empty and that each coin names the coin
+    of its arrival's type against its bundle's class, once."""
+    cells, entries, counts, slots = plan.coin_candidates(first, second, opener)
+    assert len(cells) == len(entries) == len(counts) and (counts > 0).all()
+    assert counts.sum() == len(slots)
+    cells, entries = np.repeat(cells, counts), np.repeat(entries, counts)
     rows, cols = np.divmod(cells, second.shape[1])
     typ = second[rows, cols]
     assert ((plan.join_start[typ] <= entries) & (entries < plan.join_start[typ + 1])).all()
@@ -280,7 +297,7 @@ def test_dense_coin_blocks_split_within_the_budget(monkeypatch):
 
     def counted(self, first, second, opener):
         coins = coin_candidates(self, first, second, opener)
-        blocks.append((len(second), None if coins is None else len(coins[0])))
+        blocks.append((len(second), None if coins is None else len(coins[-1])))
         return coins
 
     monkeypatch.setattr(OnlinePlan, "coin_candidates", counted)
