@@ -5,15 +5,17 @@ writer (indentation, key order, number rendering, the final newline) or to
 the document code changes a digest.
 """
 
+import argparse
 import hashlib
 import io
+import re
 from dataclasses import replace
 from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
-from avalloc.cli import main
+from avalloc.cli import build_parser, main
 from avalloc.core import dump_instance
 from avalloc.gap import dump_gap, export_gap
 from avalloc.generators import gen_integrality_gap, gen_random, gen_random_iid_model
@@ -54,6 +56,25 @@ GEN_DIGESTS = {
 def test_gen_bytes_are_pinned(family, capsys):
     assert main(["gen", family, "--seed", "4"]) == 0
     assert _sha(capsys.readouterr().out) == GEN_DIGESTS[family]
+
+
+def _choices(command: str, dest: str) -> set:
+    sub = next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    return set(next(a for a in sub.choices[command]._actions if a.dest == dest).choices)
+
+
+def _readme_names(before: str) -> set:
+    """The backquoted names of the README sentence that starts `before`."""
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    sentence = text.split(before, 1)[1].split(".", 1)[0]
+    return set(re.findall(r"`([^`]+)`", sentence))
+
+
+def test_readme_parser_and_pins_name_the_same_families():
+    families = _readme_names("Families for `gen`:")
+    assert len(families) == 9
+    assert families == _choices("gen", "family") == set(GEN_DIGESTS)
+    assert _readme_names("Algorithms for `solve`:") == _choices("solve", "algo")
 
 
 def _partial_cost_model():
