@@ -4,6 +4,13 @@ Every generator is deterministic in its parameters (and seed, where one
 applies) and emits exact rational data.  Random values are drawn on a
 1/100 grid so that feasibility arithmetic stays exact and JSON round-trips
 losslessly.
+
+The rules the families share are written once each: `_unit_instance` and
+`_unit_model` give every buyer threshold 1, `_eps` converts eps and checks
+0 < eps < bound, `_star_instance` checks the star families' size, and
+`_edge_value` draws a P-edge's value from [1, 2] or an N-edge's from
+[0.55, 0.99].  No public generator calls another, so a traced run counts
+each one under its own name.
 """
 
 from __future__ import annotations
@@ -17,62 +24,69 @@ from .errors import BadEps
 from .lp_models import IidModel
 
 
-def _star_instance(n: int, eps: Fraction, buyer_prefix: str) -> Instance:
+def _unit_instance(items, buyers, values, **extra) -> Instance:
+    """Instance with threshold 1 for every buyer; extra carries costs,
+    budgets and resource_costs."""
+    return Instance(items=items, buyers=buyers, values=values,
+                    thresholds={j: Fraction(1) for j in buyers}, **extra)
+
+
+def _unit_model(types, buyers, values, probs, horizon: int) -> IidModel:
+    """Arrival model with threshold 1 for every buyer."""
+    return IidModel(types=types, buyers=buyers, values=values,
+                    thresholds={j: Fraction(1) for j in buyers}, probs=probs, horizon=horizon)
+
+
+def _eps(eps, bound: str = "1") -> Fraction:
+    """eps as a Fraction; raises BadEps unless 0 < eps < bound (a decimal
+    or ratio string, shown as written in the message)."""
+    eps = to_fraction(eps)
+    if not 0 < eps < Fraction(bound):
+        raise BadEps(f"eps must lie in (0, {bound})")
+    return eps
+
+
+def _star_instance(n: int, eps, name: str, buyer_prefix: str) -> Instance:
     """One P-item worth 1 + n*eps to all n unit-threshold buyers, plus n
-    N-items, the i-th worth 1 - eps to buyer i alone."""
+    N-items, the i-th worth 1 - eps to buyer i alone.  eps is converted
+    before n (called `name` in the message) is checked, and must lie in
+    (0, 1/n)."""
+    eps = to_fraction(eps)
+    if n < 1:
+        raise BadEps(f"{name} must be at least 1")
+    eps = _eps(eps, f"1/{n}")
     buyers = [f"{buyer_prefix}{k}" for k in range(1, n + 1)]
     items = ["p"] + [f"n{k}" for k in range(1, n + 1)]
     values = {("p", j): 1 + n * eps for j in buyers}
-    for k in range(1, n + 1):
-        values[(f"n{k}", buyers[k - 1])] = 1 - eps
-    return Instance(
-        items=items,
-        buyers=buyers,
-        values=values,
-        thresholds={j: Fraction(1) for j in buyers},
-    )
+    for k, j in enumerate(buyers, start=1):
+        values[(f"n{k}", j)] = 1 - eps
+    return _unit_instance(items, buyers, values)
 
 
 def gen_integrality_gap(n: int, eps) -> Instance:
     """Family separating the naive relaxation (value n+1) from the true
     optimum (value 2 + (n-1)*eps)."""
-    eps = to_fraction(eps)
-    if n < 1:
-        raise BadEps("n must be at least 1")
-    if not 0 < eps < Fraction(1, n):
-        raise BadEps(f"eps must lie in (0, 1/{n})")
-    return _star_instance(n, eps, "b")
+    return _star_instance(n, eps, "n", "b")
 
 
 def gen_supply_example(k: int, eps) -> Instance:
     """Same star structure, used to exhibit superlinear welfare growth when
     supply is duplicated."""
-    eps = to_fraction(eps)
-    if k < 1:
-        raise BadEps("k must be at least 1")
-    if not 0 < eps < Fraction(1, k):
-        raise BadEps(f"eps must lie in (0, 1/{k})")
-    return _star_instance(k, eps, "j")
+    return _star_instance(k, eps, "k", "j")
 
 
 def gen_tightness_example(eps) -> Instance:
     """Single buyer showing the factor-2 loss of bundling is tight: floor(1/eps)
     N-items of value 1-eps and floor(1/(eps(1-eps))) P-items of value
     1+eps(1-eps); no P-excess can cover any single N-deficit."""
-    eps = to_fraction(eps)
-    if not 0 < eps < 1:
-        raise BadEps("eps must lie in (0, 1)")
+    eps = _eps(eps)
     n_count = math.floor(1 / eps)
     p_count = math.floor(1 / (eps * (1 - eps)))
     items = [f"n{k}" for k in range(1, n_count + 1)] + [
         f"p{k}" for k in range(1, p_count + 1)
     ]
-    values = {}
-    for k in range(1, n_count + 1):
-        values[(f"n{k}", "b")] = 1 - eps
-    for k in range(1, p_count + 1):
-        values[(f"p{k}", "b")] = 1 + eps * (1 - eps)
-    return Instance(items=items, buyers=["b"], values=values, thresholds={"b": Fraction(1)})
+    values = {(i, "b"): 1 - eps if i[0] == "n" else 1 + eps * (1 - eps) for i in items}
+    return _unit_instance(items, ["b"], values)
 
 
 def gen_max_coverage(sets, k: int, eps) -> Instance:
@@ -80,13 +94,13 @@ def gen_max_coverage(sets, k: int, eps) -> Instance:
     1 + (eps/2)*(n/k) to everyone, one element item per universe element
     worth 1 - eps/2 to the buyers whose set contains it.
 
+    Closed form: exact_opt = k + eps*n/2 + (1 - eps/2) * maxcov_k(sets).
+
     sets: sequence of element collections; all must have size n/k where n is
     the universe size (balanced system).  The hardness regime for k is not
     enforced.
     """
-    eps = to_fraction(eps)
-    if not 0 < eps < 1:
-        raise BadEps("eps must lie in (0, 1)")
+    eps = _eps(eps)
     sets = [sorted(s) for s in sets]
     universe = sorted({e for s in sets for e in s})
     n = len(universe)
@@ -96,21 +110,12 @@ def gen_max_coverage(sets, k: int, eps) -> Instance:
         raise BadEps(f"all sets must have size {n // k}")
     buyers = [f"s{idx}" for idx in range(1, len(sets) + 1)]
     choice_value = 1 + (eps / 2) * Fraction(n, k)
-    element_value = 1 - eps / 2
     items = [f"c{t}" for t in range(1, k + 1)] + [f"e:{e}" for e in universe]
-    values = {}
-    for t in range(1, k + 1):
-        for j in buyers:
-            values[(f"c{t}", j)] = choice_value
-    for idx, s in enumerate(sets, start=1):
+    values = {(f"c{t}", j): choice_value for t in range(1, k + 1) for j in buyers}
+    for j, s in zip(buyers, sets):
         for e in s:
-            values[(f"e:{e}", f"s{idx}")] = element_value
-    return Instance(
-        items=items,
-        buyers=buyers,
-        values=values,
-        thresholds={j: Fraction(1) for j in buyers},
-    )
+            values[(f"e:{e}", j)] = 1 - eps / 2
+    return _unit_instance(items, buyers, values)
 
 
 def _graph(vertices, edges):
@@ -140,7 +145,9 @@ def gen_genava_clique(vertices, edges, eps_exponent=1) -> Instance:
     M + deg(v) and is worth M to its own buyer only; edge items cost 0 and
     are worth 1 to both endpoint buyers.  M = 2|E| / n^eps_exponent; the
     exponent is a parameter because the asymptotic choice is meaningless at
-    desk scale."""
+    desk scale.
+
+    Closed form at exponent 1: exact_opt = |E| + (2|E|/|V|) * alpha(G)."""
     vertices, edges, deg = _graph(vertices, edges)
     n = len(vertices)
     eps_exponent = to_fraction(eps_exponent)
@@ -151,50 +158,31 @@ def gen_genava_clique(vertices, edges, eps_exponent=1) -> Instance:
             float(2 * len(edges)) / (n ** float(eps_exponent))
         )
     buyers = [f"j:{v}" for v in vertices]
-    items, values, costs = [], {}, {}
-    for v in vertices:
-        iid = f"v:{v}"
-        items.append(iid)
-        values[(iid, f"j:{v}")] = m_value
-        costs[(iid, f"j:{v}")] = m_value + deg[v]
+    items = [f"v:{v}" for v in vertices] + [f"e:{u}-{v}" for u, v in edges]
+    values = {(f"v:{v}", f"j:{v}"): m_value for v in vertices}
+    costs = {(f"v:{v}", f"j:{v}"): m_value + deg[v] for v in vertices}
     for u, v in edges:
-        iid = f"e:{u}-{v}"
-        items.append(iid)
         for w in (u, v):
-            values[(iid, f"j:{w}")] = Fraction(1)
-            costs[(iid, f"j:{w}")] = Fraction(0)
-    return Instance(
-        items=items,
-        buyers=buyers,
-        values=values,
-        thresholds={j: Fraction(1) for j in buyers},
-        costs=costs,
-    )
+            values[(f"e:{u}-{v}", f"j:{w}")] = Fraction(1)
+            costs[(f"e:{u}-{v}", f"j:{w}")] = Fraction(0)
+    return _unit_instance(items, buyers, values, costs=costs)
 
 
 def gen_iid_lower_bound(T: int) -> IidModel:
     """Uniform model on which no online algorithm beats a constant while the
     ex-post optimum grows like ln T / ln ln T: T buyers, T-1 single-buyer
-    N-types of value 1 - 1/T, one P-type worth 2 to everyone."""
+    N-types of value 1 - 1/T, one P-type worth 2 to everyone.
+
+    Closed form, K P-arrivals: exact_opt(stream) = 2K + (1-1/T) * (K largest N-counts summed)."""
     if T < 2:
         raise BadEps("T must be at least 2")
     eps = Fraction(1, T)
     buyers = [f"j{k}" for k in range(1, T + 1)]
     types = [f"n{k}" for k in range(1, T)] + ["p"]
-    values = {}
-    for k in range(1, T):
-        values[(f"n{k}", f"j{k}")] = 1 - eps
+    values = {(f"n{k}", f"j{k}"): 1 - eps for k in range(1, T)}
     for j in buyers:
         values[("p", j)] = 1 + eps * T
-    probs = {i: Fraction(1, T) for i in types}
-    return IidModel(
-        types=types,
-        buyers=buyers,
-        values=values,
-        thresholds={j: Fraction(1) for j in buyers},
-        probs=probs,
-        horizon=T,
-    )
+    return _unit_model(types, buyers, values, {i: eps for i in types}, T)
 
 
 def gen_adversarial_T(T: int, eps):
@@ -202,32 +190,25 @@ def gen_adversarial_T(T: int, eps):
     1 - eps to every one of T buyers, then a single item worth 1 + eps*T to
     buyer b1 alone.  Returns (instance, arrival order); the item declaration
     order is the arrival order."""
-    eps = to_fraction(eps)
+    eps = to_fraction(eps)  # a bad literal is reported before a bad T
     if T < 2:
         raise BadEps("T must be at least 2")
-    if not 0 < eps < 1:
-        raise BadEps("eps must lie in (0, 1)")
+    eps = _eps(eps)
     buyers = [f"b{k}" for k in range(1, T + 1)]
     items = [f"a{k}" for k in range(1, T)] + ["star"]
-    values = {}
-    for k in range(1, T):
-        for j in buyers:
-            values[(f"a{k}", j)] = 1 - eps
+    values = {(i, j): 1 - eps for i in items[:-1] for j in buyers}
     values[("star", "b1")] = 1 + eps * T
-    inst = Instance(
-        items=items,
-        buyers=buyers,
-        values=values,
-        thresholds={j: Fraction(1) for j in buyers},
-    )
-    return inst, list(items)
+    return _unit_instance(items, buyers, values), list(items)
 
 
-def _grid(rng: random.Random, lo: Fraction, hi: Fraction) -> Fraction:
-    """Uniform draw from the 1/100 grid inside [lo, hi]."""
-    lo_c = math.ceil(lo * 100)
-    hi_c = math.floor(hi * 100)
-    return Fraction(rng.randint(lo_c, hi_c), 100)
+def _grid(rng: random.Random, lo: int, hi: int) -> Fraction:
+    """Uniform draw from the 1/100 grid on [lo/100, hi/100]."""
+    return Fraction(rng.randint(lo, hi), 100)
+
+
+def _edge_value(rng: random.Random, p_edge: bool) -> Fraction:
+    """A P-edge's value on [1, 2], or an N-edge's on [0.55, 0.99]."""
+    return _grid(rng, 100, 200) if p_edge else _grid(rng, 55, 99)
 
 
 def _check_count(name: str, count: int, least: int):
@@ -269,42 +250,27 @@ def gen_random(
     rng = random.Random(seed)
     items = [f"i{k}" for k in range(1, n_items + 1)]
     buyers = [f"b{k}" for k in range(1, n_buyers + 1)]
+
+    def side(item_is_p: bool) -> bool:
+        return item_is_p if unambiguous else rng.random() < p_density
+
     values = {}
     for i in items:
         item_is_p = rng.random() < p_density
-        touched = []
-        for j in buyers:
-            if rng.random() >= edge_density:
-                continue
-            edge_is_p = item_is_p if unambiguous else rng.random() < p_density
-            touched.append((j, edge_is_p))
-        if not touched:
-            j = buyers[rng.randrange(n_buyers)]
-            touched.append((j, item_is_p if unambiguous else rng.random() < p_density))
-        for j, edge_is_p in touched:
-            if edge_is_p:
-                values[(i, j)] = _grid(rng, Fraction(1), Fraction(2))
-            else:
-                values[(i, j)] = _grid(rng, Fraction(11, 20), Fraction(99, 100))
-    budgets = None
-    rcosts = None
+        # each edge's side is drawn as the edge is, before any value
+        touched = [(j, side(item_is_p)) for j in buyers if rng.random() < edge_density]
+        for j, p_edge in touched or [(buyers[rng.randrange(n_buyers)], side(item_is_p))]:
+            values[(i, j)] = _edge_value(rng, p_edge)
+    budgets = rcosts = None
     if budget_resources > 0:
-        budgets = {}
-        rcosts = {}
+        budgets, rcosts = {}, {}
         for r in range(1, budget_resources + 1):
             res = f"r{r}"
             for j in buyers:
                 budgets[(res, j)] = Fraction(1)
             for (i, j) in values:
-                rcosts[(res, i, j)] = _grid(rng, Fraction(0), bid_frac)
-    return Instance(
-        items=items,
-        buyers=buyers,
-        values=values,
-        thresholds={j: Fraction(1) for j in buyers},
-        budgets=budgets,
-        resource_costs=rcosts,
-    )
+                rcosts[(res, i, j)] = _grid(rng, 0, math.floor(bid_frac * 100))
+    return _unit_instance(items, buyers, values, budgets=budgets, resource_costs=rcosts)
 
 
 def gen_random_iid_model(
@@ -324,25 +290,10 @@ def gen_random_iid_model(
     buyers = [f"b{k}" for k in range(1, n_buyers + 1)]
     values = {}
     for i in types:
-        touched = []
-        for j in buyers:
-            if rng.random() < 0.8:
-                touched.append(j)
-        if not touched:
-            touched.append(buyers[rng.randrange(n_buyers)])
-        for j in touched:
-            if rng.random() < 0.4:
-                values[(i, j)] = _grid(rng, Fraction(1), Fraction(2))
-            else:
-                values[(i, j)] = _grid(rng, Fraction(11, 20), Fraction(99, 100))
+        # all of a type's edges are drawn before any of its values
+        for j in [j for j in buyers if rng.random() < 0.8] or [buyers[rng.randrange(n_buyers)]]:
+            values[(i, j)] = _edge_value(rng, rng.random() < 0.4)
     weights = [rng.randint(1, 4) for _ in types]
     total = sum(weights)
     probs = {i: Fraction(w, total) for i, w in zip(types, weights)}
-    return IidModel(
-        types=types,
-        buyers=buyers,
-        values=values,
-        thresholds={j: Fraction(1) for j in buyers},
-        probs=probs,
-        horizon=horizon,
-    )
+    return _unit_model(types, buyers, values, probs, horizon)
